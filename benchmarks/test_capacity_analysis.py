@@ -7,7 +7,7 @@ quantifies the capacity multiplier on both devices' HBM budgets.
 """
 
 from repro.core.report import render_table
-from repro.hw.device import get_device
+from repro.hw.backend import get_backend
 from repro.models.llama import LLAMA_3_1_8B, LlamaCostModel
 from repro.serving import compare_capacity
 from repro.serving.dataset import dynamic_sonnet_requests
@@ -17,7 +17,7 @@ def _capacity_rows():
     rows = []
     requests = dynamic_sonnet_requests(8192, seed=11)
     for device_name in ("gaudi2", "a100"):
-        device = get_device(device_name)
+        device = get_backend(device_name)
         model = LlamaCostModel(LLAMA_3_1_8B, device)
         report = compare_capacity(LLAMA_3_1_8B, model, requests, max_model_len=4096)
         rows.append((

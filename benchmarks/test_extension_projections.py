@@ -5,16 +5,16 @@ the Section 5 future work (training) -- run on the same device models.
 """
 
 from repro.core.report import render_table
-from repro.hw.device import get_device
+from repro.hw.backend import get_backend
 from repro.models.llama import LLAMA_3_1_8B, LlamaCostModel
 from repro.models.training import LlamaTrainingCostModel
 
 
 def _gaudi3_serving_rows():
     rows = []
-    a100 = get_device("a100")
+    a100 = get_backend("a100")
     for name in ("gaudi2", "gaudi3"):
-        device = get_device(name)
+        device = get_backend(name)
         rows_for_device = []
         for batch, out in ((16, 100), (64, 400)):
             est = LlamaCostModel(LLAMA_3_1_8B, device).generate(batch, 100, out)
@@ -42,7 +42,7 @@ def test_extension_gaudi3_projection(benchmark, results_dir):
 def _training_rows():
     rows = []
     for name in ("gaudi2", "a100", "gaudi3"):
-        device = get_device(name)
+        device = get_backend(name)
         step = LlamaTrainingCostModel(LLAMA_3_1_8B, device, data_parallel=8).step(
             global_batch=128, seq_len=4096
         )

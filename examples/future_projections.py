@@ -11,7 +11,7 @@ Run with::
     python examples/future_projections.py
 """
 
-from repro import get_device
+from repro import get_backend
 from repro.core.report import render_table
 from repro.models.llama import LLAMA_3_1_8B, LlamaCostModel
 from repro.models.training import LlamaTrainingCostModel
@@ -19,10 +19,10 @@ from repro.tools import GaudiProfiler
 
 
 def gaudi3_projection() -> None:
-    a100 = get_device("a100")
+    a100 = get_backend("a100")
     rows = []
     for name in ("gaudi2", "gaudi3", "a100"):
-        device = get_device(name)
+        device = get_backend(name)
         est = LlamaCostModel(LLAMA_3_1_8B, device).generate(32, 100, 100)
         ref = LlamaCostModel(LLAMA_3_1_8B, a100).generate(32, 100, 100)
         rows.append((
@@ -43,7 +43,7 @@ def gaudi3_projection() -> None:
 def training_projection() -> None:
     rows = []
     for name in ("gaudi2", "a100", "gaudi3"):
-        device = get_device(name)
+        device = get_backend(name)
         step = LlamaTrainingCostModel(LLAMA_3_1_8B, device, data_parallel=8).step(
             128, 4096
         )
@@ -62,7 +62,7 @@ def training_projection() -> None:
 
 
 def graphs_knob() -> None:
-    gaudi = get_device("gaudi2")
+    gaudi = get_backend("gaudi2")
     with_graphs = LlamaCostModel(LLAMA_3_1_8B, gaudi, use_graphs=True)
     eager = LlamaCostModel(LLAMA_3_1_8B, gaudi, use_graphs=False)
     t_graphs = with_graphs.decode_step(8, 256).time

@@ -11,7 +11,7 @@ Run with::
     python examples/llm_serving.py
 """
 
-from repro import get_device
+from repro import get_backend
 from repro.core.report import render_table
 from repro.models.llama import (
     LLAMA_3_1_70B,
@@ -24,7 +24,7 @@ from repro.serving import LlmServingEngine, dynamic_sonnet_requests
 
 
 def serve_8b() -> None:
-    gaudi, a100 = get_device("gaudi2"), get_device("a100")
+    gaudi, a100 = get_backend("gaudi2"), get_backend("a100")
     rows = []
     for max_batch in (8, 32, 128):
         gaudi_report = LlmServingEngine(
@@ -57,7 +57,7 @@ def serve_8b() -> None:
 
 
 def serve_70b_multi_device() -> None:
-    gaudi, a100 = get_device("gaudi2"), get_device("a100")
+    gaudi, a100 = get_backend("gaudi2"), get_backend("a100")
     rows = []
     for tp in (2, 4, 8):
         gaudi_est = LlamaCostModel(

@@ -6,7 +6,7 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import get_device
+from repro import get_backend
 from repro.core.report import render_table
 from repro.core.roofline import Roofline
 from repro.hw.spec import spec_comparison_rows
@@ -14,8 +14,8 @@ from repro.kernels.gemm import run_gemm
 
 
 def main() -> None:
-    gaudi = get_device("gaudi2")
-    a100 = get_device("a100")
+    gaudi = get_backend("gaudi2")
+    a100 = get_backend("a100")
 
     # ------------------------------------------------------------------
     # Table 1: the spec sheets.

@@ -10,7 +10,7 @@ Run with::
     python examples/recsys_serving.py
 """
 
-from repro import get_device
+from repro import get_backend
 from repro.core.report import render_table
 from repro.kernels.embedding import (
     A100Fbgemm,
@@ -24,7 +24,7 @@ from repro.serving import RecSysServer
 
 
 def end_to_end() -> None:
-    gaudi, a100 = get_device("gaudi2"), get_device("a100")
+    gaudi, a100 = get_backend("gaudi2"), get_backend("a100")
     rows = []
     for base in (RM1_CONFIG, RM2_CONFIG):
         for dim in (16, 64, 256):

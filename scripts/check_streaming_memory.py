@@ -23,7 +23,7 @@ import argparse
 import sys
 import tracemalloc
 
-from repro.hw import get_device
+from repro.hw import get_backend
 from repro.models.llama import LLAMA_3_1_8B, LlamaCostModel
 from repro.serving import LlmServingEngine, iter_dynamic_sonnet_requests
 from repro.serving.loadgen import poisson_arrivals
@@ -32,7 +32,7 @@ from repro.serving.loadgen import poisson_arrivals
 def _run(num_requests: int, rate: float) -> int:
     """One release-mode streaming run; returns the tracemalloc peak."""
     engine = LlmServingEngine(
-        LlamaCostModel(LLAMA_3_1_8B, get_device("gaudi2")),
+        LlamaCostModel(LLAMA_3_1_8B, get_backend("gaudi2")),
         max_decode_batch=64,
         retain_requests=False,
     )

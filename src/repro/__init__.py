@@ -18,15 +18,15 @@ mechanistic performance/energy models of both devices:
 * :mod:`repro.models` -- DLRM-DCNv2 (RM1/RM2) and Llama-3.1 (8B/70B).
 * :mod:`repro.serving` -- paged-KV continuous-batching LLM engine and
   the RecSys server.
-* :mod:`repro.core` -- the characterization framework (experiments,
-  sweeps, rooflines, comparisons).
+* :mod:`repro.core` -- the characterization framework (metrics,
+  rooflines, reports, the Table 2 registry).
 * :mod:`repro.figures` -- regeneration of every table and figure in
   the paper's evaluation.
 
 Quickstart::
 
-    from repro import A100, GAUDI2, get_device
-    gaudi, a100 = get_device(GAUDI2), get_device(A100)
+    from repro import A100, GAUDI2, get_backend
+    gaudi, a100 = get_backend(GAUDI2), get_backend(A100)
     print(gaudi.gemm(8192, 8192, 8192).utilization)   # ~0.997
     print(a100.gemm(8192, 8192, 8192).utilization)    # ~0.91
 """
@@ -45,7 +45,6 @@ from repro.hw import (
     GAUDI2_SPEC,
     Gaudi2Device,
     get_backend,
-    get_device,
     list_backends,
     register_backend,
     resolve_backend,
@@ -68,7 +67,6 @@ __all__ = [
     "Gaudi2Device",
     "__version__",
     "get_backend",
-    "get_device",
     "list_backends",
     "register_backend",
     "resolve_backend",

@@ -1,23 +1,18 @@
-"""Redesigned run API: shared context, common report protocol, shims.
+"""Run API: shared context and common report protocol.
 
 * :class:`RunContext` -- one object carrying tracer + metrics + seed +
   device, accepted by every ``run_*`` entry point as ``ctx=``;
 * :class:`Report` / :func:`render_report` -- the ``to_json`` /
   ``to_csv`` / ``render`` protocol all result objects conform to, and
-  the CLI's single rendering path over it;
-* :func:`positional_shim` -- the deprecation shim keeping legacy
-  positional call sites working (with a :class:`DeprecationWarning`)
-  while the signatures are keyword-only.
+  the CLI's single rendering path over it.
 """
 
-from repro.api.compat import positional_shim
 from repro.api.context import RunContext
 from repro.api.report import Report, render_report, rows_to_csv
 
 __all__ = [
     "Report",
     "RunContext",
-    "positional_shim",
     "render_report",
     "rows_to_csv",
 ]

@@ -1,7 +1,5 @@
 """The shared :class:`RunContext` every ``run_*`` entry point accepts.
 
-Before this redesign each entry point grew its own ad-hoc positional
-signature (a device here, a seed there, no way to observe anything).
 A :class:`RunContext` bundles the cross-cutting run state -- tracer,
 metrics registry, seed, and default device -- so callers configure one
 object and thread it through any entry point with ``ctx=``:
@@ -65,12 +63,12 @@ class RunContext:
 
         Accepts a device object or name in either position; returns a
         device object, or raises if neither is provided."""
-        from repro.hw.device import get_device
+        from repro.hw.backend import get_backend
 
         target = device if device is not None else self.device
         if target is None:
             raise ValueError("no device given and the RunContext names no default")
-        return get_device(target) if isinstance(target, str) else target
+        return get_backend(target) if isinstance(target, str) else target
 
     # -- export conveniences ----------------------------------------------
     def chrome_trace(self) -> str:

@@ -57,7 +57,7 @@ BEFORE_SECONDS: Dict[str, float] = {
     "fig17_serving": 3.528,
     "serve_256": 0.442,
     # Scalar-engine (pre-vectorization) streaming runs, measured with
-    # REPRO_ENGINE=scalar on the same machine as the entries above.
+    # engine_mode="scalar" on the same machine as the entries above.
     "serve_50k": 22.545,
     "serve_1m": 549.22,
     # The same design-space sweeps priced through the exact cost models
@@ -110,7 +110,7 @@ def _fig17_serving(fast: bool) -> None:
 
 
 def _serving_run(num_requests: int) -> None:
-    from repro.hw.device import get_device
+    from repro.hw.backend import get_backend
     from repro.models.llama import (
         LLAMA_3_1_8B,
         LlamaCostModel,
@@ -118,7 +118,7 @@ def _serving_run(num_requests: int) -> None:
     )
     from repro.serving import LlmServingEngine, dynamic_sonnet_requests
 
-    device = get_device(_BENCH_BACKEND)
+    device = get_backend(_BENCH_BACKEND)
     engine = LlmServingEngine(
         LlamaCostModel(LLAMA_3_1_8B, device),
         default_decode_attention(device),
@@ -140,7 +140,7 @@ def _streaming_run(num_requests: int) -> None:
     however large ``num_requests`` is -- the million-request
     configuration of EXPERIMENTS.md runs through this exact path.
     """
-    from repro.hw.device import get_device
+    from repro.hw.backend import get_backend
     from repro.models.llama import (
         LLAMA_3_1_8B,
         LlamaCostModel,
@@ -149,7 +149,7 @@ def _streaming_run(num_requests: int) -> None:
     from repro.serving import LlmServingEngine, iter_dynamic_sonnet_requests
     from repro.serving.loadgen import poisson_arrivals
 
-    device = get_device(_BENCH_BACKEND)
+    device = get_backend(_BENCH_BACKEND)
     engine = LlmServingEngine(
         LlamaCostModel(LLAMA_3_1_8B, device),
         default_decode_attention(device),

@@ -27,8 +27,7 @@ from typing import Dict, List, Optional
 from repro.audit import ConfigError
 from repro.comm.topology import FabricHealth
 from repro.faults.chaos import build_degraded_collectives
-from repro.hw.backend import resolve_backend
-from repro.hw.device import get_device
+from repro.hw.backend import get_backend, resolve_backend
 from repro.models.llama import (
     LLAMA_3_1_70B,
     LLAMA_3_1_8B,
@@ -165,7 +164,7 @@ class Node:
         tp_config, _, _ = build_degraded_collectives(
             node_class.device, node_class.tp, self.fabric_health
         )
-        device = get_device(node_class.device)
+        device = get_backend(node_class.device)
         llama = LLAMA_3_1_8B if node_class.model == "8b" else LLAMA_3_1_70B
         attention = default_decode_attention(device)
         self.compute = _NodeComputeState()

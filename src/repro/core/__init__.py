@@ -7,31 +7,19 @@ is that methodology as a library:
 
 * :mod:`repro.core.metrics` -- utilization/throughput metric helpers.
 * :mod:`repro.core.roofline` -- the roofline model of Figure 4.
-* :mod:`repro.core.sweep` -- parameter grids for the heatmap sweeps.
-* :mod:`repro.core.experiment` -- experiment runner producing row-wise
-  results.
-* :mod:`repro.core.compare` -- two-device comparison summaries.
 * :mod:`repro.core.microbench` -- the Table 2 microbenchmark registry.
 * :mod:`repro.core.report` -- plain-text tables and heatmaps.
 """
 
-from repro.core.compare import ComparisonSummary, compare_metric
-from repro.core.experiment import Experiment, ExperimentResult
 from repro.core.metrics import geometric_mean, ratio, tflops, utilization
 from repro.core.microbench import MICROBENCHMARKS, MicrobenchmarkSpec
 from repro.core.roofline import Roofline
 from repro.core.report import render_heatmap, render_table
-from repro.core.sweep import Sweep
 
 __all__ = [
-    "ComparisonSummary",
-    "Experiment",
-    "ExperimentResult",
     "MICROBENCHMARKS",
     "MicrobenchmarkSpec",
     "Roofline",
-    "Sweep",
-    "compare_metric",
     "geometric_mean",
     "ratio",
     "render_heatmap",

@@ -12,11 +12,9 @@ retries, and recomputes per its :class:`ResiliencePolicy`.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
-from repro.api.compat import positional_shim
 from repro.audit import ConfigError, get_auditor
 from repro.comm.api import HcclLibrary, NcclLibrary
 from repro.comm.topology import (
@@ -30,8 +28,7 @@ from repro.core.metrics import percentile
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.report import ResilienceReport, shed_reason_counts
-from repro.hw.backend import GAUDI2, resolve_backend
-from repro.hw.device import get_device
+from repro.hw.backend import GAUDI2, get_backend, resolve_backend
 from repro.hw.spec import get_spec
 from repro.models.llama import (
     LLAMA_3_1_70B,
@@ -42,7 +39,7 @@ from repro.models.llama import (
 from repro.models.tensor_parallel import TensorParallelConfig
 from repro.serving.engine import LlmServingEngine, ResiliencePolicy
 from repro.serving.loadgen import poisson_arrivals
-from repro.serving.request import Request, RequestState, RetryPolicy
+from repro.serving.request import RequestState, RetryPolicy
 from repro.serving.dataset import dynamic_sonnet_requests
 
 #: Probe size for the healthy-vs-degraded AllReduce comparison: large
@@ -130,30 +127,17 @@ def build_degraded_collectives(device: str, tp: int, health: FabricHealth):
     return tp_config, healthy, degraded
 
 
-def _build_collectives(config: ChaosConfig, health: FabricHealth):
-    """(tp_config, healthy_library, degraded_library) for the run."""
-    return build_degraded_collectives(config.device, config.tp, health)
-
-
-def _shed_reason_counts(requests: List[Request]) -> Counter:
-    """Shed/fail reasons aggregated by their leading category.
-
-    Kept as a thin alias of the public
-    :func:`repro.faults.report.shed_reason_counts` (scope=None).
-    """
-    return shed_reason_counts(requests)
-
-
-@positional_shim("config")
 def run_chaos(*, config: ChaosConfig, ctx=None) -> ResilienceReport:
     """Run one fault-injected serving experiment end to end.
 
     With a :class:`~repro.api.RunContext` passed as ``ctx``, the
     serving run records spans and metrics through it.
     """
-    device = get_device(config.device)
+    device = get_backend(config.device)
     health = FabricHealth()
-    tp_config, healthy_lib, degraded_lib = _build_collectives(config, health)
+    tp_config, healthy_lib, degraded_lib = build_degraded_collectives(
+        config.device, config.tp, health
+    )
     llama = LLAMA_3_1_8B if config.model == "8b" else LLAMA_3_1_70B
     model = LlamaCostModel(llama, device, tp=tp_config)
     attention = default_decode_attention(device)
@@ -200,7 +184,7 @@ def run_chaos(*, config: ChaosConfig, ctx=None) -> ResilienceReport:
                 _BANDWIDTH_PROBE_BYTES, alive
             ).bus_bandwidth
 
-    shed_reasons = _shed_reason_counts(list(requests))
+    shed_reasons = shed_reason_counts(requests)
     resilience = ResilienceReport(
         device=device.name,
         model=llama.name,

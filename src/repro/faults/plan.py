@@ -16,8 +16,9 @@ kernel-fault RNG, and events replay in (time, insertion) order.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.audit import ConfigError
 from repro.faults.events import FaultEvent, FaultKind
@@ -155,25 +156,43 @@ class FaultPlan:
         straggler: Sequence[str] = (),
         kernel_fault_rate: float = 0.0,
     ) -> "FaultPlan":
+        """Build a plan from ``repro chaos`` flag values.
+
+        A malformed spec raises a :class:`ConfigError` naming its flag.
+        """
         plan = cls(seed=seed, kernel_fault_rate=kernel_fault_rate)
         for spec in fail_device:
-            head, kv = _parse_spec(spec, required=("t",), optional=("recover",))
-            plan.fail_device(int(head), kv["t"], recover_at=kv.get("recover"))
+            with _flag_errors("--fail-device"):
+                head, kv = _parse_spec(spec, required=("t",), optional=("recover",))
+                plan.fail_device(int(head), kv["t"], recover_at=kv.get("recover"))
         for spec in degrade_link:
-            head, kv = _parse_spec(spec, required=("t", "factor"), optional=("until",))
-            a, b = _parse_link(head)
-            plan.degrade_link(a, b, kv["factor"], kv["t"], until=kv.get("until"))
+            with _flag_errors("--degrade-link"):
+                head, kv = _parse_spec(spec, required=("t", "factor"), optional=("until",))
+                a, b = _parse_link(head)
+                plan.degrade_link(a, b, kv["factor"], kv["t"], until=kv.get("until"))
         for spec in flap_link:
-            head, kv = _parse_spec(spec, required=("t", "period", "cycles"))
-            a, b = _parse_link(head)
-            plan.flap_link(a, b, kv["t"], kv["period"], int(kv["cycles"]))
+            with _flag_errors("--flap-link"):
+                head, kv = _parse_spec(spec, required=("t", "period", "cycles"))
+                a, b = _parse_link(head)
+                plan.flap_link(a, b, kv["t"], kv["period"], int(kv["cycles"]))
         for spec in throttle_hbm:
-            head, kv = _parse_spec(spec, required=("t",), optional=("until",))
-            plan.throttle_hbm(float(head), kv["t"], until=kv.get("until"))
+            with _flag_errors("--throttle-hbm"):
+                head, kv = _parse_spec(spec, required=("t",), optional=("until",))
+                plan.throttle_hbm(float(head), kv["t"], until=kv.get("until"))
         for spec in straggler:
-            head, kv = _parse_spec(spec, required=("t", "factor"), optional=("until",))
-            plan.straggler(int(head), kv["factor"], kv["t"], until=kv.get("until"))
+            with _flag_errors("--straggler"):
+                head, kv = _parse_spec(spec, required=("t", "factor"), optional=("until",))
+                plan.straggler(int(head), kv["factor"], kv["t"], until=kv.get("until"))
         return plan
+
+
+@contextmanager
+def _flag_errors(flag: str) -> Iterator[None]:
+    """Re-raise a spec's ``ValueError`` as a ConfigError naming ``flag``."""
+    try:
+        yield
+    except ValueError as error:
+        raise ConfigError(f"{flag}: {error}") from None
 
 
 def _parse_spec(

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
-from repro.api.compat import positional_shim
 
 
 @dataclass
@@ -50,7 +49,6 @@ def get_figure(figure_id: str) -> Callable[[bool], FigureResult]:
         ) from None
 
 
-@positional_shim("figure_id", "fast")
 def run_figure(*, figure_id: str, fast: bool = True, ctx=None) -> FigureResult:
     """Run one registered table/figure regeneration.
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 from repro.core.report import render_table
 from repro.core.roofline import Roofline
 from repro.figures.common import FigureResult, register_figure
-from repro.hw.backend import DEFAULT_COMPARISON, comparison_backends
-from repro.hw.device import get_device
+from repro.hw.backend import DEFAULT_COMPARISON, comparison_backends, get_backend
 from repro.kernels.gemm import (
     IRREGULAR_N,
     IRREGULAR_SIZES,
@@ -31,7 +30,7 @@ def run(fast: bool = True) -> FigureResult:
     summary gains per-backend peak columns.
     """
     keys = comparison_backends()
-    devices = [get_device(key) for key in keys]
+    devices = [get_backend(key) for key in keys]
     square = SQUARE_SIZES[::2] if fast else SQUARE_SIZES
     irregular = IRREGULAR_SIZES[::2] if fast else IRREGULAR_SIZES
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 from repro.core.metrics import arithmetic_mean
 from repro.core.report import render_heatmap
 from repro.figures.common import FigureResult, register_figure
-from repro.hw.backend import A100, GAUDI2
-from repro.hw.device import get_device
+from repro.hw.backend import A100, GAUDI2, get_backend
 from repro.kernels.gemm import run_gemm
 
 _SIZES = (256, 512, 1024, 2048, 4096, 8192, 16384)
@@ -22,7 +21,7 @@ _IRREGULAR_N = 16
 @register_figure("fig05")
 def run(fast: bool = True) -> FigureResult:
     """Regenerate this figure's rows, summary, and text report."""
-    gaudi, a100 = get_device(GAUDI2), get_device(A100)
+    gaudi, a100 = get_backend(GAUDI2), get_backend(A100)
     sizes = _SIZES[::2] if fast else _SIZES
 
     rows = []

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from repro.core.report import render_table
 from repro.figures.common import FigureResult, register_figure
-from repro.hw.backend import A100, GAUDI2
-from repro.hw.device import get_device
+from repro.hw.backend import A100, GAUDI2, get_backend
 from repro.kernels.stream import StreamOp, run_stream
 
 _GRANULARITIES = (2, 8, 32, 64, 128, 256, 512, 1024, 2048)
@@ -29,7 +28,7 @@ _ELEMENTS_FAST = 2_400_000
 @register_figure("fig08")
 def run(fast: bool = True) -> FigureResult:
     """Regenerate this figure's rows, summary, and text report."""
-    gaudi, a100 = get_device(GAUDI2), get_device(A100)
+    gaudi, a100 = get_backend(GAUDI2), get_backend(A100)
     n = _ELEMENTS_FAST if fast else _ELEMENTS
     granularities = _GRANULARITIES[::2] if fast else _GRANULARITIES
     tpc_counts = _TPC_COUNTS[::2] if fast else _TPC_COUNTS

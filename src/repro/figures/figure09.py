@@ -11,8 +11,7 @@ from __future__ import annotations
 from repro.core.metrics import arithmetic_mean
 from repro.core.report import render_table
 from repro.figures.common import FigureResult, register_figure
-from repro.hw.backend import A100, GAUDI2
-from repro.hw.device import get_device
+from repro.hw.backend import A100, GAUDI2, get_backend
 from repro.kernels.gather_scatter import run_gather_scatter
 
 _VECTOR_SIZES = (16, 32, 64, 128, 256, 512, 1024, 2048)
@@ -22,7 +21,7 @@ _FRACTIONS = (0.125, 0.25, 0.5, 1.0)
 @register_figure("fig09")
 def run(fast: bool = True) -> FigureResult:
     """Regenerate this figure's rows, summary, and text report."""
-    gaudi, a100 = get_device(GAUDI2), get_device(A100)
+    gaudi, a100 = get_backend(GAUDI2), get_backend(A100)
     sizes = _VECTOR_SIZES[::2] if fast else _VECTOR_SIZES
     fractions = (_FRACTIONS[0], _FRACTIONS[-1]) if fast else _FRACTIONS
 

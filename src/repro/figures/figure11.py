@@ -12,8 +12,7 @@ from __future__ import annotations
 from repro.core.metrics import arithmetic_mean
 from repro.core.report import render_heatmap
 from repro.figures.common import FigureResult, register_figure
-from repro.hw.backend import A100, GAUDI2
-from repro.hw.device import get_device
+from repro.hw.backend import A100, GAUDI2, get_backend
 from repro.models.dlrm import DlrmCostModel, RM1_CONFIG, RM2_CONFIG
 
 _DIMS = (16, 32, 64, 128, 256)         # fp32 elements: 64 B .. 1 KB vectors
@@ -23,7 +22,7 @@ _BATCHES = (256, 1024, 4096, 16384)
 @register_figure("fig11")
 def run(fast: bool = True) -> FigureResult:
     """Regenerate this figure's rows, summary, and text report."""
-    gaudi, a100 = get_device(GAUDI2), get_device(A100)
+    gaudi, a100 = get_backend(GAUDI2), get_backend(A100)
     dims = _DIMS[::2] if fast else _DIMS
     batches = _BATCHES[::2] if fast else _BATCHES
 

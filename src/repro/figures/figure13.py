@@ -11,8 +11,7 @@ from __future__ import annotations
 from repro.core.metrics import arithmetic_mean
 from repro.core.report import render_heatmap
 from repro.figures.common import FigureResult, register_figure
-from repro.hw.backend import A100, GAUDI2
-from repro.hw.device import get_device
+from repro.hw.backend import A100, GAUDI2, get_backend
 from repro.models.llama import LLAMA_3_1_70B, LLAMA_3_1_8B, LlamaCostModel
 from repro.models.tensor_parallel import TensorParallelConfig
 
@@ -25,7 +24,7 @@ _TP_DEGREES = (2, 4, 8)
 @register_figure("fig13")
 def run(fast: bool = True) -> FigureResult:
     """Regenerate this figure's rows, summary, and text report."""
-    gaudi, a100 = get_device(GAUDI2), get_device(A100)
+    gaudi, a100 = get_backend(GAUDI2), get_backend(A100)
     batches = _BATCHES[::2] if fast else _BATCHES
     outputs = (_OUTPUT_LENS[0], _OUTPUT_LENS[-1]) if fast else _OUTPUT_LENS
     tp_degrees = (_TP_DEGREES[0], _TP_DEGREES[-1]) if fast else _TP_DEGREES

@@ -14,8 +14,7 @@ from __future__ import annotations
 from repro.core.metrics import arithmetic_mean, geometric_mean
 from repro.core.report import render_table
 from repro.figures.common import FigureResult, register_figure
-from repro.hw.backend import A100, GAUDI2
-from repro.hw.device import get_device
+from repro.hw.backend import A100, GAUDI2, get_backend
 from repro.kernels.paged_attention import (
     PagedAttentionConfig,
     a100_paged_attention,
@@ -65,7 +64,7 @@ def run(fast: bool = True) -> FigureResult:
             "opt_over_base": base.time / opt.time,
         })
     # (d, e): end-to-end serving on both devices.
-    gaudi, a100 = get_device(GAUDI2), get_device(A100)
+    gaudi, a100 = get_backend(GAUDI2), get_backend(A100)
     for max_batch in decode_batches:
         gaudi_engine = LlmServingEngine(
             LlamaCostModel(LLAMA_3_1_8B, gaudi),

@@ -38,7 +38,7 @@ from repro.hw.backend import (
     register_backend,
     resolve_backend,
 )
-from repro.hw.device import A100Device, Device, Gaudi2Device, get_device
+from repro.hw.device import A100Device, Device, Gaudi2Device
 from repro.hw.mme import MmeConfig, MmeModel
 from repro.hw.memory import AccessPattern, HbmModel
 from repro.hw.power import ActivityAccumulator, ActivityProfile, PowerModel, PowerSample
@@ -80,7 +80,6 @@ __all__ = [
     "TensorCoreModel",
     "VectorUnitModel",
     "get_backend",
-    "get_device",
     "list_backends",
     "register_backend",
     "resolve_backend",

@@ -8,8 +8,7 @@ once and run against any registered platform -- the same property the
 paper attributes to PyTorch's device abstraction (Figure 2(a)).
 
 Platform lookup goes through the string-keyed registry of
-:mod:`repro.hw.backend`; :func:`get_device` remains as the historical
-alias of :func:`repro.hw.backend.get_backend`.
+:mod:`repro.hw.backend` (:func:`~repro.hw.backend.get_backend`).
 """
 
 from __future__ import annotations
@@ -206,15 +205,3 @@ class A100Device(Device):
             active_mac_fraction=1.0,
             config_label=f"CTA {tm}x{tn}, {estimate.waves} waves",
         )
-
-
-def get_device(name: str, fresh: bool = False) -> Device:
-    """Historical alias of :func:`repro.hw.backend.get_backend`.
-
-    Accepts any registered backend key or alias ("gaudi2"/"hpu",
-    "a100"/"cuda", "h100"/"hopper", "gaudi3", ...).  Devices are
-    stateless, so instances are cached unless ``fresh``.
-    """
-    from repro.hw.backend import get_backend
-
-    return get_backend(name, fresh=fresh)

@@ -19,14 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hw.device import A100Device, Device, Gaudi2Device
+from repro.hw.device import Device
 from repro.hw.spec import DType
-
-#: Fraction of matrix-engine peak a fused attention kernel sustains.
-#: These are the per-backend ``attention_efficiency`` class attributes;
-#: kept as module constants for backwards compatibility.
-_FLASH_EFFICIENCY_A100 = A100Device.attention_efficiency
-_FUSED_SDPA_EFFICIENCY_GAUDI = Gaudi2Device.attention_efficiency
 
 #: Fraction of the score matrix FusedSDPA spills through HBM when the
 #: working set exceeds the SRAM slice (graph-compiler staging).

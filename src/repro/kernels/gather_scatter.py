@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.api.compat import positional_shim
 from repro.cuda import CudaLauncher
 from repro.hw.device import Device
 from repro.tpc import TpcKernelBuilder, TpcLauncher
@@ -124,9 +123,6 @@ def _cuda_gather_scatter(
     )
 
 
-@positional_shim(
-    "device", "vector_bytes", "fraction_accessed", "num_vectors", "is_scatter"
-)
 def run_gather_scatter(
     *,
     device: Optional[Device] = None,

@@ -16,7 +16,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.api.compat import positional_shim
 from repro.cuda import CudaLauncher
 from repro.hw.device import Device
 from repro.hw.spec import DType
@@ -198,10 +197,6 @@ def _cuda_stream(
     )
 
 
-@positional_shim(
-    "device", "op", "num_elements", "access_bytes", "unroll",
-    "num_cores", "dtype", "compute_chain",
-)
 def run_stream(
     *,
     device: Optional[Device] = None,

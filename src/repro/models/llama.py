@@ -387,13 +387,11 @@ class LlamaCostModel:
         self, acc: ActivityAccumulator, m: int, k: int, n: int
     ) -> float:
         result = self.device.gemm(m, k, n, self.config.dtype)
-        peak = self.device.peak_matrix_flops
         dtype_peak = self.device.spec.matrix.peak(self.config.dtype)
         acc.add_matrix(result.flops / dtype_peak, result.active_mac_fraction)
         itemsize = self.config.dtype.itemsize
         traffic = itemsize * (k * n + m * k + m * n)
         acc.add_memory(traffic / self.device.peak_bandwidth)
-        del peak
         return result.time
 
     def _allreduce(self, acc: ActivityAccumulator, size_bytes: float) -> float:

@@ -20,7 +20,6 @@ wasted step rather than the run.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
@@ -52,7 +51,7 @@ from repro.serving.scheduler import ContinuousBatchingScheduler
 #: Default KV block size in tokens (matches the paged-attention kernel).
 DEFAULT_BLOCK_SIZE = 128
 
-#: Accepted ``engine_mode`` / ``REPRO_ENGINE`` values.
+#: Accepted ``engine_mode`` values.
 _ENGINE_MODES = ("auto", "vectorized", "scalar")
 
 
@@ -275,9 +274,8 @@ class LlmServingEngine:
         per-request objects (the reference semantics), ``"vectorized"``
         runs the struct-of-arrays fast path (and raises
         :class:`~repro.audit.ConfigError` when a bound policy / injector
-        / watchdog / tracer makes it ineligible), and ``"auto"`` --
-        overridable via ``REPRO_ENGINE`` -- picks the fast path whenever
-        it is eligible.  Both cores produce byte-identical reports.
+        / watchdog / tracer makes it ineligible), and ``"auto"`` picks
+        the fast path whenever it is eligible.  Both cores produce byte-identical reports.
         ``retain_requests=False`` folds terminal requests into constant-
         memory aggregates instead of keeping every object alive, which
         is what makes million-request streaming runs possible; latency
@@ -455,21 +453,11 @@ class LlmServingEngine:
     def _resolve_engine_mode(self) -> bool:
         """True when this run uses the vectorized core.
 
-        An explicit constructor ``engine_mode`` wins; ``"auto"`` defers
-        to ``REPRO_ENGINE`` and finally to eligibility.  Requesting
-        ``"vectorized"`` via the constructor on an ineligible engine is
-        a hard :class:`ConfigError`; via the environment it degrades to
-        the scalar core (the env var is a fleet-wide soft preference).
+        ``"auto"`` follows eligibility; requesting ``"vectorized"`` on
+        an ineligible engine is a hard :class:`ConfigError`.
         """
         mode = self.engine_mode
         if mode == "auto":
-            env = os.environ.get("REPRO_ENGINE", "").strip().lower()
-            if env and env not in _ENGINE_MODES:
-                raise ConfigError(
-                    f"REPRO_ENGINE must be one of {_ENGINE_MODES}, got {env!r}"
-                )
-            if env == "scalar":
-                return False
             return not self._fast_block_reason()
         if mode == "scalar":
             return False
@@ -1030,13 +1018,6 @@ class LlmServingEngine:
         generator's saturation denominator for streaming runs, where no
         materialized request list exists to take a ``max`` over."""
         return self._max_fed_arrival
-
-    @property
-    def retained_requests(self) -> List[Request]:
-        """Every request fed to the current run (empty in
-        ``retain_requests=False`` release mode, where terminal requests
-        fold into constant-size aggregates instead)."""
-        return list(self._all_requests)
 
     def ttft_p99(self) -> float:
         """P99 TTFT over finished requests: the exact nearest-rank

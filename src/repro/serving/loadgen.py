@@ -15,7 +15,6 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.api.compat import positional_shim
 from repro.audit import ConfigError
 from repro.core.metrics import goodput_fraction, percentile, slo_violation_rate
 from repro.core.parallel import map_with_retries, resolve_worker_count
@@ -196,7 +195,6 @@ def _lazy_diurnal(
         yield request
 
 
-@positional_shim("engine_factory", "request_factory", "offered_rate", "seed")
 def run_load_test(
     *,
     engine_factory: Callable[[], LlmServingEngine],
@@ -316,7 +314,6 @@ class ResilientLoadReport:
         )
 
 
-@positional_shim("engine_factory", "request_factory", "offered_rate", "seed")
 def run_resilient_load_test(
     *,
     engine_factory: Callable[[], LlmServingEngine],
@@ -353,7 +350,7 @@ def run_resilient_load_test(
     if ctx is not None:
         engine.bind_context(ctx)
     report = engine.run(arrivals)
-    requests = arrivals if not streaming else engine.retained_requests
+    requests = arrivals if not streaming else engine.requests
     finished = [r for r in requests if r.state is RequestState.FINISHED]
     ttfts = [r.ttft for r in finished]
     deadline = engine.policy.deadline if engine.policy else None
@@ -399,7 +396,6 @@ def _point_key(index: int) -> str:
     return f"point-{index:04d}"
 
 
-@positional_shim("engine_factory", "request_factory", "rates", "seed")
 def run_load_sweep(
     *,
     engine_factory: Callable[[], LlmServingEngine],

@@ -20,6 +20,29 @@ class TestParser:
             build_parser().parse_args(["gemm", "1", "1", "1", "--dtype", "fp64"])
 
 
+class TestInputErrors:
+    """Malformed flag values exit 2 with one ``error:`` line, never a
+    traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["chaos", "--fail-device", "3"], "--fail-device: bad fault spec '3'"),
+        (["chaos", "--fail-device", "x@t=1"], "--fail-device: invalid literal for int()"),
+        (["fleet", "--chaos", "crash:gaudi2-0"], "bad fault spec 'gaudi2-0'"),
+        (["fleet", "--tenants", "gold:tier=x"], "bad tenant spec 'gold:tier=x'"),
+    ])
+    def test_bad_spec_exits_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
+
+    def test_removed_device_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--device", "gaudi2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --device" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_specs(self, capsys):
         assert main(["specs"]) == 0
@@ -32,7 +55,7 @@ class TestCommands:
         assert "MME" in out and "CTA" in out
 
     def test_gemm_gaudi3(self, capsys):
-        assert main(["gemm", "4096", "4096", "4096", "--devices", "gaudi3"]) == 0
+        assert main(["gemm", "4096", "4096", "4096", "--backend", "gaudi3"]) == 0
         assert "Gaudi-3" in capsys.readouterr().out
 
     def test_figures_single(self, capsys, tmp_path):
@@ -46,8 +69,8 @@ class TestCommands:
         assert "throughput" in out and "TTFT" in out
 
     def test_smi_both_vendors(self, capsys):
-        assert main(["smi", "--device", "gaudi2", "--workload", "llm"]) == 0
-        assert main(["smi", "--device", "a100", "--workload", "recsys"]) == 0
+        assert main(["smi", "--backend", "gaudi2", "--workload", "llm"]) == 0
+        assert main(["smi", "--backend", "a100", "--workload", "recsys"]) == 0
         out = capsys.readouterr().out
         assert "Gaudi-2" in out and "A100" in out
 

@@ -1,14 +1,11 @@
-"""Characterization framework: metrics, roofline, sweeps, experiments,
-comparisons, reports, and the Table 2 registry."""
+"""Characterization framework: metrics, roofline, reports, and the
+Table 2 registry."""
 
 import pytest
 
 from repro.core import (
     MICROBENCHMARKS,
-    Experiment,
     Roofline,
-    Sweep,
-    compare_metric,
     geometric_mean,
     ratio,
     render_heatmap,
@@ -16,7 +13,6 @@ from repro.core import (
     tflops,
     utilization,
 )
-from repro.core.compare import paired_rows
 from repro.core.metrics import arithmetic_mean, bandwidth_utilization, percentile
 from repro.core.microbench import table2_rows
 from repro.hw.spec import GAUDI2_SPEC
@@ -85,79 +81,6 @@ class TestRoofline:
         assert curve[1][1] == 100e12
 
 
-class TestSweep:
-    def test_cartesian_product(self):
-        sweep = Sweep(a=[1, 2], b=["x", "y", "z"])
-        assert sweep.size == 6
-        assert len(list(sweep)) == 6
-
-    def test_subset_keeps_endpoints(self):
-        sweep = Sweep(a=[1, 2, 3, 4, 5])
-        thinned = sweep.subset(2)
-        values = thinned.axes["a"]
-        assert values[0] == 1
-
-    def test_empty_axis_rejected(self):
-        with pytest.raises(ValueError):
-            Sweep(a=[])
-
-
-class TestExperiment:
-    def test_rows_merged_with_params(self):
-        experiment = Experiment(
-            "double", Sweep(x=[1, 2, 3]), lambda x: {"y": 2 * x}
-        )
-        result = experiment.run()
-        assert result.column("y") == [2, 4, 6]
-        assert result.rows[0]["x"] == 1
-
-    def test_fn_may_return_row_lists(self):
-        experiment = Experiment(
-            "multi", Sweep(x=[1]), lambda x: [{"y": 1}, {"y": 2}]
-        )
-        assert len(experiment.run()) == 2
-
-    def test_where_filter(self):
-        experiment = Experiment("f", Sweep(x=[1, 2]), lambda x: {"y": x * x})
-        result = experiment.run()
-        assert result.where(x=2)[0]["y"] == 4
-
-    def test_non_dict_rows_rejected(self):
-        experiment = Experiment("bad", Sweep(x=[1]), lambda x: 42)
-        with pytest.raises(TypeError):
-            experiment.run()
-
-    def test_fast_mode_shrinks(self):
-        experiment = Experiment("f", Sweep(x=list(range(10))), lambda x: {"y": x})
-        assert len(experiment.run(fast=True)) < 10
-
-
-class TestCompare:
-    def test_summary_statistics(self):
-        summary = compare_metric("perf", [2.0, 4.0], [1.0, 1.0])
-        assert summary.mean == 3.0
-        assert summary.geomean == pytest.approx((8.0) ** 0.5)
-        assert summary.wins == 2
-
-    def test_lower_is_better_inverts(self):
-        summary = compare_metric("latency", [1.0], [2.0], higher_is_better=False)
-        assert summary.ratios[0] == 2.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            compare_metric("m", [1.0], [1.0, 2.0])
-
-    def test_paired_rows_join(self):
-        a = [{"k": 1, "v": 10}, {"k": 2, "v": 20}]
-        b = [{"k": 2, "v": 200}, {"k": 1, "v": 100}]
-        pairs = paired_rows(a, b, keys=["k"])
-        assert pairs[0][1]["v"] == 100
-
-    def test_paired_rows_no_match(self):
-        with pytest.raises(ValueError):
-            paired_rows([{"k": 1}], [{"k": 2}], keys=["k"])
-
-
 class TestReport:
     def test_table_rendering(self):
         text = render_table(["a", "b"], [(1, 2), (3, 4)], title="T")
@@ -197,39 +120,3 @@ class TestMicrobenchRegistry:
 
         for spec in MICROBENCHMARKS:
             importlib.import_module(spec.module)
-
-
-class TestExperimentExport:
-    def _result(self):
-        experiment = Experiment("sq", Sweep(x=[1, 2, 3]), lambda x: {"y": x * x})
-        return experiment.run()
-
-    def test_csv_roundtrip(self):
-        import csv
-        import io
-
-        text = self._result().to_csv()
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert rows[2]["y"] == "9"
-
-    def test_json_roundtrip(self):
-        import json
-
-        doc = json.loads(self._result().to_json())
-        assert doc["name"] == "sq"
-        assert doc["rows"][1] == {"x": 2, "y": 4}
-
-    def test_ragged_rows_export(self):
-        experiment = Experiment(
-            "ragged", Sweep(x=[1, 2]),
-            lambda x: {"y": 1} if x == 1 else {"z": 2},
-        )
-        result = experiment.run()
-        assert set(result.fieldnames()) == {"x", "y", "z"}
-        assert "z" in result.to_csv().splitlines()[0]
-
-    def test_empty_export_rejected(self):
-        from repro.core.experiment import ExperimentResult
-
-        with pytest.raises(ValueError):
-            ExperimentResult(name="empty").to_csv()

@@ -3,31 +3,32 @@
 import pytest
 
 from repro.audit.errors import ConfigError
-from repro.hw.device import A100Device, Gaudi2Device, get_device
+from repro.hw.backend import get_backend
+from repro.hw.device import A100Device, Gaudi2Device
 
 
 class TestFactory:
     def test_get_device_types(self):
-        assert isinstance(get_device("gaudi2"), Gaudi2Device)
-        assert isinstance(get_device("a100"), A100Device)
+        assert isinstance(get_backend("gaudi2"), Gaudi2Device)
+        assert isinstance(get_backend("a100"), A100Device)
 
     def test_cache_returns_same_instance(self):
-        assert get_device("gaudi2") is get_device("hpu")
+        assert get_backend("gaudi2") is get_backend("hpu")
 
     def test_fresh_returns_new_instance(self):
-        assert get_device("a100", fresh=True) is not get_device("a100", fresh=True)
+        assert get_backend("a100", fresh=True) is not get_backend("a100", fresh=True)
 
     def test_unknown_raises_typed_config_error(self):
         with pytest.raises(ConfigError, match="unknown backend"):
-            get_device("mi300")
+            get_backend("mi300")
 
     def test_unknown_lists_registered_backends(self):
         with pytest.raises(ConfigError, match="gaudi2"):
-            get_device("mi300")
+            get_backend("mi300")
 
     def test_typo_gets_did_you_mean(self):
         with pytest.raises(ConfigError, match="did you mean 'gaudi2'"):
-            get_device("guadi2")
+            get_backend("guadi2")
 
 
 class TestCommonInterface:

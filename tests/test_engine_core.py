@@ -208,7 +208,7 @@ class TestReleaseMode:
     def test_retained_requests_empty_in_release_mode(self, gaudi):
         engine = _engine(gaudi, "vectorized", retain_requests=False)
         engine.run(iter(dynamic_sonnet_requests(16, seed=1)))
-        assert engine.retained_requests == []
+        assert engine.requests == []
 
 
 class TestEngineModeConfig:
@@ -220,18 +220,6 @@ class TestEngineModeConfig:
         engine = _engine(gaudi, "vectorized", policy=ResiliencePolicy())
         with pytest.raises(ConfigError, match="vectorized"):
             engine.begin(())
-
-    def test_env_forces_scalar(self, gaudi, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "scalar")
-        engine = _engine(gaudi, "auto")
-        engine.begin(())
-        assert not engine._fast
-        engine.finish()
-
-    def test_bad_env_value_rejected(self, gaudi, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "warp")
-        with pytest.raises(ConfigError, match="REPRO_ENGINE"):
-            _engine(gaudi, "auto").begin(())
 
 
 class TestLifecycleOperations:
@@ -325,9 +313,9 @@ class TestSlotRecycling:
     @given(seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=8, deadline=None)
     def test_fuzzed_workload_equivalence(self, seed):
-        from repro.hw.device import get_device
+        from repro.hw.backend import get_backend
 
-        device = get_device("gaudi2")
+        device = get_backend("gaudi2")
         rng = np.random.default_rng(seed)
         count = int(rng.integers(1, 20))
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.audit import ConfigError
 from repro.comm import (
     CollectiveOp,
     DegradedMeshTopology,
@@ -74,11 +75,11 @@ class TestFaultPlan:
         "3@recover=5.0",        # missing required t
     ])
     def test_bad_specs_rejected(self, spec):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="--fail-device: "):
             FaultPlan.from_specs(fail_device=[spec])
 
     def test_bad_link_spec_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="--degrade-link: bad link"):
             FaultPlan.from_specs(degrade_link=["01@t=1.0,factor=0.5"])
 
 

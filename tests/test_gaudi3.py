@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw.device import get_device
+from repro.hw.backend import get_backend
 from repro.hw.gaudi3 import GAUDI3_SPEC, Gaudi3Device
 from repro.hw.spec import DType, GAUDI2_SPEC
 from repro.models.llama import LLAMA_3_1_8B, LlamaCostModel
@@ -33,7 +33,7 @@ class TestSpecScaling:
 
 class TestDevice:
     def test_factory_alias(self):
-        device = get_device("gaudi3")
+        device = get_backend("gaudi3")
         assert isinstance(device, Gaudi3Device)
         assert device.name == "Gaudi-3"
 
@@ -43,13 +43,13 @@ class TestDevice:
         assert result.achieved_flops / 1e12 == pytest.approx(1825, rel=0.02)
 
     def test_faster_than_gaudi2_everywhere(self):
-        g2, g3 = get_device("gaudi2"), get_device("gaudi3")
+        g2, g3 = get_backend("gaudi2"), get_backend("gaudi3")
         for shape in [(512, 512, 512), (8192, 8192, 8192), (8192, 8192, 16)]:
             assert g3.gemm(*shape).time < g2.gemm(*shape).time
 
     def test_llm_serving_projection(self):
         """The projection the paper's footnote implies: a larger win."""
-        g2, g3, a100 = get_device("gaudi2"), get_device("gaudi3"), get_device("a100")
+        g2, g3, a100 = get_backend("gaudi2"), get_backend("gaudi3"), get_backend("a100")
         ea = LlamaCostModel(LLAMA_3_1_8B, a100).generate(32, 100, 100)
         e2 = LlamaCostModel(LLAMA_3_1_8B, g2).generate(32, 100, 100)
         e3 = LlamaCostModel(LLAMA_3_1_8B, g3).generate(32, 100, 100)
@@ -57,6 +57,6 @@ class TestDevice:
         assert ea.total_time / e3.total_time > 1.8
 
     def test_power_stays_within_tdp(self):
-        g3 = get_device("gaudi3")
+        g3 = get_backend("gaudi3")
         estimate = LlamaCostModel(LLAMA_3_1_8B, g3).generate(64, 100, 100)
         assert estimate.average_power <= 900.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import get_device
+from repro import get_backend
 from repro.figures import generate_all
 from repro.graph import Engine, Graph, GraphCompiler
 from repro.models.dlrm import DlrmCostModel, RM2_CONFIG
@@ -13,7 +13,7 @@ from repro.serving import LlmServingEngine, RecSysServer, dynamic_sonnet_request
 class TestPublicApi:
     def test_quickstart_from_docstring(self):
         """The README/module-docstring quickstart must keep working."""
-        gaudi, a100 = get_device("gaudi2"), get_device("a100")
+        gaudi, a100 = get_backend("gaudi2"), get_backend("a100")
         assert gaudi.gemm(8192, 8192, 8192).utilization == pytest.approx(0.997, abs=0.01)
         assert a100.gemm(8192, 8192, 8192).utilization == pytest.approx(0.91, abs=0.03)
 

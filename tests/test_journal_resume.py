@@ -11,7 +11,7 @@ from repro.audit import JournalError, WorkerRetryExhausted
 from repro.core.journal import RunJournal, canonical_json, checksum
 from repro.core.parallel import map_with_retries
 from repro.core.reproduce import DIE_EXIT_CODE, reproduce, resume
-from repro.hw import get_device
+from repro.hw import get_backend
 from repro.models.llama import DecodeAttention, LLAMA_3_1_8B, LlamaCostModel
 from repro.serving import LlmServingEngine, fixed_length_requests
 from repro.serving.loadgen import run_load_sweep
@@ -139,7 +139,7 @@ class TestMapWithRetries:
 
 def _sweep_engine():
     return LlmServingEngine(
-        LlamaCostModel(LLAMA_3_1_8B, get_device("gaudi2")),
+        LlamaCostModel(LLAMA_3_1_8B, get_backend("gaudi2")),
         DecodeAttention.PAGED_OPT,
         max_decode_batch=8,
     )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw import get_device
+from repro.hw import get_backend
 from repro.models.llama import DecodeAttention, LLAMA_3_1_8B, LlamaCostModel
 from repro.serving import (
     LlmServingEngine,
@@ -17,7 +17,7 @@ from repro.serving.loadgen import run_load_sweep
 def _engine_factory(device_name="gaudi2", max_batch=16):
     def factory():
         return LlmServingEngine(
-            LlamaCostModel(LLAMA_3_1_8B, get_device(device_name)),
+            LlamaCostModel(LLAMA_3_1_8B, get_backend(device_name)),
             DecodeAttention.PAGED_OPT,
             max_decode_batch=max_batch,
         )
@@ -32,7 +32,7 @@ def _request_factory(n=24):
 # Top-level (picklable) factories for the process-pool sweep tests.
 def _small_engine():
     return LlmServingEngine(
-        LlamaCostModel(LLAMA_3_1_8B, get_device("gaudi2")),
+        LlamaCostModel(LLAMA_3_1_8B, get_backend("gaudi2")),
         DecodeAttention.PAGED_OPT,
         max_decode_batch=8,
     )
@@ -66,19 +66,29 @@ class TestPoissonArrivals:
 
 class TestLoadTest:
     def test_light_load_not_saturated(self):
-        report = run_load_test(_engine_factory(), _request_factory(), offered_rate=2.0)
+        report = run_load_test(
+            engine_factory=_engine_factory(), request_factory=_request_factory(),
+            offered_rate=2.0,
+        )
         assert not report.saturated
         assert report.mean_ttft < 1.0
 
     def test_overload_saturates(self):
-        report = run_load_test(_engine_factory(max_batch=2), _request_factory(48),
-                               offered_rate=500.0)
+        report = run_load_test(
+            engine_factory=_engine_factory(max_batch=2),
+            request_factory=_request_factory(48), offered_rate=500.0,
+        )
         assert report.saturated
         assert report.achieved_rate < report.offered_rate
 
     def test_latency_grows_with_load(self):
-        light = run_load_test(_engine_factory(), _request_factory(), 2.0)
-        heavy = run_load_test(_engine_factory(), _request_factory(), 200.0)
+        light, heavy = (
+            run_load_test(
+                engine_factory=_engine_factory(), request_factory=_request_factory(),
+                offered_rate=rate,
+            )
+            for rate in (2.0, 200.0)
+        )
         assert heavy.p99_ttft > light.p99_ttft
         assert heavy.p99_ttft >= heavy.mean_ttft
 
@@ -125,7 +135,10 @@ class TestSustainableRate:
         )
         assert 1.0 <= rate <= 500.0
         # The found rate must itself be sustainable.
-        report = run_load_test(_engine_factory(), _request_factory(), rate)
+        report = run_load_test(
+            engine_factory=_engine_factory(), request_factory=_request_factory(),
+            offered_rate=rate,
+        )
         assert not report.saturated
 
     def test_invalid_bounds(self):

@@ -11,7 +11,7 @@ import pytest
 from repro.core import memo
 from repro.core.memo import CostCache
 from repro.core.parallel import resolve_worker_count
-from repro.hw.device import A100Device, Gaudi2Device, get_device
+from repro.hw.backend import get_backend
 from repro.hw.spec import DType
 from repro.models.llama import (
     LLAMA_3_1_8B,
@@ -32,7 +32,7 @@ from repro.serving.scheduler import ContinuousBatchingScheduler, _insort_by_arri
 def _fresh_devices():
     """Devices with cleared caches (the singletons persist across tests)."""
     memo.clear_caches()
-    return get_device("gaudi2"), get_device("a100")
+    return get_backend("gaudi2"), get_backend("a100")
 
 
 def _activity_tuple(activity):
@@ -201,7 +201,7 @@ class TestDecodeEquivalence:
 
 def _serving_report_dict(num_requests=24, seed=3):
     engine = LlmServingEngine(
-        LlamaCostModel(LLAMA_3_1_8B, get_device("gaudi2")),
+        LlamaCostModel(LLAMA_3_1_8B, get_backend("gaudi2")),
         DecodeAttention.PAGED_OPT,
         max_decode_batch=8,
     )
@@ -240,7 +240,7 @@ class TestServingEquivalence:
         memo.clear_caches()
 
         def build(ctx=None):
-            device = get_device("gaudi2")
+            device = get_backend("gaudi2")
             tp = TensorParallelConfig.for_device(device, 2)
             return LlmServingEngine(
                 LlamaCostModel(LLAMA_3_1_8B, device, tp=tp),
@@ -270,7 +270,7 @@ class TestObservabilityAllocationGuard:
 
         monkeypatch.setattr(engine_mod, "ActivityAccumulator", CountingAccumulator)
         engine = LlmServingEngine(
-            LlamaCostModel(LLAMA_3_1_8B, get_device("gaudi2")),
+            LlamaCostModel(LLAMA_3_1_8B, get_backend("gaudi2")),
             DecodeAttention.PAGED_OPT,
             max_decode_batch=8,
         )

@@ -47,7 +47,7 @@ class TestExports:
             assert hasattr(package, name), f"{package_name}.__all__ lists {name!r}"
 
     def test_top_level_quick_access(self):
-        assert repro.get_device("gaudi2").name == "Gaudi-2"
+        assert repro.get_backend("gaudi2").name == "Gaudi-2"
         assert repro.DType.BF16.itemsize == 2
 
 

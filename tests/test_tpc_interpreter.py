@@ -64,7 +64,7 @@ class TestStreamSemantics:
 
     def test_matches_kernel_library_emission(self, gaudi):
         """The kernels timed in Figure 8 execute correctly too."""
-        result = run_stream(gaudi, StreamOp.TRIAD, _N, num_cores=1, unroll=2)
+        result = run_stream(device=gaudi, op=StreamOp.TRIAD, num_elements=_N, num_cores=1, unroll=2)
         assert result.achieved_gflops > 0  # built + timed
         kernel = _build(StreamOp.TRIAD, unroll=2)
         rng = np.random.default_rng(3)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw.device import get_device
+from repro.hw.backend import get_backend
 from repro.models.llama import LLAMA_3_1_8B, LLAMA_3_1_70B
 from repro.models.tensor_parallel import TensorParallelConfig
 from repro.models.training import LlamaTrainingCostModel
@@ -67,6 +67,6 @@ class TestCrossPlatform:
         assert tp8.step_time < tp2.step_time
 
     def test_gaudi3_projection_trains_faster(self):
-        g2 = LlamaTrainingCostModel(LLAMA_3_1_8B, get_device("gaudi2"), 8).step(128, 4096)
-        g3 = LlamaTrainingCostModel(LLAMA_3_1_8B, get_device("gaudi3"), 8).step(128, 4096)
+        g2 = LlamaTrainingCostModel(LLAMA_3_1_8B, get_backend("gaudi2"), 8).step(128, 4096)
+        g3 = LlamaTrainingCostModel(LLAMA_3_1_8B, get_backend("gaudi3"), 8).step(128, 4096)
         assert g3.step_time < 0.5 * g2.step_time
