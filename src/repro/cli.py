@@ -11,7 +11,6 @@ Subcommands::
     python -m repro trace --fast --out trace.json
     python -m repro top --backend gaudi2 --samples 10
     python -m repro smi --workload llm --backend gaudi2
-    python -m repro bench --check              # perf-regression smoke gate
     python -m repro surrogate fit --backend gaudi2   # certified fast-path fit
     python -m repro surrogate sweep --backend gaudi2 # design-space grid
     python -m repro reproduce --out runs/r0    # journaled full reproduction
@@ -525,46 +524,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     return 1 if auditor is not None and auditor.total_violations else 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro import bench
-
-    cases = args.case or None
-    result = bench.run_bench(
-        fast=not args.full, repeats=args.repeats, cases=cases,
-        backend=args.backend,
-    )
-    print(bench.render_result(result))
-    if args.out or not args.check:
-        path = bench.write_result(result, args.out)
-        print(f"bench result written to {path}")
-    exit_code = 0
-    baseline_path = pathlib.Path(args.baseline)
-    if args.check and result.get("backend"):
-        print(f"note: baseline gate skipped: result timed on backend "
-              f"{result['backend']!r}, baseline is gaudi2")
-        return 0
-    if args.check:
-        if not baseline_path.exists():
-            print(f"no baseline at {baseline_path}; nothing to check against")
-            return 1
-        ok, rows = bench.compare_to_baseline(
-            result, bench.load_baseline(str(baseline_path)), tolerance=args.tolerance
-        )
-        print()
-        print(bench.render_comparison(rows, args.tolerance))
-        if not ok:
-            print(f"FAIL: at least one case regressed past {args.tolerance:g}x "
-                  "(calibration-normalized)")
-            exit_code = 1
-        else:
-            print("OK: no case regressed past the tolerance")
-    if args.update_baseline:
-        baseline_path.parent.mkdir(parents=True, exist_ok=True)
-        bench.write_result(result, str(baseline_path))
-        print(f"baseline updated at {baseline_path}")
-    return exit_code
-
-
 def _surrogate_base_keys(args: argparse.Namespace) -> List[str]:
     """The verb's backend list with any ``@surrogate`` suffix stripped
     (the verb always operates on the *base* platform's surrogate)."""
@@ -935,40 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--format", default="text", choices=["text", "json", "csv"])
     _add_audit_flag(fleet)
     fleet.set_defaults(fn=_cmd_fleet)
-
-    bench = sub.add_parser(
-        "bench",
-        help="time canonical simulator workloads; gate against a baseline",
-        description=(
-            "Performance-regression harness for the simulator itself: times "
-            "figure grids, serving runs, and a chaos load test with cleared "
-            "cost caches, writes BENCH_<stamp>.json, and (with --check) "
-            "fails when a case regresses past the tolerance relative to the "
-            "committed baseline, normalized by a host-speed calibration loop."
-        ),
-    )
-    bench.add_argument("--full", action="store_true",
-                       help="full-size workloads (default: fast CI-sized grids)")
-    bench.add_argument("--check", action="store_true",
-                       help="compare against the baseline and exit non-zero "
-                            "on regression; skips writing BENCH_<stamp>.json")
-    bench.add_argument("--tolerance", type=float, default=2.0,
-                       help="allowed normalized slowdown factor (default 2.0)")
-    bench.add_argument("--baseline", default="benchmarks/perf/baseline.json",
-                       help="baseline result document to compare against")
-    bench.add_argument("--update-baseline", action="store_true",
-                       help="rewrite the baseline file with this run's numbers")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="samples per case; the best is kept (default 3)")
-    bench.add_argument("--case", action="append", default=[],
-                       help="run only this case (repeatable)")
-    bench.add_argument("--backend", default=None, metavar="NAME",
-                       help="backend the serving/chaos cases run on "
-                            "(default gaudi2; non-default results are "
-                            "never gated against the baseline)")
-    bench.add_argument("--out", default=None,
-                       help="explicit output path instead of BENCH_<stamp>.json")
-    bench.set_defaults(fn=_cmd_bench)
 
     surrogate = sub.add_parser(
         "surrogate",

@@ -275,6 +275,8 @@ class _FleetRun:
         self.heap: List[Tuple[float, int, str, object]] = []
         self._seq = 0
         self.requests: List[FleetRequest] = []
+        #: Count of ``requests`` that have arrived by ``now``.
+        self._arrived = 0
         #: attempt id -> (fleet id, node name at dispatch)
         self.attempt_map: Dict[int, Tuple[int, str]] = {}
         self.terminal_count = 0
@@ -421,7 +423,15 @@ class _FleetRun:
 
     @property
     def admitted_so_far(self) -> int:
-        return sum(1 for r in self.requests if r.arrival_time <= self.now)
+        """Requests with ``arrival_time <= now``.  ``requests`` is in
+        arrival order and ``now`` never decreases, so the count is a
+        cursor advanced in place (amortized O(1) per call)."""
+        requests = self.requests
+        arrived = self._arrived
+        while arrived < len(requests) and requests[arrived].arrival_time <= self.now:
+            arrived += 1
+        self._arrived = arrived
+        return arrived
 
     def _observe_attempt(self, node: Node, attempt: Request) -> None:
         fleet_id, _ = self.attempt_map[attempt.request_id]

@@ -16,7 +16,7 @@ class FigureResult:
     rows: List[Dict] = field(default_factory=list)
     #: Headline values tracked against the paper in EXPERIMENTS.md.
     summary: Dict[str, float] = field(default_factory=dict)
-    #: Rendered plain-text report (what the bench harness prints).
+    #: Rendered plain-text report (what ``repro figures --out`` writes).
     text: str = ""
 
     def column(self, key: str) -> List:

@@ -527,7 +527,7 @@ class LlmServingEngine:
         if request.deadline is not None:
             self._request_deadlines = True
         if self._aggregates is not None:
-            self._aggregates.note_fed(request)
+            self._aggregates.fed += 1
         if self.retain_requests:
             self._all_requests.append(request)
         if self._fast:

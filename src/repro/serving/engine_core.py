@@ -122,8 +122,7 @@ class EngineCore:
         "capacity", "input_tokens", "output_tokens", "generated",
         "arrival", "first_token", "finish", "restarts", "retries",
         "state", "objs", "free_slots", "wait_q", "wait_head",
-        "run_slots", "finished_pending", "slots_acquired",
-        "slot_high_water", "vectorized_steps",
+        "run_slots", "finished_pending", "slot_high_water", "vectorized_steps",
     )
 
     def __init__(self, num_blocks: int, block_size: int, capacity: int = 64) -> None:
@@ -149,7 +148,6 @@ class EngineCore:
         #: Slots that FINISHED during the last burst, awaiting retirement
         #: at the next virtual scheduler step (mirrors the scalar order).
         self.finished_pending: List[int] = []
-        self.slots_acquired = 0
         self.slot_high_water = 0
         self.vectorized_steps = 0
 
@@ -193,7 +191,6 @@ class EngineCore:
         self.retries[slot] = request.retries
         self.state[slot] = SLOT_WAITING
         self.objs[slot] = request
-        self.slots_acquired += 1
         live = self.capacity - len(self.free_slots)
         if live > self.slot_high_water:
             self.slot_high_water = live
@@ -341,7 +338,6 @@ class ReportAggregates:
     __slots__ = (
         "fed", "finished", "shed", "failed", "retried",
         "sum_ttft", "sum_tpot", "terminal_tokens", "ttft_hist",
-        "max_arrival",
     )
 
     def __init__(self) -> None:
@@ -354,12 +350,6 @@ class ReportAggregates:
         self.sum_tpot = 0.0
         self.terminal_tokens = 0
         self.ttft_hist = np.zeros(len(_TTFT_EDGES) + 1, dtype=np.int64)
-        self.max_arrival = 0.0
-
-    def note_fed(self, request: Request) -> None:
-        self.fed += 1
-        if request.arrival_time > self.max_arrival:
-            self.max_arrival = request.arrival_time
 
     def fold_terminal(self, request: Request) -> None:
         """Fold one terminal request and let its object be collected."""

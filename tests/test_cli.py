@@ -36,11 +36,15 @@ class TestInputErrors:
         assert err.startswith("error: ") and message in err
         assert len(err.splitlines()) == 1
 
-    def test_removed_device_flag_exits_2(self, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        (["serve", "--device", "gaudi2"], "unrecognized arguments: --device"),
+        (["bench", "--check"], "invalid choice: 'bench'"),
+    ], ids=["device-flag", "bench-verb"])
+    def test_removed_input_exits_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exit_info:
-            main(["serve", "--device", "gaudi2"])
+            main(argv)
         assert exit_info.value.code == 2
-        assert "unrecognized arguments: --device" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class TestCommands:

@@ -479,6 +479,27 @@ class TestFleetObservability:
         assert "fleet.inflight" in counters
         assert json.loads(ctx.chrome_trace())["traceEvents"]
 
+    def test_admitted_so_far_matches_brute_force_count(self):
+        """The arrival cursor behind the traced ``fleet.inflight``
+        counter agrees with a full scan at every monotone ``now``,
+        including an exact arrival time and tied arrivals."""
+        from repro.cluster.fleet import _FleetRun
+
+        run = _FleetRun(_small_config())
+        run.seed_workload()
+        arrivals = [r.arrival_time for r in run.requests]
+        assert arrivals == sorted(arrivals)
+        for i in (5, 6):  # three requests arriving at one instant
+            run.requests[i].arrival_time = arrivals[4]
+        arrivals = [r.arrival_time for r in run.requests]
+        tied = arrivals[4]
+        times = [0.0, arrivals[0] / 2, arrivals[0], tied, tied,
+                 (tied + arrivals[7]) / 2, arrivals[-1], arrivals[-1] + 1.0]
+        assert times == sorted(times)
+        for now in times:
+            run.now = now
+            assert run.admitted_so_far == sum(1 for t in arrivals if t <= now)
+
     def test_fleet_run_populates_metrics(self):
         from repro.api import RunContext
 
