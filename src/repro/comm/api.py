@@ -76,14 +76,12 @@ class CollectiveLibrary:
         self._run_cache = CostCache(f"comm.{name.lower()}", maxsize=2048)
 
     def run(self, op: CollectiveOp, size_bytes: float, participants: int) -> CollectiveReport:
-        # Degraded topology views price against live fault state, so
-        # only static topologies are safe to memoize.
-        cacheable = getattr(self.topology, "cache_static", False)
-        key = (op, float(size_bytes), participants)
-        if cacheable:
-            report = self._run_cache.get(key)
-            if report is not None:
-                return report
+        # Degraded topology views price against live fault state; their
+        # cache_key() snapshots it, so each fault state memoizes apart.
+        key = (op, float(size_bytes), participants, self.topology.cache_key())
+        report = self._run_cache.get(key)
+        if report is not None:
+            return report
         efficiency = self.protocol_efficiency * self.op_efficiency.get(op, 1.0)
         result: CollectiveResult = collective_time(
             op, size_bytes, participants, self.topology, efficiency
@@ -99,8 +97,7 @@ class CollectiveLibrary:
             bus_bandwidth=busbw,
             bus_utilization=busbw / self.NOMINAL_BANDWIDTH,
         )
-        if cacheable:
-            self._run_cache.put(key, report)
+        self._run_cache.put(key, report)
         return report
 
     # -- fault awareness ----------------------------------------------

@@ -8,7 +8,7 @@ the difference is the whole story of Figure 10.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Hashable, Optional, Set, Tuple
 
 from repro.hw.spec import A100_SPEC, GAUDI2_SPEC, DeviceSpec
 
@@ -21,10 +21,16 @@ class FabricHealth:
     devices down and links degraded) and the degraded topology views
     below (which read it when pricing collectives).  Link factors are
     the usable fraction of a link's bandwidth: 1.0 healthy, 0.0 down.
+    Mutate it only through ``fail_device``/``recover_device``/
+    ``set_link_factor``/``restore_link``: they keep the
+    :meth:`state_key` snapshot current.
     """
 
     down_devices: Set[int] = field(default_factory=set)
     link_factors: Dict[Tuple[int, int], float] = field(default_factory=dict)
+    _state_key: Optional[Tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @staticmethod
     def _key(a: int, b: int) -> Tuple[int, int]:
@@ -32,19 +38,35 @@ class FabricHealth:
             raise ValueError("a link connects two distinct devices")
         return (a, b) if a < b else (b, a)
 
+    def state_key(self) -> Tuple:
+        """Hashable snapshot of the fault state: sorted down devices
+        plus sorted link factors.  Built once per mutation, so pricing
+        caches can key on it without sorting on every lookup."""
+        key = self._state_key
+        if key is None:
+            key = self._state_key = (
+                tuple(sorted(self.down_devices)),
+                tuple(sorted(self.link_factors.items())),
+            )
+        return key
+
     def fail_device(self, device: int) -> None:
         self.down_devices.add(device)
+        self._state_key = None
 
     def recover_device(self, device: int) -> None:
         self.down_devices.discard(device)
+        self._state_key = None
 
     def set_link_factor(self, a: int, b: int, factor: float) -> None:
         if not 0.0 <= factor <= 1.0:
             raise ValueError("link factor must be in [0, 1]")
         self.link_factors[self._key(a, b)] = factor
+        self._state_key = None
 
     def restore_link(self, a: int, b: int) -> None:
         self.link_factors.pop(self._key(a, b), None)
+        self._state_key = None
 
     def link_factor(self, a: int, b: int) -> float:
         return self.link_factors.get(self._key(a, b), 1.0)
@@ -81,10 +103,12 @@ class Topology:
     num_devices: int
     base_latency: float
 
-    #: Whether collective costs over this topology are stable for its
-    #: lifetime (safe to memoize).  The degraded views below read live
-    #: :class:`FabricHealth` state, so they clear this flag.
-    cache_static: bool = True
+    def cache_key(self) -> Hashable:
+        """The live state collective costs over this topology depend on
+        beyond its fixed parameters, as a memo-key component.  Static
+        fabrics have none; the degraded views below return their
+        :meth:`FabricHealth.state_key`."""
+        return ()
 
     def validate_participants(self, participants: int) -> None:
         if not 2 <= participants <= self.num_devices:
@@ -183,8 +207,6 @@ class DegradedMeshTopology(P2PMeshTopology):
     #: Residual rate of a fully-down link after 2-hop relay rerouting.
     RELAY_FACTOR = 0.5
 
-    cache_static = False
-
     def __init__(
         self,
         base: Optional[P2PMeshTopology] = None,
@@ -198,6 +220,9 @@ class DegradedMeshTopology(P2PMeshTopology):
             base_latency=base.base_latency,
         )
         self.health = health if health is not None else FabricHealth()
+
+    def cache_key(self) -> Hashable:
+        return self.health.state_key()
 
     def alive_devices(self) -> int:
         return self.health.alive(self.num_devices)
@@ -224,8 +249,6 @@ class DegradedSwitchTopology(SwitchTopology):
     #: Residual rate of a fully-down uplink via spare switch planes.
     RELAY_FACTOR = 0.5
 
-    cache_static = False
-
     def __init__(
         self,
         base: Optional[SwitchTopology] = None,
@@ -238,6 +261,9 @@ class DegradedSwitchTopology(SwitchTopology):
             base_latency=base.base_latency,
         )
         self.health = health if health is not None else FabricHealth()
+
+    def cache_key(self) -> Hashable:
+        return self.health.state_key()
 
     def alive_devices(self) -> int:
         return self.health.alive(self.num_devices)

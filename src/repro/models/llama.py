@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
+from repro.core import memo
 from repro.core.memo import CostCache
 from repro.hw.device import Device
 from repro.hw.power import ActivityAccumulator, PowerModel
@@ -47,8 +48,6 @@ class _StepperCache(CostCache):
     LRU bound are inherited."""
 
     def get(self, key):
-        from repro.core import memo
-
         if not memo.memoization_enabled():
             return None
         data = self._data
@@ -61,8 +60,6 @@ class _StepperCache(CostCache):
         return value
 
     def put(self, key, value) -> None:
-        from repro.core import memo
-
         if not memo.memoization_enabled():
             return
         data = self._data
@@ -85,16 +82,17 @@ _SHARED_STEPPERS = _StepperCache("llama.decode_stepper", maxsize=4096)
 #: Cross-instance phase-estimate caches, keyed by the same pricing
 #: identity as the shared steppers (device singleton, frozen config,
 #: graphs/bucket knobs; tensor-parallel models stay instance-private
-#: because their collective library is not part of the key).  The dict
-#: holds strong references so ``clear_caches`` keeps finding them after
-#: the models that created them are gone.
+#: because their collective library is not part of the key, only its
+#: fabric fault state is).  The dict holds strong references so
+#: ``clear_caches`` keeps finding them after the models that created
+#: them are gone.
 _SHARED_PHASE_CACHES: dict = {}
 
 
 def _phase_caches(device, config, use_graphs: bool, static_bucket: int):
-    """The (prefill, decode-terms, decode-attn) caches for one pricing
-    identity, created on first use and shared by every later model with
-    the same identity."""
+    """The (prefill, decode-terms) caches for one pricing identity,
+    created on first use and shared by every later model with the same
+    identity."""
     key = (device, config, use_graphs, static_bucket)
     caches = _SHARED_PHASE_CACHES.get(key)
     if caches is None:
@@ -104,7 +102,6 @@ def _phase_caches(device, config, use_graphs: bool, static_bucket: int):
         caches = (
             CostCache(f"llama.prefill[{label}]", maxsize=2048),
             CostCache(f"llama.decode_terms[{label}]", maxsize=1024),
-            CostCache(f"llama.decode_attn[{label}]", maxsize=8192),
         )
         _SHARED_PHASE_CACHES[key] = caches
     return caches
@@ -337,27 +334,25 @@ class LlamaCostModel:
         self.tp.shard(config.q_heads, "q_heads")
         if self.tp.degree > 1:
             self.tp.shard(config.kv_heads, "kv_heads")
-        # Shape-keyed memo caches over the phase estimates.  Cached
+        # Shape-keyed memo caches over the phase estimates, keyed with
+        # the fabric fault state (see _fabric_key).  Cached
         # PhaseEstimates are shared between calls, so callers must
         # treat them (and their activity accumulators) as read-only.
         # Tensor-parallel degree 1 shares the cache *instances* across
         # models with the same pricing identity (sweeps and fleets
         # build many short-lived models over few device/config pairs).
         if self.tp.degree == 1:
-            (
-                self._prefill_cache,
-                self._decode_terms_cache,
-                self._decode_attn_cache,
-            ) = _phase_caches(device, config, use_graphs, static_bucket)
+            self._prefill_cache, self._decode_terms_cache = _phase_caches(
+                device, config, use_graphs, static_bucket
+            )
         else:
             label = f"{device.name}/{config.name}/tp={self.tp.degree}"
             self._prefill_cache = CostCache(f"llama.prefill[{label}]", maxsize=2048)
             self._decode_terms_cache = CostCache(f"llama.decode_terms[{label}]", maxsize=1024)
-            self._decode_attn_cache = CostCache(f"llama.decode_attn[{label}]", maxsize=8192)
-        # Compiled per-(attention, batch) step closures for the
-        # vectorized engine core; pure in the aggregates, so a plain
-        # dict (no audit interplay) is sound.  Cross-instance reuse goes
-        # through _SHARED_STEPPERS (see decode_stepper).
+        # Compiled per-(attention, batch, fault state) step closures;
+        # pure in the aggregates, so a plain dict (no audit interplay)
+        # is sound.  Cross-instance reuse goes through _SHARED_STEPPERS
+        # (see decode_stepper).
         self._stepper_cache: dict = {}
 
     @property
@@ -366,21 +361,20 @@ class LlamaCostModel:
 
     @property
     def _memo_ok(self) -> bool:
-        """Whether phase-level memoization is sound right now.
-
-        Two bypasses: (a) an observed tensor-parallel config must fire
-        its per-call allreduce metrics/trace events, and (b) a
-        non-static (degraded) topology prices live fault state, so its
-        collective costs change over virtual time.  The pure device
-        and kernel caches below this layer stay active either way.
-        """
+        """Whether phase-level memoization is sound: an observed
+        tensor-parallel config must fire its per-call allreduce
+        metrics/trace events, so it prices every call from scratch.
+        The pure device and kernel caches below this layer stay active
+        either way."""
         tp = self.tp
-        if tp.metrics is not None or tp.queue_events:
-            return False
-        library = tp.library
-        if library is not None and not getattr(library.topology, "cache_static", True):
-            return False
-        return True
+        return tp.metrics is None and not tp.queue_events
+
+    def _fabric_key(self):
+        """The TP fabric's live fault state as a memo-key component:
+        degraded topology views price collectives against it, so every
+        phase cache keys on it (``()`` without a library)."""
+        library = self.tp.library
+        return () if library is None else library.topology.cache_key()
 
     # -- helpers ---------------------------------------------------------
     def _gemm(
@@ -418,7 +412,7 @@ class LlamaCostModel:
             raise ValueError("batch and seq_len must be positive")
         if not self._memo_ok:
             return self._prefill_uncached(batch, seq_len)
-        key = (batch, seq_len)
+        key = (batch, seq_len, self._fabric_key())
         phase = self._prefill_cache.get(key)
         if phase is None:
             phase = self._prefill_uncached(batch, seq_len)
@@ -501,14 +495,20 @@ class LlamaCostModel:
 
         The serving engine maintains a :class:`DecodeBatchStats`
         incrementally across steps; this entry point skips the
-        per-request length walk entirely.  One decode layer splits into
-        a batch-level term (everything but attention -- memoized per
-        batch size) plus the attention term (memoized per context
-        aggregate); the split replays the exact call sequence of the
-        monolithic implementation, so times and activity are
-        bit-identical whether or not any cache hits.
+        per-request length walk entirely.  With the memo available it
+        prices through the same compiled :meth:`decode_stepper` closure
+        the vectorized core uses (bit-identical by construction).
+        Observed configs, and runs with memoization off, assemble the
+        step from scratch instead -- so ``REPRO_NO_MEMO=1`` compares two
+        independent paths.
         """
-        terms = self._decode_terms(stats.batch)
+        if self._memo_ok and memo.memoization_enabled():
+            acc = ActivityAccumulator()
+            time = self.decode_stepper(stats.batch, attention, stats.block_size)(
+                stats.total_context, stats.total_blocks, stats.max_context, acc
+            )
+            return PhaseEstimate(time=time, activity=acc)
+        terms = self._decode_terms_uncached(stats.batch)
         ln1, qkv, oproj, ar1, ln2, up, act, down, ar2, lm_head = terms
         cfg = self.config
         acc = ActivityAccumulator()
@@ -530,13 +530,13 @@ class LlamaCostModel:
 
     def _decode_terms(self, batch: int):
         """Per-call (time, activity) pairs for the non-attention slices
-        of one decode layer plus the LM head, memoized per batch size."""
-        if not self._memo_ok:
-            return self._decode_terms_uncached(batch)
-        terms = self._decode_terms_cache.get(batch)
+        of one decode layer plus the LM head, memoized per batch size
+        and fabric fault state."""
+        key = (batch, self._fabric_key())
+        terms = self._decode_terms_cache.get(key)
         if terms is None:
             terms = self._decode_terms_uncached(batch)
-            self._decode_terms_cache.put(batch, terms)
+            self._decode_terms_cache.put(key, terms)
         return terms
 
     def _decode_terms_uncached(self, batch: int):
@@ -578,28 +578,8 @@ class LlamaCostModel:
         stats: DecodeBatchStats,
         attention: DecodeAttention,
     ) -> float:
-        """Merge the decode-attention term for ``stats`` into ``acc``
-        and return its time.  Pure in the aggregates (no collective
-        calls), so it memoizes even on observed/degraded configs."""
-        key = (
-            attention, stats.batch, stats.total_context,
-            stats.total_blocks, stats.max_context, stats.block_size,
-        )
-        cached = self._decode_attn_cache.get(key)
-        if cached is None:
-            attn_acc = ActivityAccumulator()
-            time = self._decode_attention_uncached(attn_acc, stats, attention)
-            cached = (time, attn_acc)
-            self._decode_attn_cache.put(key, cached)
-        acc.merge(cached[1])
-        return cached[0]
-
-    def _decode_attention_uncached(
-        self,
-        acc: ActivityAccumulator,
-        stats: DecodeBatchStats,
-        attention: DecodeAttention,
-    ) -> float:
+        """Add the decode-attention term for ``stats`` into ``acc`` and
+        return its time."""
         cfg, tp = self.config, self.tp
         batch = stats.batch
         kv_heads = max(1, cfg.kv_heads // tp.degree)
@@ -672,24 +652,25 @@ class LlamaCostModel:
         attention: DecodeAttention,
         block_size: int = DEFAULT_BLOCK_SIZE,
     ) -> Callable[[int, int, int, ActivityAccumulator], float]:
-        """Compile a one-decode-step pricing closure for a fixed batch.
+        """Compile a one-decode-step pricing closure for a fixed batch
+        (at the fabric's current fault state).
 
         The returned ``stepper(total_context, total_blocks, max_context,
         acc)`` adds one step's activity directly into ``acc`` and
-        returns the step time, bit-identical to
-        ``decode_step_stats(...)`` followed by an
-        ``ActivityAccumulator.merge`` -- the vectorized serving engine
-        calls it once per virtual step, so everything that does not
-        depend on the context aggregates is folded at build time.
+        returns the step time, bit-identical to the from-scratch
+        assembly in :meth:`decode_step_stats` followed by an
+        ``ActivityAccumulator.merge`` -- the serving engines call it
+        once per virtual step, so everything that does not depend on
+        the context aggregates is folded at build time.
         """
         if batch <= 0:
             raise ValueError("batch must be positive")
         if not self._memo_ok:
             raise RuntimeError(
-                "decode_stepper requires a memoizable config (no observed "
-                "metrics, no degraded topology); use decode_step_stats"
+                "decode_stepper requires an unobserved config (no comm "
+                "metrics or event queue); use decode_step_stats"
             )
-        key = (attention, batch, block_size)
+        key = (attention, batch, block_size, self._fabric_key())
         stepper = self._stepper_cache.get(key)
         if stepper is not None:
             return stepper
@@ -788,7 +769,7 @@ class LlamaCostModel:
         """Closure pricing the decode-attention term from aggregates:
         ``(total_context, total_blocks, max_context) -> (time, matrix,
         matrix_weighted, vector, memory)``, bit-identical to
-        :meth:`_decode_attention_uncached`."""
+        :meth:`_decode_attention`."""
         cfg, tp = self.config, self.tp
         spec = self.device.spec
         kv_heads = max(1, cfg.kv_heads // tp.degree)

@@ -161,6 +161,73 @@ class TestFabricHealth:
         assert health.alive(8) == 7
 
 
+class TestFabricStateKey:
+    """The fault-state snapshot degraded views memoize under."""
+
+    HEALTHY = ((), ())
+
+    def test_each_mutator_changes_key_and_restore_is_healthy(self):
+        health = FabricHealth()
+        assert health.state_key() == self.HEALTHY
+        for mutate in (
+            lambda: health.fail_device(3),
+            lambda: health.set_link_factor(1, 0, 0.5),
+            lambda: health.set_link_factor(0, 1, 0.25),
+            lambda: health.fail_device(5),
+            lambda: health.recover_device(3),
+            lambda: health.restore_link(0, 1),
+            lambda: health.recover_device(5),
+        ):
+            before = health.state_key()
+            mutate()
+            assert health.state_key() != before
+        assert health.state_key() == self.HEALTHY
+
+    def test_key_is_a_sorted_value_snapshot(self):
+        health = FabricHealth()
+        for device in (5, 1):
+            health.fail_device(device)
+        health.set_link_factor(6, 2, 0.5)
+        health.set_link_factor(1, 0, 0.25)
+        assert health.state_key() == ((1, 5), (((0, 1), 0.25), ((2, 6), 0.5)))
+        assert FabricHealth(
+            down_devices={1, 5}, link_factors={(2, 6): 0.5, (0, 1): 0.25}
+        ).state_key() == health.state_key()
+
+    def test_topology_cache_keys(self):
+        health = FabricHealth()
+        assert P2PMeshTopology().cache_key() == ()
+        assert SwitchTopology().cache_key() == ()
+        mesh = DegradedMeshTopology(P2PMeshTopology(), health)
+        switch = DegradedSwitchTopology(SwitchTopology(), health)
+        health.fail_device(2)
+        assert mesh.cache_key() == switch.cache_key() == health.state_key()
+
+    @pytest.mark.parametrize("library_cls", [HcclLibrary, NcclLibrary])
+    def test_degraded_library_prices_follow_fault_state(self, library_cls):
+        probes = [
+            (op, size, participants)
+            for op in CollectiveOp
+            for size in (1 << 20, 64 << 20)
+            for participants in (4, 8)
+        ]
+
+        def prices(library):
+            return [library.run(*probe) for probe in probes]
+
+        health = FabricHealth()
+        library = library_cls().degraded(health)
+        healthy = prices(library)
+        health.fail_device(3)
+        health.set_link_factor(0, 1, 0.5)
+        degraded = prices(library)
+        assert degraded != healthy
+        assert prices(library_cls().degraded(health)) == degraded
+        health.recover_device(3)
+        health.restore_link(0, 1)
+        assert prices(library) == healthy
+
+
 class TestDegradedTopologies:
     def test_mesh_port_cliff_from_device_loss(self):
         """The acceptance shape: (alive-1)*3 of 21 ports stay usable."""

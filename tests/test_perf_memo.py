@@ -8,10 +8,12 @@ serving runs must not allocate observability state per step.
 
 import pytest
 
+from repro.audit.auditor import audit_scope
 from repro.core import memo
 from repro.core.memo import CostCache
 from repro.core.parallel import resolve_worker_count
 from repro.hw.backend import get_backend
+from repro.hw.power import ActivityAccumulator
 from repro.hw.spec import DType
 from repro.models.llama import (
     LLAMA_3_1_8B,
@@ -45,6 +47,17 @@ def _activity_tuple(activity):
     )
 
 
+@pytest.fixture
+def audit_off():
+    """Pin auditing off: under ``REPRO_AUDIT=sample|strict`` a seeded
+    fraction of cache hits is reported as a miss (the memo
+    re-verification that ``tests/test_audit.py`` covers), which would
+    break exact hit/miss bookkeeping."""
+    with audit_scope("off"):
+        yield
+
+
+@pytest.mark.usefixtures("audit_off")
 class TestCostCache:
     def test_miss_then_hit(self):
         cache = CostCache("test.cache", maxsize=4)
@@ -107,6 +120,7 @@ class TestCostCache:
         assert registry.counter("memo.test.publish.misses").value == 1
 
 
+@pytest.mark.usefixtures("audit_off")
 class TestDeviceCacheHits:
     def test_gemm_repeats_hit(self):
         gaudi, _ = _fresh_devices()
@@ -197,6 +211,80 @@ class TestDecodeEquivalence:
             cold = model.prefill(2, 1024)
         assert warm2.time == warm.time == cold.time
         assert _activity_tuple(warm.activity) == _activity_tuple(cold.activity)
+
+
+class TestFaultStateMemo:
+    """Degraded fabrics memoize under their fault-state key, so fleet
+    and chaos runs price through the cached path; it must stay
+    invisible in their results."""
+
+    def test_fleet_fabric_chaos_memo_on_off(self):
+        from repro.cluster import FleetConfig, NodeFaultPlan, run_fleet
+
+        config = FleetConfig(
+            nodes=(("gaudi2", 2), ("a100", 1)),
+            max_decode_batch=8,
+            num_requests=40,
+            rate=10.0,
+            seed=5,
+            plan=NodeFaultPlan.from_spec(
+                "fabric:gaudi2-0@t=0.5,factor=0.25,until=2.5;"
+                "fabric:a100-0@t=1,factor=0.5,until=2;"
+                "crash:gaudi2-1@t=1,recover=3;"
+                "brownout:a100-0@t=0.5,factor=0.5,until=2"
+            ),
+        )
+        memo.clear_caches()
+        cached = run_fleet(config)
+        with memo.disabled():
+            cold = run_fleet(config)
+        assert cached.to_payload() == cold.to_payload()
+        assert sum("fabric_degrade" in line for line in cached.fault_log) == 2
+        assert cached.node_crashes == 1
+
+    def test_chaos_fabric_faults_memo_on_off(self):
+        from repro.faults import ChaosConfig, FaultPlan, run_chaos
+
+        plan = FaultPlan.from_specs(
+            seed=0,
+            fail_device=["3@t=0.5,recover=2"],
+            degrade_link=["0-1@t=0.3,factor=0.3,until=1.5"],
+            flap_link=["2-5@t=0.2,period=0.25,cycles=3"],
+        )
+        config = ChaosConfig(
+            tp=8, seed=0, num_requests=48, max_decode_batch=16, plan=plan
+        )
+        memo.clear_caches()
+        cached = run_chaos(config=config)
+        with memo.disabled():
+            cold = run_chaos(config=config)
+        assert cached == cold
+        assert cached.device_failures == 1 and cached.device_recoveries == 1
+
+    def test_fleet_node_builds_decode_stepper(self):
+        """A fleet node prices through a degraded fabric view; it must
+        stay on the memoized stepper path, healthy or degraded, and
+        match the from-scratch assembly in both states."""
+        from repro.cluster import Node, NodeClass
+
+        memo.clear_caches()
+        node = Node("gaudi2-0", NodeClass(name="gaudi2", device="gaudi2"))
+        model, attention = node.engine.model, node.engine.attention
+        stats = DecodeBatchStats.from_context_lens([100, 200, 300, 400])
+        steps = []
+        for degrade in (False, True):
+            if degrade:
+                node.degrade_fabric(0.25)
+            acc = ActivityAccumulator()
+            time = model.decode_stepper(stats.batch, attention)(
+                stats.total_context, stats.total_blocks, stats.max_context, acc
+            )
+            with memo.disabled():
+                cold = model.decode_step_stats(stats, attention)
+            assert time == cold.time
+            assert _activity_tuple(acc) == _activity_tuple(cold.activity)
+            steps.append(time)
+        assert steps[1] > steps[0]
 
 
 def _serving_report_dict(num_requests=24, seed=3):
