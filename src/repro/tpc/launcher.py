@@ -78,11 +78,12 @@ class TpcLauncher:
         pipeline_result = self.pipeline.simulate(kernel.body, trips_per_tpc)
         compute_time = pipeline_result.time_seconds(self.spec.vector.clock_hz)
 
-        moved_per_tpc = pipeline_result.total_moved_bytes
+        granule = self.spec.memory.min_access_bytes
+        moved_per_tpc = kernel.moved_bytes_per_trip(granule) * trips_per_tpc
         port_time = moved_per_tpc / self.spec.vector.per_core_stream_bw
 
         total_useful = kernel.useful_bytes_per_trip() * kernel.trips
-        total_moved = kernel.moved_bytes_per_trip(self.spec.memory.min_access_bytes) * kernel.trips
+        total_moved = kernel.moved_bytes_per_trip(granule) * kernel.trips
         if kernel.has_random_access:
             chip_bw = self.spec.memory.bandwidth * self.spec.memory.random_efficiency
             if self.spec.memory.sram_is_cache and working_set_bytes <= self.spec.memory.sram_bytes:

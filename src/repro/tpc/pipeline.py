@@ -18,9 +18,16 @@ matters.  The simulator enforces:
   TPC's memory-level-parallelism window;
 * a taken-branch penalty at each loop boundary.
 
-Loops are simulated for a warm-up prefix, then the steady-state
-cycles-per-iteration is measured and extrapolated, so 24-million-element
-STREAM loops cost microseconds to evaluate.
+Loops are simulated in one pass that records the cycle count after
+every iteration.  After each iteration the scoreboard is snapshotted
+relative to the last issue cycle, with every value that can no longer
+bind clamped away; the first repeated snapshot proves the rest of the
+loop is a shifted copy of the iterations since the earlier one, so the
+exact count at any later iteration follows in integer arithmetic.
+``simulate`` reads its warm-up prefix and measurement window from that
+single pass and extrapolates the steady-state cycles-per-iteration as
+before, so 24-million-element STREAM loops cost microseconds to
+evaluate.
 """
 
 from __future__ import annotations
@@ -58,7 +65,8 @@ class PipelineResult:
     cycles_per_iteration: float
     #: Useful bytes touched per iteration (loads + stores).
     bytes_per_iteration: float
-    #: Bytes actually moved per iteration after granularity round-up.
+    #: Bytes actually moved per iteration after round-up to Gaudi-2's
+    #: access granule; ``TpcLauncher`` prices traffic at its own device's.
     moved_bytes_per_iteration: float
     flops_per_iteration: float
     instructions_per_iteration: int
@@ -74,10 +82,6 @@ class PipelineResult:
     def total_bytes(self) -> float:
         return self.bytes_per_iteration * self.iterations
 
-    @property
-    def total_moved_bytes(self) -> float:
-        return self.moved_bytes_per_iteration * self.iterations
-
 
 class VliwPipeline:
     """Cycle simulator for one TPC executing a loop body."""
@@ -86,60 +90,101 @@ class VliwPipeline:
         self.spec = spec
 
     # ------------------------------------------------------------------
-    def _simulate_exact(self, body: Sequence[Instruction], iterations: int) -> float:
-        """Simulate ``iterations`` repeats of ``body``; returns cycles."""
-        ready: Dict[str, int] = {}
-        last_read: Dict[str, int] = {}
-        last_write_issue: Dict[str, int] = {}
-        slot_free: Dict[Slot, int] = {slot: 0 for slot in Slot}
+    def exact_cycles(
+        self, body: Sequence[Instruction], marks: Sequence[int]
+    ) -> List[int]:
+        """Exact cycle count after each of ``marks`` repeats of ``body``.
+
+        Simulates until the largest mark or the first repeated
+        scoreboard snapshot, whichever comes first (module docstring).
+        """
+        # Intern registers and slots so the loop runs on int-indexed
+        # lists instead of string- and enum-keyed dicts.
+        registers: Dict[str, int] = {}
+        slots: Dict[Slot, int] = {}
+        random_latency = self.spec.random_load_latency
+        decoded = []
+        for instr in body:
+            is_random_load = instr.memory_kind is MemoryKind.RANDOM_LOAD
+            decoded.append((
+                tuple(registers.setdefault(s, len(registers)) for s in instr.sources),
+                -1 if instr.dest is None else registers.setdefault(instr.dest, len(registers)),
+                slots.setdefault(instr.slot, len(slots)),
+                is_random_load,
+                random_latency if is_random_load else instr.latency,
+                instr.opcode is Opcode.LOOP_END,
+            ))
+        ready = [0] * len(registers)
+        last_read = [0] * len(registers)
+        last_write_issue = [-1] * len(registers)
+        slot_free = [0] * len(slots)
         inflight_random: List[int] = []  # completion cycles of gather loads
+        max_outstanding = self.spec.max_outstanding_loads
         cycle = 0
         prev_issue = 0
-        max_outstanding = self.spec.max_outstanding_loads
-        random_latency = self.spec.random_load_latency
-        # Hazard metadata is static per instruction; resolving the
-        # slot/memory-kind enum properties once instead of every
-        # iteration keeps the scoreboard loop on plain locals.
-        decoded = [
-            (
-                instr.sources,
-                instr.dest,
-                instr.slot,
-                instr.memory_kind is MemoryKind.RANDOM_LOAD,
-                instr.latency,
-                instr.opcode is Opcode.LOOP_END,
+        horizon = max(marks)
+        history = [0]  # history[k]: cycles after k iterations
+        seen: Dict[tuple, int] = {}
+        while len(history) <= horizon:
+            # Every later issue is >= prev_issue, so values at or below
+            # it can no longer bind: clamping them makes two states
+            # that behave alike compare equal.
+            prev = prev_issue
+            snapshot = (
+                cycle - prev,
+                tuple([v - prev if v > prev else 0 for v in ready]),
+                tuple([v - prev if v > prev else 0 for v in last_read]),
+                tuple([w - prev if w >= prev else -1 for w in last_write_issue]),
+                tuple([v - prev if v > prev else 0 for v in slot_free]),
+                tuple(sorted([c - prev for c in inflight_random if c > prev])),
             )
-            for instr in body
-        ]
-        for _ in range(iterations):
+            start = seen.setdefault(snapshot, len(history) - 1)
+            if start != len(history) - 1:
+                break
             for sources, dest, slot, is_random_load, latency, is_loop_end in decoded:
                 earliest = prev_issue
                 for src in sources:
-                    earliest = max(earliest, ready.get(src, 0))
-                if dest is not None:
-                    earliest = max(earliest, last_read.get(dest, 0))
-                    earliest = max(earliest, last_write_issue.get(dest, -1) + 1)
-                earliest = max(earliest, slot_free[slot])
+                    if ready[src] > earliest:
+                        earliest = ready[src]
+                if dest >= 0:
+                    if last_read[dest] > earliest:
+                        earliest = last_read[dest]
+                    if last_write_issue[dest] >= earliest:
+                        earliest = last_write_issue[dest] + 1
+                if slot_free[slot] > earliest:
+                    earliest = slot_free[slot]
                 if is_random_load:
                     inflight_random = [c for c in inflight_random if c > earliest]
                     while len(inflight_random) >= max_outstanding:
                         earliest = min(inflight_random)
                         inflight_random = [c for c in inflight_random if c > earliest]
+                    inflight_random.append(earliest + latency)
                 issue = earliest
-                if is_random_load:
-                    latency = random_latency
-                    inflight_random.append(issue + latency)
-                if dest is not None:
+                if dest >= 0:
                     ready[dest] = issue + latency
                     last_write_issue[dest] = issue
                 for src in sources:
-                    last_read[src] = max(last_read.get(src, 0), issue)
+                    if issue > last_read[src]:
+                        last_read[src] = issue
                 slot_free[slot] = issue + 1
                 if is_loop_end:
                     issue += BRANCH_PENALTY
                 prev_issue = issue
-                cycle = max(cycle, issue + 1)
-        return float(cycle)
+                if issue + 1 > cycle:
+                    cycle = issue + 1
+            history.append(cycle)
+        last = len(history) - 1
+        counts = []
+        for mark in marks:
+            if mark <= last:
+                counts.append(history[mark])
+            else:
+                # The state after ``last`` iterations is the one after
+                # ``start`` shifted by ``delta`` cycles.
+                trips, offset = divmod(mark - start, last - start)
+                delta = history[last] - history[start]
+                counts.append(history[start + offset] + trips * delta)
+        return counts
 
     # ------------------------------------------------------------------
     def simulate(self, body: Sequence[Instruction], iterations: int) -> PipelineResult:
@@ -172,10 +217,9 @@ class VliwPipeline:
             warmup = max(warmup, window_trips + 8)
         sample = warmup + _MEASURE_ITERS
         if iterations <= sample:
-            total = self._simulate_exact(body, iterations)
+            total = float(self.exact_cycles(body, (iterations,))[0])
         else:
-            warm = self._simulate_exact(body, warmup)
-            warm_plus = self._simulate_exact(body, sample)
+            warm, warm_plus = self.exact_cycles(body, (warmup, sample))
             steady = (warm_plus - warm) / _MEASURE_ITERS
             total = warm_plus + steady * (iterations - sample)
 

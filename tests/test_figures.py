@@ -109,3 +109,35 @@ class TestFigureHeadlines:
         assert summary["opt_over_base_max_padding"] > 20
         assert 0.35 < summary["opt_vs_a100_mean"] < 0.65
         assert 0.8 < summary["e2e_throughput_ratio"] < 1.6
+
+
+#: Fast-mode summaries of the figures the TPC scoreboard prices, as
+#: ``float.hex`` strings.  Compared bit-for-bit so that any scoreboard
+#: drift fails here, not only in the benchmark's golden digests.
+_SCOREBOARD_PINS = {
+    "fig08": {
+        "chip_saturation_gflops_add": "0x1.56ef30207fe6dp+8",
+        "chip_saturation_gflops_scale": "0x1.0a62f0d01a35ap+9",
+        "chip_saturation_gflops_triad": "0x1.56ef30207fe6dp+9",
+        "unroll_gain_add": "0x1.332b3b4ee123ep+0",
+        "unroll_gain_scale": "0x1.9eada02b9db96p+0",
+        "unroll_gain_triad": "0x1.1473c01d13d0ep+0",
+        "intensity_sat_util_add_gaudi": "0x1.f84ab9d966236p-2",
+        "intensity_sat_util_triad_gaudi": "0x1.f8c7755b7c22fp-1",
+        "intensity_sat_util_add_a100": "0x1.0000000000000p-1",
+        "intensity_sat_util_triad_a100": "0x1.0000000000000p+0",
+    },
+    "fig09": {
+        "gaudi_gather_util_small": "0x1.b626c1c956e72p-4",
+        "a100_gather_util_small": "0x1.eb851eb851eb9p-3",
+        "gaudi_gather_util_large": "0x1.5e7519dc3f640p-1",
+        "a100_gather_util_large": "0x1.70a3d70a3d70ap-1",
+        "small_vector_gap": "0x1.1f2e8c84f885fp+1",
+    },
+}
+
+
+@pytest.mark.parametrize("figure_id", sorted(_SCOREBOARD_PINS))
+def test_scoreboard_figures_bit_exact(figure_id):
+    summary = run_figure(figure_id=figure_id, fast=True).summary
+    assert {key: float(value).hex() for key, value in summary.items()} == _SCOREBOARD_PINS[figure_id]

@@ -1,5 +1,7 @@
 """Multi-TPC launch model (Figure 8(c) mechanics)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.hw.spec import GAUDI2_SPEC
@@ -39,6 +41,13 @@ class TestLaunch:
         assert with_overhead.time - without.time == pytest.approx(
             GAUDI2_SPEC.kernel_launch_overhead
         )
+
+    def test_port_priced_at_the_launching_device_granule(self):
+        spec = replace(GAUDI2_SPEC, memory=replace(GAUDI2_SPEC.memory, min_access_bytes=128))
+        # 384 B gathers move 384 B at a 128 B granule, 512 B at 256 B.
+        result = TpcLauncher(spec).launch(_gather_kernel(25_000, access_bytes=384), num_tpcs=1)
+        assert result.moved_bytes == result.useful_bytes
+        assert result.port_time == result.moved_bytes / spec.vector.per_core_stream_bw
 
     def test_invalid_tpc_count_raises(self, launcher):
         kernel = _triad_kernel(100)
