@@ -255,13 +255,16 @@ class Auditor:
         struct-of-arrays fast path has no per-token object traffic, so
         its invariants are asserted directly on the slot arrays: cheap
         shadow-KV block conservation every call, plus a sampled deep
-        scan for slot aliasing and per-slot state legality.
+        scan for slot aliasing, per-slot state legality, and the
+        runner-set aggregates against their recomputation from the slot
+        columns (the caller syncs the runners' ``generated`` first).
         """
         import numpy as np
 
         held = 0
-        if core.run_slots:
-            slots = np.asarray(core.run_slots, dtype=np.intp)
+        running = core.running_slots()
+        if running:
+            slots = np.asarray(running, dtype=np.intp)
             context = core.input_tokens[slots] + core.generated[slots] - 1
             held = int(
                 np.sum(-(-context // core.block_size))
@@ -275,7 +278,8 @@ class Auditor:
         if not self._deep_gate.fire():
             return
         self.checks[LifecycleError.check] += 1
-        live = core.run_slots + core.waiting_slots()
+        self._check_runner_aggregates(core)
+        live = running + core.waiting_slots()
         if len(set(live)) != len(live):
             self.record_violation(LifecycleError(
                 "engine core: a slot id appears twice in the live set"
@@ -310,6 +314,46 @@ class Auditor:
             if bool(np.any(arrivals[1:] < arrivals[:-1])):
                 self.record_violation(LifecycleError(
                     "engine core: waiting queue is not arrival-sorted"
+                ))
+
+    def _check_runner_aggregates(self, core) -> None:
+        """Recompute the core's running decode-batch aggregates from the
+        slot columns and compare them with the incremental state."""
+        import numpy as np
+
+        self.checks[TokenConservationError.check] += 1
+        slots = np.asarray(list(core.runners.values()), dtype=np.intp)
+        context = core.input_tokens[slots] + core.generated[slots]
+        base = context - core.decoded
+        pricing_block = len(core.hist128)
+        expected = {
+            "total_context": int(context.sum()),
+            "total_blocks": int(np.sum(-(-context // pricing_block))),
+            "hist128": np.bincount(
+                base % pricing_block, minlength=pricing_block
+            ).tolist(),
+            "hist_bs": np.bincount(
+                base % core.block_size, minlength=core.block_size
+            ).tolist(),
+        }
+        actual = {
+            "total_context": core.sum_base + len(slots) * core.decoded,
+            "total_blocks": core.total_blocks,
+            "hist128": list(core.hist128),
+            "hist_bs": list(core.hist_bs),
+        }
+        if len(slots):
+            remaining = core.output_tokens[slots] - core.generated[slots]
+            expected["max_context"] = int(context.max())
+            expected["min_remaining"] = int(remaining.min())
+            actual["max_context"] = core.max_context()
+            actual["min_remaining"] = core.min_remaining()
+        for name, value in expected.items():
+            if actual[name] != value:
+                detail = "" if isinstance(value, list) else f" ({actual[name]} != {value})"
+                self.record_violation(TokenConservationError(
+                    f"engine core: running {name} disagrees with the slot "
+                    f"columns{detail}"
                 ))
 
     # -- collectives ---------------------------------------------------

@@ -749,13 +749,13 @@ class LlmServingEngine:
         virtual scheduler step (retire, then admit) against the slot
         arrays, sequential prefills for admissions, capacity preemption,
         then a *decode burst* -- consecutive decode steps priced against
-        integer context aggregates until the next membership-changing
-        event.  Request objects are only touched at lifecycle events and
-        re-synchronized on exit, so callers observe the exact scalar
-        semantics.  ``sync_exit=False`` skips that exit sync -- only for
-        engine-internal loops (:meth:`run_streaming`) where nothing can
-        observe live request objects before the next advance or
-        :meth:`finish` syncs them.
+        the runner set's integer context aggregates until the next
+        membership-changing event.  Request objects are only touched at
+        lifecycle events and re-synchronized on exit, so callers observe
+        the exact scalar semantics.  ``sync_exit=False`` skips that exit
+        sync -- only for engine-internal loops (:meth:`run_streaming`)
+        where nothing can observe live request objects before the next
+        advance or :meth:`finish` syncs them.
         """
         core = self._core
         audit = self._audit
@@ -768,7 +768,7 @@ class LlmServingEngine:
         finish = core.finish
         arrival = core.arrival
         state = core.state
-        run_slots = core.run_slots
+        runners = core.runners
         activity = self._activity
         while core.has_unfinished:
             now = self._now
@@ -777,23 +777,21 @@ class LlmServingEngine:
             if audit is not None:
                 audit.observe_clock(now)
                 if self.auditor is not None:
+                    core.sync_generated()
                     self.auditor.check_core_invariants(core)
             # Virtual scheduler step: retire, then admit (the exact
             # order of ContinuousBatchingScheduler.step).
             if core.finished_pending:
-                retired = set()
                 for slot in core.finished_pending:
                     core.free_blocks += core.blocks_held(slot)
                     self._fold_terminal(core.materialize_terminal(slot))
                     core.release(slot)
-                    retired.add(slot)
                 core.finished_pending.clear()
-                run_slots[:] = [s for s in run_slots if s not in retired]
             admitted: List[int] = []
             head = core.waiting_head()
             while (
                 head is not None
-                and len(run_slots) + len(admitted) < max_batch
+                and len(runners) + len(admitted) < max_batch
                 and arrival[head] <= now
                 and core.blocks_needed(int(inp[head]) + int(gen[head]))
                 <= core.free_blocks
@@ -804,8 +802,7 @@ class LlmServingEngine:
                 state[head] = SLOT_RUNNING
                 admitted.append(head)
                 head = core.waiting_head()
-            run_slots.extend(admitted)
-            if not run_slots:
+            if not runners and not admitted:
                 self._now = now
                 head = core.waiting_head()
                 if head is None:
@@ -840,12 +837,10 @@ class LlmServingEngine:
                     state[slot] = SLOT_FINISHED
                     finish[slot] = now
                     core.finished_pending.append(slot)
+                else:
+                    core.join(slot)
             if admitted and audit is not None:
                 audit.on_tokens_emitted(len(admitted))
-            if core.finished_pending:
-                runners = [s for s in run_slots if state[s] == SLOT_RUNNING]
-            else:
-                runners = list(run_slots)
             if not runners:
                 self._steps += 1
                 self._now = now
@@ -853,8 +848,8 @@ class LlmServingEngine:
             # Capacity preemption: evict the newest runners until every
             # remaining one can grow a block (the scalar rule).
             while core.free_blocks < len(runners) and len(runners) > 1:
-                victim = runners.pop()
-                run_slots.remove(victim)
+                victim = next(reversed(runners.values()))
+                core.leave(victim)
                 core.free_blocks += core.blocks_held(victim)
                 if audit is not None:
                     audit.on_tokens_rolled_back(int(gen[victim]))
@@ -867,14 +862,14 @@ class LlmServingEngine:
                 state[victim] = SLOT_WAITING
                 core.insort_waiting(victim, left=True)
                 self._preemptions += 1
-            now = self._decode_burst(runners, now, horizon)
+            now = self._decode_burst(now, horizon)
         if sync_exit:
             core.sync_live_objects()
         return self._now
 
-    def _decode_burst(self, runners: List[int], now: float, horizon: float) -> float:
-        """Price consecutive decode steps for a fixed batch without any
-        per-request object traffic; returns the clock after the burst.
+    def _decode_burst(self, now: float, horizon: float) -> float:
+        """Price consecutive decode steps for the fixed runner set
+        without any per-request work; returns the clock after the burst.
 
         The burst ends just before the first virtual iteration whose
         scheduler step would diverge from a pure decode continuation: a
@@ -882,36 +877,24 @@ class LlmServingEngine:
         becoming admissible, capacity preemption, or the horizon.  Step
         costs come from ``LlamaCostModel.decode_stepper``, whose integer
         recurrences are bit-identical to rebuilding
-        ``DecodeBatchStats`` per step.
+        ``DecodeBatchStats`` per step.  The aggregates are the core's
+        running state, so a burst costs O(steps + finishers).
         """
         core = self._core
         bs = core.block_size
-        n = len(runners)
-        slots = np.asarray(runners, dtype=np.intp)
-        ctx0 = core.input_tokens[slots] + core.generated[slots]
-        rem = core.output_tokens[slots] - core.generated[slots]
-        min_rem = int(rem.min())
-        total_context = int(ctx0.sum())
-        total_blocks = int(np.sum(-(-ctx0 // 128)))
-        max_context = int(ctx0.max())
+        n = len(core.runners)
+        offset = core.decoded
+        min_rem = core.min_remaining()
+        total_context = core.sum_base + n * offset
+        total_blocks = core.total_blocks
+        max_context = core.max_context()
         # Pricing always buckets KV at the kernel's 128-token blocks;
         # the engine's pool may use a different block size, so shadow
-        # growth gets its own residue histogram.  A burst that provably
-        # stops after one step (a pending retirement, or a runner with
-        # one token left) only ever reads the first-step KV growth, so
-        # it skips the histograms -- at steady state most bursts end at
-        # a retirement, making this the common case.
-        single_step = bool(core.finished_pending) or min_rem <= 1
-        if single_step:
-            growth0 = int(np.count_nonzero(ctx0 % bs == 1))
-            hist128 = hist_bs = None
-        else:
-            hist128 = np.bincount((ctx0 % 128).astype(np.int64), minlength=128)
-            hist_bs = (
-                hist128
-                if bs == 128
-                else np.bincount((ctx0 % bs).astype(np.int64), minlength=bs)
-            )
+        # growth reads its own residue histogram.  A runner with base b
+        # has context b + offset + j after j steps, so the upcoming
+        # step's growth counts bases congruent to 1 - j - offset.
+        hist128 = core.hist128
+        hist_bs = core.hist_bs
         stepper = self.model.decode_stepper(n, self.attention)
         head = core.waiting_head()
         head_arrival = float(core.arrival[head]) if head is not None else math.inf
@@ -929,10 +912,7 @@ class LlmServingEngine:
         recorded = 0  # steps whose tokens were recorded
         exhausted = False
         while True:
-            # KV growth of the upcoming step (step j+1, 1-based): a
-            # runner with start context c grows at steps where
-            # c + step - 2 is a block-size multiple.
-            growth = growth0 if single_step else int(hist_bs[(1 - j) % bs])
+            growth = hist_bs[(1 - j - offset) % bs]
             now += stepper(total_context, total_blocks, max_context, activity)
             j += 1
             if growth > core.free_blocks:
@@ -944,11 +924,9 @@ class LlmServingEngine:
                 break
             core.free_blocks -= growth
             recorded = j
-            if single_step:
-                break
             total_context += n
             max_context += 1
-            total_blocks += int(hist128[(1 - j) % 128])
+            total_blocks += hist128[(1 - j - offset) % 128]
             if j >= min_rem:
                 break  # at least one runner finished this step
             if retire_pending:
@@ -959,7 +937,7 @@ class LlmServingEngine:
                 break  # the waiting head becomes admissible next step
             if core.free_blocks < n and n > 1:
                 break  # capacity preemption due next step
-        core.generated[slots] += recorded
+        finished = core.end_burst(recorded, total_blocks)
         self._steps += j
         core.vectorized_steps += j
         self._now = now
@@ -968,11 +946,10 @@ class LlmServingEngine:
         if exhausted:
             core.sync_live_objects()
             raise KvCacheError("out of KV blocks during decode")
-        if recorded == min_rem:
-            done = slots[np.asarray(rem == min_rem)]
-            core.state[done] = SLOT_FINISHED
-            core.finish[done] = now
-            core.finished_pending.extend(int(s) for s in done)
+        for slot in finished:
+            core.state[slot] = SLOT_FINISHED
+            core.finish[slot] = now
+        core.finished_pending.extend(finished)
         return now
 
     def finish(self, watchdog_reason: str = "") -> ServingReport:
@@ -1174,14 +1151,13 @@ class LlmServingEngine:
             return self.scheduler.fail_all(reason)
         core = self._core
         waiting = core.waiting_slots()
-        run = list(core.run_slots)
-        for slot in run:
+        running = list(core.runners.values())
+        for slot in running:
+            core.leave(slot)
+        finished_slots = list(core.finished_pending)
+        for slot in running + finished_slots:
             core.free_blocks += core.blocks_held(slot)
-        finished_slots = [s for s in run if int(core.state[s]) == SLOT_FINISHED]
-        victim_slots = waiting + [
-            s for s in run if int(core.state[s]) != SLOT_FINISHED
-        ]
-        core.run_slots.clear()
+        victim_slots = waiting + running
         core.finished_pending.clear()
         core.wait_q.clear()
         core.wait_head = 0
@@ -1216,16 +1192,16 @@ class LlmServingEngine:
                 self._fold_terminal(request)
                 core.release(slot)
                 return
-        for slot in list(core.run_slots):
+        for slot in core.running_slots():
             if core.objs[slot] is not request:
                 continue
-            core.free_blocks += core.blocks_held(slot)
-            core.run_slots.remove(slot)
             if int(core.state[slot]) == SLOT_FINISHED:
-                if slot in core.finished_pending:
-                    core.finished_pending.remove(slot)
+                core.finished_pending.remove(slot)
+                core.free_blocks += core.blocks_held(slot)
                 self._fold_terminal(core.materialize_terminal(slot))
             else:
+                core.leave(slot)
+                core.free_blocks += core.blocks_held(slot)
                 core.sync_object(slot)
                 request.shed(reason)
                 core.state[slot] = SLOT_SHED
@@ -1427,7 +1403,8 @@ class LlmServingEngine:
         live_retried = 0
         if self._fast and self._core is not None:
             core = self._core
-            for slot in core.run_slots:
+            core.sync_generated()
+            for slot in core.running_slots():
                 live_tokens += int(core.generated[slot])
                 if core.retries[slot] > 0:
                     live_retried += 1

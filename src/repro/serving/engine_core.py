@@ -11,9 +11,15 @@ arrays keyed by a stable *slot* index instead:
   request reaches a terminal state and has been materialized back onto
   its :class:`~repro.serving.request.Request` object, so live array
   size tracks the working set (waiting + running), not the run length;
-* one decode burst prices many virtual steps against integer context
-  aggregates (see ``LlamaCostModel.decode_stepper``) without touching
-  any per-request object;
+* the decode batch (the *runner set*) carries its pricing aggregates
+  -- total and maximum context, total 128-token KV blocks, minimum
+  remaining budget and the context residue histograms -- as running
+  state, updated only when a slot joins (after its prefill) or leaves
+  (finish, preemption, cancellation, failure).  Every runner grows by
+  the same token count per decode step, so each runner stores its
+  context and budget relative to one global decode-token offset and a
+  burst of many steps (see ``LlamaCostModel.decode_stepper``) costs
+  O(steps + finishers), never O(batch);
 * the thin ``Request`` objects remain the API boundary: they are
   materialized from the arrays at every lifecycle event (admission,
   preemption, retirement) and at ``advance()`` exit, so reports,
@@ -26,11 +32,13 @@ folding sink used when the engine runs with ``retain_requests=False``.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.kernels.paged_attention import DEFAULT_BLOCK_SIZE as PRICING_BLOCK
 from repro.serving.request import Request, RequestState
 
 __all__ = [
@@ -104,6 +112,17 @@ def render_counters() -> str:
     ])
 
 
+#: Heap entries pack ``(key, join sequence)`` into one int that orders by
+#: key, then join order (a tuple per entry would triple the heaps' memory).
+_SEQ_BITS = 40
+_SEQ_MASK = (1 << _SEQ_BITS) - 1
+
+
+def heap_entry(key: int, seq: int) -> int:
+    """One runner-set heap entry (``key`` may be negative)."""
+    return (key << _SEQ_BITS) | seq
+
+
 class EngineCore:
     """Slot-indexed struct-of-arrays request store for one run.
 
@@ -114,7 +133,24 @@ class EngineCore:
       terminal state and was materialized;
     * shadow KV accounting conserves blocks: free plus the blocks held
       by running slots always equals the pool size;
-    * ``wait_q[wait_head:]`` is sorted by arrival time.
+    * ``wait_q[wait_head:]`` is sorted by arrival time;
+    * the runner-set aggregates equal their recomputation from the slot
+      columns.
+
+    Runner-set state.  ``decoded`` counts the tokens every runner has
+    gained from decode bursts so far (the global offset ``G``).  A slot
+    joining with context ``c`` stores ``b = c - G`` in its ``base``
+    column; its remaining budget plus ``G`` is then
+    ``r = output + input - b``.  ``runners`` maps each join sequence
+    number to its slot, in join order (the scheduler's running order).
+    For ``n`` runners, ``total_context = sum_base + n * G``, the longest
+    context is ``max(b) + G`` and the smallest remaining budget
+    ``min(r) - G``; ``hist128[k]`` (and ``hist_bs[k]`` for the pool's
+    block size) count runners with ``b`` congruent to ``k``.  The two
+    extrema come from heaps with lazy deletion, compacted whenever their
+    stale entries outnumber the runners.  A runner's ``generated``
+    column is implicit (``b + G - input``) and only written back on
+    leave or by :meth:`sync_generated`.
     """
 
     __slots__ = (
@@ -122,7 +158,10 @@ class EngineCore:
         "capacity", "input_tokens", "output_tokens", "generated",
         "arrival", "first_token", "finish", "restarts", "retries",
         "state", "objs", "free_slots", "wait_q", "wait_head",
-        "run_slots", "finished_pending", "slot_high_water", "vectorized_steps",
+        "finished_pending", "slot_high_water", "vectorized_steps",
+        "base", "join_seq", "runners", "decoded", "sum_base",
+        "total_blocks", "hist128", "hist_bs", "base_heap", "rem_heap",
+        "join_count",
     )
 
     def __init__(self, num_blocks: int, block_size: int, capacity: int = 64) -> None:
@@ -144,19 +183,34 @@ class EngineCore:
         self.free_slots: List[int] = list(range(n - 1, -1, -1))
         self.wait_q: List[int] = []
         self.wait_head = 0
-        self.run_slots: List[int] = []
         #: Slots that FINISHED during the last burst, awaiting retirement
         #: at the next virtual scheduler step (mirrors the scalar order).
+        #: They still hold their KV blocks but have left the runner set.
         self.finished_pending: List[int] = []
         self.slot_high_water = 0
         self.vectorized_steps = 0
+        self.base = np.zeros(n, dtype=np.int64)
+        self.join_seq = np.zeros(n, dtype=np.int64)
+        #: join sequence -> slot, in join order.
+        self.runners: Dict[int, int] = {}
+        self.decoded = 0
+        self.sum_base = 0
+        self.total_blocks = 0
+        self.hist128 = [0] * PRICING_BLOCK
+        self.hist_bs = (
+            self.hist128 if block_size == PRICING_BLOCK else [0] * block_size
+        )
+        #: Min-heaps of ``-b`` and ``r``, entries packed by :func:`heap_entry`.
+        self.base_heap: List[int] = []
+        self.rem_heap: List[int] = []
+        self.join_count = 0
 
     # -- slot lifecycle ------------------------------------------------
     def _grow(self) -> None:
         old = self.capacity
         new = old * 2
         for name in ("input_tokens", "output_tokens", "generated",
-                     "restarts", "retries"):
+                     "restarts", "retries", "base", "join_seq"):
             arr = np.zeros(new, dtype=np.int64)
             arr[:old] = getattr(self, name)
             setattr(self, name, arr)
@@ -269,6 +323,108 @@ class EngineCore:
         self.free_blocks -= needed
         return needed
 
+    # -- runner set ----------------------------------------------------
+    def join(self, slot: int) -> None:
+        """Add a post-prefill RUNNING slot to the runner set."""
+        context = int(self.input_tokens[slot]) + int(self.generated[slot])
+        base = context - self.decoded
+        seq = self.join_count
+        self.join_count = seq + 1
+        self.runners[seq] = slot
+        self.join_seq[slot] = seq
+        self.base[slot] = base
+        self.sum_base += base
+        self.total_blocks += -(-context // PRICING_BLOCK)
+        self.hist128[base % PRICING_BLOCK] += 1
+        if self.hist_bs is not self.hist128:
+            self.hist_bs[base % self.block_size] += 1
+        heapq.heappush(self.base_heap, heap_entry(-base, seq))
+        heapq.heappush(self.rem_heap, heap_entry(self._rem_key(slot), seq))
+
+    def leave(self, slot: int) -> None:
+        """Remove a runner from the runner set, writing back its
+        ``generated`` column; its heap entries go stale."""
+        del self.runners[int(self.join_seq[slot])]
+        base = int(self.base[slot])
+        context = base + self.decoded
+        self.generated[slot] = context - int(self.input_tokens[slot])
+        self.sum_base -= base
+        self.total_blocks -= -(-context // PRICING_BLOCK)
+        self.hist128[base % PRICING_BLOCK] -= 1
+        if self.hist_bs is not self.hist128:
+            self.hist_bs[base % self.block_size] -= 1
+        self._compact()
+
+    def _compact(self) -> None:
+        """Rebuild a heap once its stale entries outnumber the runners."""
+        live = len(self.runners)
+        if len(self.base_heap) > 2 * live:
+            self.base_heap = [
+                heap_entry(-int(self.base[slot]), seq)
+                for seq, slot in self.runners.items()
+            ]
+            heapq.heapify(self.base_heap)
+        if len(self.rem_heap) > 2 * live:
+            self.rem_heap = [
+                heap_entry(self._rem_key(slot), seq)
+                for seq, slot in self.runners.items()
+            ]
+            heapq.heapify(self.rem_heap)
+
+    def _rem_key(self, slot: int) -> int:
+        """A runner's ``r``: its remaining budget plus ``decoded``."""
+        return (
+            int(self.output_tokens[slot]) + int(self.input_tokens[slot])
+            - int(self.base[slot])
+        )
+
+    def _live_key(self, heap: List[int]) -> Optional[int]:
+        """The smallest live key of a lazily-deleted heap (popping the
+        stale entries above it), or None when no runner is left."""
+        runners = self.runners
+        while heap:
+            if heap[0] & _SEQ_MASK in runners:
+                return heap[0] >> _SEQ_BITS
+            heapq.heappop(heap)
+        return None
+
+    def max_context(self) -> int:
+        """Longest runner context (requires a non-empty runner set)."""
+        return self.decoded - self._live_key(self.base_heap)
+
+    def min_remaining(self) -> int:
+        """Smallest runner remaining budget (non-empty runner set)."""
+        return self._live_key(self.rem_heap) - self.decoded
+
+    def end_burst(self, recorded: int, total_blocks: int) -> List[int]:
+        """Account a decode burst that recorded ``recorded`` tokens per
+        runner and left ``total_blocks`` pricing blocks; returns the
+        runners whose budget is now spent, removed from the runner set
+        in join order (``finished_pending`` order)."""
+        self.decoded += recorded
+        self.total_blocks = total_blocks
+        heap = self.rem_heap
+        done: List[int] = []
+        while self._live_key(heap) == self.decoded:
+            done.append(self.runners[heapq.heappop(heap) & _SEQ_MASK])
+        for slot in done:
+            self.leave(slot)
+        return done
+
+    def sync_generated(self) -> None:
+        """Write every runner's implicit ``generated`` count back to the
+        column (for observers that read the slot arrays directly)."""
+        if self.runners:
+            slots = np.fromiter(self.runners.values(), dtype=np.intp)
+            self.generated[slots] = (
+                self.base[slots] + self.decoded - self.input_tokens[slots]
+            )
+
+    def running_slots(self) -> List[int]:
+        """Every slot holding KV blocks: runners in join order, then
+        finishers awaiting retirement."""
+        return list(self.runners.values()) + self.finished_pending
+
     # -- materialization ------------------------------------------------
     def sync_object(self, slot: int) -> Request:
         """Copy a live slot's progress onto its Request (no transition)."""
@@ -280,25 +436,31 @@ class EngineCore:
         return request
 
     def sync_live_objects(self) -> None:
-        """Materialize every live (waiting/running) slot -- called at
-        ``advance()`` exit so external observers never see stale state."""
-        for slot in self.run_slots:
-            if self.state[slot] == SLOT_RUNNING:
-                self.sync_object(slot)
+        """Materialize every live slot -- called at ``advance()`` exit so
+        external observers never see stale state.  Finishers awaiting
+        retirement are materialized as FINISHED here, as the scalar core
+        shows them; their retirement later is idempotent."""
+        self.sync_generated()
+        for slot in self.runners.values():
+            self.sync_object(slot)
+        for slot in self.finished_pending:
+            self.materialize_terminal(slot)
         for slot in self.waiting_slots():
             self.sync_object(slot)
 
     def materialize_terminal(self, slot: int) -> Request:
         """Apply a slot's terminal state to its Request object, firing
-        the (legal) lifecycle transition for the auditor."""
+        the (legal) lifecycle transition for the auditor.  Idempotent for
+        a FINISHED slot already materialized."""
         request = self.objs[slot]
         request.restarts = int(self.restarts[slot])
         code = int(self.state[slot])
         if code == SLOT_FINISHED:
-            delta = int(self.generated[slot]) - request.generated
-            request.record_tokens_bulk(
-                delta, float(self.first_token[slot]), float(self.finish[slot])
-            )
+            if request.state is not RequestState.FINISHED:
+                delta = int(self.generated[slot]) - request.generated
+                request.record_tokens_bulk(
+                    delta, float(self.first_token[slot]), float(self.finish[slot])
+                )
         else:
             self.sync_object(slot)
             if code != SLOT_RUNNING and code != SLOT_WAITING:
@@ -308,12 +470,17 @@ class EngineCore:
     # -- aggregate views ------------------------------------------------
     @property
     def has_unfinished(self) -> bool:
-        return bool(self.run_slots) or self.wait_head < len(self.wait_q)
+        return (
+            bool(self.runners)
+            or bool(self.finished_pending)
+            or self.wait_head < len(self.wait_q)
+        )
 
     def live_generated_total(self) -> int:
         """Generated-token total over live (non-terminal) slots."""
+        self.sync_generated()
         total = 0
-        for slot in self.run_slots:
+        for slot in self.running_slots():
             total += int(self.generated[slot])
         for slot in self.waiting_slots():
             total += int(self.generated[slot])

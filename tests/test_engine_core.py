@@ -7,6 +7,7 @@ streaming arrival feeds.  Plus the slot-recycling safety property and
 the constant-memory guarantee of release-mode streaming runs.
 """
 
+import heapq
 import json
 import tracemalloc
 
@@ -15,7 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.audit import ConfigError, audit_scope
+from repro.audit import (
+    Auditor,
+    AuditMode,
+    ConfigError,
+    TokenConservationError,
+    audit_scope,
+)
 from repro.models.llama import DecodeAttention, LLAMA_3_1_8B, LlamaCostModel
 from repro.serving import (
     LlmServingEngine,
@@ -26,6 +33,7 @@ from repro.serving import (
 from repro.serving.engine_core import (
     EngineCore,
     counters_snapshot,
+    heap_entry,
     render_counters,
     reset_counters,
 )
@@ -253,6 +261,64 @@ class TestLifecycleOperations:
             results[mode] = _states(requests)
         assert results["scalar"] == results["vectorized"]
 
+    def test_request_states_match_scalar_at_every_horizon(self, gaudi):
+        """Observing between horizons: a request that finished in the
+        last burst shows FINISHED at ``advance()`` exit on both cores."""
+        traces = {}
+        for mode in ("scalar", "vectorized"):
+            requests = poisson_arrivals(
+                dynamic_sonnet_requests(24, seed=6), 40.0, seed=1
+            )
+            engine = _engine(gaudi, mode, max_decode_batch=8)
+            engine.begin(requests)
+            trace = []
+            horizon = 0.0
+            while engine.has_unfinished:
+                horizon += 0.05
+                engine.advance(horizon)
+                trace.append(_states(requests))
+            traces[mode] = trace
+        assert traces["scalar"] == traces["vectorized"]
+
+
+class TestRunnerAggregates:
+    """The core's running decode-batch state under the strict audit."""
+
+    def _core_mid_run(self, gaudi, block_size):
+        engine = _engine(gaudi, "vectorized", block_size=block_size)
+        engine.begin(poisson_arrivals(
+            dynamic_sonnet_requests(24, seed=3), 40.0, seed=2
+        ))
+        engine.advance(0.5)
+        core = engine._core
+        assert len(core.runners) > 1
+        return core
+
+    @pytest.mark.parametrize("block_size", [100, 128])
+    def test_consistent_mid_run(self, gaudi, block_size):
+        core = self._core_mid_run(gaudi, block_size)
+        Auditor(AuditMode.STRICT, sample_fraction=1.0).check_core_invariants(core)
+
+    @pytest.mark.parametrize("field", [
+        "sum_base", "total_blocks", "hist128", "hist_bs", "base_heap",
+        "rem_heap",
+    ])
+    def test_corrupted_field_raises(self, gaudi, field):
+        core = self._core_mid_run(gaudi, 100)
+        seq, slot = next(iter(core.runners.items()))
+        base = int(core.base[slot])
+        if field in ("sum_base", "total_blocks"):
+            setattr(core, field, getattr(core, field) + 1)
+        elif field.startswith("hist"):
+            getattr(core, field)[0] += 1
+        elif field == "base_heap":
+            heapq.heappush(core.base_heap, heap_entry(-(base + 10**6), seq))
+        else:
+            heapq.heappush(core.rem_heap, heap_entry(-(10**6), seq))
+        auditor = Auditor(AuditMode.STRICT, sample_fraction=1.0)
+        with pytest.raises(TokenConservationError, match="engine core"):
+            auditor.check_core_invariants(core)
+
 
 class TestCounters:
     def test_run_counters(self, gaudi):
@@ -311,13 +377,21 @@ class TestSlotRecycling:
             assert not free.intersection(live)
 
     @given(seed=st.integers(min_value=0, max_value=2**16))
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=30, deadline=None)
     def test_fuzzed_workload_equivalence(self, seed):
+        """Random arrivals over a random pool block size (including one
+        that is not a divisor of the 128-token pricing block), a pool
+        that is either roomy or tight enough to force preemption, and an
+        optional cancel or fail_all at a random horizon."""
         from repro.hw.backend import get_backend
 
         device = get_backend("gaudi2")
         rng = np.random.default_rng(seed)
         count = int(rng.integers(1, 20))
+        block_size = int(rng.choice([16, 64, 100, 128, 256]))
+        operation = str(rng.choice(["none", "cancel", "fail_all"]))
+        horizon = float(rng.uniform(0.0, 1.5))
+        pick = float(rng.uniform())
 
         def make():
             gen = np.random.default_rng(seed)
@@ -333,8 +407,35 @@ class TestSlotRecycling:
                 ))
             return requests
 
-        scalar, fast = _run_both(device, make, num_kv_blocks=512)
-        assert scalar == fast
+        # A tight pool still fits any single request's whole context, so
+        # runs preempt under contention but never exhaust a lone runner.
+        largest = max(-(-(r.input_tokens + r.output_tokens) // block_size)
+                      for r in make())
+        if rng.uniform() < 0.5:
+            num_kv_blocks = largest + int(rng.integers(0, 8))
+        else:
+            num_kv_blocks = 65536 // block_size
+
+        results = {}
+        for mode in ("scalar", "vectorized"):
+            requests = make()
+            engine = _engine(device, mode, num_kv_blocks=num_kv_blocks,
+                             block_size=block_size)
+            engine.begin(requests)
+            victims = []
+            if operation != "none":
+                engine.advance(horizon)
+                alive = [r for r in requests if not r.done]
+                if operation == "fail_all":
+                    victims = sorted(
+                        v.request_id for v in engine.fail_all("outage: test")
+                    )
+                elif alive:
+                    engine.cancel(alive[int(pick * len(alive))], "timeout: test")
+            engine.advance()
+            report = engine.finish()
+            results[mode] = (report.to_json(), _states(requests), victims)
+        assert results["scalar"] == results["vectorized"]
 
 
 class TestBoundedMemory:
