@@ -52,6 +52,7 @@ from repro.audit.errors import (
     ClockError,
     CollectiveAuditError,
     ConfigError,
+    FleetConservationError,
     KvConservationError,
     LifecycleError,
     MemoEquivalenceError,
@@ -257,7 +258,9 @@ class Auditor:
         shadow-KV block conservation every call, plus a sampled deep
         scan for slot aliasing, per-slot state legality, and the
         runner-set aggregates against their recomputation from the slot
-        columns (the caller syncs the runners' ``generated`` first).
+        columns (the caller syncs the runners' ``generated`` first), the
+        ``(tier, arrival)`` order of the wait queue, and the agreement
+        of every waiting Request with its columns.
         """
         import numpy as np
 
@@ -309,12 +312,35 @@ class Auditor:
                     "first-token timestamp"
                 ))
         waiting = core.waiting_slots()
-        if waiting:
-            arrivals = core.arrival[np.asarray(waiting, dtype=np.intp)]
-            if bool(np.any(arrivals[1:] < arrivals[:-1])):
+        keys = [core.wait_key[slot] for slot in waiting]
+        if any(later < earlier for earlier, later in zip(keys, keys[1:])):
+            self.record_violation(LifecycleError(
+                "engine core: waiting queue is not (tier, arrival)-sorted"
+            ))
+        # The exit sync skips waiting slots, so their objects must
+        # already agree with the columns.
+        for slot in waiting:
+            request = core.objs[slot]
+            first = float(core.first_token[slot])
+            columns = (
+                int(core.generated[slot]),
+                None if math.isnan(first) else first,
+                int(core.restarts[slot]),
+                int(core.retries[slot]),
+                float(core.arrival[slot]),
+                core.wait_key[slot],
+            )
+            held = (
+                request.generated, request.first_token_time, request.restarts,
+                request.retries, request.arrival_time,
+                (request.tier, request.arrival_time),
+            )
+            if held != columns:
                 self.record_violation(LifecycleError(
-                    "engine core: waiting queue is not arrival-sorted"
+                    f"engine core: waiting request {request.request_id} "
+                    f"disagrees with its slot columns ({held} != {columns})"
                 ))
+                break
 
     def _check_runner_aggregates(self, core) -> None:
         """Recompute the core's running decode-batch aggregates from the
@@ -355,6 +381,26 @@ class Auditor:
                     f"engine core: running {name} disagrees with the slot "
                     f"columns{detail}"
                 ))
+
+    # -- fleet ---------------------------------------------------------
+    def check_reaped(self, node_name: str, inflight, outbox) -> None:
+        """Sampled: every terminal attempt a fleet node still counts in
+        flight must be waiting in its reap outbox -- else its terminal
+        transition never reached the node and it would never be reaped."""
+        if not self._deep_gate.fire():
+            return
+        self.checks[FleetConservationError.check] += 1
+        pending = {id(attempt) for attempt in outbox}
+        for attempt in inflight:
+            if (
+                attempt.state.value in ("finished", "shed", "failed")
+                and id(attempt) not in pending
+            ):
+                self.record_violation(FleetConservationError(
+                    f"node {node_name}: attempt {attempt.request_id} is "
+                    f"{attempt.state.value} but missing from the reap outbox"
+                ))
+                return
 
     # -- collectives ---------------------------------------------------
     def check_collective(

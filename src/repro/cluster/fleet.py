@@ -415,6 +415,11 @@ class _FleetRun:
         for node in list(self.gateway.nodes.values()):
             for attempt in node.reap():
                 self._observe_attempt(node, attempt)
+        if self.auditor is not None:
+            for node in self.gateway.nodes.values():
+                self.auditor.check_reaped(
+                    node.name, node.inflight.values(), node.outbox
+                )
         if self.admission is not None:
             self.pump()
         if self.tracer is not None:
@@ -1096,8 +1101,11 @@ class _FleetRun:
         )
         live_attempts = stats.dispatches - attempt_finished - attempt_shed_engine \
             - attempt_shed_gateway - attempt_failed
+        # A hedge may finish after its request already finished -- or
+        # was shed while the hedge still ran (a shed request has no
+        # winner); either way the client saw at most one completion.
         hedge_late = sum(
-            1 for r in finished for a in r.attempts
+            1 for r in finished + shed for a in r.attempts
             if a is not r.winner and a.state is RequestState.FINISHED
         )
         self.check(

@@ -11,17 +11,23 @@ A :class:`Node` wraps a :class:`~repro.serving.engine.LlmServingEngine`
 Health is derived, not stored: crashes, brownouts, fabric degradation,
 and blips each set one flag, and :meth:`Node.state` folds them in
 priority order, so overlapping faults resolve deterministically.
-Brownouts scale every engine step by ``1 / factor`` through a
-node-local fault-injector shim; fabric degradation mutates the node's
-own :class:`~repro.comm.FabricHealth`, which the engine's degraded
+Brownouts scale every engine step by ``1 / factor`` through the
+engine's ``slowdown``; fabric degradation mutates the node's own
+:class:`~repro.comm.FabricHealth`, which the engine's degraded
 collective library reads when pricing each AllReduce (the Figure 10
-port-count cliff).
+port-count cliff).  No fault injector is bound, so nodes run on the
+vectorized engine core.
+
+Attempts report their own terminal transitions into the node's outbox
+(``Request.outbox``), so :meth:`Node.reap` costs O(transitions), not
+O(in flight).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.audit import ConfigError
@@ -38,6 +44,8 @@ from repro.serving.engine import LlmServingEngine, ResiliencePolicy, ServingRepo
 from repro.serving.request import Request, RequestState
 
 __all__ = ["Node", "NodeClass", "NodeState"]
+
+_ATTEMPT_ID = attrgetter("request_id")
 
 #: Intra-node fabric link degraded by FABRIC_DEGRADE events (the
 #: concrete pair is arbitrary -- any degraded link slows the ring).
@@ -111,44 +119,6 @@ class NodeState(enum.Enum):
     RETIRED = "retired"
 
 
-class _NodeComputeState:
-    """Fault-injector shim scaling a node's engine by its brownout.
-
-    Duck-types the :class:`~repro.faults.injector.FaultInjector`
-    surface the engine polls; node-level events mutate
-    ``brownout_factor`` directly instead of replaying a device plan.
-    """
-
-    def __init__(self) -> None:
-        self.brownout_factor = 1.0
-        self._summary = _EMPTY_SUMMARY
-
-    def advance(self, now: float):
-        return self._summary
-
-    def alive_devices(self) -> int:
-        return 1  # node-level liveness is handled by Node.state
-
-    def compute_slowdown(self) -> float:
-        return 1.0 / self.brownout_factor
-
-    def kernel_fault(self) -> bool:
-        return False
-
-    @property
-    def next_event_time(self) -> Optional[float]:
-        return None
-
-
-class _EmptyAdvanceSummary:
-    device_failures = 0
-    device_recoveries = 0
-    events = ()
-
-
-_EMPTY_SUMMARY = _EmptyAdvanceSummary()
-
-
 class Node:
     """One serving node on the shared fleet clock."""
 
@@ -167,15 +137,14 @@ class Node:
         device = get_backend(node_class.device)
         llama = LLAMA_3_1_8B if node_class.model == "8b" else LLAMA_3_1_70B
         attention = default_decode_attention(device)
-        self.compute = _NodeComputeState()
         self.engine = LlmServingEngine(
             LlamaCostModel(llama, device, tp=tp_config),
             attention,
             max_decode_batch=node_class.max_decode_batch,
             num_kv_blocks=node_class.num_kv_blocks,
             policy=policy or ResiliencePolicy(),
-            injector=self.compute,
         )
+        self.brownout_factor = 1.0
         # Health flags (folded by `state` in priority order).
         self.dead = False
         self.recovering = False
@@ -191,7 +160,11 @@ class Node:
         self.crashes = 0
         self.upgrades = 0
         self.attempts_fed = 0
-        self.inflight: List[Request] = []
+        #: Attempt id -> attempt, in feed order.
+        self.inflight: Dict[int, Request] = {}
+        #: Attempts that turned terminal since the last reap (each
+        #: attempt appends itself, see ``Request.outbox``).
+        self.outbox: List[Request] = []
         #: EWMA of recent attempt TTFTs (latency-aware routing input).
         self.latency_estimate = 0.0
         self._began = False
@@ -211,14 +184,18 @@ class Node:
             return NodeState.DRAINING
         if self.blipped:
             return NodeState.UNAVAILABLE
-        if self.compute.brownout_factor < 1.0 or not self.fabric_health.healthy:
+        if self.brownout_factor < 1.0 or not self.fabric_health.healthy:
             return NodeState.DEGRADED
         return NodeState.HEALTHY
 
     @property
     def routable(self) -> bool:
-        """May the gateway send *new* work here?"""
-        return self.state in (NodeState.HEALTHY, NodeState.DEGRADED)
+        """May the gateway send *new* work here?  HEALTHY and DEGRADED
+        are exactly the states with no down flag set."""
+        return not (
+            self.retired or self.dead or self.recovering or self.upgrading
+            or self.draining or self.blipped
+        )
 
     # -- fault transitions ---------------------------------------------
     def crash(self) -> List[Request]:
@@ -227,7 +204,8 @@ class Node:
         self.dead = True
         self.crashes += 1
         victims = self.engine.fail_all(f"outage: node {self.name} crashed")
-        self.inflight = []
+        self.inflight.clear()
+        self.outbox.clear()
         return victims
 
     def begin_recovery(self) -> None:
@@ -239,10 +217,12 @@ class Node:
         self.recovering = False
 
     def set_brownout(self, factor: float) -> None:
-        self.compute.brownout_factor = factor
+        self.brownout_factor = factor
+        self.engine.slowdown = 1.0 / factor
 
     def clear_brownout(self) -> None:
-        self.compute.brownout_factor = 1.0
+        self.brownout_factor = 1.0
+        self.engine.slowdown = 1.0
 
     def degrade_fabric(self, factor: float) -> None:
         self.fabric_health.set_link_factor(*_DEGRADED_LINK, factor)
@@ -288,8 +268,9 @@ class Node:
 
     def feed(self, request: Request) -> None:
         """Route one attempt onto this node."""
+        request.outbox = self.outbox
         self.engine.feed(request)
-        self.inflight.append(request)
+        self.inflight[request.request_id] = request
         self.attempts_fed += 1
 
     def cancel(self, request: Request, reason: str) -> bool:
@@ -317,20 +298,15 @@ class Node:
         return self.engine.advance(horizon)
 
     def reap(self) -> List[Request]:
-        """Pop attempts that reached a terminal state since last reap."""
-        done: List[Request] = []
-        still: List[Request] = []
-        for request in self.inflight:
-            if request.state in (
-                RequestState.FINISHED, RequestState.SHED, RequestState.FAILED
-            ):
-                done.append(request)
-            else:
-                still.append(request)
-        self.inflight = still
+        """Pop attempts that reached a terminal state since last reap,
+        in feed order (attempt ids grow with feeding)."""
+        done = sorted(self.outbox, key=_ATTEMPT_ID)
+        self.outbox.clear()
+        for request in done:
+            del self.inflight[request.request_id]
         if (
             self.draining and not self.upgrade_pending
-            and not still and not self.engine.has_unfinished
+            and not self.inflight and not self.engine.has_unfinished
         ):
             self.retired = True
         return done

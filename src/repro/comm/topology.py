@@ -92,9 +92,8 @@ class FabricHealth:
 
     @property
     def healthy(self) -> bool:
-        return not self.down_devices and all(
-            f >= 1.0 for f in self.link_factors.values()
-        )
+        down, links = self.state_key()
+        return not down and all(factor >= 1.0 for _, factor in links)
 
 
 class Topology:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from repro.serving.engine_core import (
     bump_counter,
 )
 from repro.serving.kv_cache import BlockManager, KvCacheError
-from repro.serving.request import DEFAULT_TIER, Request, RequestState, RetryPolicy
+from repro.serving.request import Request, RequestState, RetryPolicy
 from repro.serving.scheduler import ContinuousBatchingScheduler
 
 #: Default KV block size in tokens (matches the paged-attention kernel).
@@ -273,8 +273,8 @@ class LlmServingEngine:
         ``engine_mode`` selects the stepping core: ``"scalar"`` walks
         per-request objects (the reference semantics), ``"vectorized"``
         runs the struct-of-arrays fast path (and raises
-        :class:`~repro.audit.ConfigError` when a bound policy / injector
-        / watchdog / tracer makes it ineligible), and ``"auto"`` picks
+        :class:`~repro.audit.ConfigError` when a bound injector /
+        watchdog / tracer makes it ineligible), and ``"auto"`` picks
         the fast path whenever it is eligible.  Both cores produce byte-identical reports.
         ``retain_requests=False`` folds terminal requests into constant-
         memory aggregates instead of keeping every object alive, which
@@ -301,6 +301,9 @@ class LlmServingEngine:
         self.max_decode_batch = max_decode_batch
         self.fault_stats = FaultStats()
         self._fault_restarted_ids: set = set()
+        #: Multiplier on every step's compute time (a cluster node's
+        #: brownout sets ``1 / factor``); composes with the injector's.
+        self.slowdown = 1.0
         self._power_model = PowerModel(self.model.device.spec.power)
         self.ctx = None
         self._tracer = None
@@ -326,6 +329,7 @@ class LlmServingEngine:
         self._aggregates: Optional[ReportAggregates] = None
         self._max_fed_arrival = 0.0
         self._request_deadlines = False
+        self._synced_steps = 0
         if ctx is not None:
             self.bind_context(ctx)
 
@@ -437,11 +441,10 @@ class LlmServingEngine:
 
     def _fast_block_reason(self) -> str:
         """Why the vectorized core cannot serve this configuration
-        (empty string = eligible).  Fault paths, SLO policies, watchdogs
-        and per-step observability all need the per-iteration object
-        walk, so they pin the run to the scalar core."""
-        if self.policy is not None:
-            return "a ResiliencePolicy is bound"
+        (empty string = eligible).  Device faults, watchdogs and
+        per-step observability need the per-iteration object walk, so
+        they pin the run to the scalar core; a :class:`ResiliencePolicy`
+        (tiers, deadlines, shedding, watermark, checkpoints) does not."""
         if self.injector is not None:
             return "a FaultInjector is bound"
         if self.watchdog is not None:
@@ -473,11 +476,19 @@ class LlmServingEngine:
         """Open a run: arm the audit ledger and watchdog, start the
         root span, and submit any up-front ``requests``."""
         self._fast = self._resolve_engine_mode()
+        policy = self.policy
         self._core = (
-            EngineCore(self.block_manager.num_blocks, self.block_manager.block_size)
+            EngineCore(
+                self.block_manager.num_blocks,
+                self.block_manager.block_size,
+                checkpoint_interval=policy.checkpoint_interval if policy else 0,
+                admission_watermark=policy.admission_watermark if policy else 1.0,
+                deadlines=policy is not None,
+            )
             if self._fast
             else None
         )
+        self._synced_steps = 0
         self._aggregates = None if self.retain_requests else ReportAggregates()
         self.scheduler.on_retire = (
             self._fold_terminal
@@ -489,8 +500,6 @@ class LlmServingEngine:
         bump_counter("vectorized_runs" if self._fast else "scalar_runs")
         self._audit = self.auditor.begin_run("serving.run") if self.auditor else None
         self.scheduler.bind_audit(self._audit)
-        if self._audit is not None:
-            self._audit.set_token_baseline(sum(r.generated for r in requests))
         if self.watchdog is not None:
             self.watchdog.start()
         self._now = 0.0
@@ -518,7 +527,8 @@ class LlmServingEngine:
         if self.policy and self.policy.deadline is not None and request.deadline is None:
             request.deadline = self.policy.deadline
         if self._audit is not None and request.generated:
-            # Late-fed requests extend the conservation baseline.
+            # Fed progress (up front or late) extends the conservation
+            # baseline.
             self._audit.set_token_baseline(
                 self._audit._token_baseline + request.generated
             )
@@ -530,33 +540,7 @@ class LlmServingEngine:
             self._aggregates.fed += 1
         if self.retain_requests:
             self._all_requests.append(request)
-        if self._fast:
-            self._feed_fast(request)
-        else:
-            self._submit(request)
-
-    def _feed_fast(self, request: Request) -> None:
-        """Fast-path submission: the scheduler's legality checks against
-        the slot arrays, then slot acquisition (no policy in fast mode,
-        so an oversized prompt fails hard exactly like the scalar
-        no-policy path)."""
-        if request.state is not RequestState.WAITING:
-            raise ValueError(f"request {request.request_id} is not schedulable")
-        if request.tier != DEFAULT_TIER:
-            raise ConfigError(
-                f"request {request.request_id} has tier {request.tier}, but "
-                "the vectorized core admits in pure arrival order; run "
-                "tiered traffic on the scalar core (engine_mode='scalar' "
-                "or bind a ResiliencePolicy)"
-            )
-        needed = self.block_manager.blocks_needed(request.input_tokens)
-        if needed > self.block_manager.num_blocks:
-            raise KvCacheError(
-                f"request {request.request_id}'s prompt needs {needed} KV "
-                f"blocks but the pool only has {self.block_manager.num_blocks}; "
-                "it can never be scheduled"
-            )
-        self._core.acquire(request)
+        self._submit(request)
 
     def _fold_terminal(self, request: Request) -> None:
         """Retirement hook for ``retain_requests=False`` runs."""
@@ -745,14 +729,16 @@ class LlmServingEngine:
     def _advance_fast(self, horizon: float, sync_exit: bool = True) -> float:
         """The struct-of-arrays twin of :meth:`advance`.
 
-        One outer iteration mirrors one (or many) scalar iterations: a
-        virtual scheduler step (retire, then admit) against the slot
-        arrays, sequential prefills for admissions, capacity preemption,
-        then a *decode burst* -- consecutive decode steps priced against
-        the runner set's integer context aggregates until the next
-        membership-changing event.  Request objects are only touched at
-        lifecycle events and re-synchronized on exit, so callers observe
-        the exact scalar semantics.  ``sync_exit=False`` skips that exit
+        One outer iteration mirrors one (or many) scalar iterations: the
+        deadline scan, a virtual scheduler step (retire, then admit in
+        ``(tier, arrival)`` order under the admission watermark) against
+        the slot arrays, sequential prefills for admissions, capacity
+        preemption, then a *decode burst* -- consecutive decode steps
+        priced against the runner set's integer context aggregates until
+        the next membership-changing event.  Request objects are only
+        touched at lifecycle events and re-synchronized on exit (runners
+        and finishers, and only when a step ran), so callers observe the
+        exact scalar semantics.  ``sync_exit=False`` skips that exit
         sync -- only for engine-internal loops (:meth:`run_streaming`)
         where nothing can observe live request objects before the next
         advance or :meth:`finish` syncs them.
@@ -766,9 +752,10 @@ class LlmServingEngine:
         gen = core.generated
         first = core.first_token
         finish = core.finish
-        arrival = core.arrival
         state = core.state
         runners = core.runners
+        wait_q = core.wait_q
+        objs = core.objs
         activity = self._activity
         while core.has_unfinished:
             now = self._now
@@ -779,6 +766,8 @@ class LlmServingEngine:
                 if self.auditor is not None:
                     core.sync_generated()
                     self.auditor.check_core_invariants(core)
+            if now >= core.next_expiry:
+                self._enforce_deadlines_fast(now)
             # Virtual scheduler step: retire, then admit (the exact
             # order of ContinuousBatchingScheduler.step).
             if core.finished_pending:
@@ -788,47 +777,62 @@ class LlmServingEngine:
                     core.release(slot)
                 core.finished_pending.clear()
             admitted: List[int] = []
-            head = core.waiting_head()
-            while (
-                head is not None
-                and len(runners) + len(admitted) < max_batch
-                and arrival[head] <= now
-                and core.blocks_needed(int(inp[head]) + int(gen[head]))
-                <= core.free_blocks
-            ):
-                core.pop_waiting_head()
-                core.allocate_shadow(head)
-                core.objs[head].start_running()
-                state[head] = SLOT_RUNNING
-                admitted.append(head)
-                head = core.waiting_head()
+            single_tier = core.single_tier
+            index = core.wait_head
+            while index < len(wait_q) and len(runners) + len(admitted) < max_batch:
+                slot = wait_q[index]
+                request = objs[slot]  # current while waiting
+                if request.arrival_time > now:
+                    if single_tier:
+                        break  # arrival-sorted: nothing behind has arrived
+                    index += 1
+                    continue
+                if not core.fits(
+                    core.blocks_needed(request.input_tokens + request.generated)
+                ):
+                    break
+                if index == core.wait_head:
+                    core.pop_waiting_head()
+                    index = core.wait_head  # the pop may compact the queue
+                else:
+                    del wait_q[index]
+                core.allocate_shadow(slot)
+                request.start_running()
+                state[slot] = SLOT_RUNNING
+                admitted.append(slot)
             if not runners and not admitted:
                 self._now = now
-                head = core.waiting_head()
-                if head is None:
+                if not core.waiting_count:
                     break  # everything retired in this step
-                if arrival[head] <= now:
-                    # Nothing runs, nothing admits, and the head request
-                    # has already arrived: the pool can never serve it.
-                    core.sync_live_objects()
-                    obj = core.objs[head]
+                index = core.first_arrived(now)
+                if index >= 0:
+                    # Nothing runs, nothing admits, and the highest-
+                    # priority arrived request is blocked: the pool can
+                    # never serve it.
+                    obj = objs[wait_q[index]]
                     reason = (
                         f"kv-exhausted: {obj.context_len} prompt tokens exceed "
                         "the free KV pool with no running request to retire"
                     )
+                    if self._graceful:
+                        self._shed_slot(core.take_waiting(index), reason)
+                        continue
+                    self._sync_objects()
                     raise KvCacheError(
                         f"request {obj.request_id} cannot be admitted: {reason}"
                     )
-                if arrival[head] > horizon:
+                next_arrival = core.next_arrival()
+                if next_arrival > horizon:
                     break  # idle until past the horizon; do not jump it
                 # All remaining requests arrive later; jump the clock.
-                self._now = max(now, float(arrival[head]))
+                self._now = max(now, next_arrival)
                 continue
             # Prefills run sequentially, one prompt at a time (vLLM
             # style, matching the scalar loop's clock arithmetic).
+            slowdown = self.slowdown
             for slot in admitted:
                 phase = model.prefill(1, int(inp[slot]) + int(gen[slot]))
-                now += phase.time
+                now += phase.time * slowdown
                 activity.merge(phase.activity)
                 gen[slot] += 1
                 if np.isnan(first[slot]):
@@ -853,28 +857,125 @@ class LlmServingEngine:
                 core.free_blocks += core.blocks_held(victim)
                 if audit is not None:
                     audit.on_tokens_rolled_back(int(gen[victim]))
-                obj = core.objs[victim]
+                obj = core.sync_object(victim)  # keeps the checkpoint reached
                 obj.restart()
                 gen[victim] = 0
                 first[victim] = np.nan
                 finish[victim] = np.nan
                 core.restarts[victim] = obj.restarts
+                core.ckpt_floor[victim] = 0
                 state[victim] = SLOT_WAITING
                 core.insort_waiting(victim, left=True)
                 self._preemptions += 1
-            now = self._decode_burst(now, horizon)
+            now = self._decode_burst(now, horizon, slowdown)
         if sync_exit:
-            core.sync_live_objects()
+            self._sync_objects()
         return self._now
 
-    def _decode_burst(self, now: float, horizon: float) -> float:
+    def _sync_objects(self) -> None:
+        """Materialize the fast core's progress onto the live Request
+        objects, unless no step ran since the last sync."""
+        if self._steps != self._synced_steps:
+            self._core.sync_live_objects()
+            self._synced_steps = self._steps
+
+    def _enforce_deadlines_fast(self, now: float) -> None:
+        """:meth:`_enforce_deadlines` over the waiting slots: the same
+        ``deadline_missed`` scan in waiting order (waiting objects are
+        current), the same backoff requeue with its audit rollback, and
+        the same shed reason.  Requeued slots re-enter the queue in scan
+        order after the survivors, which is where the scheduler's
+        one-at-a-time reinsertion puts them too."""
+        core = self._core
+        retry = self.policy.retry
+        kept: List[int] = []
+        requeued: List[int] = []
+        for slot in core.waiting_slots():
+            request = core.objs[slot]
+            if not request.deadline_missed(now):
+                kept.append(slot)
+            elif request.retries < retry.max_retries:
+                delay = retry.backoff(request.retries, token=request.request_id)
+                if self._audit is not None:
+                    self._audit.on_tokens_rolled_back(request.generated)
+                request.resubmit(now + delay)
+                core.arrival[slot] = request.arrival_time
+                core.wait_key[slot] = (request.tier, request.arrival_time)
+                core.retries[slot] = request.retries
+                core.generated[slot] = 0
+                core.first_token[slot] = np.nan
+                core.ckpt_floor[slot] = 0
+                requeued.append(slot)
+                self.fault_stats.deadline_retries += 1
+            else:
+                self._shed_slot(
+                    slot,
+                    f"deadline: no first token within {request.deadline:g}s "
+                    f"after {request.retries} retries",
+                )
+        core.wait_q[core.wait_head:] = kept
+        for slot in requeued:
+            core.insort_waiting(slot)
+        core.refresh_expiry()
+
+    def _shed_slot(self, slot: int, reason: str) -> None:
+        """Shed a fast-core slot already taken out of the wait queue or
+        the runner set, with its blocks returned."""
+        core = self._core
+        request = core.sync_object(slot)
+        request.shed(reason)
+        core.state[slot] = SLOT_SHED
+        self._fold_terminal(request)
+        core.release(slot)
+
+    def _burst_wake(self, now: float, n: int) -> Tuple[float, int]:
+        """When a decode burst of ``n`` runners starting at ``now`` must
+        stop to let the scheduler act: ``(wake, needed)`` such that any
+        admission or deadline scan due after a step implies the clock
+        reached ``wake`` with ``needed`` blocks still free.
+
+        Free blocks only shrink during a burst, so a waiting request
+        that does not fit now never will; the candidates are the fitting
+        requests the admission scan can reach (just the head for a
+        single tier; in mixed tiers everything up to the first arrived
+        request, which blocks the rest).  With a deadline pending, the
+        earliest of both wakes regardless of free blocks.  Waking early
+        only splits a burst, which is always safe.
+        """
+        core = self._core
+        wake = math.inf
+        needed_min = core.num_blocks
+        if n < self.max_decode_batch:
+            wait_q = core.wait_q
+            objs = core.objs
+            index = core.wait_head
+            while index < len(wait_q):
+                request = objs[wait_q[index]]  # current while waiting
+                at = request.arrival_time
+                needed = core.blocks_needed(request.input_tokens + request.generated)
+                if core.fits(needed):
+                    if at < wake:
+                        wake = at
+                    if needed < needed_min:
+                        needed_min = needed
+                if core.single_tier or at <= now:
+                    break
+                index += 1
+        if core.next_expiry < math.inf:
+            if core.next_expiry < wake:
+                wake = core.next_expiry
+            needed_min = 0
+        return wake, needed_min
+
+    def _decode_burst(self, now: float, horizon: float, slowdown: float) -> float:
         """Price consecutive decode steps for the fixed runner set
         without any per-request work; returns the clock after the burst.
 
         The burst ends just before the first virtual iteration whose
         scheduler step would diverge from a pure decode continuation: a
-        runner finishing, a pending retirement, the waiting head
-        becoming admissible, capacity preemption, or the horizon.  Step
+        runner finishing, a pending retirement, a waiting request
+        becoming admissible or missing its deadline (see
+        :meth:`_burst_wake`), capacity preemption, or the horizon.  Step
         costs come from ``LlamaCostModel.decode_stepper``, whose integer
         recurrences are bit-identical to rebuilding
         ``DecodeBatchStats`` per step.  The aggregates are the core's
@@ -896,16 +997,7 @@ class LlmServingEngine:
         hist128 = core.hist128
         hist_bs = core.hist_bs
         stepper = self.model.decode_stepper(n, self.attention)
-        head = core.waiting_head()
-        head_arrival = float(core.arrival[head]) if head is not None else math.inf
-        head_needed = (
-            core.blocks_needed(
-                int(core.input_tokens[head]) + int(core.generated[head])
-            )
-            if head is not None
-            else 0
-        )
-        room = n < self.max_decode_batch
+        wake, wake_needed = self._burst_wake(now, n)
         retire_pending = bool(core.finished_pending)
         activity = self._activity
         j = 0  # completed steps this burst
@@ -913,13 +1005,13 @@ class LlmServingEngine:
         exhausted = False
         while True:
             growth = hist_bs[(1 - j - offset) % bs]
-            now += stepper(total_context, total_blocks, max_context, activity)
+            now += stepper(total_context, total_blocks, max_context, activity) * slowdown
             j += 1
             if growth > core.free_blocks:
                 # Only reachable with a single runner (the headroom
                 # guard below breaks first for n > 1): the step's time
                 # is charged, then the append fails before any token is
-                # recorded -- the scalar fail-fast path.
+                # recorded -- the scalar exhaustion path.
                 exhausted = True
                 break
             core.free_blocks -= growth
@@ -933,8 +1025,8 @@ class LlmServingEngine:
                 break  # a prefill finisher awaits retirement next step
             if now > horizon:
                 break
-            if head_arrival <= now and room and head_needed <= core.free_blocks:
-                break  # the waiting head becomes admissible next step
+            if wake <= now and wake_needed <= core.free_blocks:
+                break  # the scheduler may admit or scan deadlines next step
             if core.free_blocks < n and n > 1:
                 break  # capacity preemption due next step
         finished = core.end_burst(recorded, total_blocks)
@@ -944,8 +1036,13 @@ class LlmServingEngine:
         if self._audit is not None and recorded:
             self._audit.on_tokens_emitted(n * recorded)
         if exhausted:
-            core.sync_live_objects()
-            raise KvCacheError("out of KV blocks during decode")
+            if not self._graceful:
+                self._sync_objects()
+                raise KvCacheError("out of KV blocks during decode")
+            slot = next(iter(core.runners.values()))
+            core.leave(slot)
+            core.free_blocks += core.blocks_held(slot)
+            self._shed_slot(slot, "kv-exhausted: pool full during decode")
         for slot in finished:
             core.state[slot] = SLOT_FINISHED
             core.finish[slot] = now
@@ -958,7 +1055,7 @@ class LlmServingEngine:
         if self._tracer is not None:
             self._tracer.finish(self._now)
         if self._fast and self._core is not None:
-            self._core.sync_live_objects()
+            self._sync_objects()
         bump_counter(
             "vectorized_steps" if self._fast else "scalar_steps", self._steps
         )
@@ -1183,14 +1280,8 @@ class LlmServingEngine:
         core = self._core
         q = core.wait_q
         for i in range(core.wait_head, len(q)):
-            slot = q[i]
-            if core.objs[slot] is request:
-                del q[i]
-                core.sync_object(slot)
-                request.shed(reason)
-                core.state[slot] = SLOT_SHED
-                self._fold_terminal(request)
-                core.release(slot)
+            if core.objs[q[i]] is request:
+                self._shed_slot(core.take_waiting(i), reason)
                 return
         for slot in core.running_slots():
             if core.objs[slot] is not request:
@@ -1199,21 +1290,24 @@ class LlmServingEngine:
                 core.finished_pending.remove(slot)
                 core.free_blocks += core.blocks_held(slot)
                 self._fold_terminal(core.materialize_terminal(slot))
+                core.release(slot)
             else:
                 core.leave(slot)
                 core.free_blocks += core.blocks_held(slot)
-                core.sync_object(slot)
-                request.shed(reason)
-                core.state[slot] = SLOT_SHED
-                self._fold_terminal(request)
-            core.release(slot)
+                self._shed_slot(slot, reason)
             return
         raise ValueError(f"request {request.request_id} is not scheduled")
 
     # ------------------------------------------------------------------
     def _submit(self, request: Request) -> None:
+        """Submit to whichever core runs; an oversized prompt fails hard
+        without a policy and is shed with a reason under one."""
         try:
-            self.scheduler.submit(request)
+            if self._fast:
+                self.scheduler.validate(request)
+                self._core.acquire(request)
+            else:
+                self.scheduler.submit(request)
         except KvCacheError as error:
             if not self._graceful:
                 raise
@@ -1302,7 +1396,9 @@ class LlmServingEngine:
                 )
 
     def _slowdown(self) -> float:
-        return self.injector.compute_slowdown() if self.injector is not None else 1.0
+        if self.injector is None:
+            return self.slowdown
+        return self.slowdown * self.injector.compute_slowdown()
 
     def _maybe_checkpoint(self, request: Request) -> None:
         if self.policy is None:

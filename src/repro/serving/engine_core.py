@@ -20,10 +20,19 @@ arrays keyed by a stable *slot* index instead:
   context and budget relative to one global decode-token offset and a
   burst of many steps (see ``LlamaCostModel.decode_stepper``) costs
   O(steps + finishers), never O(batch);
+* the policy state a fleet node needs lives here too: the waiting
+  queue is ordered by ``(tier, arrival)``, a conservative
+  earliest-expiry bound says when a TTFT deadline scan can find
+  anything, admission honours the watermark through
+  :meth:`EngineCore.fits`, and checkpoints are derived when an object
+  is materialized;
 * the thin ``Request`` objects remain the API boundary: they are
   materialized from the arrays at every lifecycle event (admission,
-  preemption, retirement) and at ``advance()`` exit, so reports,
-  journaling, and audit transitions keep their exact scalar semantics.
+  preemption, requeue, retirement), so reports, journaling, and audit
+  transitions keep their exact scalar semantics.  Waiting objects are
+  always current, so the ``advance()`` exit sync materializes only the
+  runners and the finishers awaiting retirement -- O(batch), not
+  O(live slots).
 
 The module also owns the process-wide fast-path counters surfaced by
 ``repro top`` and :class:`ReportAggregates`, the constant-memory
@@ -34,7 +43,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -123,6 +132,14 @@ def heap_entry(key: int, seq: int) -> int:
     return (key << _SEQ_BITS) | seq
 
 
+def _expiry_bound(arrival: float, deadline: float) -> float:
+    """A time no later than the first ``now`` with
+    ``now - arrival > deadline`` (``Request.deadline_missed``), with a
+    margin far above the subtraction's rounding error: waking early is
+    safe, waking late would miss a scan."""
+    return arrival + deadline - 1e-9 * (abs(arrival) + abs(deadline))
+
+
 class EngineCore:
     """Slot-indexed struct-of-arrays request store for one run.
 
@@ -133,9 +150,23 @@ class EngineCore:
       terminal state and was materialized;
     * shadow KV accounting conserves blocks: free plus the blocks held
       by running slots always equals the pool size;
-    * ``wait_q[wait_head:]`` is sorted by arrival time;
+    * ``wait_q[wait_head:]`` is sorted by ``(tier, arrival)``, the
+      scheduler's admission order;
+    * every waiting slot's Request equals its columns (waiting slots
+      make no progress, and every write to one updates both), so only
+      runners and finishers need syncing before an observer looks;
     * the runner-set aggregates equal their recomputation from the slot
       columns.
+
+    Policy state.  ``tiers`` holds every tier fed so far
+    (``single_tier`` false makes admission skip unarrived requests, as
+    the scheduler does); ``admit_limit`` is the admission watermark in
+    blocks; ``checkpoint_interval`` (0 = off) derives
+    ``Request.checkpoint`` at materialization from ``ckpt_floor``, the
+    ``generated`` count at the slot's last (re)start; with
+    ``deadlines`` on, ``next_expiry`` is a lower bound on the earliest
+    time a waiting request can miss its TTFT deadline (deadlines are
+    read from the waiting Request objects, which are current).
 
     Runner-set state.  ``decoded`` counts the tokens every runner has
     gained from decode bursts so far (the global offset ``G``).  A slot
@@ -161,13 +192,28 @@ class EngineCore:
         "finished_pending", "slot_high_water", "vectorized_steps",
         "base", "join_seq", "runners", "decoded", "sum_base",
         "total_blocks", "hist128", "hist_bs", "base_heap", "rem_heap",
-        "join_count",
+        "join_count", "wait_key", "ckpt_floor", "tiers", "single_tier",
+        "admit_limit", "checkpoint_interval", "deadlines", "next_expiry",
     )
 
-    def __init__(self, num_blocks: int, block_size: int, capacity: int = 64) -> None:
+    def __init__(
+        self,
+        num_blocks: int,
+        block_size: int,
+        capacity: int = 64,
+        checkpoint_interval: int = 0,
+        admission_watermark: float = 1.0,
+        deadlines: bool = False,
+    ) -> None:
         self.block_size = block_size
         self.num_blocks = num_blocks
         self.free_blocks = num_blocks
+        self.admit_limit = admission_watermark * num_blocks
+        self.checkpoint_interval = checkpoint_interval
+        self.deadlines = deadlines
+        self.next_expiry = math.inf
+        self.tiers: set = set()
+        self.single_tier = True
         self.capacity = max(8, capacity)
         n = self.capacity
         self.input_tokens = np.zeros(n, dtype=np.int64)
@@ -178,6 +224,9 @@ class EngineCore:
         self.finish = np.full(n, np.nan)
         self.restarts = np.zeros(n, dtype=np.int64)
         self.retries = np.zeros(n, dtype=np.int64)
+        #: Each slot's ``(tier, arrival)`` wait-queue sort key.
+        self.wait_key: List[Optional[Tuple[int, float]]] = [None] * n
+        self.ckpt_floor = np.zeros(n, dtype=np.int64)
         self.state = np.full(n, SLOT_FREE, dtype=np.int8)
         self.objs: List[Optional[Request]] = [None] * n
         self.free_slots: List[int] = list(range(n - 1, -1, -1))
@@ -210,7 +259,8 @@ class EngineCore:
         old = self.capacity
         new = old * 2
         for name in ("input_tokens", "output_tokens", "generated",
-                     "restarts", "retries", "base", "join_seq"):
+                     "restarts", "retries", "base", "join_seq",
+                     "ckpt_floor"):
             arr = np.zeros(new, dtype=np.int64)
             arr[:old] = getattr(self, name)
             setattr(self, name, arr)
@@ -225,6 +275,7 @@ class EngineCore:
         state[:old] = self.state
         self.state = state
         self.objs.extend([None] * (new - old))
+        self.wait_key.extend([None] * (new - old))
         self.free_slots.extend(range(new - 1, old - 1, -1))
         self.capacity = new
 
@@ -243,6 +294,11 @@ class EngineCore:
         self.finish[slot] = np.nan
         self.restarts[slot] = request.restarts
         self.retries[slot] = request.retries
+        self.wait_key[slot] = (request.tier, request.arrival_time)
+        if request.tier not in self.tiers:
+            self.tiers.add(request.tier)
+            self.single_tier = len(self.tiers) == 1
+        self.ckpt_floor[slot] = request.generated
         self.state[slot] = SLOT_WAITING
         self.objs[slot] = request
         live = self.capacity - len(self.free_slots)
@@ -258,34 +314,53 @@ class EngineCore:
         self.objs[slot] = None
         self.free_slots.append(slot)
 
-    # -- waiting queue (arrival-sorted, matching the scheduler) --------
+    # -- waiting queue ((tier, arrival)-sorted, matching the scheduler) -
     def insort_waiting(self, slot: int, left: bool = False) -> None:
-        """Insert into the active waiting region by arrival time.
+        """Insert into the active waiting region by ``(tier, arrival)``.
 
-        ``left=False`` lands after equal arrivals (submission FIFO);
+        ``left=False`` lands after equal keys (submission FIFO);
         ``left=True`` lands before them (preempted victims re-admit
         ahead of later arrivals) -- the scalar scheduler's exact rule.
         """
-        at = float(self.arrival[slot])
+        keys = self.wait_key
+        key = keys[slot]
         q = self.wait_q
         lo, hi = self.wait_head, len(q)
         while lo < hi:
             mid = (lo + hi) // 2
-            probe = float(self.arrival[q[mid]])
-            if probe < at or (not left and probe == at):
+            probe = keys[q[mid]]
+            if probe < key or (not left and probe == key):
                 lo = mid + 1
             else:
                 hi = mid
         q.insert(lo, slot)
+        request = self.objs[slot]
+        if (
+            self.deadlines
+            and request.deadline is not None
+            and request.first_token_time is None
+        ):
+            expiry = _expiry_bound(request.arrival_time, request.deadline)
+            if expiry < self.next_expiry:
+                self.next_expiry = expiry
+
+    def refresh_expiry(self) -> None:
+        """Recompute ``next_expiry`` over the waiting requests (after a
+        deadline scan; admissions leave it conservatively low)."""
+        if not self.deadlines:
+            return
+        earliest = math.inf
+        for slot in self.waiting_slots():
+            request = self.objs[slot]
+            if request.deadline is not None and request.first_token_time is None:
+                expiry = _expiry_bound(request.arrival_time, request.deadline)
+                if expiry < earliest:
+                    earliest = expiry
+        self.next_expiry = earliest
 
     @property
     def waiting_count(self) -> int:
         return len(self.wait_q) - self.wait_head
-
-    def waiting_head(self) -> Optional[int]:
-        if self.wait_head < len(self.wait_q):
-            return self.wait_q[self.wait_head]
-        return None
 
     def pop_waiting_head(self) -> int:
         slot = self.wait_q[self.wait_head]
@@ -298,9 +373,43 @@ class EngineCore:
     def waiting_slots(self) -> List[int]:
         return self.wait_q[self.wait_head:]
 
+    def take_waiting(self, index: int) -> int:
+        """Remove and return the waiting slot at queue ``index``."""
+        if index == self.wait_head:
+            return self.pop_waiting_head()
+        return self.wait_q.pop(index)
+
+    def first_arrived(self, now: float) -> int:
+        """Queue index of the highest-priority waiting request that has
+        arrived by ``now`` (-1 when none has) -- the kv-exhaustion probe."""
+        q = self.wait_q
+        arrival = self.arrival
+        for index in range(self.wait_head, len(q)):
+            if arrival[q[index]] <= now:
+                return index
+            if self.single_tier:
+                break  # arrival-sorted: nothing behind has arrived
+        return -1
+
+    def next_arrival(self) -> float:
+        """Earliest arrival among waiting requests (the idle jump)."""
+        if self.single_tier:
+            return float(self.arrival[self.wait_q[self.wait_head]])
+        return float(min(self.arrival[slot] for slot in self.waiting_slots()))
+
     # -- shadow KV accounting ------------------------------------------
     def blocks_needed(self, tokens: int) -> int:
         return -(-tokens // self.block_size)
+
+    def fits(self, needed: int) -> bool:
+        """``BlockManager.has_headroom`` for ``needed`` blocks: they are
+        free, and admitting them keeps occupancy under the watermark
+        (an empty pool always admits a fitting request)."""
+        free = self.free_blocks
+        return needed <= free and (
+            self.num_blocks - free + needed <= self.admit_limit
+            or free == self.num_blocks
+        )
 
     def blocks_held(self, slot: int) -> int:
         """Blocks a post-prefill slot holds.
@@ -426,6 +535,16 @@ class EngineCore:
         return list(self.runners.values()) + self.finished_pending
 
     # -- materialization ------------------------------------------------
+    def _sync_checkpoint(self, slot: int, request: Request) -> None:
+        """The scalar engine checkpoints at every multiple of the
+        interval a request reaches; the last one reached since the
+        slot's (re)start is the checkpoint, else it keeps its old one."""
+        interval = self.checkpoint_interval
+        generated = request.generated
+        reached = generated - generated % interval
+        if reached > self.ckpt_floor[slot]:
+            request.checkpoint = reached
+
     def sync_object(self, slot: int) -> Request:
         """Copy a live slot's progress onto its Request (no transition)."""
         request = self.objs[slot]
@@ -433,20 +552,37 @@ class EngineCore:
         first = self.first_token[slot]
         request.first_token_time = None if math.isnan(first) else float(first)
         request.restarts = int(self.restarts[slot])
+        if self.checkpoint_interval:
+            self._sync_checkpoint(slot, request)
         return request
 
     def sync_live_objects(self) -> None:
-        """Materialize every live slot -- called at ``advance()`` exit so
-        external observers never see stale state.  Finishers awaiting
-        retirement are materialized as FINISHED here, as the scalar core
-        shows them; their retirement later is idempotent."""
-        self.sync_generated()
+        """Materialize the slots that progressed -- called at
+        ``advance()`` exit so external observers never see stale state.
+        Runners get their progress; finishers awaiting retirement are
+        materialized as FINISHED, as the scalar core shows them (their
+        retirement later is idempotent).  Waiting slots are skipped:
+        their objects are current by construction (see the class
+        invariants)."""
+        decoded = self.decoded
+        base = self.base
+        inp = self.input_tokens
+        gen = self.generated
+        objs = self.objs
+        checkpoints = self.checkpoint_interval
+        # A runner's restarts are current (admission does not change
+        # them) and its first token, once set, never moves.
         for slot in self.runners.values():
-            self.sync_object(slot)
+            request = objs[slot]
+            generated = int(base[slot]) + decoded - int(inp[slot])
+            gen[slot] = generated
+            request.generated = generated
+            if request.first_token_time is None:
+                request.first_token_time = float(self.first_token[slot])
+            if checkpoints:
+                self._sync_checkpoint(slot, request)
         for slot in self.finished_pending:
             self.materialize_terminal(slot)
-        for slot in self.waiting_slots():
-            self.sync_object(slot)
 
     def materialize_terminal(self, slot: int) -> Request:
         """Apply a slot's terminal state to its Request object, firing
@@ -461,6 +597,8 @@ class EngineCore:
                 request.record_tokens_bulk(
                     delta, float(self.first_token[slot]), float(self.finish[slot])
                 )
+                if self.checkpoint_interval:
+                    self._sync_checkpoint(slot, request)
         else:
             self.sync_object(slot)
             if code != SLOT_RUNNING and code != SLOT_WAITING:

@@ -4,7 +4,9 @@ Every state change funnels through :meth:`Request._transition`, so a
 process auditor (``REPRO_AUDIT``, see :mod:`repro.audit`) can verify
 lifecycle legality -- ``waiting -> running -> {preempted(waiting),
 finished, shed, failed}`` only -- no matter which layer drives the
-transition.
+transition.  The same choke point reports terminal transitions to the
+request's ``outbox`` (a cluster node's reap queue), so an owner learns
+of completions without rescanning its in-flight set.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
 
 from repro.audit import ConfigError, get_auditor
 
@@ -125,6 +127,11 @@ class Request:
     tier: int = DEFAULT_TIER
     #: Why the request was shed/failed, if it was.
     shed_reason: Optional[str] = field(default=None, repr=False)
+    #: List the request appends itself to on reaching a terminal state
+    #: (None = nobody is listening).
+    outbox: Optional[List["Request"]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.input_tokens <= 0 or self.output_tokens <= 0:
@@ -138,6 +145,12 @@ class Request:
         if auditor is not None:
             auditor.on_transition(self.request_id, self.state, new_state)
         self.state = new_state
+        if (
+            self.outbox is not None
+            and new_state is not RequestState.WAITING
+            and new_state is not RequestState.RUNNING
+        ):
+            self.outbox.append(self)
 
     def start_running(self) -> None:
         """Admission: the scheduler moved this request into the batch."""

@@ -110,7 +110,10 @@ class ContinuousBatchingScheduler:
         """Attach a per-run audit handle (or None to detach)."""
         self.audit = audit
 
-    def submit(self, request: Request) -> None:
+    def validate(self, request: Request) -> None:
+        """Raise unless ``request`` can ever be scheduled: it must be
+        WAITING (ValueError) and its prompt must fit the whole pool
+        (:class:`KvCacheError`)."""
         if request.state is not RequestState.WAITING:
             raise ValueError(f"request {request.request_id} is not schedulable")
         needed = self.block_manager.blocks_needed(request.input_tokens)
@@ -120,6 +123,9 @@ class ContinuousBatchingScheduler:
                 f"blocks but the pool only has {self.block_manager.num_blocks}; "
                 "it can never be scheduled"
             )
+
+    def submit(self, request: Request) -> None:
+        self.validate(request)
         self._tiers_seen.add(request.tier)
         _insort_by_arrival(self.waiting, request)
 

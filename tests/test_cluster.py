@@ -166,7 +166,41 @@ class TestNodeHealth:
         victims = node.crash()
         assert victims == [request]
         assert request.state is RequestState.FAILED
-        assert node.inflight == []
+        assert not node.inflight
+        assert node.reap() == []  # the crash path already handed them over
+
+
+    def test_reap_returns_terminal_attempts_in_feed_order(self):
+        node = self._node()
+        node.begin()
+        requests = [
+            Request(request_id=i, input_tokens=64, output_tokens=4, arrival_time=0.0)
+            for i in range(3)
+        ]
+        for request in requests:
+            node.feed(request)
+        node.cancel(requests[2], "gateway-timeout: test")
+        node.cancel(requests[0], "gateway-timeout: test")
+        assert node.reap() == [requests[0], requests[2]]
+        assert list(node.inflight.values()) == [requests[1]]
+        assert node.load == 1
+        node.advance_to(math.inf)
+        assert node.reap() == [requests[1]]
+        assert node.load == 0
+
+    def test_unreported_terminal_attempt_fails_the_audit(self):
+        from repro.audit import Auditor, AuditMode, FleetConservationError
+
+        node = self._node()
+        node.begin()
+        request = Request(request_id=0, input_tokens=64, output_tokens=4)
+        node.feed(request)
+        auditor = Auditor(AuditMode.STRICT, sample_fraction=1.0)
+        auditor.check_reaped(node.name, node.inflight.values(), node.outbox)
+        request.outbox = None  # the transition below bypasses the node
+        node.cancel(request, "gateway-timeout: test")
+        with pytest.raises(FleetConservationError, match="reap outbox"):
+            auditor.check_reaped(node.name, node.inflight.values(), node.outbox)
 
 
 class TestGatewayRouting:

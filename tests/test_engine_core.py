@@ -16,13 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import RunContext
 from repro.audit import (
     Auditor,
     AuditMode,
     ConfigError,
+    LifecycleError,
     TokenConservationError,
+    Watchdog,
     audit_scope,
 )
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.models.llama import DecodeAttention, LLAMA_3_1_8B, LlamaCostModel
 from repro.serving import (
     LlmServingEngine,
@@ -38,7 +43,16 @@ from repro.serving.engine_core import (
     reset_counters,
 )
 from repro.serving.loadgen import poisson_arrivals
-from repro.serving.request import Request
+from repro.serving.kv_cache import KvCacheError
+from repro.serving.request import Request, RequestState, RetryPolicy
+
+
+#: What still pins a run to the scalar core, as engine keyword arguments.
+_SCALAR_ONLY = {
+    "injector": lambda: {"injector": FaultInjector(FaultPlan())},
+    "watchdog": lambda: {"watchdog": Watchdog(max_steps=10**6)},
+    "tracer": lambda: {"ctx": RunContext.create()},
+}
 
 
 def _engine(device, mode, attention=DecodeAttention.PAGED_OPT, **kwargs):
@@ -55,6 +69,13 @@ def _states(requests):
         (r.request_id, r.state.value, r.generated, r.first_token_time,
          r.finish_time, r.restarts, r.retries)
         for r in requests
+    ]
+
+
+def _full_states(requests):
+    return [
+        state + (r.checkpoint, r.shed_reason)
+        for state, r in zip(_states(requests), requests)
     ]
 
 
@@ -139,10 +160,17 @@ class TestGoldenEquivalence:
         assert engine._fast
         engine.finish()
 
-    def test_auto_mode_falls_back_with_policy(self, gaudi):
+    def test_auto_mode_falls_back_when_ineligible(self, gaudi):
+        """A device injector, a watchdog or per-step observability pins
+        auto mode to the scalar core; a policy alone does not."""
+        for blocker in _SCALAR_ONLY.values():
+            engine = _engine(gaudi, "auto", policy=ResiliencePolicy(), **blocker())
+            engine.begin(())
+            assert not engine._fast
+            engine.finish()
         engine = _engine(gaudi, "auto", policy=ResiliencePolicy())
         engine.begin(())
-        assert not engine._fast
+        assert engine._fast
         engine.finish()
 
 
@@ -224,10 +252,14 @@ class TestEngineModeConfig:
         with pytest.raises(ConfigError, match="engine_mode"):
             _engine(gaudi, "turbo")
 
-    def test_explicit_vectorized_with_policy_rejected(self, gaudi):
+    def test_explicit_vectorized_when_ineligible_rejected(self, gaudi):
+        for blocker in _SCALAR_ONLY.values():
+            engine = _engine(gaudi, "vectorized", **blocker())
+            with pytest.raises(ConfigError, match="vectorized"):
+                engine.begin(())
         engine = _engine(gaudi, "vectorized", policy=ResiliencePolicy())
-        with pytest.raises(ConfigError, match="vectorized"):
-            engine.begin(())
+        engine.begin(())  # a policy alone is eligible
+        engine.finish()
 
 
 class TestLifecycleOperations:
@@ -320,6 +352,45 @@ class TestRunnerAggregates:
             auditor.check_core_invariants(core)
 
 
+class TestWaitingInvariants:
+    """The exit sync skips waiting slots, so the strict audit checks
+    that their objects match the columns and that the queue keeps the
+    scheduler's ``(tier, arrival)`` order."""
+
+    def _core_with_waiters(self, gaudi):
+        engine = _engine(gaudi, "vectorized", max_decode_batch=2,
+                         policy=ResiliencePolicy())
+        requests = dynamic_sonnet_requests(12, seed=4)
+        for request in requests:
+            request.tier = request.request_id % 3
+        engine.begin(requests)
+        engine.advance(0.2)
+        core = engine._core
+        assert core.waiting_count > 2
+        Auditor(AuditMode.STRICT, sample_fraction=1.0).check_core_invariants(core)
+        return core
+
+    @pytest.mark.parametrize("field", [
+        "generated", "first_token_time", "restarts", "retries", "arrival_time",
+    ])
+    def test_stale_waiting_object_raises(self, gaudi, field):
+        core = self._core_with_waiters(gaudi)
+        request = core.objs[core.waiting_slots()[-1]]
+        setattr(request, field, (getattr(request, field) or 0) + 1)
+        auditor = Auditor(AuditMode.STRICT, sample_fraction=1.0)
+        with pytest.raises(LifecycleError, match="disagrees with its slot columns"):
+            auditor.check_core_invariants(core)
+
+    def test_queue_order_broken_raises(self, gaudi):
+        core = self._core_with_waiters(gaudi)
+        head = core.wait_head
+        q = core.wait_q
+        q[head], q[-1] = q[-1], q[head]
+        auditor = Auditor(AuditMode.STRICT, sample_fraction=1.0)
+        with pytest.raises(LifecycleError, match="tier, arrival"):
+            auditor.check_core_invariants(core)
+
+
 class TestCounters:
     def test_run_counters(self, gaudi):
         reset_counters()
@@ -377,12 +448,17 @@ class TestSlotRecycling:
             assert not free.intersection(live)
 
     @given(seed=st.integers(min_value=0, max_value=2**16))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_fuzzed_workload_equivalence(self, seed):
         """Random arrivals over a random pool block size (including one
-        that is not a divisor of the 128-token pricing block), a pool
-        that is either roomy or tight enough to force preemption, and an
-        optional cancel or fail_all at a random horizon."""
+        that is not a divisor of the 128-token pricing block); a pool
+        that is roomy, tight enough to force preemption, or too small
+        for a lone runner's decode; an optional ResiliencePolicy (TTFT
+        deadline with retries, admission watermark, checkpoints,
+        graceful or fail-fast exhaustion) with mixed tiers, per-request
+        deadlines and an oversized prompt; a request resumed with
+        progress; slowdowns changed between horizons; and an optional
+        cancel or fail_all."""
         from repro.hw.backend import get_backend
 
         device = get_backend("gaudi2")
@@ -392,6 +468,33 @@ class TestSlotRecycling:
         operation = str(rng.choice(["none", "cancel", "fail_all"]))
         horizon = float(rng.uniform(0.0, 1.5))
         pick = float(rng.uniform())
+        policy = None
+        if rng.uniform() < 0.6:
+            policy = ResiliencePolicy(
+                shed_on_exhaustion=bool(rng.uniform() < 0.8),
+                deadline=(
+                    float(rng.uniform(0.05, 1.0)) if rng.uniform() < 0.5 else None
+                ),
+                retry=RetryPolicy(
+                    max_retries=int(rng.integers(0, 4)),
+                    backoff_base=float(rng.uniform(0.01, 0.3)),
+                    jitter=float(rng.choice([0.0, 0.5])),
+                    seed=seed,
+                ),
+                checkpoint_interval=int(rng.integers(1, 40)),
+                admission_watermark=(
+                    float(rng.uniform(0.2, 1.0)) if rng.uniform() < 0.5 else 1.0
+                ),
+            )
+        mixed_tiers = bool(rng.uniform() < 0.5)
+        deadline_share = float(rng.uniform()) if rng.uniform() < 0.5 else 0.0
+        oversized = policy is not None and bool(rng.uniform() < 0.3)
+        resumed = bool(rng.uniform() < 0.3)
+        slowdowns = [
+            (float(rng.uniform(0.0, 1.5)), float(rng.choice([1.0, 1.25, 2.0])))
+            for _ in range(int(rng.integers(0, 3)))
+        ]
+        slowdowns.sort()
 
         def make():
             gen = np.random.default_rng(seed)
@@ -404,37 +507,67 @@ class TestSlotRecycling:
                     input_tokens=int(gen.integers(16, 700)),
                     output_tokens=int(gen.integers(1, 60)),
                     arrival_time=clock,
+                    tier=int(gen.integers(0, 3)) if mixed_tiers else 1,
+                    deadline=(
+                        float(gen.uniform(0.05, 1.0))
+                        if gen.uniform() < deadline_share else None
+                    ),
                 ))
             return requests
 
         # A tight pool still fits any single request's whole context, so
-        # runs preempt under contention but never exhaust a lone runner.
+        # runs preempt under contention; a starved one fits every prompt
+        # but not every whole context, so a lone runner can exhaust it
+        # (and a resumed request's context can block the idle pool).
         largest = max(-(-(r.input_tokens + r.output_tokens) // block_size)
                       for r in make())
-        if rng.uniform() < 0.5:
+        pool = float(rng.uniform())
+        if pool < 0.3:
             num_kv_blocks = largest + int(rng.integers(0, 8))
+        elif pool < 0.6:
+            num_kv_blocks = max(
+                -(-r.input_tokens // block_size) for r in make()
+            ) + int(rng.integers(0, 2))
         else:
             num_kv_blocks = 65536 // block_size
+        victim_index = int(rng.integers(0, count))
+        resumed_index = int(rng.integers(0, count))
 
         results = {}
         for mode in ("scalar", "vectorized"):
             requests = make()
+            if resumed:
+                request = requests[resumed_index]
+                request.generated = request.output_tokens // 2
+                if request.generated:
+                    request.first_token_time = request.arrival_time
+            if oversized:
+                requests[victim_index].input_tokens = num_kv_blocks * block_size + 1
             engine = _engine(device, mode, num_kv_blocks=num_kv_blocks,
-                             block_size=block_size)
-            engine.begin(requests)
+                             block_size=block_size, policy=policy)
             victims = []
-            if operation != "none":
-                engine.advance(horizon)
-                alive = [r for r in requests if not r.done]
-                if operation == "fail_all":
-                    victims = sorted(
-                        v.request_id for v in engine.fail_all("outage: test")
-                    )
-                elif alive:
-                    engine.cancel(alive[int(pick * len(alive))], "timeout: test")
-            engine.advance()
-            report = engine.finish()
-            results[mode] = (report.to_json(), _states(requests), victims)
+            outcome = None
+            try:
+                engine.begin(requests)
+                for at, slowdown in slowdowns:
+                    engine.advance(at)
+                    engine.slowdown = slowdown
+                if operation != "none":
+                    engine.advance(horizon)
+                    alive = [r for r in requests if r.state in (
+                        RequestState.WAITING, RequestState.RUNNING
+                    )]
+                    if operation == "fail_all":
+                        victims = sorted(
+                            v.request_id for v in engine.fail_all("outage: test")
+                        )
+                    elif alive:
+                        engine.cancel(alive[int(pick * len(alive))], "timeout: test")
+                engine.advance()
+                outcome = engine.finish().to_json()
+            except KvCacheError as error:  # fail-fast exhaustion
+                outcome = f"KvCacheError: {error}"
+            results[mode] = (outcome, _full_states(requests), victims)
         assert results["scalar"] == results["vectorized"]
 
 
