@@ -35,7 +35,7 @@ import pathlib
 import sys
 from typing import List, Optional
 
-from repro.audit.errors import ConfigError
+from repro.audit.errors import ConfigError, JournalError
 from repro.core.report import render_table
 from repro.hw.backend import (
     BACKENDS_ENV,
@@ -414,13 +414,12 @@ def _parse_nodes_spec(spec: str):
             continue
         match = re.fullmatch(r"(\d+)\s*x\s*([A-Za-z0-9_-]+)", part)
         if match is None:
-            raise SystemExit(
-                f"repro fleet: bad --nodes pool {part!r} "
-                "(expected e.g. '4x gaudi2,2x a100')"
+            raise ConfigError(
+                f"--nodes: bad pool {part!r} (expected e.g. '4x gaudi2,2x a100')"
             )
         pools.append((match.group(2), int(match.group(1))))
     if not pools:
-        raise SystemExit("repro fleet: --nodes names no pools")
+        raise ConfigError("--nodes names no pools")
     return tuple(pools)
 
 
@@ -441,8 +440,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     tenants = parse_tenants_spec(args.tenants) if args.tenants else ()
     admission = None
     if args.admission:
-        if not tenants:
-            raise SystemExit("repro fleet: --admission requires --tenants")
         admission = AdmissionPolicy(
             target_queue_delay=args.admission_target_delay,
             shed_queue_delay=args.shed_delay,
@@ -973,9 +970,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         configure(args.audit)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        # Bad user input (a flag value, a spec string, an artifact) is a
-        # usage error like argparse's own: one line and exit 2.
+    except (ConfigError, JournalError) as exc:
+        # Bad user input (a flag value, a spec string, an artifact or
+        # journal) is a usage error like argparse's own: one line, exit 2.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

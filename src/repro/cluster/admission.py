@@ -154,35 +154,6 @@ class TenantSpec:
                 f"got {self.ttft_slo!r}"
             )
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "tier": self.tier,
-            "share": self.share,
-            "weight": self.weight,
-            "quota_rate": self.quota_rate,
-            "quota_burst": self.quota_burst,
-            "ttft_slo": self.ttft_slo,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TenantSpec":
-        return cls(
-            name=str(data["name"]),
-            tier=int(data.get("tier", DEFAULT_TIER)),
-            share=float(data.get("share", 1.0)),
-            weight=float(data.get("weight", 1.0)),
-            quota_rate=(
-                None if data.get("quota_rate") is None
-                else float(data["quota_rate"])
-            ),
-            quota_burst=float(data.get("quota_burst", 4.0)),
-            ttft_slo=(
-                None if data.get("ttft_slo") is None
-                else float(data["ttft_slo"])
-            ),
-        )
-
 
 def parse_tenants_spec(spec: str) -> Tuple[TenantSpec, ...]:
     """Parse the ``--tenants`` CLI spec.
@@ -367,19 +338,6 @@ class BreakerPolicy:
         if self.cooldown <= 0:
             raise ConfigError(f"cooldown must be positive, got {self.cooldown!r}")
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "failure_threshold": self.failure_threshold,
-            "cooldown": self.cooldown,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "BreakerPolicy":
-        return cls(
-            failure_threshold=int(data.get("failure_threshold", 3)),
-            cooldown=float(data.get("cooldown", 2.0)),
-        )
-
 
 class CircuitBreaker:
     """CLOSED -> OPEN -> HALF_OPEN per-node failure isolation.
@@ -509,30 +467,6 @@ class AdmissionPolicy:
                 f"max_queue_delay ({self.max_queue_delay!r}) must exceed "
                 f"shed_queue_delay ({self.shed_queue_delay!r})"
             )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "target_queue_delay": self.target_queue_delay,
-            "shed_queue_delay": self.shed_queue_delay,
-            "evaluate_interval": self.evaluate_interval,
-            "brownout_max_new_tokens": self.brownout_max_new_tokens,
-            "max_inflight_per_node": self.max_inflight_per_node,
-            "max_queue_delay": self.max_queue_delay,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "AdmissionPolicy":
-        return cls(
-            target_queue_delay=float(data.get("target_queue_delay", 0.5)),
-            shed_queue_delay=float(data.get("shed_queue_delay", 2.0)),
-            evaluate_interval=float(data.get("evaluate_interval", 0.25)),
-            brownout_max_new_tokens=int(data.get("brownout_max_new_tokens", 64)),
-            max_inflight_per_node=(
-                None if data.get("max_inflight_per_node") is None
-                else int(data["max_inflight_per_node"])
-            ),
-            max_queue_delay=float(data.get("max_queue_delay", 30.0)),
-        )
 
 
 @dataclass
@@ -728,21 +662,6 @@ class UpgradePlan:
             raise ConfigError(
                 f"poll_interval must be positive, got {self.poll_interval!r}"
             )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "start": self.start,
-            "restart_delay": self.restart_delay,
-            "poll_interval": self.poll_interval,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "UpgradePlan":
-        return cls(
-            start=float(data.get("start", 0.0)),
-            restart_delay=float(data.get("restart_delay", 0.5)),
-            poll_interval=float(data.get("poll_interval", 0.25)),
-        )
 
     @classmethod
     def from_spec(cls, spec: str) -> "UpgradePlan":

@@ -64,34 +64,6 @@ class AutoscalePolicy:
                 f"provision_delay must be >= 0, got {self.provision_delay!r}"
             )
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "target_p99_ttft": self.target_p99_ttft,
-            "target_p99_tpot": self.target_p99_tpot,
-            "evaluate_interval": self.evaluate_interval,
-            "cooldown": self.cooldown,
-            "scale_down_factor": self.scale_down_factor,
-            "min_nodes": self.min_nodes,
-            "max_nodes": self.max_nodes,
-            "provision_delay": self.provision_delay,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "AutoscalePolicy":
-        return cls(
-            target_p99_ttft=float(data["target_p99_ttft"]),
-            target_p99_tpot=(
-                None if data.get("target_p99_tpot") is None
-                else float(data["target_p99_tpot"])
-            ),
-            evaluate_interval=float(data["evaluate_interval"]),
-            cooldown=float(data["cooldown"]),
-            scale_down_factor=float(data["scale_down_factor"]),
-            min_nodes=int(data["min_nodes"]),
-            max_nodes=int(data["max_nodes"]),
-            provision_delay=float(data["provision_delay"]),
-        )
-
 
 class Autoscaler:
     """Per-pool scale decisions against the policy's SLO targets."""

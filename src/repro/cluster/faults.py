@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.audit import ConfigError
 from repro.faults.plan import _parse_spec
@@ -66,23 +66,6 @@ class NodeFaultEvent:
         if self.factor is not None:
             parts.append(f"factor={self.factor:g}")
         return " ".join(parts)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "time": self.time,
-            "kind": self.kind.value,
-            "node": self.node,
-            "factor": self.factor,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "NodeFaultEvent":
-        return cls(
-            time=float(data["time"]),
-            kind=NodeFaultKind(data["kind"]),
-            node=str(data["node"]),
-            factor=None if data.get("factor") is None else float(data["factor"]),
-        )
 
 
 @dataclass
@@ -157,14 +140,6 @@ class NodeFaultPlan:
     @property
     def empty(self) -> bool:
         return not self.events
-
-    # -- (de)serialization ---------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        return {"events": [event.to_dict() for event in self.events]}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "NodeFaultPlan":
-        return cls(events=[NodeFaultEvent.from_dict(e) for e in data.get("events", [])])
 
     # -- CLI spec parsing ----------------------------------------------
     @classmethod

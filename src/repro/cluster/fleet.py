@@ -56,7 +56,7 @@ from repro.cluster.faults import NodeFaultEvent, NodeFaultKind, NodeFaultPlan
 from repro.cluster.gateway import ROUTING_POLICIES, FleetRequest, Gateway
 from repro.cluster.node import Node, NodeClass
 from repro.cluster.report import FleetResilienceReport, NodeReport, TenantReport
-from repro.core.journal import RunJournal
+from repro.core.journal import RunJournal, decode, encode
 from repro.core.metrics import percentile
 from repro.faults.report import GATEWAY_SHED_PREFIX
 from repro.hw.backend import GAUDI2, resolve_backend
@@ -154,105 +154,6 @@ class FleetConfig:
     def nodes_spec(self) -> str:
         """Display form, e.g. ``"4x gaudi2,2x a100"``."""
         return ",".join(f"{count}x {name}" for name, count in self.nodes)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "nodes": [[name, count] for name, count in self.nodes],
-            "model": self.model,
-            "tp": self.tp,
-            "max_decode_batch": self.max_decode_batch,
-            "num_kv_blocks": self.num_kv_blocks,
-            "num_requests": self.num_requests,
-            "rate": self.rate,
-            "diurnal": self.diurnal,
-            "diurnal_period": self.diurnal_period,
-            "seed": self.seed,
-            "policy": self.policy,
-            "timeout": self.timeout,
-            "retry": {
-                "max_retries": self.retry.max_retries,
-                "backoff_base": self.retry.backoff_base,
-                "backoff_multiplier": self.retry.backoff_multiplier,
-                "jitter": self.retry.jitter,
-                "max_backoff": self.retry.max_backoff,
-                "seed": self.retry.seed,
-            },
-            "hedge_after": self.hedge_after,
-            "probe_interval": self.probe_interval,
-            "recovery_warmup": self.recovery_warmup,
-            "deadline": self.deadline,
-            "checkpoint_interval": self.checkpoint_interval,
-            "admission_watermark": self.admission_watermark,
-            "autoscale": None if self.autoscale is None else self.autoscale.to_dict(),
-            "tenants": [spec.to_dict() for spec in self.tenants],
-            "admission": (
-                None if self.admission is None else self.admission.to_dict()
-            ),
-            "breaker": None if self.breaker is None else self.breaker.to_dict(),
-            "upgrade": None if self.upgrade is None else self.upgrade.to_dict(),
-            "plan": self.plan.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FleetConfig":
-        retry = data.get("retry", {})
-        return cls(
-            nodes=tuple((str(name), int(count)) for name, count in data["nodes"]),
-            model=str(data.get("model", "8b")),
-            tp=int(data.get("tp", 8)),
-            max_decode_batch=int(data.get("max_decode_batch", 32)),
-            num_kv_blocks=(
-                None if data.get("num_kv_blocks") is None
-                else int(data["num_kv_blocks"])
-            ),
-            num_requests=int(data["num_requests"]),
-            rate=float(data["rate"]),
-            diurnal=bool(data.get("diurnal", False)),
-            diurnal_period=float(data.get("diurnal_period", 60.0)),
-            seed=int(data.get("seed", 0)),
-            policy=str(data.get("policy", "round-robin")),
-            timeout=None if data.get("timeout") is None else float(data["timeout"]),
-            retry=RetryPolicy(
-                max_retries=int(retry.get("max_retries", 3)),
-                backoff_base=float(retry.get("backoff_base", 0.25)),
-                backoff_multiplier=float(retry.get("backoff_multiplier", 2.0)),
-                jitter=float(retry.get("jitter", 0.5)),
-                max_backoff=(
-                    None if retry.get("max_backoff") is None
-                    else float(retry["max_backoff"])
-                ),
-                seed=int(retry.get("seed", 0)),
-            ),
-            hedge_after=(
-                None if data.get("hedge_after") is None
-                else float(data["hedge_after"])
-            ),
-            probe_interval=float(data.get("probe_interval", 1.0)),
-            recovery_warmup=float(data.get("recovery_warmup", 0.5)),
-            deadline=None if data.get("deadline") is None else float(data["deadline"]),
-            checkpoint_interval=int(data.get("checkpoint_interval", 32)),
-            admission_watermark=float(data.get("admission_watermark", 1.0)),
-            autoscale=(
-                None if data.get("autoscale") is None
-                else AutoscalePolicy.from_dict(data["autoscale"])
-            ),
-            tenants=tuple(
-                TenantSpec.from_dict(item) for item in data.get("tenants", [])
-            ),
-            admission=(
-                None if data.get("admission") is None
-                else AdmissionPolicy.from_dict(data["admission"])
-            ),
-            breaker=(
-                None if data.get("breaker") is None
-                else BreakerPolicy.from_dict(data["breaker"])
-            ),
-            upgrade=(
-                None if data.get("upgrade") is None
-                else UpgradePlan.from_dict(data["upgrade"])
-            ),
-            plan=NodeFaultPlan.from_dict(data.get("plan", {})),
-        )
 
 
 class _FleetRun:
@@ -1178,18 +1079,18 @@ def run_fleet(
     if journal is not None:
         if not isinstance(journal, RunJournal):
             journal = RunJournal(journal)
-        journal.write_header({"tool": "fleet", "config": config.to_dict()})
+        journal.write_header({"tool": "fleet", "config": encode(config)})
         done = journal.completed_keys().get("fleet")
         if done is not None:
-            return FleetResilienceReport.from_payload(done)
+            return decode(FleetResilienceReport, done)
     run = _FleetRun(config, ctx=ctx)
     run.seed_workload()
     watchdog_reason = run.run()
     report = run.build_report(watchdog_reason)
     if journal is not None:
         for node_report in report.node_reports:
-            journal.append(f"node-{node_report.name}", node_report.to_payload())
-        journal.append("fleet", report.to_payload())
+            journal.append(f"node-{node_report.name}", encode(node_report))
+        journal.append("fleet", encode(report))
     return report
 
 
@@ -1204,5 +1105,5 @@ def resume_fleet(run_dir) -> FleetResilienceReport:
             f"journal {journal.path} was written by tool "
             f"{header.get('tool')!r}, not a fleet run"
         )
-    config = FleetConfig.from_dict(header["config"])
+    config = decode(FleetConfig, header.get("config"))
     return run_fleet(config, journal=journal)

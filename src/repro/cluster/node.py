@@ -76,30 +76,6 @@ class NodeClass:
                 f"max_decode_batch must be >= 1, got {self.max_decode_batch}"
             )
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "device": self.device,
-            "model": self.model,
-            "tp": self.tp,
-            "max_decode_batch": self.max_decode_batch,
-            "num_kv_blocks": self.num_kv_blocks,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "NodeClass":
-        return cls(
-            name=str(data["name"]),
-            device=str(data["device"]),
-            model=str(data.get("model", "8b")),
-            tp=int(data.get("tp", 8)),
-            max_decode_batch=int(data.get("max_decode_batch", 32)),
-            num_kv_blocks=(
-                None if data.get("num_kv_blocks") is None
-                else int(data["num_kv_blocks"])
-            ),
-        )
-
 
 class NodeState(enum.Enum):
     HEALTHY = "healthy"

@@ -10,8 +10,9 @@ reasons are likewise split by scope -- gateway-decided
 :func:`repro.faults.report.shed_reason_counts`, so fleet and node
 reports never double-count a rejection.
 
-``to_payload`` is the journal encoding: exact (unrounded) floats, so a
-resumed run rebuilds the report byte-identically.  ``to_dict`` is the
+The journal encoding is :func:`repro.core.journal.encode` (exact,
+unrounded floats, so a resumed run rebuilds the report
+byte-identically); ``to_payload`` is that encoding.  ``to_dict`` is the
 display encoding (rounded), and ``render`` is fixed-format -- the same
 seed and config always produce the same bytes.
 """
@@ -21,6 +22,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
+
+from repro.core.journal import encode
 
 __all__ = ["FleetResilienceReport", "NodeReport", "TenantReport"]
 
@@ -42,39 +45,6 @@ class TenantReport:
     ttft_slo: float         # 0.0 = no SLO configured
     slo_violations: int     # finished requests with TTFT above the SLO
 
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "tier": self.tier,
-            "admitted": self.admitted,
-            "finished": self.finished,
-            "shed": self.shed,
-            "quota_shed": self.quota_shed,
-            "overload_shed": self.overload_shed,
-            "unfinished": self.unfinished,
-            "mean_ttft": self.mean_ttft,
-            "p99_ttft": self.p99_ttft,
-            "ttft_slo": self.ttft_slo,
-            "slo_violations": self.slo_violations,
-        }
-
-    @classmethod
-    def from_payload(cls, data: Dict[str, object]) -> "TenantReport":
-        return cls(
-            name=str(data["name"]),
-            tier=int(data["tier"]),
-            admitted=int(data["admitted"]),
-            finished=int(data["finished"]),
-            shed=int(data["shed"]),
-            quota_shed=int(data["quota_shed"]),
-            overload_shed=int(data["overload_shed"]),
-            unfinished=int(data["unfinished"]),
-            mean_ttft=float(data["mean_ttft"]),
-            p99_ttft=float(data["p99_ttft"]),
-            ttft_slo=float(data["ttft_slo"]),
-            slo_violations=int(data["slo_violations"]),
-        )
-
 
 @dataclass(frozen=True)
 class NodeReport:
@@ -94,43 +64,6 @@ class NodeReport:
     total_output_tokens: int
     mean_ttft: float
     clock: float            # node engine's final virtual time
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "node_class": self.node_class,
-            "device": self.device,
-            "final_state": self.final_state,
-            "crashes": self.crashes,
-            "attempts": self.attempts,
-            "finished": self.finished,
-            "shed_engine": self.shed_engine,
-            "shed_gateway": self.shed_gateway,
-            "failed": self.failed,
-            "engine_steps": self.engine_steps,
-            "total_output_tokens": self.total_output_tokens,
-            "mean_ttft": self.mean_ttft,
-            "clock": self.clock,
-        }
-
-    @classmethod
-    def from_payload(cls, data: Dict[str, object]) -> "NodeReport":
-        return cls(
-            name=str(data["name"]),
-            node_class=str(data["node_class"]),
-            device=str(data["device"]),
-            final_state=str(data["final_state"]),
-            crashes=int(data["crashes"]),
-            attempts=int(data["attempts"]),
-            finished=int(data["finished"]),
-            shed_engine=int(data["shed_engine"]),
-            shed_gateway=int(data["shed_gateway"]),
-            failed=int(data["failed"]),
-            engine_steps=int(data["engine_steps"]),
-            total_output_tokens=int(data["total_output_tokens"]),
-            mean_ttft=float(data["mean_ttft"]),
-            clock=float(data["clock"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -201,122 +134,9 @@ class FleetResilienceReport:
     def completion_rate(self) -> float:
         return self.finished / self.admitted if self.admitted else 0.0
 
-    # -- journal encoding (exact) --------------------------------------
     def to_payload(self) -> Dict[str, object]:
-        """Exact (unrounded) payload; round-trips bit-identically
-        through :meth:`from_payload` -- the fleet-journal contract."""
-        return {
-            "nodes_spec": self.nodes_spec,
-            "policy": self.policy,
-            "seed": self.seed,
-            "admitted": self.admitted,
-            "finished": self.finished,
-            "shed": self.shed,
-            "unfinished": self.unfinished,
-            "attempts": self.attempts,
-            "attempt_finished": self.attempt_finished,
-            "attempt_shed_engine": self.attempt_shed_engine,
-            "attempt_shed_gateway": self.attempt_shed_gateway,
-            "attempt_failed": self.attempt_failed,
-            "retries": self.retries,
-            "failovers": self.failovers,
-            "timeouts": self.timeouts,
-            "hedges": self.hedges,
-            "hedge_wasted": self.hedge_wasted,
-            "probes": self.probes,
-            "node_crashes": self.node_crashes,
-            "scale_ups": self.scale_ups,
-            "scale_downs": self.scale_downs,
-            "total_time": self.total_time,
-            "total_output_tokens": self.total_output_tokens,
-            "throughput_tokens_per_s": self.throughput_tokens_per_s,
-            "mean_ttft": self.mean_ttft,
-            "p99_ttft": self.p99_ttft,
-            "mean_tpot": self.mean_tpot,
-            "p99_tpot": self.p99_tpot,
-            "shed_reasons_gateway": [list(item) for item in self.shed_reasons_gateway],
-            "shed_reasons_engine": [list(item) for item in self.shed_reasons_engine],
-            "node_reports": [node.to_payload() for node in self.node_reports],
-            "fault_log": list(self.fault_log),
-            "autoscale_log": list(self.autoscale_log),
-            "watchdog_reason": self.watchdog_reason,
-            "tenant_reports": [tenant.to_payload() for tenant in self.tenant_reports],
-            "quota_sheds": self.quota_sheds,
-            "overload_sheds": self.overload_sheds,
-            "brownout_entries": self.brownout_entries,
-            "admission_mode_log": list(self.admission_mode_log),
-            "breaker_opens": self.breaker_opens,
-            "breaker_probes": self.breaker_probes,
-            "breaker_closes": self.breaker_closes,
-            "breaker_short_circuits": self.breaker_short_circuits,
-            "upgrades_started": self.upgrades_started,
-            "upgrades_completed": self.upgrades_completed,
-            "upgrade_log": list(self.upgrade_log),
-        }
-
-    @classmethod
-    def from_payload(cls, data: Dict[str, object]) -> "FleetResilienceReport":
-        return cls(
-            nodes_spec=str(data["nodes_spec"]),
-            policy=str(data["policy"]),
-            seed=int(data["seed"]),
-            admitted=int(data["admitted"]),
-            finished=int(data["finished"]),
-            shed=int(data["shed"]),
-            unfinished=int(data["unfinished"]),
-            attempts=int(data["attempts"]),
-            attempt_finished=int(data["attempt_finished"]),
-            attempt_shed_engine=int(data["attempt_shed_engine"]),
-            attempt_shed_gateway=int(data["attempt_shed_gateway"]),
-            attempt_failed=int(data["attempt_failed"]),
-            retries=int(data["retries"]),
-            failovers=int(data["failovers"]),
-            timeouts=int(data["timeouts"]),
-            hedges=int(data["hedges"]),
-            hedge_wasted=int(data["hedge_wasted"]),
-            probes=int(data["probes"]),
-            node_crashes=int(data["node_crashes"]),
-            scale_ups=int(data["scale_ups"]),
-            scale_downs=int(data["scale_downs"]),
-            total_time=float(data["total_time"]),
-            total_output_tokens=int(data["total_output_tokens"]),
-            throughput_tokens_per_s=float(data["throughput_tokens_per_s"]),
-            mean_ttft=float(data["mean_ttft"]),
-            p99_ttft=float(data["p99_ttft"]),
-            mean_tpot=float(data["mean_tpot"]),
-            p99_tpot=float(data["p99_tpot"]),
-            shed_reasons_gateway=tuple(
-                (str(reason), int(count))
-                for reason, count in data.get("shed_reasons_gateway", [])
-            ),
-            shed_reasons_engine=tuple(
-                (str(reason), int(count))
-                for reason, count in data.get("shed_reasons_engine", [])
-            ),
-            node_reports=tuple(
-                NodeReport.from_payload(node) for node in data.get("node_reports", [])
-            ),
-            fault_log=tuple(str(entry) for entry in data.get("fault_log", [])),
-            autoscale_log=tuple(str(entry) for entry in data.get("autoscale_log", [])),
-            watchdog_reason=str(data.get("watchdog_reason", "")),
-            tenant_reports=tuple(
-                TenantReport.from_payload(tenant)
-                for tenant in data.get("tenant_reports", [])
-            ),
-            quota_sheds=int(data.get("quota_sheds", 0)),
-            overload_sheds=int(data.get("overload_sheds", 0)),
-            brownout_entries=int(data.get("brownout_entries", 0)),
-            admission_mode_log=tuple(
-                str(entry) for entry in data.get("admission_mode_log", [])
-            ),
-            breaker_opens=int(data.get("breaker_opens", 0)),
-            breaker_probes=int(data.get("breaker_probes", 0)),
-            breaker_closes=int(data.get("breaker_closes", 0)),
-            breaker_short_circuits=int(data.get("breaker_short_circuits", 0)),
-            upgrades_started=int(data.get("upgrades_started", 0)),
-            upgrades_completed=int(data.get("upgrades_completed", 0)),
-            upgrade_log=tuple(str(entry) for entry in data.get("upgrade_log", [])),
-        )
+        """The exact journal encoding (:func:`~repro.core.journal.encode`)."""
+        return encode(self)
 
     # -- Report protocol (display encodings) ---------------------------
     def to_dict(self) -> Dict[str, object]:

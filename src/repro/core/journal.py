@@ -18,19 +18,32 @@ crash-at-the-wrong-moment artifact -- is detected and the line is
 skipped on load rather than poisoning the resume.  Appends flush and
 fsync before returning: once :meth:`RunJournal.append` returns, the
 point survives the process.
+
+:func:`encode` / :func:`decode` are the one codec every journal writer
+and reader uses for typed values: dataclasses become plain dicts in
+field order, exactly (floats unrounded), and :func:`decode` rebuilds
+them from the field annotations.  ``to_dict`` methods elsewhere are
+*display* encodings (rounded, with derived rates) and never journaled.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import json
 import os
 import pathlib
+import typing
 import zlib
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple, Type, TypeVar, Union
+
+import numpy as np
 
 from repro.audit.errors import JournalError
 
-__all__ = ["RunJournal", "canonical_json", "checksum"]
+__all__ = ["RunJournal", "canonical_json", "checksum", "decode", "encode"]
+
+T = TypeVar("T")
 
 #: File name used for the journal inside a run directory.
 JOURNAL_NAME = "journal.jsonl"
@@ -44,6 +57,92 @@ def canonical_json(payload: object) -> str:
 def checksum(payload: object) -> int:
     """CRC32 over the canonical JSON encoding of ``payload``."""
     return zlib.crc32(canonical_json(payload).encode("utf-8")) & 0xFFFFFFFF
+
+
+def encode(value: object) -> object:
+    """``value`` as plain JSON types, exactly (no rounding).
+
+    Dataclasses become dicts of their fields in declaration order,
+    enums their ``.value``, tuples and lists lists, dict keys strings,
+    numpy scalars their Python equivalent.  Anything else raises
+    :class:`TypeError`.
+    """
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, np.generic):
+        return value.item()
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            item.name: encode(getattr(value, item.name))
+            for item in dataclasses.fields(value)
+        }
+    if isinstance(value, (list, tuple)):
+        return [encode(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): encode(item) for key, item in value.items()}
+    raise TypeError(f"cannot journal a {type(value).__name__}: {value!r}")
+
+
+def decode(cls: Type[T], payload: object) -> T:
+    """Rebuild a ``cls`` instance from its :func:`encode` payload.
+
+    Missing keys take the field's default, unknown keys are ignored,
+    and ``__post_init__`` validation runs as on construction.  A
+    missing required field or a value that does not fit its annotation
+    raises :class:`~repro.audit.JournalError` naming ``Class.field``.
+    """
+    return _decode(cls, payload, cls.__name__)
+
+
+def _decode(hint: object, value: object, where: str) -> object:
+    if dataclasses.is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise JournalError(f"{where}: expected an object, got {value!r}")
+        hints = typing.get_type_hints(hint)
+        kwargs = {}
+        for item in dataclasses.fields(hint):
+            name = f"{hint.__name__}.{item.name}"
+            if item.name in value:
+                kwargs[item.name] = _decode(hints[item.name], value[item.name], name)
+            elif (item.default is dataclasses.MISSING
+                  and item.default_factory is dataclasses.MISSING):
+                raise JournalError(f"{name}: missing required field")
+        return hint(**kwargs)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Union:
+        if value is None and type(None) in args:
+            return None
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        return _decode(inner, value, where)
+    if origin in (list, tuple):
+        if not isinstance(value, list):
+            raise JournalError(f"{where}: expected a list, got {value!r}")
+        if origin is list or args[-1] is Ellipsis:
+            items = [_decode(args[0], item, where) for item in value]
+            return items if origin is list else tuple(items)
+        if len(value) != len(args):
+            raise JournalError(
+                f"{where}: expected {len(args)} items, got {value!r}"
+            )
+        return tuple(_decode(arg, item, where) for arg, item in zip(args, value))
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        try:
+            return hint(value)
+        except ValueError:
+            raise JournalError(
+                f"{where}: {value!r} is not a {hint.__name__}"
+            ) from None
+    if hint is float:
+        accepted: Tuple[type, ...] = (int, float)
+    elif hint in (bool, int, str):
+        accepted = (hint,)
+    else:
+        raise TypeError(f"{where}: cannot decode annotation {hint!r}")
+    if isinstance(value, accepted) and isinstance(value, bool) == (hint is bool):
+        return value
+    raise JournalError(f"{where}: expected {hint.__name__}, got {value!r}")
 
 
 class RunJournal:

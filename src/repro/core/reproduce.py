@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.audit.errors import JournalError
-from repro.core.journal import RunJournal
+from repro.core.journal import RunJournal, encode
 from repro.core.parallel import map_with_retries
 
 __all__ = ["ReproduceResult", "reproduce", "resume"]
@@ -33,37 +33,13 @@ __all__ = ["ReproduceResult", "reproduce", "resume"]
 DIE_EXIT_CODE = 86
 
 
-def _jsonable(value):
-    """Recursively coerce numpy scalars etc. into JSON-native types."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if hasattr(value, "item"):  # numpy scalar
-        return value.item()
-    return str(value)
-
-
-def _figure_payload(result) -> Dict[str, object]:
-    """One figure's journal payload (plain JSON types only)."""
-    return {
-        "figure_id": result.figure_id,
-        "title": result.title,
-        "rows": _jsonable(result.rows),
-        "summary": _jsonable(result.summary),
-        "text": result.text,
-    }
-
-
 def _run_one(task) -> Dict[str, object]:
     """Process-pool task: run one figure, return its payload.  Top
     level so it pickles; workers inherit ``REPRO_AUDIT`` via env."""
     figure_id, fast = task
     from repro.figures import run_figure
 
-    return _figure_payload(run_figure(figure_id=figure_id, fast=fast))
+    return encode(run_figure(figure_id=figure_id, fast=fast))
 
 
 @dataclass

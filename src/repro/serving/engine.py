@@ -174,33 +174,6 @@ class ServingReport:
             "watchdog_reason": self.watchdog_reason,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServingReport":
-        """Rebuild a report from its :meth:`to_dict` payload (derived
-        rates are recomputed, not read back) -- the journal-resume path
-        for sweep points."""
-        return cls(
-            device=data["device"],
-            attention=data["attention"],
-            num_requests=int(data["num_requests"]),
-            max_decode_batch=int(data["max_decode_batch"]),
-            total_time=float(data["total_time"]),
-            total_output_tokens=int(data["total_output_tokens"]),
-            mean_ttft=float(data["mean_ttft"]),
-            mean_tpot=float(data["mean_tpot"]),
-            average_power=float(data["average_power"]),
-            engine_steps=int(data["engine_steps"]),
-            preemptions=int(data["preemptions"]),
-            finished_requests=int(data.get("finished_requests", 0)),
-            shed_requests=int(data.get("shed_requests", 0)),
-            failed_requests=int(data.get("failed_requests", 0)),
-            unfinished_requests=int(data.get("unfinished_requests", 0)),
-            retried_requests=int(data.get("retried_requests", 0)),
-            kernel_retries=int(data.get("kernel_retries", 0)),
-            device_failures=int(data.get("device_failures", 0)),
-            watchdog_reason=str(data.get("watchdog_reason", "")),
-        )
-
     def to_json(self) -> str:
         """The report as a JSON document."""
         import json

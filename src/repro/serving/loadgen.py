@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.audit import ConfigError
+from repro.core.journal import RunJournal, decode, encode
 from repro.core.metrics import goodput_fraction, percentile, slo_violation_rate
 from repro.core.parallel import map_with_retries, resolve_worker_count
 from repro.serving.engine import LlmServingEngine, ServingReport
@@ -61,29 +62,6 @@ class LoadTestReport:
     @property
     def goodput_fraction(self) -> float:
         return self.achieved_rate / self.offered_rate if self.offered_rate else 0.0
-
-    def to_dict(self) -> dict:
-        """Exact (unrounded) JSON payload; round-trips bit-identically
-        through :meth:`from_dict` -- the sweep-journal contract."""
-        return {
-            "offered_rate": self.offered_rate,
-            "achieved_rate": self.achieved_rate,
-            "mean_ttft": self.mean_ttft,
-            "p99_ttft": self.p99_ttft,
-            "mean_tpot": self.mean_tpot,
-            "saturated": self.saturated,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LoadTestReport":
-        return cls(
-            offered_rate=float(data["offered_rate"]),
-            achieved_rate=float(data["achieved_rate"]),
-            mean_ttft=float(data["mean_ttft"]),
-            p99_ttft=float(data["p99_ttft"]),
-            mean_tpot=float(data["mean_tpot"]),
-            saturated=bool(data["saturated"]),
-        )
 
 
 def _check_request_factory(request_factory: object) -> None:
@@ -281,38 +259,6 @@ class ResilientLoadReport:
     def completion_rate(self) -> float:
         return self.serving.completion_rate
 
-    def to_dict(self) -> dict:
-        """JSON payload for sweep journaling.  Top-level fields are
-        exact; the nested serving report keeps its standard (rounded at
-        1e-9) encoding."""
-        return {
-            "offered_rate": self.offered_rate,
-            "finished": self.finished,
-            "shed": self.shed,
-            "failed": self.failed,
-            "retried": self.retried,
-            "mean_ttft": self.mean_ttft,
-            "p99_ttft": self.p99_ttft,
-            "slo_violation_rate": self.slo_violation_rate,
-            "goodput_fraction": self.goodput_fraction,
-            "serving": self.serving.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ResilientLoadReport":
-        return cls(
-            offered_rate=float(data["offered_rate"]),
-            finished=int(data["finished"]),
-            shed=int(data["shed"]),
-            failed=int(data["failed"]),
-            retried=int(data["retried"]),
-            mean_ttft=float(data["mean_ttft"]),
-            p99_ttft=float(data["p99_ttft"]),
-            slo_violation_rate=float(data["slo_violation_rate"]),
-            goodput_fraction=float(data["goodput_fraction"]),
-            serving=ServingReport.from_dict(data["serving"]),
-        )
-
 
 def run_resilient_load_test(
     *,
@@ -442,8 +388,6 @@ def run_load_sweep(
     report_cls = ResilientLoadReport if resilient else LoadTestReport
     reports: List[Optional[LoadTestReport]] = [None] * len(tasks)
     if journal is not None:
-        from repro.core.journal import RunJournal
-
         if not isinstance(journal, RunJournal):
             journal = RunJournal(journal)
         journal.write_header({
@@ -456,14 +400,14 @@ def run_load_sweep(
         for index in range(len(tasks)):
             payload = points.get(_point_key(index))
             if payload is not None:
-                reports[index] = report_cls.from_dict(payload)
+                reports[index] = decode(report_cls, payload)
     pending = [index for index in range(len(tasks)) if reports[index] is None]
 
     def _store(position: int, report) -> None:
         index = pending[position]
         reports[index] = report
         if journal is not None:
-            journal.append(_point_key(index), report.to_dict())
+            journal.append(_point_key(index), encode(report))
 
     if pending:
         map_with_retries(

@@ -25,6 +25,7 @@ from repro.cluster.admission import (
     reset_counters,
     snapshot_counters,
 )
+from repro.core.journal import decode, encode
 from repro.serving.request import RetryPolicy
 
 
@@ -54,7 +55,7 @@ class TestTenantSpec:
             name="gold", tier=0, share=0.25, weight=4.0,
             quota_rate=8.0, quota_burst=8.0, ttft_slo=2.0,
         )
-        assert TenantSpec.from_dict(spec.to_dict()) == spec
+        assert decode(TenantSpec, encode(spec)) == spec
 
 
 class TestParseTenantsSpec:
@@ -347,7 +348,7 @@ class TestUpgradePlan:
 
     def test_dict_round_trip(self):
         plan = UpgradePlan(start=2.0, restart_delay=0.75, poll_interval=0.5)
-        assert UpgradePlan.from_dict(plan.to_dict()) == plan
+        assert decode(UpgradePlan, encode(plan)) == plan
 
 
 class TestRetryPolicyConfigErrors:

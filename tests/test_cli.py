@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.cluster import FleetConfig
+from repro.core.journal import RunJournal, encode
 
 
 class TestParser:
@@ -29,9 +31,31 @@ class TestInputErrors:
         (["chaos", "--fail-device", "x@t=1"], "--fail-device: invalid literal for int()"),
         (["fleet", "--chaos", "crash:gaudi2-0"], "bad fault spec 'gaudi2-0'"),
         (["fleet", "--tenants", "gold:tier=x"], "bad tenant spec 'gold:tier=x'"),
+        (["fleet", "--nodes", "4 gaudi2"], "--nodes: bad pool '4 gaudi2'"),
+        (["fleet", "--admission"], "admission control requires at least one tenant"),
     ])
     def test_bad_spec_exits_2(self, capsys, argv, message):
         assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("edit, message", [
+        (None, "no valid journal header"),
+        (lambda config: config.update(tp=0), "tp must be >= 1, got 0"),
+        (lambda config: config.update(nodes=[]), "fleet needs at least one node pool"),
+        (lambda config: config.pop("nodes"), "written by a different run configuration"),
+        (lambda config: config.update(tp="8"), "FleetConfig.tp: expected int, got '8'"),
+    ], ids=["missing-journal", "tp-0", "empty-nodes", "no-nodes", "tp-str"])
+    def test_bad_journal_exits_2(self, capsys, tmp_path, edit, message):
+        """``repro resume`` treats a missing or malformed journal as bad
+        input: one ``error:`` line and exit 2."""
+        run_dir = tmp_path / "run"
+        if edit is not None:
+            config = encode(FleetConfig(num_requests=4))
+            edit(config)
+            RunJournal(run_dir).write_header({"tool": "fleet", "config": config})
+        assert main(["resume", str(run_dir)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert len(err.splitlines()) == 1

@@ -19,6 +19,7 @@ from repro.cluster import (
     resume_fleet,
     run_fleet,
 )
+from repro.core.journal import decode, encode
 from repro.faults import GATEWAY_SHED_PREFIX, shed_reason_counts
 from repro.serving.dataset import fixed_length_requests
 from repro.serving.engine import LlmServingEngine
@@ -115,8 +116,7 @@ class TestNodeFaultPlan:
             NodeFaultKind.FABRIC_RESTORE,
             NodeFaultKind.NODE_RECOVER,
         ]
-        rebuilt = NodeFaultPlan.from_dict(plan.to_dict())
-        assert rebuilt.to_dict() == plan.to_dict()
+        assert decode(NodeFaultPlan, json.loads(json.dumps(encode(plan)))) == plan
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ConfigError):
@@ -438,11 +438,7 @@ class TestFleetRuns:
             hedge_after=1.0,
             diurnal=True,
         )
-        rebuilt = FleetConfig.from_dict(
-            json.loads(json.dumps(config.to_dict()))
-        )
-        assert rebuilt.to_dict() == config.to_dict()
-        assert rebuilt == config
+        assert decode(FleetConfig, json.loads(json.dumps(encode(config)))) == config
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -491,11 +487,8 @@ class TestFleetJournal:
 
     def test_report_payload_round_trip(self):
         report = run_fleet(_small_config())
-        rebuilt = FleetResilienceReport.from_payload(
-            json.loads(json.dumps(report.to_payload()))
-        )
-        assert rebuilt.to_payload() == report.to_payload()
-        assert rebuilt == report
+        payload = json.loads(json.dumps(encode(report)))
+        assert decode(FleetResilienceReport, payload) == report
 
 
 class TestFleetObservability:

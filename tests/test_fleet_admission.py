@@ -13,6 +13,7 @@ from repro.cluster import (
     resume_fleet,
     run_fleet,
 )
+from repro.core.journal import decode, encode
 
 #: The premium tier's TTFT SLO (seconds) used across these tests.
 TIER0_SLO = 2.0
@@ -51,13 +52,13 @@ class TestConfigPlumbing:
             breaker=BreakerPolicy(failure_threshold=2, cooldown=1.5),
             upgrade=UpgradePlan(start=1.0, restart_delay=0.75),
         )
-        assert FleetConfig.from_dict(config.to_dict()) == config
+        assert decode(FleetConfig, encode(config)) == config
 
     def test_legacy_dict_without_admission_keys_loads(self):
-        data = FleetConfig().to_dict()
+        data = encode(FleetConfig())
         for key in ("tenants", "admission", "breaker", "upgrade"):
             data.pop(key, None)
-        config = FleetConfig.from_dict(data)
+        config = decode(FleetConfig, data)
         assert config.tenants == ()
         assert config.admission is None
         assert config.breaker is None

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from repro.audit import JournalError, WorkerRetryExhausted
-from repro.core.journal import RunJournal, canonical_json, checksum
+from repro.core.journal import RunJournal, canonical_json, checksum, encode
 from repro.core.parallel import map_with_retries
 from repro.core.reproduce import DIE_EXIT_CODE, reproduce, resume
 from repro.hw import get_backend
@@ -156,15 +156,17 @@ def _poisoned_engine():
 class TestSweepJournal:
     RATES = [2.0, 400.0]
 
-    def test_completed_points_are_reused(self, tmp_path):
+    @pytest.mark.parametrize("resilient", [False, True])
+    def test_completed_points_are_reused(self, tmp_path, resilient):
         first = run_load_sweep(
             engine_factory=_sweep_engine, request_factory=_sweep_requests,
-            rates=self.RATES, seed=5, journal=tmp_path,
+            rates=self.RATES, seed=5, journal=tmp_path, resilient=resilient,
         )
-        # Every point is journaled, so a re-run touches no factory at all.
+        # Every point is journaled, so a re-run touches no factory at all,
+        # and the decoded reports equal the computed ones exactly.
         second = run_load_sweep(
             engine_factory=_poisoned_engine, request_factory=_poisoned_engine,
-            rates=self.RATES, seed=5, journal=tmp_path,
+            rates=self.RATES, seed=5, journal=tmp_path, resilient=resilient,
         )
         assert first == second
 
@@ -179,21 +181,23 @@ class TestSweepJournal:
         )
         assert plain == journaled
 
-    def test_partial_journal_runs_only_missing_points(self, tmp_path):
+    @pytest.mark.parametrize("resilient", [False, True])
+    def test_partial_journal_runs_only_missing_points(self, tmp_path, resilient):
         full = run_load_sweep(
             engine_factory=_sweep_engine, request_factory=_sweep_requests,
             rates=self.RATES, seed=5, journal=tmp_path / "full",
+            resilient=resilient,
         )
         # Seed a second journal with only point 0, then complete it.
         partial = RunJournal(tmp_path / "partial")
         partial.write_header({
             "tool": "load_sweep", "rates": self.RATES, "seed": 5,
-            "resilient": False,
+            "resilient": resilient,
         })
-        partial.append("point-0000", full[0].to_dict())
+        partial.append("point-0000", encode(full[0]))
         resumed = run_load_sweep(
             engine_factory=_sweep_engine, request_factory=_sweep_requests,
-            rates=self.RATES, seed=5, journal=partial,
+            rates=self.RATES, seed=5, journal=partial, resilient=resilient,
         )
         assert resumed == full
 
