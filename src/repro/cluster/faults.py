@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.audit import ConfigError
-from repro.faults.plan import _parse_spec
+from repro.faults.plan import _parse_spec, check_link_factor
 
 __all__ = ["NodeFaultEvent", "NodeFaultKind", "NodeFaultPlan"]
 
@@ -112,8 +112,7 @@ class NodeFaultPlan:
         self, node: str, factor: float, at: float, until: Optional[float] = None
     ) -> "NodeFaultPlan":
         """Degrade one intra-node fabric link to ``factor`` bandwidth."""
-        if not 0.0 <= factor < 1.0:
-            raise ConfigError(f"fabric factor must be in [0, 1), got {factor!r}")
+        check_link_factor("fabric factor", factor, healthy_ok=False)
         self.add(NodeFaultEvent(at, NodeFaultKind.FABRIC_DEGRADE, node, factor=factor))
         if until is not None:
             if until <= at:

@@ -8,10 +8,9 @@ and bus bandwidth).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
-
 import copy
+from dataclasses import dataclass, fields
+from typing import Dict, Hashable
 
 from repro.comm.busbw import bus_bandwidth_factor
 from repro.core.memo import CostCache
@@ -40,6 +39,23 @@ _DEFAULT_OP_EFFICIENCY_NCCL: Dict[CollectiveOp, float] = {
     CollectiveOp.ALL_TO_ALL: 0.82,
     CollectiveOp.REDUCE: 0.95,
 }
+
+
+#: Collective memos by static pricing identity (see
+#: :meth:`CollectiveLibrary.pricing_key`): every library rebuilt for
+#: the same fabric -- per node, per model, per degraded view -- shares
+#: one memo.  Strong references, so ``clear_caches`` keeps finding them.
+_SHARED_RUN_CACHES: Dict[Hashable, CostCache] = {}
+
+
+def _shared_run_cache(library: "CollectiveLibrary") -> CostCache:
+    key = library.pricing_key()
+    cache = _SHARED_RUN_CACHES.get(key)
+    if cache is None:
+        cache = _SHARED_RUN_CACHES[key] = CostCache(
+            f"comm.{library.name.lower()}", maxsize=2048
+        )
+    return cache
 
 
 @dataclass(frozen=True)
@@ -73,7 +89,20 @@ class CollectiveLibrary:
         self.protocol_efficiency = protocol_efficiency
         self.op_efficiency = dict(op_efficiency)
         self.name = name
-        self._run_cache = CostCache(f"comm.{name.lower()}", maxsize=2048)
+        self._run_cache = _shared_run_cache(self)
+
+    def pricing_key(self) -> Hashable:
+        """Static pricing identity: everything a collective's cost
+        depends on except the fabric's live fault state, which per-call
+        keys carry through ``topology.cache_key()``.  Libraries with
+        equal keys price identically, so they share one memo."""
+        topology = self.topology
+        return (
+            type(self), self.name, self.protocol_efficiency,
+            tuple(sorted((op.value, eff) for op, eff in self.op_efficiency.items())),
+            type(topology),
+            tuple(getattr(topology, f.name) for f in fields(topology)),
+        )
 
     def run(self, op: CollectiveOp, size_bytes: float, participants: int) -> CollectiveReport:
         # Degraded topology views price against live fault state; their
@@ -107,8 +136,7 @@ class CollectiveLibrary:
         other = copy.copy(self)
         other.topology = topology
         other.op_efficiency = dict(self.op_efficiency)
-        # A shallow copy would share the memo across topologies.
-        other._run_cache = CostCache(f"comm.{self.name.lower()}", maxsize=2048)
+        other._run_cache = _shared_run_cache(other)
         return other
 
     def degraded(self, health: FabricHealth) -> "CollectiveLibrary":

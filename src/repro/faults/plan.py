@@ -23,6 +23,27 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.audit import ConfigError
 from repro.faults.events import FaultEvent, FaultKind
 
+#: Smallest usable fraction of a degraded link's bandwidth.  Factor 0
+#: is a severed link, which the fabric relays at its residual rate; a
+#: tiny positive factor would stretch every collective without bound
+#: (a fleet draining a node would poll it forever), so factors in
+#: ``(0, MIN_LINK_FACTOR)`` are rejected.
+MIN_LINK_FACTOR = 0.01
+
+
+def check_link_factor(what: str, factor: float, healthy_ok: bool) -> None:
+    """Raise :class:`ConfigError` naming ``what`` unless ``factor`` is 0
+    or in ``[MIN_LINK_FACTOR, 1)`` (``1`` included when ``healthy_ok``)."""
+    if not (
+        factor == 0.0
+        or MIN_LINK_FACTOR <= factor < 1.0
+        or (healthy_ok and factor == 1.0)
+    ):
+        bracket = "]" if healthy_ok else ")"
+        raise ConfigError(
+            f"{what} must be 0 or in [{MIN_LINK_FACTOR:g}, 1{bracket}, got {factor!r}"
+        )
+
 
 @dataclass
 class FaultPlan:
@@ -70,8 +91,7 @@ class FaultPlan:
             raise ConfigError(f"link devices must be >= 0, got {a}-{b}")
         if a == b:
             raise ConfigError(f"link endpoints must differ, got {a}-{b}")
-        if not 0.0 <= factor <= 1.0:
-            raise ConfigError(f"link factor must be in [0, 1], got {factor!r}")
+        check_link_factor("link factor", factor, healthy_ok=True)
         self.add(FaultEvent(at, FaultKind.LINK_DEGRADE, device=a, peer=b, factor=factor))
         if until is not None:
             if until <= at:

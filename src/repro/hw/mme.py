@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.memo import CostCache
 from repro.hw.spec import DeviceSpec, DType, GAUDI2_SPEC
@@ -118,9 +118,14 @@ class MmeModel:
             # The Figure 7(c) baseline: a fixed, non-configurable
             # 256x256x2 output-stationary array with the same peak.
             self.geometries = [SystolicGeometry(256, 256, 2)]
-        # The geometry search dominates the simulator's wall time; its
-        # result depends only on the shape key and this model's fixed
-        # geometry set, so it memoizes cleanly.
+        # The geometry search sees m and n only through ceil(m / h) and
+        # ceil(n / w) per geometry.  Every height and width is a
+        # multiple of the set's gcd, and ceil(m / (g * a)) ==
+        # ceil(ceil(m / g) / a), so shapes with equal ceil(m / g_h),
+        # ceil(n / g_w), k and dtype pick the same geometry in the same
+        # cycles: the search memoizes on that quotient class.
+        self._tile_h = math.gcd(*(geo.height for geo in self.geometries))
+        self._tile_w = math.gcd(*(geo.width for geo in self.geometries))
         self._config_cache = CostCache(f"mme.select_config[{spec.name}]", maxsize=8192)
 
     # ------------------------------------------------------------------
@@ -130,24 +135,27 @@ class MmeModel:
         The compiler minimizes compute cycles, breaking ties toward the
         configuration with fewer active MACs (power gating).
         """
-        key = (m, k, n, dtype)
-        config = self._config_cache.get(key)
-        if config is None:
-            config = self._select_config_uncached(m, k, n, dtype)
-            self._config_cache.put(key, config)
-        return config
-
-    def _select_config_uncached(self, m: int, k: int, n: int, dtype: DType) -> MmeConfig:
-        geo, timing = best_geometry(self.geometries, m, k, n)
-        clock = self.spec.matrix.clock_hz
-        dtype_scale = self.spec.matrix.peak(dtype) / self.spec.matrix.peak(DType.BF16)
-        compute_time = timing.cycles / (clock * MME_PIPELINE_EFFICIENCY * dtype_scale)
+        key = (-(-m // self._tile_h), k, -(-n // self._tile_w), dtype)
+        search = self._config_cache.get(key)
+        if search is None:
+            search = self._search_geometry(m, k, n, dtype)
+            self._config_cache.put(key, search)
+        geo, compute_time = search
+        # The memory term depends on the exact shape, not its class.
         traffic = blocked_gemm_traffic(
             m, k, n, dtype.itemsize, self.spec.memory.sram_bytes
         )
         mem_bw = self.spec.memory.bandwidth * self.spec.memory.stream_efficiency
-        memory_time = traffic / mem_bw
-        return MmeConfig(geometry=geo, compute_time=compute_time, memory_time=memory_time)
+        return MmeConfig(geometry=geo, compute_time=compute_time, memory_time=traffic / mem_bw)
+
+    def _search_geometry(
+        self, m: int, k: int, n: int, dtype: DType
+    ) -> Tuple[SystolicGeometry, float]:
+        """(geometry, compute seconds) of the compiler's pick."""
+        geo, timing = best_geometry(self.geometries, m, k, n)
+        clock = self.spec.matrix.clock_hz
+        dtype_scale = self.spec.matrix.peak(dtype) / self.spec.matrix.peak(DType.BF16)
+        return geo, timing.cycles / (clock * MME_PIPELINE_EFFICIENCY * dtype_scale)
 
     def gemm(self, m: int, k: int, n: int, dtype: DType = DType.BF16) -> GemmEstimate:
         """Estimate one GEMM's execution time and utilization."""

@@ -80,30 +80,25 @@ class _StepperCache(CostCache):
 _SHARED_STEPPERS = _StepperCache("llama.decode_stepper", maxsize=4096)
 
 #: Cross-instance phase-estimate caches, keyed by the same pricing
-#: identity as the shared steppers (device singleton, frozen config,
-#: graphs/bucket knobs; tensor-parallel models stay instance-private
-#: because their collective library is not part of the key, only its
-#: fabric fault state is).  The dict holds strong references so
-#: ``clear_caches`` keeps finding them after the models that created
-#: them are gone.
+#: identity as the shared steppers: device singleton, frozen config,
+#: graphs/bucket knobs and the tensor-parallel pricing key (degree plus
+#: the collective library's static identity).  The fabric's live fault
+#: state enters every per-call key instead (see ``_fabric_key``).  The
+#: dict holds strong references so ``clear_caches`` keeps finding them
+#: after the models that created them are gone.
 _SHARED_PHASE_CACHES: dict = {}
 
 
-def _phase_caches(device, config, use_graphs: bool, static_bucket: int):
+def _phase_caches(identity: tuple, label: str):
     """The (prefill, decode-terms) caches for one pricing identity,
     created on first use and shared by every later model with the same
     identity."""
-    key = (device, config, use_graphs, static_bucket)
-    caches = _SHARED_PHASE_CACHES.get(key)
+    caches = _SHARED_PHASE_CACHES.get(identity)
     if caches is None:
-        label = f"{device.name}/{config.name}"
-        if not use_graphs or static_bucket != 1:
-            label += f"/graphs={use_graphs}/bucket={static_bucket}"
-        caches = (
+        caches = _SHARED_PHASE_CACHES[identity] = (
             CostCache(f"llama.prefill[{label}]", maxsize=2048),
             CostCache(f"llama.decode_terms[{label}]", maxsize=1024),
         )
-        _SHARED_PHASE_CACHES[key] = caches
     return caches
 
 
@@ -334,21 +329,23 @@ class LlamaCostModel:
         self.tp.shard(config.q_heads, "q_heads")
         if self.tp.degree > 1:
             self.tp.shard(config.kv_heads, "kv_heads")
-        # Shape-keyed memo caches over the phase estimates, keyed with
-        # the fabric fault state (see _fabric_key).  Cached
-        # PhaseEstimates are shared between calls, so callers must
-        # treat them (and their activity accumulators) as read-only.
-        # Tensor-parallel degree 1 shares the cache *instances* across
-        # models with the same pricing identity (sweeps and fleets
-        # build many short-lived models over few device/config pairs).
-        if self.tp.degree == 1:
-            self._prefill_cache, self._decode_terms_cache = _phase_caches(
-                device, config, use_graphs, static_bucket
-            )
-        else:
-            label = f"{device.name}/{config.name}/tp={self.tp.degree}"
-            self._prefill_cache = CostCache(f"llama.prefill[{label}]", maxsize=2048)
-            self._decode_terms_cache = CostCache(f"llama.decode_terms[{label}]", maxsize=1024)
+        # Everything a price depends on besides the call shape and the
+        # fabric fault state (see _fabric_key): the key of the shared
+        # phase caches and of every shared stepper.
+        self._pricing_identity = (
+            device, config, use_graphs, static_bucket, self.tp.pricing_key(),
+        )
+        label = f"{device.name}/{config.name}"
+        if not use_graphs or static_bucket != 1:
+            label += f"/graphs={use_graphs}/bucket={static_bucket}"
+        if self.tp.degree != 1:
+            label += f"/tp={self.tp.degree}"
+        # Cached PhaseEstimates are shared between calls and models, so
+        # callers must treat them (and their activity accumulators) as
+        # read-only.
+        self._prefill_cache, self._decode_terms_cache = _phase_caches(
+            self._pricing_identity, label
+        )
         # Compiled per-(attention, batch, fault state) step closures;
         # pure in the aggregates, so a plain dict (no audit interplay)
         # is sound.  Cross-instance reuse goes through _SHARED_STEPPERS
@@ -628,24 +625,6 @@ class LlamaCostModel:
         return result.time
 
     # -- vectorized-engine fast path ---------------------------------------
-    def _shared_stepper_key(
-        self, attention: "DecodeAttention", batch: int, block_size: int
-    ):
-        """Cross-instance cache key, or None when the model cannot share.
-
-        A compiled stepper depends only on the device (an identity-
-        hashable cached singleton), the frozen config, the graphs/bucket
-        tuning knobs, and the call shape -- provided there is no tensor
-        parallelism (a TP library's collective costs are not part of
-        the key, so sharded models keep instance-private caches).
-        """
-        if self.tp.degree != 1:
-            return None
-        return (
-            self.device, self.config, self.use_graphs, self.static_bucket,
-            attention, batch, block_size,
-        )
-
     def decode_stepper(
         self,
         batch: int,
@@ -670,17 +649,17 @@ class LlamaCostModel:
                 "decode_stepper requires an unobserved config (no comm "
                 "metrics or event queue); use decode_step_stats"
             )
+        # A TP stepper folds comm_step at build time, so the fault state
+        # belongs in both keys.
         key = (attention, batch, block_size, self._fabric_key())
         stepper = self._stepper_cache.get(key)
         if stepper is not None:
             return stepper
-        shared_key = self._shared_stepper_key(attention, batch, block_size)
-        if shared_key is not None:
-            stepper = _SHARED_STEPPERS.get(shared_key)
+        shared_key = (self._pricing_identity, key)
+        stepper = _SHARED_STEPPERS.get(shared_key)
         if stepper is None:
             stepper = self._build_stepper(batch, attention, block_size)
-            if shared_key is not None:
-                _SHARED_STEPPERS.put(shared_key, stepper)
+            _SHARED_STEPPERS.put(shared_key, stepper)
         self._stepper_cache[key] = stepper
         return stepper
 

@@ -11,7 +11,7 @@ with TP degree (Figure 12(a)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Hashable, List, Optional, Tuple
 
 from repro.audit import get_auditor
 from repro.comm import CollectiveLibrary
@@ -53,6 +53,14 @@ class TensorParallelConfig:
         if not hasattr(device, "collective_library"):
             raise TypeError(f"unsupported device {device!r}")
         return cls(degree=degree, library=device.collective_library())
+
+    def pricing_key(self) -> Hashable:
+        """Static pricing identity: the degree plus the library's
+        :meth:`~repro.comm.CollectiveLibrary.pricing_key` (``None``
+        without a library).  The fabric's live fault state is not part
+        of it; phase caches key on that per call."""
+        library = self.library
+        return (self.degree, None if library is None else library.pricing_key())
 
     def shard(self, size: int, what: str = "dimension") -> int:
         """Split a sharded dimension, validating divisibility."""

@@ -33,6 +33,11 @@ class TestInputErrors:
         (["fleet", "--tenants", "gold:tier=x"], "bad tenant spec 'gold:tier=x'"),
         (["fleet", "--nodes", "4 gaudi2"], "--nodes: bad pool '4 gaudi2'"),
         (["fleet", "--admission"], "admission control requires at least one tenant"),
+        # Below MIN_LINK_FACTOR a collective takes unboundedly long.
+        (["fleet", "--chaos", "fabric:gaudi2-0@t=1,factor=1e-45"],
+         "fabric factor must be 0 or in [0.01, 1), got 1e-45"),
+        (["chaos", "--degrade-link", "0-1@t=1,factor=1e-45"],
+         "--degrade-link: link factor must be 0 or in [0.01, 1], got 1e-45"),
     ])
     def test_bad_spec_exits_2(self, capsys, argv, message):
         assert main(argv) == 2

@@ -25,6 +25,7 @@ from repro.cluster import (
     run_fleet,
 )
 from repro.cluster.node import Node
+from repro.faults.plan import MIN_LINK_FACTOR
 from repro.serving.engine_core import counters_snapshot, reset_counters
 from repro.serving.request import RetryPolicy
 
@@ -125,11 +126,9 @@ def fleet_configs(draw):
                       at, until=at + draw(st.floats(0.5, 4.0)))
     if draw(st.booleans()):
         at = draw(st.floats(0.0, 3.0))
-        # A down link (0) or one above 5%: a near-zero positive factor
-        # prices collectives so slowly that a fleet draining for an
-        # upgrade never finishes on either core (see ROADMAP).
+        # A down link (0) or any factor the plan accepts.
         plan.degrade_fabric(draw(st.sampled_from(names)),
-                            draw(st.just(0.0) | st.floats(0.05, 0.9)),
+                            draw(st.just(0.0) | st.floats(MIN_LINK_FACTOR, 0.9)),
                             at, until=at + draw(st.floats(0.5, 4.0)))
     if draw(st.booleans()):
         plan.blip(draw(st.sampled_from(names)), draw(st.floats(0.0, 3.0)),

@@ -1,9 +1,16 @@
 """Gaudi-2 MME model (Figures 4, 5, 7)."""
 
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import memo
+from repro.hw.gaudi3 import GAUDI3_GEOMETRIES, GAUDI3_SPEC
 from repro.hw.mme import DEFAULT_GEOMETRIES, MmeModel
 from repro.hw.spec import DType, GAUDI2_SPEC
+from repro.hw.systolic import best_geometry
 
 
 @pytest.fixture(scope="module")
@@ -110,3 +117,45 @@ class TestBatchedGemm:
     def test_invalid_batch_raises(self, mme):
         with pytest.raises(ValueError):
             mme.batched_gemm(0, 128, 128, 128)
+
+
+#: One model per geometry set; module-level so the class-keyed cache
+#: stays warm across hypothesis examples.
+_GEOMETRY_SETS = {
+    "gaudi2": MmeModel(),
+    "gaudi3": MmeModel(GAUDI3_SPEC, geometries=GAUDI3_GEOMETRIES),
+    "fixed-array": MmeModel(configurable=False),
+}
+
+
+def _sibling(value: int, tile: int, offset: int) -> int:
+    """Another member of ``value``'s class ``ceil(value / tile)``."""
+    return (-(-value // tile) - 1) * tile + 1 + offset % tile
+
+
+class TestClassKeyedSearch:
+    """The geometry search memoizes on ``(ceil(m / g_h), k, ceil(n /
+    g_w), dtype)``; a config served from a sibling shape's entry must
+    equal the exact search for the shape itself."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_GEOMETRY_SETS)),
+        # Small dims so examples share classes (the cache stays warm
+        # across examples); large ones for the tall/wide geometries.
+        m=st.integers(1, 1_100) | st.integers(1, 20_000),
+        k=st.sampled_from([1, 64, 4096]) | st.integers(1, 20_000),
+        n=st.integers(1, 1_100) | st.integers(1, 20_000),
+        dm=st.integers(0, 255),
+        dn=st.integers(0, 255),
+        dtype=st.sampled_from([DType.BF16, DType.FP32]),
+    )
+    def test_class_keyed_config_equals_exact_search(self, name, m, k, n, dm, dn, dtype):
+        model = _GEOMETRY_SETS[name]
+        g_h = math.gcd(*(g.height for g in model.geometries))
+        g_w = math.gcd(*(g.width for g in model.geometries))
+        model.select_config(_sibling(m, g_h, dm), k, _sibling(n, g_w, dn), dtype)
+        config = model.select_config(m, k, n, dtype)
+        assert config.geometry == best_geometry(model.geometries, m, k, n)[0]
+        with memo.disabled():
+            assert config == model.select_config(m, k, n, dtype)
