@@ -260,7 +260,8 @@ class Auditor:
         runner-set aggregates against their recomputation from the slot
         columns (the caller syncs the runners' ``generated`` first), the
         ``(tier, arrival)`` order of the wait queue, and the agreement
-        of every waiting Request with its columns.
+        of every waiting Request with its columns and of every finisher
+        awaiting retirement with its FINISHED state.
         """
         import numpy as np
 
@@ -339,6 +340,20 @@ class Auditor:
                 self.record_violation(LifecycleError(
                     f"engine core: waiting request {request.request_id} "
                     f"disagrees with its slot columns ({held} != {columns})"
+                ))
+                break
+        # Finishers publish when they finish, so the exit sync skips
+        # them as well.
+        for slot in core.finished_pending:
+            request = core.objs[slot]
+            if (
+                request.state.value != "finished"
+                or request.generated != int(core.generated[slot])
+            ):
+                self.record_violation(LifecycleError(
+                    f"engine core: finished request {request.request_id} "
+                    f"was not materialized ({request.state.value}, "
+                    f"{request.generated} tokens)"
                 ))
                 break
 

@@ -261,6 +261,8 @@ class WeightedFairQueue:
         self._queues: Dict[str, Deque[object]] = {}
         self._finish: Dict[str, float] = {}
         self._vtime = 0.0
+        #: Items queued over every tenant (kept so ``len`` is O(1)).
+        self._size = 0
 
     def register(self, name: str, weight: float) -> None:
         if weight <= 0:
@@ -281,6 +283,7 @@ class WeightedFairQueue:
                 max(self._vtime, self._finish[name]) + 1.0 / self._weights[name]
             )
         queue.append(item)
+        self._size += 1
         bump_counter("wfq_enqueues")
 
     def pop(self) -> Optional[Tuple[str, object]]:
@@ -294,6 +297,7 @@ class WeightedFairQueue:
         if best is None:
             return None
         item = self._queues[best].popleft()
+        self._size -= 1
         self._vtime = self._finish[best]
         if self._queues[best]:
             self._finish[best] += 1.0 / self._weights[best]
@@ -309,9 +313,10 @@ class WeightedFairQueue:
 
     def remove(self, name: str, item: object) -> None:
         self._queues[name].remove(item)
+        self._size -= 1
 
     def __len__(self) -> int:
-        return sum(len(q) for q in self._queues.values())
+        return self._size
 
 
 # -- circuit breakers --------------------------------------------------

@@ -60,6 +60,20 @@ class NodeFaultEvent:
             raise ConfigError(f"event time must be >= 0, got {self.time!r}")
         if not self.node:
             raise ConfigError("event must name a node")
+        # Checked here rather than in the builders, so a plan decoded
+        # from a journal is held to the same bounds as a parsed one.
+        factor = self.factor
+        if self.kind is NodeFaultKind.FABRIC_DEGRADE:
+            if factor is None:
+                raise ConfigError("fabric_degrade event needs a factor")
+            check_link_factor("fabric factor", factor, healthy_ok=False)
+        elif self.kind is NodeFaultKind.BROWNOUT:
+            if factor is None or not 0.0 < factor <= 1.0:
+                raise ConfigError(f"brownout factor must be in (0, 1], got {factor!r}")
+        elif factor is not None:
+            raise ConfigError(
+                f"{self.kind.value} event takes no factor, got {factor!r}"
+            )
 
     def describe(self) -> str:
         parts = [f"t={self.time:g}", self.kind.value, self.node]
@@ -97,8 +111,6 @@ class NodeFaultPlan:
         self, node: str, factor: float, at: float, until: Optional[float] = None
     ) -> "NodeFaultPlan":
         """Slow ``node`` to ``factor`` of its speed from ``at``."""
-        if not 0.0 < factor <= 1.0:
-            raise ConfigError(f"brownout factor must be in (0, 1], got {factor!r}")
         self.add(NodeFaultEvent(at, NodeFaultKind.BROWNOUT, node, factor=factor))
         if until is not None:
             if until <= at:
@@ -112,7 +124,6 @@ class NodeFaultPlan:
         self, node: str, factor: float, at: float, until: Optional[float] = None
     ) -> "NodeFaultPlan":
         """Degrade one intra-node fabric link to ``factor`` bandwidth."""
-        check_link_factor("fabric factor", factor, healthy_ok=False)
         self.add(NodeFaultEvent(at, NodeFaultKind.FABRIC_DEGRADE, node, factor=factor))
         if until is not None:
             if until <= at:

@@ -8,12 +8,14 @@ Clock/ownership model (see DESIGN.md for the full discussion):
   retry re-dispatches, hedges, autoscale ticks.  It is monotone and
   audited (:meth:`~repro.audit.RunAudit.observe_clock`).
 * Each :class:`~repro.cluster.node.Node` owns its engine's clock.
-  Before an event is handled, every node is advanced *to* the event
-  time; a batch-synchronous engine step that starts at or before the
-  horizon runs to completion, so node clocks may overrun the fleet
-  clock by up to one step.  Completions inside the overrun are
-  *observed* at the next advance -- exactly the smearing a real
-  gateway sees polling engines between scheduler ticks.
+  Before an event is handled, every node that can change is advanced
+  *to* the event time; a batch-synchronous engine step that starts at
+  or before the horizon runs to completion, so node clocks may overrun
+  the fleet clock by up to one step.  Completions inside the overrun
+  are *observed* at the next advance -- exactly the smearing a real
+  gateway sees polling engines between scheduler ticks.  Only nodes
+  with something in their reap outbox (or draining) are reaped, so an
+  event costs O(changes), not O(nodes) engine calls.
 * The gateway owns logical :class:`~repro.cluster.gateway.FleetRequest`
   state; nodes own per-attempt engine requests.  An attempt never
   outlives its node; a fleet request never belongs to a node.
@@ -312,8 +314,12 @@ class _FleetRun:
             node.advance_to(horizon)
 
     def reconcile(self) -> None:
-        """Fold newly terminal attempts into the fleet ledger."""
+        """Fold newly terminal attempts into the fleet ledger.  A node
+        with an empty outbox has nothing to reap unless it is draining
+        (it may retire once idle)."""
         for node in list(self.gateway.nodes.values()):
+            if not node.outbox and not node.draining:
+                continue
             for attempt in node.reap():
                 self._observe_attempt(node, attempt)
         if self.auditor is not None:
@@ -400,6 +406,18 @@ class _FleetRun:
     def _brownout_active(self) -> bool:
         return self.admission is not None and self.admission.brownout_active
 
+    def _has_headroom(self, limit: int) -> bool:
+        """Does some routable node with in-flight headroom have a
+        breaker that admits dispatches?  Breakers are consulted only
+        for nodes with headroom (``blocked`` is a pure query)."""
+        breakers = self.breakers
+        for node in self.gateway.nodes.values():
+            if node.routable and node.load < limit:
+                breaker = breakers.get(node.name)
+                if breaker is None or not breaker.blocked(self.now):
+                    return True
+        return False
+
     def pump(self) -> None:
         """Dispatch fair-queued arrivals while gateway headroom exists.
 
@@ -414,13 +432,7 @@ class _FleetRun:
         limit = controller.policy.max_inflight_per_node
         if limit is None:
             limit = self.config.max_decode_batch
-        while controller.queued:
-            avoid = self._breaker_avoid(self.now)
-            if not any(
-                node.routable and node.name not in avoid and node.load < limit
-                for node in self.gateway.nodes.values()
-            ):
-                break
+        while controller.queued and self._has_headroom(limit):
             entry = controller.pop_dispatchable()
             if entry is None:
                 break
@@ -568,6 +580,9 @@ class _FleetRun:
             RequestState.WAITING, RequestState.RUNNING
         ):
             return
+        # Fleet nodes skip the engine's exit sync of runner progress;
+        # copy it onto the attempt before reading its first token.
+        self.gateway.nodes[self.attempt_map[attempt_id][1]].engine.sync_live()
         if attempt.first_token_time is not None:
             return  # already streaming; no point hedging
         if self._brownout_active:
@@ -838,8 +853,21 @@ class _FleetRun:
     # -- report --------------------------------------------------------
     def build_report(self, watchdog_reason: str) -> FleetResilienceReport:
         config = self.config
-        finished = [r for r in self.requests if r.state is RequestState.FINISHED]
-        shed = [r for r in self.requests if r.state is RequestState.SHED]
+        # One pass over the requests: the fleet's finished and shed
+        # lists plus each tenant's requests, all in arrival order.
+        finished: List[FleetRequest] = []
+        shed: List[FleetRequest] = []
+        by_tenant: Dict[str, List[FleetRequest]] = {
+            spec.name: [] for spec in config.tenants
+        }
+        for request in self.requests:
+            if request.state is RequestState.FINISHED:
+                finished.append(request)
+            elif request.state is RequestState.SHED:
+                shed.append(request)
+            mine = by_tenant.get(request.tenant)
+            if mine is not None:
+                mine.append(request)
         unfinished = len(self.requests) - len(finished) - len(shed)
         ttfts = sorted(r.ttft for r in finished)
         tpots = sorted(r.tpot for r in finished)
@@ -888,7 +916,7 @@ class _FleetRun:
             gateway_shed_reasons[category] = gateway_shed_reasons.get(category, 0) + 1
         tenant_reports: List[TenantReport] = []
         for spec in config.tenants:
-            mine = [r for r in self.requests if r.tenant == spec.name]
+            mine = by_tenant[spec.name]
             tenant_finished = [r for r in mine if r.state is RequestState.FINISHED]
             tenant_shed = [r for r in mine if r.state is RequestState.SHED]
             quota_shed = sum(

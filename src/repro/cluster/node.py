@@ -19,8 +19,12 @@ port-count cliff).  No fault injector is bound, so nodes run on the
 vectorized engine core.
 
 Attempts report their own terminal transitions into the node's outbox
-(``Request.outbox``), so :meth:`Node.reap` costs O(transitions), not
-O(in flight).
+(``Request.outbox``) when the engine finishes, sheds or fails them, so
+:meth:`Node.reap` costs O(transitions), not O(in flight).  The fleet
+reads no live runner's progress on its hot path, so
+:meth:`Node.advance_to` skips the engine's exit copy of it
+(``sync_exit=False``); the one reader, the hedge handler, calls
+``engine.sync_live()`` first.
 """
 
 from __future__ import annotations
@@ -266,12 +270,18 @@ class Node:
         """Advance the node's engine clock to ``horizon``.
 
         Batch-synchronous steps that start at or before the horizon run
-        to completion, so the returned clock may overrun it; a dead or
-        idle node simply holds its clock.
+        to completion, so the returned clock may overrun it.  A dead,
+        unopened or idle node, or one whose clock already passed the
+        horizon, holds its clock without entering the engine (whose loop
+        would stop at once).
         """
-        if self.dead or not self._began:
-            return self.engine.now
-        return self.engine.advance(horizon)
+        engine = self.engine
+        if (
+            self.dead or not self._began or engine.now > horizon
+            or not engine.has_unfinished
+        ):
+            return engine.now
+        return engine.advance(horizon, sync_exit=False)
 
     def reap(self) -> List[Request]:
         """Pop attempts that reached a terminal state since last reap,

@@ -538,7 +538,7 @@ class LlmServingEngine:
             return self._core.has_unfinished
         return self.scheduler.has_unfinished
 
-    def advance(self, horizon: float = math.inf) -> float:
+    def advance(self, horizon: float = math.inf, *, sync_exit: bool = True) -> float:
         """Drive the step loop while work remains and steps start at or
         before ``horizon``; returns the clock.
 
@@ -550,9 +550,15 @@ class LlmServingEngine:
         :class:`~repro.audit.WatchdogExceeded` when the armed watchdog
         budget is exhausted (``run()`` converts that into a typed
         partial report).
+
+        Terminal transitions are always published when they happen.
+        ``sync_exit=False`` skips the vectorized core's exit copy of
+        runner progress (``generated``, ``first_token_time``,
+        ``checkpoint``) onto the live Request objects; a caller that
+        passes it reads runner progress only after :meth:`sync_live`.
         """
         if self._fast:
-            return self._advance_fast(horizon)
+            return self._advance_fast(horizon, sync_exit)
         audit = self._audit
         watchdog = self.watchdog
         tracer = self._tracer
@@ -709,12 +715,10 @@ class LlmServingEngine:
         preemption, then a *decode burst* -- consecutive decode steps
         priced against the runner set's integer context aggregates until
         the next membership-changing event.  Request objects are only
-        touched at lifecycle events and re-synchronized on exit (runners
-        and finishers, and only when a step ran), so callers observe the
-        exact scalar semantics.  ``sync_exit=False`` skips that exit
-        sync -- only for engine-internal loops (:meth:`run_streaming`)
-        where nothing can observe live request objects before the next
-        advance or :meth:`finish` syncs them.
+        touched at lifecycle events (a finisher is materialized as it
+        finishes) and runners are re-synchronized on exit (only when a
+        step ran), so callers observe the exact scalar semantics.
+        ``sync_exit=False`` skips that runner sync (see :meth:`advance`).
         """
         core = self._core
         audit = self._audit
@@ -746,7 +750,7 @@ class LlmServingEngine:
             if core.finished_pending:
                 for slot in core.finished_pending:
                     core.free_blocks += core.blocks_held(slot)
-                    self._fold_terminal(core.materialize_terminal(slot))
+                    self._fold_terminal(objs[slot])
                     core.release(slot)
                 core.finished_pending.clear()
             admitted: List[int] = []
@@ -790,7 +794,7 @@ class LlmServingEngine:
                     if self._graceful:
                         self._shed_slot(core.take_waiting(index), reason)
                         continue
-                    self._sync_objects()
+                    self.sync_live()
                     raise KvCacheError(
                         f"request {obj.request_id} cannot be admitted: {reason}"
                     )
@@ -811,9 +815,7 @@ class LlmServingEngine:
                 if np.isnan(first[slot]):
                     first[slot] = now
                 if gen[slot] >= out[slot]:
-                    state[slot] = SLOT_FINISHED
-                    finish[slot] = now
-                    core.finished_pending.append(slot)
+                    core.finish_slot(slot, now)
                 else:
                     core.join(slot)
             if admitted and audit is not None:
@@ -842,13 +844,14 @@ class LlmServingEngine:
                 self._preemptions += 1
             now = self._decode_burst(now, horizon, slowdown)
         if sync_exit:
-            self._sync_objects()
+            self.sync_live()
         return self._now
 
-    def _sync_objects(self) -> None:
-        """Materialize the fast core's progress onto the live Request
-        objects, unless no step ran since the last sync."""
-        if self._steps != self._synced_steps:
+    def sync_live(self) -> None:
+        """Copy the vectorized core's runner progress onto the live
+        Request objects, unless no step ran since the last sync (a no-op
+        on the scalar core, whose objects are always current)."""
+        if self._fast and self._steps != self._synced_steps:
             self._core.sync_live_objects()
             self._synced_steps = self._steps
 
@@ -1010,16 +1013,14 @@ class LlmServingEngine:
             self._audit.on_tokens_emitted(n * recorded)
         if exhausted:
             if not self._graceful:
-                self._sync_objects()
+                self.sync_live()
                 raise KvCacheError("out of KV blocks during decode")
             slot = next(iter(core.runners.values()))
             core.leave(slot)
             core.free_blocks += core.blocks_held(slot)
             self._shed_slot(slot, "kv-exhausted: pool full during decode")
         for slot in finished:
-            core.state[slot] = SLOT_FINISHED
-            core.finish[slot] = now
-        core.finished_pending.extend(finished)
+            core.finish_slot(slot, now)
         return now
 
     def finish(self, watchdog_reason: str = "") -> ServingReport:
@@ -1027,8 +1028,7 @@ class LlmServingEngine:
         and return the aggregate report over every fed request."""
         if self._tracer is not None:
             self._tracer.finish(self._now)
-        if self._fast and self._core is not None:
-            self._sync_objects()
+        self.sync_live()
         bump_counter(
             "vectorized_steps" if self._fast else "scalar_steps", self._steps
         )
@@ -1175,14 +1175,12 @@ class LlmServingEngine:
                 # Advance to just before the next arrival: a step that
                 # starts earlier may overrun it, exactly as in the
                 # all-at-once run, so the report bytes match.  Inside
-                # this engine-owned loop nothing reads live request
-                # objects between advances, so the fast path defers its
-                # object sync to lifecycle events and finish().
-                inner_horizon = math.nextafter(pending.arrival_time, -math.inf)
-                if self._fast:
-                    self._advance_fast(inner_horizon, sync_exit=False)
-                else:
-                    self.advance(inner_horizon)
+                # this engine-owned loop nothing reads runner progress
+                # between advances, so it is synced only by finish().
+                self.advance(
+                    math.nextafter(pending.arrival_time, -math.inf),
+                    sync_exit=False,
+                )
                 if self._now == before and pending.arrival_time > self._now:
                     # Idle until an internal requeue at or past the next
                     # external arrival: feed it so the clock can jump.
@@ -1232,7 +1230,7 @@ class LlmServingEngine:
         core.wait_q.clear()
         core.wait_head = 0
         for slot in finished_slots:
-            self._fold_terminal(core.materialize_terminal(slot))
+            self._fold_terminal(core.objs[slot])
             core.release(slot)
         victims: List[Request] = []
         for slot in victim_slots:
@@ -1262,7 +1260,7 @@ class LlmServingEngine:
             if int(core.state[slot]) == SLOT_FINISHED:
                 core.finished_pending.remove(slot)
                 core.free_blocks += core.blocks_held(slot)
-                self._fold_terminal(core.materialize_terminal(slot))
+                self._fold_terminal(core.objs[slot])
                 core.release(slot)
             else:
                 core.leave(slot)

@@ -28,11 +28,12 @@ arrays keyed by a stable *slot* index instead:
   is materialized;
 * the thin ``Request`` objects remain the API boundary: they are
   materialized from the arrays at every lifecycle event (admission,
-  preemption, requeue, retirement), so reports, journaling, and audit
-  transitions keep their exact scalar semantics.  Waiting objects are
-  always current, so the ``advance()`` exit sync materializes only the
-  runners and the finishers awaiting retirement -- O(batch), not
-  O(live slots).
+  preemption, requeue, finish, shed, failure), so reports, journaling,
+  and audit transitions keep their exact scalar semantics.  Terminal
+  transitions publish when they happen and waiting objects are always
+  current, so the ``advance()`` exit sync copies runner progress only
+  -- O(batch), not O(live slots) -- and a caller that never reads
+  runner progress (a fleet node) skips it.
 
 The module also owns the process-wide fast-path counters surfaced by
 ``repro top`` and :class:`ReportAggregates`, the constant-memory
@@ -67,14 +68,6 @@ SLOT_RUNNING = 1
 SLOT_FINISHED = 2
 SLOT_SHED = 3
 SLOT_FAILED = 4
-
-_STATE_OF_CODE = {
-    SLOT_WAITING: RequestState.WAITING,
-    SLOT_RUNNING: RequestState.RUNNING,
-    SLOT_FINISHED: RequestState.FINISHED,
-    SLOT_SHED: RequestState.SHED,
-    SLOT_FAILED: RequestState.FAILED,
-}
 
 #: Process-wide fast-path health counters (the ``repro top`` section).
 CORE_COUNTERS: Dict[str, int] = {
@@ -153,8 +146,9 @@ class EngineCore:
     * ``wait_q[wait_head:]`` is sorted by ``(tier, arrival)``, the
       scheduler's admission order;
     * every waiting slot's Request equals its columns (waiting slots
-      make no progress, and every write to one updates both), so only
-      runners and finishers need syncing before an observer looks;
+      make no progress, and every write to one updates both), and every
+      terminal slot's Request is materialized when it turns terminal,
+      so only runners need syncing before an observer looks;
     * the runner-set aggregates equal their recomputation from the slot
       columns.
 
@@ -234,7 +228,8 @@ class EngineCore:
         self.wait_head = 0
         #: Slots that FINISHED during the last burst, awaiting retirement
         #: at the next virtual scheduler step (mirrors the scalar order).
-        #: They still hold their KV blocks but have left the runner set.
+        #: They still hold their KV blocks but have left the runner set;
+        #: their Requests are already materialized.
         self.finished_pending: List[int] = []
         self.slot_high_water = 0
         self.vectorized_steps = 0
@@ -557,13 +552,10 @@ class EngineCore:
         return request
 
     def sync_live_objects(self) -> None:
-        """Materialize the slots that progressed -- called at
-        ``advance()`` exit so external observers never see stale state.
-        Runners get their progress; finishers awaiting retirement are
-        materialized as FINISHED, as the scalar core shows them (their
-        retirement later is idempotent).  Waiting slots are skipped:
-        their objects are current by construction (see the class
-        invariants)."""
+        """Copy every runner's progress onto its Request, for observers
+        that read live objects between advances.  Waiting and terminal
+        slots are skipped: their objects are current by construction
+        (see the class invariants)."""
         decoded = self.decoded
         base = self.base
         inp = self.input_tokens
@@ -581,29 +573,23 @@ class EngineCore:
                 request.first_token_time = float(self.first_token[slot])
             if checkpoints:
                 self._sync_checkpoint(slot, request)
-        for slot in self.finished_pending:
-            self.materialize_terminal(slot)
 
-    def materialize_terminal(self, slot: int) -> Request:
-        """Apply a slot's terminal state to its Request object, firing
-        the (legal) lifecycle transition for the auditor.  Idempotent for
-        a FINISHED slot already materialized."""
+    def finish_slot(self, slot: int, now: float) -> None:
+        """Mark a RUNNING slot FINISHED at ``now`` and publish it: its
+        Request takes the slot's tokens and fires the terminal transition
+        (auditor and outbox included), as the scalar core does at the
+        same step.  The slot keeps its KV blocks in ``finished_pending``
+        until retirement at the next virtual scheduler step."""
+        self.state[slot] = SLOT_FINISHED
+        self.finish[slot] = now
+        self.finished_pending.append(slot)
         request = self.objs[slot]
-        request.restarts = int(self.restarts[slot])
-        code = int(self.state[slot])
-        if code == SLOT_FINISHED:
-            if request.state is not RequestState.FINISHED:
-                delta = int(self.generated[slot]) - request.generated
-                request.record_tokens_bulk(
-                    delta, float(self.first_token[slot]), float(self.finish[slot])
-                )
-                if self.checkpoint_interval:
-                    self._sync_checkpoint(slot, request)
-        else:
-            self.sync_object(slot)
-            if code != SLOT_RUNNING and code != SLOT_WAITING:
-                request._transition(_STATE_OF_CODE[code])
-        return request
+        request.record_tokens_bulk(
+            int(self.generated[slot]) - request.generated,
+            float(self.first_token[slot]), float(now),
+        )
+        if self.checkpoint_interval:
+            self._sync_checkpoint(slot, request)
 
     # -- aggregate views ------------------------------------------------
     @property

@@ -51,7 +51,13 @@ class TestInputErrors:
         (lambda config: config.update(nodes=[]), "fleet needs at least one node pool"),
         (lambda config: config.pop("nodes"), "written by a different run configuration"),
         (lambda config: config.update(tp="8"), "FleetConfig.tp: expected int, got '8'"),
-    ], ids=["missing-journal", "tp-0", "empty-nodes", "no-nodes", "tp-str"])
+        # Would stretch every collective without bound (see MIN_LINK_FACTOR).
+        (lambda config: config["plan"]["events"].append({
+            "time": 1.0, "kind": "fabric_degrade", "node": "gaudi2-0",
+            "factor": 1e-45,
+        }), "fabric factor must be 0 or in [0.01, 1), got 1e-45"),
+    ], ids=["missing-journal", "tp-0", "empty-nodes", "no-nodes", "tp-str",
+            "tiny-link-factor"])
     def test_bad_journal_exits_2(self, capsys, tmp_path, edit, message):
         """``repro resume`` treats a missing or malformed journal as bad
         input: one ``error:`` line and exit 2."""

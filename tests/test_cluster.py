@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.cluster import (
     Gateway,
     Node,
     NodeClass,
+    NodeFaultEvent,
     NodeFaultKind,
     NodeFaultPlan,
     NodeState,
@@ -127,6 +129,26 @@ class TestNodeFaultPlan:
             NodeFaultPlan().crash("n0", at=5.0, recover_at=2.0)
         with pytest.raises(ConfigError):
             NodeFaultPlan().brownout("n0", 1.5, at=1.0)
+
+    @pytest.mark.parametrize("kind, factor, message", [
+        (NodeFaultKind.FABRIC_DEGRADE, 1e-45, "fabric factor must be 0 or in"),
+        (NodeFaultKind.FABRIC_DEGRADE, 1.0, "fabric factor must be 0 or in"),
+        (NodeFaultKind.FABRIC_DEGRADE, None, "needs a factor"),
+        (NodeFaultKind.BROWNOUT, 0.0, "brownout factor must be in (0, 1]"),
+        (NodeFaultKind.BROWNOUT, None, "brownout factor must be in (0, 1]"),
+        (NodeFaultKind.NODE_CRASH, 0.5, "node_crash event takes no factor"),
+        (NodeFaultKind.FABRIC_RESTORE, 0.5, "fabric_restore event takes no factor"),
+    ])
+    def test_event_factor_checked_per_kind(self, kind, factor, message):
+        """The event itself validates its factor, so a decoded journal
+        plan cannot smuggle in one the builders would refuse."""
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            NodeFaultEvent(1.0, kind, "n0", factor=factor)
+        payload = {"events": [
+            {"time": 1.0, "kind": kind.value, "node": "n0", "factor": factor}
+        ]}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            decode(NodeFaultPlan, payload)
 
 
 class TestNodeHealth:

@@ -312,6 +312,53 @@ class TestLifecycleOperations:
             traces[mode] = trace
         assert traces["scalar"] == traces["vectorized"]
 
+    @pytest.mark.parametrize("strict", [False, True], ids=["audit-off", "strict"])
+    @pytest.mark.parametrize("pool", [None, 40], ids=["roomy-pool", "small-pool"])
+    def test_split_exit_sync_matches_scalar(self, gaudi, strict, pool):
+        """``advance(h, sync_exit=False)`` (the fleet node's call)
+        publishes every terminal transition as it happens, outbox
+        included; only runner progress waits for ``sync_live()``, which
+        here runs every third horizon so the core also steps unsynced."""
+        terminal = (RequestState.FINISHED, RequestState.SHED, RequestState.FAILED)
+
+        def drive(mode):
+            requests = poisson_arrivals(
+                dynamic_sonnet_requests(32, seed=6), 40.0, seed=1
+            )
+            outbox = []
+            for request in requests:
+                request.outbox = outbox
+            engine = _engine(
+                gaudi, mode, max_decode_batch=8, num_kv_blocks=pool,
+                policy=ResiliencePolicy(deadline=1.0, checkpoint_interval=16),
+            )
+            engine.begin(requests)
+            published, synced = [], []
+            horizon = 0.0
+            while engine.has_unfinished:
+                horizon += 0.05
+                engine.advance(horizon, sync_exit=False)
+                done = [r for r in requests if r.state in terminal]
+                published.append((
+                    [(r.request_id, r.state.value, r.generated, r.finish_time)
+                     for r in done],
+                    sorted(r.request_id for r in outbox),
+                ))
+                outbox.clear()
+                if len(published) % 3 == 0:
+                    engine.sync_live()
+                    synced.append(_full_states(requests))
+            report = engine.finish().to_json()
+            return published, synced, report
+
+        if strict:
+            with audit_scope("strict"):
+                scalar, fast = drive("scalar"), drive("vectorized")
+        else:
+            scalar, fast = drive("scalar"), drive("vectorized")
+        assert scalar == fast
+        assert scalar[0][-1][0]  # requests reached terminal states
+
 
 class TestRunnerAggregates:
     """The core's running decode-batch state under the strict audit."""

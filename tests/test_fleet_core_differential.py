@@ -87,6 +87,24 @@ def test_fleet_chaos_config_matches_scalar(seed):
     _assert_cores_agree(_fleet_chaos(seed))
 
 
+def test_hedging_fleet_matches_scalar():
+    """Hedges read a live attempt's first token, which fleet nodes copy
+    onto the attempt only on demand (``engine.sync_live()``)."""
+    config = FleetConfig(
+        nodes=(("gaudi2", 2), ("a100", 1)),
+        num_requests=96,
+        rate=40.0,
+        max_decode_batch=4,
+        policy="least-loaded",
+        timeout=20.0,
+        hedge_after=0.05,
+        plan=NodeFaultPlan.from_spec("crash:gaudi2-1@t=1,recover=3"),
+    )
+    scalar = _payload(config, scalar=True)
+    assert scalar == _payload(config, scalar=False)
+    assert json.loads(scalar)["hedges"] > 0
+
+
 @st.composite
 def fleet_configs(draw):
     """Small heterogeneous fleets exercising every node-level policy."""

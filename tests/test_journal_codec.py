@@ -26,6 +26,7 @@ from repro.cluster import (
 )
 from repro.cluster.faults import NodeFaultEvent
 from repro.core.journal import canonical_json, decode, encode
+from repro.faults.plan import MIN_LINK_FACTOR
 from repro.serving.engine import ServingReport
 from repro.serving.loadgen import LoadTestReport, ResilientLoadReport
 from repro.serving.request import RetryPolicy
@@ -50,16 +51,25 @@ _upgrade_plans = st.builds(
     UpgradePlan, start=_non_negative, restart_delay=_non_negative,
     poll_interval=_positive,
 )
-_fault_plans = st.builds(
-    NodeFaultPlan,
-    events=st.lists(st.builds(
-        NodeFaultEvent,
-        time=_non_negative,
-        kind=st.sampled_from(NodeFaultKind),
-        node=_names,
-        factor=st.none() | st.floats(min_value=0.0, max_value=1.0),
-    ), max_size=6),
-)
+#: The factors each event kind accepts; every other kind takes None.
+_event_factors = {
+    NodeFaultKind.FABRIC_DEGRADE: st.just(0.0) | st.floats(
+        min_value=MIN_LINK_FACTOR, max_value=1.0, exclude_max=True
+    ),
+    NodeFaultKind.BROWNOUT: st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+}
+
+
+@st.composite
+def _fault_events(draw):
+    kind = draw(st.sampled_from(NodeFaultKind))
+    return NodeFaultEvent(
+        time=draw(_non_negative), kind=kind, node=draw(_names),
+        factor=draw(_event_factors.get(kind, st.none())),
+    )
+
+
+_fault_plans = st.builds(NodeFaultPlan, events=st.lists(_fault_events(), max_size=6))
 _autoscale = st.builds(
     AutoscalePolicy,
     target_p99_ttft=_positive,
