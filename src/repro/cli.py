@@ -155,6 +155,18 @@ def _cmd_gemm(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_figure_ids(figure_ids: List[str]) -> None:
+    """Reject an unknown ``--id`` as a usage error (exit 2)."""
+    from repro.figures import FIGURES
+
+    for figure_id in figure_ids:
+        if figure_id not in FIGURES:
+            raise ConfigError(
+                f"--id: unknown figure {figure_id!r} "
+                f"(available: {', '.join(sorted(FIGURES))})"
+            )
+
+
 def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.figures import FIGURES, generate_all, run_figure
 
@@ -164,6 +176,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
         print(experiments_markdown(fast=not args.full))
         return 0
+    _check_figure_ids([args.id] if args.id else [])
     figure_ids = [args.id] if args.id else sorted(FIGURES)
     out_dir: Optional[pathlib.Path] = None
     if args.out:
@@ -188,7 +201,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _build_serving_engine(args: argparse.Namespace, ctx=None):
-    """One serving engine per the shared serve/trace/top knobs."""
+    """One serving engine per the shared serve/trace/top knobs, which
+    are checked here first so a bad value exits 2 naming its flag."""
     from repro.models.llama import (
         LLAMA_3_1_70B,
         LLAMA_3_1_8B,
@@ -199,9 +213,22 @@ def _build_serving_engine(args: argparse.Namespace, ctx=None):
     from repro.serving import LlmServingEngine
 
     config = LLAMA_3_1_8B if args.model == "8b" else LLAMA_3_1_70B
+    for flag, value in (
+        ("--requests", args.requests), ("--max-batch", args.max_batch), ("--tp", args.tp),
+    ):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    for heads, kind in ((config.q_heads, "query"), (config.kv_heads, "KV")):
+        if heads % args.tp:
+            raise ConfigError(
+                f"--tp {args.tp} does not divide the {heads} {kind} heads of "
+                f"{config.name}"
+            )
     device = get_backend(args.device)
     attention = default_decode_attention(device)
-    tp = TensorParallelConfig.for_device(device, getattr(args, "tp", 1))
+    tp = TensorParallelConfig.for_device(device, args.tp)
     engine = LlmServingEngine(
         LlamaCostModel(config, device, tp=tp),
         attention,
@@ -329,6 +356,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     from repro.core.reproduce import reproduce
 
     _comparison_set(args, export=True)  # validate; workers inherit env
+    _check_figure_ids(args.id)
     result = reproduce(
         args.out,
         fast=not args.full,

@@ -121,6 +121,8 @@ class FleetConfig:
                 raise ConfigError(f"pool {name!r} needs count >= 1, got {count}")
         if self.num_requests < 1:
             raise ConfigError(f"num_requests must be >= 1, got {self.num_requests}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.rate <= 0:
             raise ConfigError(f"rate must be positive, got {self.rate!r}")
         if self.diurnal_period <= 0:

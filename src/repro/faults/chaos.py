@@ -83,6 +83,8 @@ class ChaosConfig:
             )
         if self.num_requests < 1:
             raise ConfigError(f"num_requests must be >= 1, got {self.num_requests}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.rate is not None and self.rate <= 0:
             raise ConfigError(f"rate must be positive, got {self.rate}")
         if self.deadline is not None and self.deadline <= 0:

@@ -317,32 +317,60 @@ def a100_paged_attention(
 
 
 # ----------------------------------------------------------------------
-def build_paged_time_fn(implementation: str, batch: int, spec: DeviceSpec, dtype: DType):
-    """Closed-form twin of one paged-attention cost function.
+def build_paged_time_fn(
+    implementation: str,
+    batch: int,
+    spec: DeviceSpec,
+    dtype: DType,
+    *,
+    q_heads: int,
+    kv_heads: int,
+    head_dim: int,
+    block_size: int = DEFAULT_BLOCK_SIZE,
+    peak_bandwidth: float,
+):
+    """Closed-form twin of one paged-attention cost function, priced
+    from the decode batch's aggregates.
 
-    Returns ``fn(kv_bytes, padded_kv_bytes, gemm_flops) -> (time,
-    gather_time)`` with every spec-derived constant folded at build
-    time.  The vectorized serving engine prices millions of decode
-    steps through these closures, so they must stay bit-identical to
-    the corresponding ``*_paged_attention`` call: each arithmetic
-    expression below keeps the operand association of its twin, and
-    folded constants are only subexpressions the twin also evaluates
-    as a unit (``bw * efficiency``, ``peak * 0.48``, ...).
+    Returns ``fn(total_context, total_blocks, max_context) -> (time,
+    vector_s, memory_s)``: the call's time, its vector-engine seconds
+    (``min(gather_time, time)``) and its memory seconds (``kv_bytes /
+    peak_bandwidth``), with every shape- and spec-derived constant
+    folded at build time.  The vectorized serving engine prices
+    millions of decode steps through these closures, so they must stay
+    bit-identical to the corresponding ``*_paged_attention`` call on a
+    :class:`PagedAttentionStats`: each arithmetic expression below
+    keeps the operand association of its twin, and folded constants are
+    only subexpressions the twin also evaluates as a unit (``bw *
+    efficiency``, ``peak * 0.48``, ...) or exact integers (block bytes,
+    the ``4 q d`` flops prefix, the padded byte count).  ``max(a, b)``
+    is spelled ``a if a >= b else b``, which picks the same value.  All
+    three have ``time >= gather_time`` (the other terms are
+    non-negative and rounded addition is monotone), so the vector term
+    is ``gather_time`` itself.
     """
+    block_bytes = 2 * kv_heads * head_dim * block_size * dtype.itemsize
+    flops_coeff = 4.0 * q_heads * head_dim  # exact prefix of gemm_flops
     if implementation == "vllm-base":
         stream_bw = spec.memory.bandwidth * spec.memory.stream_efficiency
         launch = spec.kernel_launch_overhead
         per_core_bw = spec.vector.per_core_stream_bw
         matrix_peak = spec.matrix.peak(dtype) * 0.48
         dispatch = spec.graph_dispatch_overhead
+        padded_row_bytes = batch * block_bytes  # an exact integer
 
-        def base_fn(kv_bytes: float, padded_kv_bytes: float, gemm_flops: float):
-            per_request_bytes = padded_kv_bytes / batch
+        def base_fn(total_context: int, total_blocks: int, max_context: int):
+            padded = float(padded_row_bytes * math.ceil(max_context / block_size))
+            per_request_bytes = padded / batch
             gather_time = batch * (launch + per_request_bytes / per_core_bw)
-            sdpa_read = padded_kv_bytes / stream_bw
-            compute = gemm_flops / matrix_peak
-            gemm_time = max(sdpa_read, compute)
-            return gather_time + gemm_time + dispatch, gather_time
+            sdpa_read = padded / stream_bw
+            compute = flops_coeff * total_context / matrix_peak
+            gemm_time = sdpa_read if sdpa_read >= compute else compute
+            return (
+                gather_time + gemm_time + dispatch,
+                gather_time,
+                float(total_blocks) * block_bytes / peak_bandwidth,
+            )
 
         return base_fn
     if implementation == "vllm-opt":
@@ -353,16 +381,18 @@ def build_paged_time_fn(implementation: str, batch: int, spec: DeviceSpec, dtype
         overhead = spec.kernel_launch_overhead + spec.graph_dispatch_overhead
         slice_cost = _OPT_SLICES * SLICE_OVERHEAD
 
-        def opt_fn(kv_bytes: float, padded_kv_bytes: float, gemm_flops: float):
+        def opt_fn(total_context: int, total_blocks: int, max_context: int):
+            kv_bytes = float(total_blocks) * block_bytes
             gemm_read = kv_bytes / stream_bw
             gather_time = kv_bytes / gather_bw + gemm_read
-            gemm_time = max(gemm_read, gemm_flops / matrix_peak)
-            busy = (
-                max(gather_time, gemm_time)
-                + min(gather_time, gemm_time) / _OPT_SLICES
-                + slice_cost
-            )
-            return busy + overhead, gather_time
+            compute = flops_coeff * total_context / matrix_peak
+            gemm_time = gemm_read if gemm_read >= compute else compute
+            # pipelined_duration(gather_time, gemm_time, _OPT_SLICES)
+            if gather_time >= gemm_time:
+                busy = gather_time + gemm_time / _OPT_SLICES + slice_cost
+            else:
+                busy = gemm_time + gather_time / _OPT_SLICES + slice_cost
+            return busy + overhead, gather_time, kv_bytes / peak_bandwidth
 
         return opt_fn
     if implementation == "cuda-paged-attention":
@@ -370,10 +400,12 @@ def build_paged_time_fn(implementation: str, batch: int, spec: DeviceSpec, dtype
         matrix_peak = spec.matrix.peak(dtype) * 0.50
         launch = spec.kernel_launch_overhead
 
-        def a100_fn(kv_bytes: float, padded_kv_bytes: float, gemm_flops: float):
+        def a100_fn(total_context: int, total_blocks: int, max_context: int):
+            kv_bytes = float(total_blocks) * block_bytes
             read = kv_bytes / read_bw
-            busy = max(read, gemm_flops / matrix_peak)
-            return busy + launch, read
+            compute = flops_coeff * total_context / matrix_peak
+            busy = read if read >= compute else compute
+            return busy + launch, read, kv_bytes / peak_bandwidth
 
         return a100_fn
     raise ValueError(f"unknown paged-attention implementation {implementation!r}")

@@ -11,7 +11,6 @@ implementations (the vLLM setup of Section 4.2).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -109,6 +108,14 @@ class DecodeAttention(enum.Enum):
     PAGED_BASE = "paged-base"  # Gaudi vLLM fork baseline (BlockTable)
     PAGED_OPT = "paged-opt"    # optimized BlockList PagedAttention
     PAGED_CUDA = "paged-cuda"  # vLLM's native CUDA kernel
+
+
+#: The kernel each paged decode-attention path prices through.
+_PAGED_IMPLEMENTATIONS = {
+    DecodeAttention.PAGED_BASE: "vllm-base",
+    DecodeAttention.PAGED_OPT: "vllm-opt",
+    DecodeAttention.PAGED_CUDA: "cuda-paged-attention",
+}
 
 
 def default_decode_attention(device) -> "DecodeAttention":
@@ -666,139 +673,125 @@ class LlamaCostModel:
     def _build_stepper(
         self, batch: int, attention: DecodeAttention, block_size: int
     ) -> Callable[[int, int, int, ActivityAccumulator], float]:
+        """One step's pricing as one fixed-arity expression per field.
+
+        Each field replays the from-scratch assembly's left-to-right
+        chain (DESIGN.md §10): the sum starts at 0.0, adds ln1 and qkv
+        (one folded prefix), the attention term, then every post-
+        attention term in order, zeros included -- ``x + 0.0 == x``
+        for the non-negative partials, so no term is skipped or
+        regrouped -- and is scaled by the layer count before the LM
+        head lands.  A field the attention term never moves (matrix and
+        weighted matrix for paged attention, vector for static, comm
+        always) is that whole chain evaluated once at build time.
+        """
         terms = self._decode_terms(batch)
         layers = self.config.num_layers
-        lm_time, lm_acc = terms[9]
+        (ln1_t, ln1), (qkv_t, qkv), (lm_t, lm) = terms[0], terms[1], terms[9]
+        suffix = terms[2:9]
 
-        def fields(acc: ActivityAccumulator) -> Tuple[float, float, float, float]:
-            return (
-                acc.matrix_seconds, acc.matrix_active_weighted,
-                acc.vector_seconds, acc.memory_seconds,
-            )
+        def prefix(name: str) -> float:
+            return 0.0 + getattr(ln1, name) + getattr(qkv, name)
 
-        # The scalar assembly starts every sum at 0.0 and adds ln1 then
-        # qkv before the attention term, so that prefix folds into one
-        # constant without changing any rounding.
-        pre_t = 0.0 + terms[0][0] + terms[1][0]
-        pre_m, pre_w, pre_v, pre_mem = (
-            0.0 + x + y for x, y in zip(fields(terms[0][1]), fields(terms[1][1]))
-        )
-        # Post-attention terms land after the varying attention value,
-        # so each stays an individual addition; zero terms are skipped
-        # (x + 0.0 == x bitwise for the non-negative partials here).
-        suf_t = tuple(t for t, _ in terms[2:9] if t != 0.0) + (self._layer_dispatch,)
-        suf_m, suf_w, suf_v, suf_mem = (
-            tuple(v for v in (fields(a)[i] for _, a in terms[2:9]) if v != 0.0)
-            for i in range(4)
-        )
-        # The attention term never carries comm time, so the whole comm
-        # chain (prefix, suffix, unscaled LM-head merge) is one constant.
-        comm_step = 0.0 + terms[0][1].comm_seconds + terms[1][1].comm_seconds
-        for _, acc in terms[2:9]:
-            if acc.comm_seconds != 0.0:
-                comm_step = comm_step + acc.comm_seconds
-        comm_step = comm_step + lm_acc.comm_seconds
-        lm_m, lm_w, lm_v, lm_mem = fields(lm_acc)
-        attn_term = self._build_attention_term(batch, attention, block_size)
+        def chain(name: str) -> Tuple[float, ...]:
+            return tuple(getattr(acc, name) for _, acc in suffix)
 
-        def stepper(
-            total_context: int, total_blocks: int, max_context: int,
-            acc: ActivityAccumulator,
-        ) -> float:
-            a_t, a_m, a_w, a_v, a_mem = attn_term(
-                total_context, total_blocks, max_context
-            )
-            t = pre_t + a_t
-            for c in suf_t:
-                t += c
-            t *= layers
-            t += lm_time
-            m = pre_m + a_m
-            for c in suf_m:
-                m += c
-            m *= layers
-            m += lm_m
-            acc.matrix_seconds += m
-            w = pre_w + a_w
-            for c in suf_w:
-                w += c
-            w *= layers
-            w += lm_w
-            acc.matrix_active_weighted += w
-            v = pre_v + a_v
-            for c in suf_v:
-                v += c
-            v *= layers
-            v += lm_v
-            acc.vector_seconds += v
-            mem = pre_mem + a_mem
-            for c in suf_mem:
-                mem += c
-            mem *= layers
-            mem += lm_mem
-            acc.memory_seconds += mem
-            acc.comm_seconds += comm_step
-            return t
+        def folded(name: str, scale: int) -> float:
+            total = prefix(name)
+            for value in chain(name):
+                total += value
+            return total * scale + getattr(lm, name)
 
-        return stepper
-
-    def _build_attention_term(
-        self, batch: int, attention: DecodeAttention, block_size: int
-    ) -> Callable[[int, int, int], Tuple[float, float, float, float, float]]:
-        """Closure pricing the decode-attention term from aggregates:
-        ``(total_context, total_blocks, max_context) -> (time, matrix,
-        matrix_weighted, vector, memory)``, bit-identical to
-        :meth:`_decode_attention`."""
+        pre_t = 0.0 + ln1_t + qkv_t
+        t1, t2, t3, t4, t5, t6, t7 = (t for t, _ in suffix)
+        t8 = self._layer_dispatch
+        pre_mem = prefix("memory_seconds")
+        e1, e2, e3, e4, e5, e6, e7 = chain("memory_seconds")
+        lm_mem = lm.memory_seconds
+        # Comm is never scaled by the layer count (_scale_activity).
+        comm_step = folded("comm_seconds", 1)
         cfg, tp = self.config, self.tp
-        spec = self.device.spec
         kv_heads = max(1, cfg.kv_heads // tp.degree)
         q_heads = cfg.q_heads // tp.degree
         hd = cfg.head_dim
-        itemsize = cfg.dtype.itemsize
         peak_bw = self.device.peak_bandwidth
+
         if attention is DecodeAttention.STATIC:
+            spec = self.device.spec
             bucket = self.static_bucket
+            itemsize = cfg.dtype.itemsize
             stream_bw = spec.memory.bandwidth * spec.memory.stream_efficiency
             dtype_peak = spec.matrix.peak(cfg.dtype)
-            # Folded prefixes of the twin's products; both are exact
-            # integer-valued floats, so any association gives the same
-            # bits as the twin's left-to-right chain.
+            # Folded prefixes of _decode_attention's products; both are
+            # exact integer-valued floats, so the association is free.
             kv_coeff = 2.0 * batch * kv_heads * hd
             flops_coeff = 4.0 * batch * q_heads
+            pre_m = prefix("matrix_seconds")
+            m1, m2, m3, m4, m5, m6, m7 = chain("matrix_seconds")
+            lm_m = lm.matrix_seconds
+            pre_w = prefix("matrix_active_weighted")
+            w1, w2, w3, w4, w5, w6, w7 = chain("matrix_active_weighted")
+            lm_w = lm.matrix_active_weighted
+            v_step = folded("vector_seconds", layers)
 
-            def static_term(total_context: int, total_blocks: int, max_context: int):
+            def static_stepper(
+                total_context: int, total_blocks: int, max_context: int,
+                acc: ActivityAccumulator,
+            ) -> float:
                 padded_len = ((max_context + bucket - 1) // bucket) * bucket
                 kv_bytes = kv_coeff * padded_len * itemsize
-                time = kv_bytes / stream_bw
-                mem = kv_bytes / peak_bw
-                flops = flops_coeff * padded_len * hd
-                mt = flops / dtype_peak
-                return time, mt, mt * 0.5, 0.0, mem
+                a_m = flops_coeff * padded_len * hd / dtype_peak
+                acc.matrix_seconds += (
+                    (pre_m + a_m + m1 + m2 + m3 + m4 + m5 + m6 + m7) * layers + lm_m
+                )
+                acc.matrix_active_weighted += (
+                    (pre_w + a_m * 0.5 + w1 + w2 + w3 + w4 + w5 + w6 + w7) * layers
+                    + lm_w
+                )
+                acc.vector_seconds += v_step
+                acc.memory_seconds += (
+                    (pre_mem + kv_bytes / peak_bw + e1 + e2 + e3 + e4 + e5 + e6 + e7)
+                    * layers + lm_mem
+                )
+                acc.comm_seconds += comm_step
+                return (
+                    (pre_t + kv_bytes / stream_bw + t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8)
+                    * layers + lm_t
+                )
 
-            return static_term
-        implementation = {
-            DecodeAttention.PAGED_BASE: "vllm-base",
-            DecodeAttention.PAGED_OPT: "vllm-opt",
-            DecodeAttention.PAGED_CUDA: "cuda-paged-attention",
-        }.get(attention)
+            return static_stepper
+
+        implementation = _PAGED_IMPLEMENTATIONS.get(attention)
         if implementation is None:
             raise ValueError(f"unknown decode attention {attention!r}")
-        time_fn = build_paged_time_fn(implementation, batch, spec, cfg.dtype)
-        block_bytes = 2 * kv_heads * hd * block_size * itemsize
-        flops_coeff = 4.0 * q_heads * hd  # exact prefix of the flops chain
-        needs_padded = attention is DecodeAttention.PAGED_BASE
+        attend = build_paged_time_fn(
+            implementation, batch, self.device.spec, cfg.dtype,
+            q_heads=q_heads, kv_heads=kv_heads, head_dim=hd,
+            block_size=block_size, peak_bandwidth=peak_bw,
+        )
+        m_step = folded("matrix_seconds", layers)
+        w_step = folded("matrix_active_weighted", layers)
+        pre_v = prefix("vector_seconds")
+        v1, v2, v3, v4, v5, v6, v7 = chain("vector_seconds")
+        lm_v = lm.vector_seconds
 
-        def paged_term(total_context: int, total_blocks: int, max_context: int):
-            kv_bytes = float(total_blocks) * block_bytes
-            flops = flops_coeff * total_context
-            padded = (
-                float(batch * math.ceil(max_context / block_size)) * block_bytes
-                if needs_padded else 0.0
+        def paged_stepper(
+            total_context: int, total_blocks: int, max_context: int,
+            acc: ActivityAccumulator,
+        ) -> float:
+            a_t, a_v, a_mem = attend(total_context, total_blocks, max_context)
+            acc.matrix_seconds += m_step
+            acc.matrix_active_weighted += w_step
+            acc.vector_seconds += (
+                (pre_v + a_v + v1 + v2 + v3 + v4 + v5 + v6 + v7) * layers + lm_v
             )
-            time, gather_time = time_fn(kv_bytes, padded, flops)
-            return time, 0.0, 0.0, min(gather_time, time), kv_bytes / peak_bw
+            acc.memory_seconds += (
+                (pre_mem + a_mem + e1 + e2 + e3 + e4 + e5 + e6 + e7) * layers + lm_mem
+            )
+            acc.comm_seconds += comm_step
+            return (pre_t + a_t + t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8) * layers + lm_t
 
-        return paged_term
+        return paged_stepper
 
     # -- end-to-end --------------------------------------------------------
     def generate(

@@ -259,7 +259,14 @@ class LlmServingEngine:
         self.attention = attention
         if num_kv_blocks is None:
             capacity_tokens = model.max_kv_tokens()
-            num_kv_blocks = max(1, capacity_tokens // block_size)
+            num_kv_blocks = capacity_tokens // block_size
+            if num_kv_blocks < 1:
+                raise ConfigError(
+                    f"{model.config.name} on {model.device.name} at TP "
+                    f"{model.tp.degree} leaves room for {capacity_tokens} KV "
+                    f"tokens per device, less than one {block_size}-token "
+                    "block; raise the TP degree"
+                )
         self.block_manager = BlockManager(num_kv_blocks, block_size)
         self.policy = policy
         self.injector = injector
@@ -812,7 +819,7 @@ class LlmServingEngine:
                 now += phase.time * slowdown
                 activity.merge(phase.activity)
                 gen[slot] += 1
-                if np.isnan(first[slot]):
+                if math.isnan(first[slot]):
                     first[slot] = now
                 if gen[slot] >= out[slot]:
                     core.finish_slot(slot, now)
@@ -969,9 +976,13 @@ class LlmServingEngine:
         # the engine's pool may use a different block size, so shadow
         # growth reads its own residue histogram.  A runner with base b
         # has context b + offset + j after j steps, so the upcoming
-        # step's growth counts bases congruent to 1 - j - offset.
+        # step's growth counts bases congruent to 1 - j - offset -- the
+        # residue whose count the previous step just added to
+        # total_blocks, so one lookup serves both when the pool uses
+        # 128-token blocks too.
         hist128 = core.hist128
         hist_bs = core.hist_bs
+        same_hist = hist_bs is hist128
         stepper = self.model.decode_stepper(n, self.attention)
         wake, wake_needed = self._burst_wake(now, n)
         retire_pending = bool(core.finished_pending)
@@ -979,8 +990,8 @@ class LlmServingEngine:
         j = 0  # completed steps this burst
         recorded = 0  # steps whose tokens were recorded
         exhausted = False
+        growth = hist_bs[(1 - offset) % bs]
         while True:
-            growth = hist_bs[(1 - j - offset) % bs]
             now += stepper(total_context, total_blocks, max_context, activity) * slowdown
             j += 1
             if growth > core.free_blocks:
@@ -994,7 +1005,8 @@ class LlmServingEngine:
             recorded = j
             total_context += n
             max_context += 1
-            total_blocks += hist128[(1 - j - offset) % 128]
+            crossed = hist128[(1 - j - offset) % 128]
+            total_blocks += crossed
             if j >= min_rem:
                 break  # at least one runner finished this step
             if retire_pending:
@@ -1005,6 +1017,7 @@ class LlmServingEngine:
                 break  # the scheduler may admit or scan deadlines next step
             if core.free_blocks < n and n > 1:
                 break  # capacity preemption due next step
+            growth = crossed if same_hist else hist_bs[(1 - j - offset) % bs]
         finished = core.end_burst(recorded, total_blocks)
         self._steps += j
         core.vectorized_steps += j

@@ -42,7 +42,9 @@ folding sink used when the engine runs with ``retain_requests=False``.
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import itertools
 import math
 from typing import Dict, List, Optional, Tuple
 
@@ -613,7 +615,9 @@ class EngineCore:
 
 #: Log-spaced TTFT histogram bin edges for the constant-memory p99
 #: estimate: 12 bins per decade from 0.1 us to 100 ks.
-_TTFT_EDGES = np.logspace(-7.0, 5.0, 145)
+#: Plain floats: ``bisect`` on a list beats ``np.searchsorted`` on one
+#: scalar, and gives the same (left) insertion index.
+_TTFT_EDGES = np.logspace(-7.0, 5.0, 145).tolist()
 
 
 class ReportAggregates:
@@ -640,7 +644,7 @@ class ReportAggregates:
         self.sum_ttft = 0.0
         self.sum_tpot = 0.0
         self.terminal_tokens = 0
-        self.ttft_hist = np.zeros(len(_TTFT_EDGES) + 1, dtype=np.int64)
+        self.ttft_hist = [0] * (len(_TTFT_EDGES) + 1)
 
     def fold_terminal(self, request: Request) -> None:
         """Fold one terminal request and let its object be collected."""
@@ -653,7 +657,7 @@ class ReportAggregates:
             ttft = request.ttft
             self.sum_ttft += ttft
             self.sum_tpot += request.tpot
-            self.ttft_hist[int(np.searchsorted(_TTFT_EDGES, ttft))] += 1
+            self.ttft_hist[bisect.bisect_left(_TTFT_EDGES, ttft)] += 1
         elif state is RequestState.SHED:
             self.shed += 1
         elif state is RequestState.FAILED:
@@ -662,12 +666,12 @@ class ReportAggregates:
     def p99_ttft(self) -> float:
         """Upper-bound p99 TTFT from the log histogram (the nearest-rank
         percentile of the bin upper edges)."""
-        total = int(self.ttft_hist.sum())
+        total = sum(self.ttft_hist)
         if total == 0:
             return 0.0
         rank = max(1, math.ceil(0.99 * total))
-        cumulative = np.cumsum(self.ttft_hist)
-        bin_index = int(np.searchsorted(cumulative, rank))
+        cumulative = list(itertools.accumulate(self.ttft_hist))
+        bin_index = bisect.bisect_left(cumulative, rank)
         if bin_index >= len(_TTFT_EDGES):
             bin_index = len(_TTFT_EDGES) - 1
-        return float(_TTFT_EDGES[bin_index])
+        return _TTFT_EDGES[bin_index]

@@ -38,6 +38,18 @@ class TestInputErrors:
          "fabric factor must be 0 or in [0.01, 1), got 1e-45"),
         (["chaos", "--degrade-link", "0-1@t=1,factor=1e-45"],
          "--degrade-link: link factor must be 0 or in [0.01, 1], got 1e-45"),
+        (["serve", "--requests", "0"], "--requests must be >= 1, got 0"),
+        (["trace", "--max-batch", "0"], "--max-batch must be >= 1, got 0"),
+        (["top", "--tp", "0"], "--tp must be >= 1, got 0"),
+        (["serve", "--tp", "3"], "--tp 3 does not divide the 32 query heads"),
+        (["serve", "--tp", "16"], "--tp 16 does not divide the 8 KV heads"),
+        (["serve", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["fleet", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["chaos", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["figures", "--id", "nope"], "--id: unknown figure 'nope'"),
+        # The weights alone exceed one device's memory at TP 1.
+        (["serve", "--model", "70b"],
+         "Llama-3.1-70B-Instruct on Gaudi-2 at TP 1 leaves room for 0 KV tokens"),
     ])
     def test_bad_spec_exits_2(self, capsys, argv, message):
         assert main(argv) == 2
@@ -56,8 +68,9 @@ class TestInputErrors:
             "time": 1.0, "kind": "fabric_degrade", "node": "gaudi2-0",
             "factor": 1e-45,
         }), "fabric factor must be 0 or in [0.01, 1), got 1e-45"),
+        (lambda config: config.update(seed=-1), "seed must be >= 0, got -1"),
     ], ids=["missing-journal", "tp-0", "empty-nodes", "no-nodes", "tp-str",
-            "tiny-link-factor"])
+            "tiny-link-factor", "negative-seed"])
     def test_bad_journal_exits_2(self, capsys, tmp_path, edit, message):
         """``repro resume`` treats a missing or malformed journal as bad
         input: one ``error:`` line and exit 2."""
@@ -70,6 +83,16 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert len(err.splitlines()) == 1
+
+    def test_reproduce_unknown_figure_exits_2(self, capsys, tmp_path):
+        """An unknown ``--id`` is rejected before the run directory is
+        created."""
+        out = tmp_path / "run"
+        assert main(["reproduce", "--out", str(out), "--id", "table1", "--id", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --id: unknown figure 'nope'")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["serve", "--device", "gaudi2"], "unrecognized arguments: --device"),

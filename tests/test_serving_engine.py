@@ -152,6 +152,22 @@ class TestPreemption:
             scheduler.preempt(victim)  # not running any more
 
 
+class TestKvPoolSizing:
+    def test_weights_over_device_memory_is_a_config_error(self, gaudi):
+        """A model whose weights leave no room for one KV block is a
+        configuration error naming the model, device and TP degree, not
+        a one-block pool that fails on the first admission."""
+        from repro.audit import ConfigError
+        from repro.models.llama import LLAMA_3_1_70B
+
+        model = LlamaCostModel(LLAMA_3_1_70B, gaudi)
+        with pytest.raises(ConfigError, match="Llama-3.1-70B-Instruct on Gaudi-2 at TP 1"):
+            LlmServingEngine(model, DecodeAttention.PAGED_OPT)
+        # An explicit pool size is the caller's choice and stays honoured.
+        engine = LlmServingEngine(model, DecodeAttention.PAGED_OPT, num_kv_blocks=64)
+        assert engine.block_manager.num_blocks == 64
+
+
 class TestRecSysServer:
     def test_report_fields(self, gaudi):
         server = RecSysServer(DlrmCostModel(RM2_CONFIG, gaudi))
