@@ -170,11 +170,14 @@ def _check_figure_ids(figure_ids: List[str]) -> None:
 def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.figures import FIGURES, generate_all, run_figure
 
+    if args.markdown and tuple(_comparison_set(args)) != DEFAULT_COMPARISON:
+        raise ConfigError("--markdown: the paper claims compare the default "
+                          "gaudi2/a100 pair; drop --backend and REPRO_BACKENDS")
     _comparison_set(args, export=True)  # validate; workers inherit env
     if args.markdown:
-        from repro.figures.report_md import experiments_markdown
+        from repro.figures.report_md import collect_measurements, experiments_markdown
 
-        print(experiments_markdown(fast=not args.full))
+        print(experiments_markdown(collect_measurements()), end="")
         return 0
     _check_figure_ids([args.id] if args.id else [])
     figure_ids = [args.id] if args.id else sorted(FIGURES)
@@ -678,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--full", action="store_true", help="full parameter grids")
     figures.add_argument("--out", help="directory for rendered reports")
     figures.add_argument("--markdown", action="store_true",
-                         help="print the live paper-vs-measured table")
+                         help="print the paper-vs-measured tables (full grids)")
     figures.add_argument("--workers", default=None,
                          help="process-pool size for regenerating all figures "
                               "(an int or 'auto'; default: REPRO_WORKERS or serial)")

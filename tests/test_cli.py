@@ -50,6 +50,8 @@ class TestInputErrors:
         # The weights alone exceed one device's memory at TP 1.
         (["serve", "--model", "70b"],
          "Llama-3.1-70B-Instruct on Gaudi-2 at TP 1 leaves room for 0 KV tokens"),
+        (["figures", "--markdown", "--backend", "h100"],
+         "--markdown: the paper claims compare the default gaudi2/a100 pair"),
     ])
     def test_bad_spec_exits_2(self, capsys, argv, message):
         assert main(argv) == 2
@@ -139,5 +141,5 @@ class TestCommands:
     def test_figures_markdown(self, capsys):
         assert main(["figures", "--markdown"]) == 0
         out = capsys.readouterr().out
-        assert "Paper vs measured" in out
+        assert "| Claim | Paper | Measured |" in out
         assert "**NO**" not in out

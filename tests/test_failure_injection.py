@@ -73,6 +73,19 @@ class TestCapacityAnalysis:
         assert report.paged_capacity > 2 * report.static_capacity
         assert report.capacity_gain > 2.0
 
+    def test_gaudi_hbm_holds_more_paged_requests(self, gaudi, a100):
+        """On both devices' HBM budgets paged KV fits several times the
+        static slots, and Gaudi-2's 96 GB holds more than the A100's 80 GB."""
+        requests = dynamic_sonnet_requests(8192, seed=11)
+        gaudi_report, a100_report = (
+            compare_capacity(LLAMA_3_1_8B, LlamaCostModel(LLAMA_3_1_8B, device), requests,
+                             max_model_len=4096)
+            for device in (gaudi, a100)
+        )
+        assert gaudi_report.capacity_gain > 2.0
+        assert a100_report.capacity_gain > 2.0
+        assert gaudi_report.paged_capacity > a100_report.paged_capacity
+
     def test_static_capacity_arithmetic(self):
         assert static_capacity(10_000, 4096) == 2
         with pytest.raises(ValueError):

@@ -56,6 +56,19 @@ class TestDevice:
         assert ea.total_time / e3.total_time > ea.total_time / e2.total_time
         assert ea.total_time / e3.total_time > 1.8
 
+    def test_projection_outgrows_gaudi2_by_half(self):
+        """The announced compute/bandwidth scaling shows: Gaudi-3's
+        speedup over A100 exceeds 1.5x Gaudi-2's, small and large batch."""
+        a100 = get_backend("a100")
+        for batch, out in ((16, 100), (64, 400)):
+            ref = LlamaCostModel(LLAMA_3_1_8B, a100).generate(batch, 100, out).total_time
+            g2, g3 = (
+                ref / LlamaCostModel(LLAMA_3_1_8B, get_backend(name))
+                .generate(batch, 100, out).total_time
+                for name in ("gaudi2", "gaudi3")
+            )
+            assert g3 > 1.5 * g2
+
     def test_power_stays_within_tdp(self):
         g3 = get_backend("gaudi3")
         estimate = LlamaCostModel(LLAMA_3_1_8B, g3).generate(64, 100, 100)

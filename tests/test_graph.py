@@ -20,6 +20,18 @@ def _simple_graph():
     return g
 
 
+def _decoder_slice():
+    """A GEMM -> softmax -> scale -> GEMM slice of a decoder layer."""
+    g = Graph("decoder-slice")
+    qk = g.add_op("qk_gemm", Engine.MME, 120e-6, 4e6, 8e6, sliceable=True)
+    sm = g.add_op("softmax", Engine.TPC, 50e-6, 8e6, 8e6, inputs=[qk],
+                  fusable=True, sliceable=True)
+    scale = g.add_op("scale", Engine.TPC, 10e-6, 8e6, 8e6, inputs=[sm],
+                     fusable=True, sliceable=True)
+    g.add_op("pv_gemm", Engine.MME, 110e-6, 8e6, 4e6, inputs=[scale], sliceable=True)
+    return g
+
+
 class TestIr:
     def test_topological_insertion_enforced(self):
         g = Graph()
@@ -147,6 +159,18 @@ class TestCompiler:
             _simple_graph()
         )
         assert fused.total_time < naive.total_time
+
+    def test_each_pass_shortens_a_decoder_slice(self):
+        """Ablation: fusion and pipelining each help, and both together most."""
+
+        def total(**passes):
+            return GraphCompiler(**passes).compile(_decoder_slice()).total_time
+
+        full = total()
+        assert full < total(enable_pipelining=False) < total(
+            enable_fusion=False, enable_pipelining=False
+        )
+        assert full < total(enable_fusion=False)
 
     def test_mme_annotation_pass(self):
         g = Graph()

@@ -79,6 +79,18 @@ class TestBaselineVsOptimized:
         assert r_padded > 4 * r_uniform
         assert 20 < r_padded < 70
 
+    def test_blocklist_gain_grows_with_padding(self):
+        """Ablation: BlockList (opt) over BlockTable (base) at 0 %, ~50 %
+        and ~90 % padding; padding amplifies the gap."""
+        speedups = []
+        for seq_lens in ([2048] * 16, [2048] + [1024] * 15, [2048] + [256] * 15):
+            config = PagedAttentionConfig(batch=16, seq_lens=seq_lens,
+                                          q_heads=32, kv_heads=8, head_dim=128)
+            speedups.append(vllm_base_paged_attention(config).time
+                            / vllm_opt_paged_attention(config).time)
+        assert speedups == sorted(speedups)
+        assert speedups[0] > 3.0
+
     def test_base_time_insensitive_to_padding(self):
         """The baseline gathers the padded table either way."""
         uniform = PagedAttentionConfig.uniform(8, 2048)

@@ -1,12 +1,14 @@
 """Gaudi-2 MME model (Figures 4, 5, 7)."""
 
 import math
+import statistics
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import memo
+from repro.hw.device import Gaudi2Device
 from repro.hw.gaudi3 import GAUDI3_GEOMETRIES, GAUDI3_SPEC
 from repro.hw.mme import DEFAULT_GEOMETRIES, MmeModel
 from repro.hw.spec import DType, GAUDI2_SPEC
@@ -91,6 +93,21 @@ class TestConfigurability:
             for n in (32, 64, 128, 256, 512)
         ]
         assert 0.05 < max(gains) < 0.25
+
+    def test_workload_shapes_gain_over_fixed_array(self):
+        """Ablation over the GEMM shapes the evaluated workloads issue:
+        decode (skinny M), prefill, DLRM MLP layers and the lm-head.
+        Reconfigurability must not hurt overall and must help somewhere."""
+        shapes = (
+            (16, 4096, 14336), (64, 4096, 14336), (6400, 4096, 6144),
+            (16384, 8192, 28672), (4096, 704, 512), (64, 4096, 128256),
+            (16384, 16384, 64),
+        )
+        flexible = Gaudi2Device(mme_configurable=True)
+        fixed = Gaudi2Device(mme_configurable=False)
+        gains = [fixed.gemm(*shape).time / flexible.gemm(*shape).time for shape in shapes]
+        assert statistics.geometric_mean(gains) >= 1.0
+        assert max(gains) > 1.1
 
     def test_non_configurable_model_has_one_geometry(self):
         fixed = MmeModel(configurable=False)
