@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.audit import ConfigError
+from repro.core.spec import Grammar, split_items
 
 __all__ = [
     "ADMISSION_COUNTERS",
@@ -130,29 +131,34 @@ class TenantSpec:
                 f"tenant {self.name!r} tier must be in 0..{NUM_TIERS - 1}, "
                 f"got {self.tier}"
             )
-        if self.share <= 0:
+        if not self.share > 0:
             raise ConfigError(
                 f"tenant {self.name!r} share must be positive, got {self.share!r}"
             )
-        if self.weight <= 0:
+        if not self.weight > 0:
             raise ConfigError(
                 f"tenant {self.name!r} weight must be positive, got {self.weight!r}"
             )
-        if self.quota_rate is not None and self.quota_rate <= 0:
+        if self.quota_rate is not None and not self.quota_rate > 0:
             raise ConfigError(
                 f"tenant {self.name!r} quota_rate must be positive, "
                 f"got {self.quota_rate!r}"
             )
-        if self.quota_burst < 1:
+        if not self.quota_burst >= 1:
             raise ConfigError(
                 f"tenant {self.name!r} quota_burst must be >= 1, "
                 f"got {self.quota_burst!r}"
             )
-        if self.ttft_slo is not None and self.ttft_slo <= 0:
+        if self.ttft_slo is not None and not self.ttft_slo > 0:
             raise ConfigError(
                 f"tenant {self.name!r} ttft_slo must be positive, "
                 f"got {self.ttft_slo!r}"
             )
+
+
+TENANT_GRAMMAR = Grammar(
+    "tenant", {"rate": "quota_rate", "burst": "quota_burst", "slo": "ttft_slo"}, sep=":"
+)
 
 
 def parse_tenants_spec(spec: str) -> Tuple[TenantSpec, ...]:
@@ -164,53 +170,13 @@ def parse_tenants_spec(spec: str) -> Tuple[TenantSpec, ...]:
         gold:tier=0,share=0.25,weight=4,slo=2
         bronze:tier=2,share=0.5,weight=1,rate=4,burst=8
     """
-    tenants: List[TenantSpec] = []
-    seen: set = set()
-    for item in spec.split(";"):
-        item = item.strip()
-        if not item:
-            continue
-        name, sep, rest = item.partition(":")
-        name = name.strip()
-        if not sep or not name:
-            raise ConfigError(
-                f"bad tenant spec {item!r}: expected name:key=value[,...]"
-            )
-        kwargs: Dict[str, float] = {}
-        for pair in filter(None, (p.strip() for p in rest.split(","))):
-            key, eq, value = pair.partition("=")
-            if not eq:
-                raise ConfigError(
-                    f"bad tenant spec {item!r}: expected key=value, got {pair!r}"
-                )
-            try:
-                kwargs[key.strip()] = float(value)
-            except ValueError:
-                raise ConfigError(
-                    f"bad tenant spec {item!r}: {value!r} is not a number"
-                ) from None
-        known = {"tier", "share", "weight", "rate", "burst", "slo"}
-        unknown = set(kwargs) - known
-        if unknown:
-            raise ConfigError(
-                f"bad tenant spec {item!r}: unknown keys "
-                f"{', '.join(sorted(unknown))} (expected {', '.join(sorted(known))})"
-            )
-        if name in seen:
-            raise ConfigError(f"duplicate tenant name {name!r}")
-        seen.add(name)
-        tenants.append(TenantSpec(
-            name=name,
-            tier=int(kwargs.get("tier", DEFAULT_TIER)),
-            share=kwargs.get("share", 1.0),
-            weight=kwargs.get("weight", 1.0),
-            quota_rate=kwargs.get("rate"),
-            quota_burst=kwargs.get("burst", 4.0),
-            ttft_slo=kwargs.get("slo"),
-        ))
+    tenants = tuple(
+        TENANT_GRAMMAR.bind(TenantSpec, item, where="--tenants: ", head=("name",))
+        for item in split_items(spec)
+    )
     if not tenants:
         raise ConfigError("tenants spec names no tenants")
-    return tuple(tenants)
+    return tenants
 
 
 # -- token bucket ------------------------------------------------------
@@ -340,7 +306,7 @@ class BreakerPolicy:
             raise ConfigError(
                 f"failure_threshold must be >= 1, got {self.failure_threshold}"
             )
-        if self.cooldown <= 0:
+        if not self.cooldown > 0:
             raise ConfigError(f"cooldown must be positive, got {self.cooldown!r}")
 
 
@@ -442,17 +408,17 @@ class AdmissionPolicy:
     max_queue_delay: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.target_queue_delay <= 0:
+        if not self.target_queue_delay > 0:
             raise ConfigError(
                 f"target_queue_delay must be positive, "
                 f"got {self.target_queue_delay!r}"
             )
-        if self.shed_queue_delay <= self.target_queue_delay:
+        if not self.shed_queue_delay > self.target_queue_delay:
             raise ConfigError(
                 f"shed_queue_delay ({self.shed_queue_delay!r}) must exceed "
                 f"target_queue_delay ({self.target_queue_delay!r})"
             )
-        if self.evaluate_interval <= 0:
+        if not self.evaluate_interval > 0:
             raise ConfigError(
                 f"evaluate_interval must be positive, "
                 f"got {self.evaluate_interval!r}"
@@ -467,7 +433,7 @@ class AdmissionPolicy:
                 f"max_inflight_per_node must be >= 1, "
                 f"got {self.max_inflight_per_node}"
             )
-        if self.max_queue_delay <= self.shed_queue_delay:
+        if not self.max_queue_delay > self.shed_queue_delay:
             raise ConfigError(
                 f"max_queue_delay ({self.max_queue_delay!r}) must exceed "
                 f"shed_queue_delay ({self.shed_queue_delay!r})"
@@ -638,6 +604,9 @@ class AdmissionController:
 
 
 # -- rolling upgrades --------------------------------------------------
+UPGRADE_GRAMMAR = Grammar("upgrade", {"restart": "restart_delay", "poll": "poll_interval"})
+
+
 @dataclass(frozen=True)
 class UpgradePlan:
     """A sequential zero-loss rolling upgrade across the fleet.
@@ -657,13 +626,13 @@ class UpgradePlan:
     poll_interval: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.start < 0:
+        if not self.start >= 0:
             raise ConfigError(f"upgrade start must be >= 0, got {self.start!r}")
-        if self.restart_delay < 0:
+        if not self.restart_delay >= 0:
             raise ConfigError(
                 f"restart_delay must be >= 0, got {self.restart_delay!r}"
             )
-        if self.poll_interval <= 0:
+        if not self.poll_interval > 0:
             raise ConfigError(
                 f"poll_interval must be positive, got {self.poll_interval!r}"
             )
@@ -672,27 +641,4 @@ class UpgradePlan:
     def from_spec(cls, spec: str) -> "UpgradePlan":
         """Parse the ``--upgrade`` CLI spec:
         ``start=T[,restart=D][,poll=P]``."""
-        kwargs: Dict[str, float] = {}
-        for pair in filter(None, (p.strip() for p in spec.split(","))):
-            key, eq, value = pair.partition("=")
-            if not eq:
-                raise ConfigError(
-                    f"bad upgrade spec {spec!r}: expected key=value, got {pair!r}"
-                )
-            try:
-                kwargs[key.strip()] = float(value)
-            except ValueError:
-                raise ConfigError(
-                    f"bad upgrade spec {spec!r}: {value!r} is not a number"
-                ) from None
-        unknown = set(kwargs) - {"start", "restart", "poll"}
-        if unknown:
-            raise ConfigError(
-                f"bad upgrade spec {spec!r}: unknown keys "
-                f"{', '.join(sorted(unknown))} (expected start, restart, poll)"
-            )
-        return cls(
-            start=kwargs.get("start", 0.0),
-            restart_delay=kwargs.get("restart", 0.5),
-            poll_interval=kwargs.get("poll", 0.25),
-        )
+        return UPGRADE_GRAMMAR.bind(cls, spec, where="--upgrade: ")

@@ -36,19 +36,19 @@ class AutoscalePolicy:
     provision_delay: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.target_p99_ttft <= 0:
+        if not self.target_p99_ttft > 0:
             raise ConfigError(
                 f"target_p99_ttft must be positive, got {self.target_p99_ttft!r}"
             )
-        if self.target_p99_tpot is not None and self.target_p99_tpot <= 0:
+        if self.target_p99_tpot is not None and not self.target_p99_tpot > 0:
             raise ConfigError(
                 f"target_p99_tpot must be positive, got {self.target_p99_tpot!r}"
             )
-        if self.evaluate_interval <= 0:
+        if not self.evaluate_interval > 0:
             raise ConfigError(
                 f"evaluate_interval must be positive, got {self.evaluate_interval!r}"
             )
-        if self.cooldown < 0:
+        if not self.cooldown >= 0:
             raise ConfigError(f"cooldown must be >= 0, got {self.cooldown!r}")
         if not 0.0 < self.scale_down_factor < 1.0:
             raise ConfigError(
@@ -59,7 +59,7 @@ class AutoscalePolicy:
                 f"need 1 <= min_nodes <= max_nodes, got "
                 f"{self.min_nodes}..{self.max_nodes}"
             )
-        if self.provision_delay < 0:
+        if not self.provision_delay >= 0:
             raise ConfigError(
                 f"provision_delay must be >= 0, got {self.provision_delay!r}"
             )

@@ -21,11 +21,14 @@ semicolon-separated list of events::
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.audit import ConfigError
-from repro.faults.plan import _parse_spec, check_link_factor
+from repro.core.spec import split_items
+from repro.faults.events import check_after, check_link_factor
+from repro.faults.plan import FAULT_GRAMMAR
 
 __all__ = ["NodeFaultEvent", "NodeFaultKind", "NodeFaultPlan"]
 
@@ -56,8 +59,8 @@ class NodeFaultEvent:
     factor: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ConfigError(f"event time must be >= 0, got {self.time!r}")
+        if not 0.0 <= self.time < math.inf:
+            raise ConfigError(f"event time must be finite and >= 0, got {self.time!r}")
         if not self.node:
             raise ConfigError("event must name a node")
         # Checked here rather than in the builders, so a plan decoded
@@ -82,6 +85,12 @@ class NodeFaultEvent:
         return " ".join(parts)
 
 
+#: ``--chaos`` event kind -> the :class:`NodeFaultPlan` builder it calls.
+_SPEC_BUILDERS = {
+    "crash": "crash", "brownout": "brownout", "fabric": "degrade_fabric", "blip": "blip",
+}
+
+
 @dataclass
 class NodeFaultPlan:
     """An ordered schedule of node-level fault events."""
@@ -99,11 +108,7 @@ class NodeFaultPlan:
         """Hard-crash ``node`` at ``at``; optionally recover later."""
         self.add(NodeFaultEvent(at, NodeFaultKind.NODE_CRASH, node))
         if recover_at is not None:
-            if recover_at <= at:
-                raise ConfigError(
-                    f"recovery (recover_at={recover_at!r}) must come after "
-                    f"the crash (at={at!r})"
-                )
+            check_after("recover_at", recover_at, at)
             self.add(NodeFaultEvent(recover_at, NodeFaultKind.NODE_RECOVER, node))
         return self
 
@@ -113,10 +118,7 @@ class NodeFaultPlan:
         """Slow ``node`` to ``factor`` of its speed from ``at``."""
         self.add(NodeFaultEvent(at, NodeFaultKind.BROWNOUT, node, factor=factor))
         if until is not None:
-            if until <= at:
-                raise ConfigError(
-                    f"clear (until={until!r}) must come after the brownout (at={at!r})"
-                )
+            check_after("until", until, at)
             self.add(NodeFaultEvent(until, NodeFaultKind.BROWNOUT_CLEAR, node))
         return self
 
@@ -126,17 +128,13 @@ class NodeFaultPlan:
         """Degrade one intra-node fabric link to ``factor`` bandwidth."""
         self.add(NodeFaultEvent(at, NodeFaultKind.FABRIC_DEGRADE, node, factor=factor))
         if until is not None:
-            if until <= at:
-                raise ConfigError(
-                    f"restore (until={until!r}) must come after the "
-                    f"degradation (at={at!r})"
-                )
+            check_after("until", until, at)
             self.add(NodeFaultEvent(until, NodeFaultKind.FABRIC_RESTORE, node))
         return self
 
     def blip(self, node: str, at: float, duration: float) -> "NodeFaultPlan":
         """Make ``node`` unroutable for ``duration`` seconds."""
-        if duration <= 0:
+        if not duration > 0:
             raise ConfigError(f"blip duration must be positive, got {duration!r}")
         self.add(NodeFaultEvent(at, NodeFaultKind.BLIP, node))
         self.add(NodeFaultEvent(at + duration, NodeFaultKind.BLIP_CLEAR, node))
@@ -157,37 +155,10 @@ class NodeFaultPlan:
         """Parse a ``--chaos`` string: ``;``-separated event specs of
         the form ``kind:node@t=T[,key=value...]`` (see module doc)."""
         plan = cls()
-        for item in spec.split(";"):
-            item = item.strip()
-            if not item:
-                continue
-            kind, sep, rest = item.partition(":")
-            if not sep:
-                raise ConfigError(
-                    f"bad fleet fault spec {item!r}: expected kind:node@t=T[,...]"
-                )
-            kind = kind.strip()
-            try:
-                plan._parse_one(kind, rest)
-            except ValueError as error:
-                raise ConfigError(str(error)) from None
-        return plan
-
-    def _parse_one(self, kind: str, rest: str) -> None:
-        if kind == "crash":
-            head, kv = _parse_spec(rest, required=("t",), optional=("recover",))
-            self.crash(head, kv["t"], recover_at=kv.get("recover"))
-        elif kind == "brownout":
-            head, kv = _parse_spec(rest, required=("t", "factor"), optional=("until",))
-            self.brownout(head, kv["factor"], kv["t"], until=kv.get("until"))
-        elif kind == "fabric":
-            head, kv = _parse_spec(rest, required=("t", "factor"), optional=("until",))
-            self.degrade_fabric(head, kv["factor"], kv["t"], until=kv.get("until"))
-        elif kind == "blip":
-            head, kv = _parse_spec(rest, required=("t", "duration"))
-            self.blip(head, kv["t"], kv["duration"])
-        else:
-            raise ConfigError(
-                f"unknown fleet fault kind {kind!r} "
-                "(expected crash, brownout, fabric, or blip)"
+        for item in split_items(spec):
+            kind, rest = FAULT_GRAMMAR.split_kind(item, _SPEC_BUILDERS, where="--chaos: ")
+            FAULT_GRAMMAR.bind(
+                getattr(plan, _SPEC_BUILDERS[kind]), rest,
+                where=f"--chaos {kind}: ", head=("node",),
             )
+        return plan

@@ -123,9 +123,9 @@ class FleetConfig:
             raise ConfigError(f"num_requests must be >= 1, got {self.num_requests}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.rate <= 0:
+        if not self.rate > 0:
             raise ConfigError(f"rate must be positive, got {self.rate!r}")
-        if self.diurnal_period <= 0:
+        if not self.diurnal_period > 0:
             raise ConfigError(
                 f"diurnal_period must be positive, got {self.diurnal_period!r}"
             )
@@ -134,17 +134,17 @@ class FleetConfig:
                 f"unknown routing policy {self.policy!r} (expected one of "
                 f"{', '.join(ROUTING_POLICIES)})"
             )
-        if self.timeout is not None and self.timeout <= 0:
+        if self.timeout is not None and not self.timeout > 0:
             raise ConfigError(f"timeout must be positive, got {self.timeout!r}")
-        if self.hedge_after is not None and self.hedge_after <= 0:
+        if self.hedge_after is not None and not self.hedge_after > 0:
             raise ConfigError(
                 f"hedge_after must be positive, got {self.hedge_after!r}"
             )
-        if self.probe_interval <= 0:
+        if not self.probe_interval > 0:
             raise ConfigError(
                 f"probe_interval must be positive, got {self.probe_interval!r}"
             )
-        if self.recovery_warmup < 0:
+        if not self.recovery_warmup >= 0:
             raise ConfigError(
                 f"recovery_warmup must be >= 0, got {self.recovery_warmup!r}"
             )

@@ -85,9 +85,9 @@ class ChaosConfig:
             raise ConfigError(f"num_requests must be >= 1, got {self.num_requests}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.rate is not None and self.rate <= 0:
+        if self.rate is not None and not self.rate > 0:
             raise ConfigError(f"rate must be positive, got {self.rate}")
-        if self.deadline is not None and self.deadline <= 0:
+        if self.deadline is not None and not self.deadline > 0:
             raise ConfigError(f"deadline must be positive, got {self.deadline}")
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
@@ -103,6 +103,12 @@ class ChaosConfig:
             raise ConfigError(
                 f"admission_watermark must be in (0, 1], got {self.admission_watermark}"
             )
+        # The injector's box has max(tp, 1) devices (see run_chaos).
+        devices = max(self.tp, 1)
+        for event in self.plan.events:
+            if max(event.device, event.peer) >= devices:
+                raise ConfigError(f"fault event '{event.describe()}' targets a device "
+                                  f"outside the box (devices 0..{devices - 1})")
 
 
 def build_degraded_collectives(device: str, tp: int, health: FabricHealth):

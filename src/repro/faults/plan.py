@@ -16,33 +16,20 @@ kernel-fault RNG, and events replay in (time, insertion) order.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.audit import ConfigError
-from repro.faults.events import FaultEvent, FaultKind
+from repro.core.spec import Grammar
+from repro.faults.events import FaultEvent, FaultKind, check_after
 
-#: Smallest usable fraction of a degraded link's bandwidth.  Factor 0
-#: is a severed link, which the fabric relays at its residual rate; a
-#: tiny positive factor would stretch every collective without bound
-#: (a fleet draining a node would poll it forever), so factors in
-#: ``(0, MIN_LINK_FACTOR)`` are rejected.
-MIN_LINK_FACTOR = 0.01
+#: The fault-spec grammar, shared with ``repro fleet --chaos``
+#: (:class:`~repro.cluster.faults.NodeFaultPlan`).
+FAULT_GRAMMAR = Grammar("fault", {"t": "at", "recover": "recover_at"})
 
-
-def check_link_factor(what: str, factor: float, healthy_ok: bool) -> None:
-    """Raise :class:`ConfigError` naming ``what`` unless ``factor`` is 0
-    or in ``[MIN_LINK_FACTOR, 1)`` (``1`` included when ``healthy_ok``)."""
-    if not (
-        factor == 0.0
-        or MIN_LINK_FACTOR <= factor < 1.0
-        or (healthy_ok and factor == 1.0)
-    ):
-        bracket = "]" if healthy_ok else ")"
-        raise ConfigError(
-            f"{what} must be 0 or in [{MIN_LINK_FACTOR:g}, 1{bracket}, got {factor!r}"
-        )
+#: Most cycles one flap may schedule: each adds two events, so an
+#: unbounded count from a spec would exhaust memory building the plan.
+MAX_FLAP_CYCLES = 1000
 
 
 @dataclass
@@ -69,17 +56,9 @@ class FaultPlan:
         self, device: int, at: float, recover_at: Optional[float] = None
     ) -> "FaultPlan":
         """Hard device failure, optionally followed by recovery."""
-        if device < 0:
-            raise ConfigError(f"device must be >= 0, got {device}")
-        if at < 0:
-            raise ConfigError(f"failure time must be >= 0, got {at!r}")
         self.add(FaultEvent(at, FaultKind.DEVICE_FAIL, device=device))
         if recover_at is not None:
-            if recover_at <= at:
-                raise ConfigError(
-                    f"recovery (recover_at={recover_at!r}) must come after "
-                    f"the failure (at={at!r})"
-                )
+            check_after("recover_at", recover_at, at)
             self.add(FaultEvent(recover_at, FaultKind.DEVICE_RECOVER, device=device))
         return self
 
@@ -87,18 +66,9 @@ class FaultPlan:
         self, a: int, b: int, factor: float, at: float, until: Optional[float] = None
     ) -> "FaultPlan":
         """Reduce one P2P link to ``factor`` of its bandwidth."""
-        if a < 0 or b < 0:
-            raise ConfigError(f"link devices must be >= 0, got {a}-{b}")
-        if a == b:
-            raise ConfigError(f"link endpoints must differ, got {a}-{b}")
-        check_link_factor("link factor", factor, healthy_ok=True)
         self.add(FaultEvent(at, FaultKind.LINK_DEGRADE, device=a, peer=b, factor=factor))
         if until is not None:
-            if until <= at:
-                raise ConfigError(
-                    f"restore (until={until!r}) must come after the "
-                    f"degradation (at={at!r})"
-                )
+            check_after("until", until, at)
             self.add(FaultEvent(until, FaultKind.LINK_RESTORE, device=a, peer=b))
         return self
 
@@ -106,10 +76,9 @@ class FaultPlan:
         self, a: int, b: int, at: float, period: float, cycles: int
     ) -> "FaultPlan":
         """A flapping link: down for ``period / 2``, up for ``period / 2``."""
-        if period <= 0:
-            raise ConfigError(f"period must be positive, got {period!r}")
-        if cycles < 1:
-            raise ConfigError(f"cycles must be >= 1, got {cycles}")
+        # No event carries ``cycles``, so no __post_init__ can check it.
+        if not 1 <= cycles <= MAX_FLAP_CYCLES:
+            raise ConfigError(f"cycles must be in 1..{MAX_FLAP_CYCLES}, got {cycles}")
         for i in range(cycles):
             start = at + i * period
             self.degrade_link(a, b, 0.0, start, until=start + period / 2)
@@ -119,15 +88,9 @@ class FaultPlan:
         self, factor: float, at: float, until: Optional[float] = None
     ) -> "FaultPlan":
         """Thermal HBM throttling: memory bandwidth drops to ``factor``."""
-        if not 0.0 < factor <= 1.0:
-            raise ConfigError(f"HBM throttle factor must be in (0, 1], got {factor!r}")
         self.add(FaultEvent(at, FaultKind.HBM_THROTTLE, factor=factor))
         if until is not None:
-            if until <= at:
-                raise ConfigError(
-                    f"restore (until={until!r}) must come after the "
-                    f"throttle (at={at!r})"
-                )
+            check_after("until", until, at)
             self.add(FaultEvent(until, FaultKind.HBM_RESTORE))
         return self
 
@@ -136,17 +99,9 @@ class FaultPlan:
     ) -> "FaultPlan":
         """One device's TPCs run at ``factor`` speed (batch-synchronous
         steps slow to the straggler's pace)."""
-        if device < 0:
-            raise ConfigError(f"device must be >= 0, got {device}")
-        if not 0.0 < factor <= 1.0:
-            raise ConfigError(f"straggler factor must be in (0, 1], got {factor!r}")
         self.add(FaultEvent(at, FaultKind.TPC_STRAGGLER, device=device, factor=factor))
         if until is not None:
-            if until <= at:
-                raise ConfigError(
-                    f"clear (until={until!r}) must come after the "
-                    f"slowdown (at={at!r})"
-                )
+            check_after("until", until, at)
             self.add(FaultEvent(until, FaultKind.STRAGGLER_CLEAR, device=device))
         return self
 
@@ -181,70 +136,13 @@ class FaultPlan:
         A malformed spec raises a :class:`ConfigError` naming its flag.
         """
         plan = cls(seed=seed, kernel_fault_rate=kernel_fault_rate)
-        for spec in fail_device:
-            with _flag_errors("--fail-device"):
-                head, kv = _parse_spec(spec, required=("t",), optional=("recover",))
-                plan.fail_device(int(head), kv["t"], recover_at=kv.get("recover"))
-        for spec in degrade_link:
-            with _flag_errors("--degrade-link"):
-                head, kv = _parse_spec(spec, required=("t", "factor"), optional=("until",))
-                a, b = _parse_link(head)
-                plan.degrade_link(a, b, kv["factor"], kv["t"], until=kv.get("until"))
-        for spec in flap_link:
-            with _flag_errors("--flap-link"):
-                head, kv = _parse_spec(spec, required=("t", "period", "cycles"))
-                a, b = _parse_link(head)
-                plan.flap_link(a, b, kv["t"], kv["period"], int(kv["cycles"]))
-        for spec in throttle_hbm:
-            with _flag_errors("--throttle-hbm"):
-                head, kv = _parse_spec(spec, required=("t",), optional=("until",))
-                plan.throttle_hbm(float(head), kv["t"], until=kv.get("until"))
-        for spec in straggler:
-            with _flag_errors("--straggler"):
-                head, kv = _parse_spec(spec, required=("t", "factor"), optional=("until",))
-                plan.straggler(int(head), kv["factor"], kv["t"], until=kv.get("until"))
+        for flag, specs, builder, head in (
+            ("--fail-device", fail_device, plan.fail_device, ("device",)),
+            ("--degrade-link", degrade_link, plan.degrade_link, ("a", "b")),
+            ("--flap-link", flap_link, plan.flap_link, ("a", "b")),
+            ("--throttle-hbm", throttle_hbm, plan.throttle_hbm, ("factor",)),
+            ("--straggler", straggler, plan.straggler, ("device",)),
+        ):
+            for spec in specs:
+                FAULT_GRAMMAR.bind(builder, spec, where=f"{flag}: ", head=head)
         return plan
-
-
-@contextmanager
-def _flag_errors(flag: str) -> Iterator[None]:
-    """Re-raise a spec's ``ValueError`` as a ConfigError naming ``flag``."""
-    try:
-        yield
-    except ValueError as error:
-        raise ConfigError(f"{flag}: {error}") from None
-
-
-def _parse_spec(
-    spec: str,
-    required: Tuple[str, ...] = (),
-    optional: Tuple[str, ...] = (),
-) -> Tuple[str, Dict[str, float]]:
-    """Parse ``HEAD@key=value,key=value`` fault specs."""
-    head, sep, rest = spec.partition("@")
-    if not sep or not head:
-        raise ValueError(f"bad fault spec {spec!r}: expected HEAD@t=TIME[,...]")
-    kv: Dict[str, float] = {}
-    for item in rest.split(","):
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ValueError(f"bad fault spec {spec!r}: {item!r} is not key=value")
-        try:
-            kv[key.strip()] = float(value)
-        except ValueError:
-            raise ValueError(f"bad fault spec {spec!r}: {value!r} is not a number") from None
-    for key in required:
-        if key not in kv:
-            raise ValueError(f"bad fault spec {spec!r}: missing {key}=")
-    allowed = set(required) | set(optional)
-    extra = set(kv) - allowed
-    if extra:
-        raise ValueError(f"bad fault spec {spec!r}: unknown keys {sorted(extra)}")
-    return head.strip(), kv
-
-
-def _parse_link(head: str) -> Tuple[int, int]:
-    a, sep, b = head.partition("-")
-    if not sep:
-        raise ValueError(f"bad link {head!r}: expected A-B device pair")
-    return int(a), int(b)

@@ -74,9 +74,13 @@ class ResiliencePolicy:
 
     def __post_init__(self) -> None:
         if self.checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be >= 1")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError("deadline must be positive")
+            raise ConfigError(f"checkpoint_interval must be >= 1, got {self.checkpoint_interval}")
+        if self.deadline is not None and not self.deadline > 0:
+            raise ConfigError(f"deadline must be positive, got {self.deadline!r}")
+        if not 0.0 < self.admission_watermark <= 1.0:
+            raise ConfigError(
+                f"admission_watermark must be in (0, 1], got {self.admission_watermark!r}"
+            )
 
 
 @dataclass

@@ -82,7 +82,6 @@ class TestParseTenantsSpec:
         "t:tier",
         "t:tier=zero",
         "t:color=red",
-        "a:tier=0;a:tier=1",
     ])
     def test_rejects_malformed_specs(self, spec):
         with pytest.raises(ConfigError):

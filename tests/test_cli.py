@@ -28,7 +28,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("argv, message", [
         (["chaos", "--fail-device", "3"], "--fail-device: bad fault spec '3'"),
-        (["chaos", "--fail-device", "x@t=1"], "--fail-device: invalid literal for int()"),
+        (["chaos", "--fail-device", "x@t=1"], "device must be an integer, got 'x'"),
         (["fleet", "--chaos", "crash:gaudi2-0"], "bad fault spec 'gaudi2-0'"),
         (["fleet", "--tenants", "gold:tier=x"], "bad tenant spec 'gold:tier=x'"),
         (["fleet", "--nodes", "4 gaudi2"], "--nodes: bad pool '4 gaudi2'"),
@@ -52,6 +52,41 @@ class TestInputErrors:
          "Llama-3.1-70B-Instruct on Gaudi-2 at TP 1 leaves room for 0 KV tokens"),
         (["figures", "--markdown", "--backend", "h100"],
          "--markdown: the paper claims compare the default gaudi2/a100 pair"),
+        # Every spec value must be a finite number; int fields integral.
+        (["fleet", "--tenants", "gold:tier=nan"], "tier must be an integer, got 'nan'"),
+        (["fleet", "--tenants", "gold:tier=1e400"], "tier must be an integer, got '1e400'"),
+        (["fleet", "--tenants", "gold:tier=1.5"], "tier must be an integer, got '1.5'"),
+        (["chaos", "--flap-link", "0-1@t=1,period=0.5,cycles=inf"],
+         "--flap-link: bad fault spec '0-1@t=1,period=0.5,cycles=inf': "
+         "cycles must be an integer, got 'inf'"),
+        (["chaos", "--flap-link", "0-1@t=1,period=0.5,cycles=2.7"],
+         "cycles must be an integer, got '2.7'"),
+        (["fleet", "--chaos", "crash:gaudi2-0@t=1,t=2"],
+         "--chaos crash: bad fault spec 'gaudi2-0@t=1,t=2': duplicate key t="),
+        (["fleet", "--chaos", "crash:gaudi2-0@t=nan"],
+         "t must be a finite number, got 'nan'"),
+        (["fleet", "--chaos", "brownout:gaudi2-0@t=1,factor=0.5,until=nan"],
+         "until must be a finite number, got 'nan'"),
+        (["chaos", "--fail-device", "3@t=nan"],
+         "--fail-device: bad fault spec '3@t=nan': t must be a finite number"),
+        (["chaos", "--fail-device", "3.5@t=1"], "device must be an integer, got '3.5'"),
+        (["fleet", "--upgrade", "start=nan"],
+         "--upgrade: bad upgrade spec 'start=nan': start must be a finite number"),
+        # NaN fails every positivity check.
+        (["fleet", "--rate", "nan"], "rate must be positive, got nan"),
+        (["fleet", "--timeout", "nan"], "timeout must be positive, got nan"),
+        (["chaos", "--rate", "nan"], "rate must be positive, got nan"),
+        (["fleet", "--deadline", "-1"], "deadline must be positive, got -1.0"),
+        (["fleet", "--breaker", "--breaker-cooldown", "nan"],
+         "cooldown must be positive, got nan"),
+        # The chaos box has max(tp, 1) devices.
+        (["chaos", "--fail-device", "99@t=0.1"],
+         "fault event 't=0.1 device-fail dev99' targets a device outside the box"),
+        (["chaos", "--straggler", "99@t=0.1,factor=0.5"],
+         "targets a device outside the box (devices 0..7)"),
+        (["chaos", "--degrade-link", "0-99@t=0.1,factor=0.5"],
+         "targets a device outside the box (devices 0..7)"),
+        (["fleet", "--tenants", "a:tier=0;a:tier=1"], "duplicate tenant names"),
     ])
     def test_bad_spec_exits_2(self, capsys, argv, message):
         assert main(argv) == 2
@@ -71,8 +106,12 @@ class TestInputErrors:
             "factor": 1e-45,
         }), "fabric factor must be 0 or in [0.01, 1), got 1e-45"),
         (lambda config: config.update(seed=-1), "seed must be >= 0, got -1"),
+        (lambda config: config.update(checkpoint_interval=0),
+         "checkpoint_interval must be >= 1, got 0"),
+        (lambda config: config.update(admission_watermark=0.0),
+         "admission_watermark must be in (0, 1], got 0.0"),
     ], ids=["missing-journal", "tp-0", "empty-nodes", "no-nodes", "tp-str",
-            "tiny-link-factor", "negative-seed"])
+            "tiny-link-factor", "negative-seed", "checkpoint-0", "watermark-0"])
     def test_bad_journal_exits_2(self, capsys, tmp_path, edit, message):
         """``repro resume`` treats a missing or malformed journal as bad
         input: one ``error:`` line and exit 2."""

@@ -1,5 +1,7 @@
 """Fault plans, the injector, and degraded-fabric collectives."""
 
+import re
+
 import pytest
 
 from repro.audit import ConfigError
@@ -15,7 +17,7 @@ from repro.comm import (
     degraded_collective_time,
     effective_participants,
 )
-from repro.faults import FaultInjector, FaultKind, FaultPlan
+from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.models.tensor_parallel import TensorParallelConfig
 
 
@@ -51,6 +53,21 @@ class TestFaultPlan:
     def test_kernel_rate_bounds(self):
         with pytest.raises(ValueError):
             FaultPlan(kernel_fault_rate=1.0)
+
+    @pytest.mark.parametrize("time, kind, target, factor, message", [
+        (float("nan"), FaultKind.KERNEL_FAULT, (), 1.0, "event time must be finite"),
+        (float("inf"), FaultKind.HBM_RESTORE, (), 1.0, "event time must be finite"),
+        (1.0, FaultKind.DEVICE_FAIL, (), 1.0, "device must be >= 0"),
+        (1.0, FaultKind.LINK_RESTORE, (2, 2), 1.0, "two distinct devices"),
+        (1.0, FaultKind.LINK_DEGRADE, (0, 1), 1e-45, "link factor must be 0 or in"),
+        (1.0, FaultKind.HBM_THROTTLE, (), 0.0, "HBM throttle factor must be in (0, 1]"),
+        (1.0, FaultKind.TPC_STRAGGLER, (3,), 1.5, "straggler factor must be in (0, 1]"),
+        (1.0, FaultKind.DEVICE_RECOVER, (3,), 0.5, "device-recover event takes no factor"),
+    ])
+    def test_event_checked_per_kind(self, time, kind, target, factor, message):
+        """Every plan, however built, is held to the same event bounds."""
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            FaultEvent(time, kind, *target, factor=factor)
 
     def test_from_specs_round_trip(self):
         plan = FaultPlan.from_specs(

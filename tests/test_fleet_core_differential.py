@@ -25,7 +25,7 @@ from repro.cluster import (
     run_fleet,
 )
 from repro.cluster.node import Node
-from repro.faults.plan import MIN_LINK_FACTOR
+from repro.faults.events import MIN_LINK_FACTOR
 from repro.serving.engine_core import counters_snapshot, reset_counters
 from repro.serving.request import RetryPolicy
 

@@ -26,7 +26,7 @@ from repro.cluster import (
 )
 from repro.cluster.faults import NodeFaultEvent
 from repro.core.journal import canonical_json, decode, encode
-from repro.faults.plan import MIN_LINK_FACTOR
+from repro.faults.events import MIN_LINK_FACTOR
 from repro.serving.engine import ServingReport
 from repro.serving.loadgen import LoadTestReport, ResilientLoadReport
 from repro.serving.request import RetryPolicy
