@@ -471,8 +471,6 @@ class AdmissionController:
         self.wfq = WeightedFairQueue()
         self.buckets: Dict[str, TokenBucket] = {}
         for spec in tenants:
-            if spec.name in self.tenants:
-                raise ConfigError(f"duplicate tenant name {spec.name!r}")
             self.tenants[spec.name] = spec
             self.wfq.register(spec.name, spec.weight)
             if spec.quota_rate is not None:

@@ -119,6 +119,10 @@ class FleetConfig:
             resolve_backend(name)  # typed error naming registered backends
             if count < 1:
                 raise ConfigError(f"pool {name!r} needs count >= 1, got {count}")
+        if self.num_kv_blocks is not None and self.num_kv_blocks < 1:
+            raise ConfigError(
+                f"num_kv_blocks must be >= 1, got {self.num_kv_blocks}"
+            )
         if self.num_requests < 1:
             raise ConfigError(f"num_requests must be >= 1, got {self.num_requests}")
         if self.seed < 0:

@@ -79,6 +79,8 @@ class Device:
         # every estimate is a pure function of the key).
         self._gemm_cache = CostCache(f"device.gemm[{spec.name}]", maxsize=16384)
         self._attention_cache = CostCache(f"kernels.attention[{spec.name}]")
+        self._stream_cache = CostCache(f"kernels.stream[{spec.name}]")
+        self._gather_scatter_cache = CostCache(f"kernels.gather_scatter[{spec.name}]")
 
     @property
     def name(self) -> str:

@@ -78,6 +78,11 @@ class _StepperCache(CostCache):
 #: compiled closures turns those rebuilds into dictionary hits.
 _SHARED_STEPPERS = _StepperCache("llama.decode_stepper", maxsize=4096)
 
+#: Cross-instance end-to-end generation estimates, keyed on the pricing
+#: identity, the fabric fault state and the call shape: figure sweeps
+#: build a fresh model per grid point and revisit the same points.
+_GENERATE_CACHE = CostCache("llama.generate")
+
 #: Cross-instance phase-estimate caches, keyed by the same pricing
 #: identity as the shared steppers: device singleton, frozen config,
 #: graphs/bucket knobs and the tensor-parallel pricing key (degree plus
@@ -253,6 +258,27 @@ class DecodeBatchStats:
             total_context=total,
             total_blocks=blocks,
             max_context=longest,
+            block_size=block_size,
+            residues=tuple(residues),
+        )
+
+    @classmethod
+    def uniform(
+        cls, batch: int, context_len: int, block_size: int = DEFAULT_BLOCK_SIZE
+    ) -> "DecodeBatchStats":
+        """:meth:`from_context_lens` of ``[context_len] * batch`` in
+        O(block_size): every request sits in one residue bucket."""
+        if batch <= 0:
+            raise ValueError("need at least one context length")
+        if context_len <= 0:
+            raise ValueError("context lengths must be positive")
+        residues = [0] * block_size
+        residues[context_len % block_size] = batch
+        return cls(
+            batch=batch,
+            total_context=batch * context_len,
+            total_blocks=batch * ((context_len + block_size - 1) // block_size),
+            max_context=context_len,
             block_size=block_size,
             residues=tuple(residues),
         )
@@ -477,18 +503,14 @@ class LlamaCostModel:
         """
         if batch <= 0:
             raise ValueError("batch must be positive")
-        context_lens = (
-            [int(context_len)] * batch
-            if isinstance(context_len, (int, float))
-            else [int(c) for c in context_len]
-        )
-        if len(context_lens) != batch:
-            raise ValueError("context_len sequence must match batch size")
-        if any(c <= 0 for c in context_lens):
-            raise ValueError("context lengths must be positive")
-        return self.decode_step_stats(
-            DecodeBatchStats.from_context_lens(context_lens), attention
-        )
+        if isinstance(context_len, (int, float)):
+            stats = DecodeBatchStats.uniform(batch, int(context_len))
+        else:
+            context_lens = [int(c) for c in context_len]
+            if len(context_lens) != batch:
+                raise ValueError("context_len sequence must match batch size")
+            stats = DecodeBatchStats.from_context_lens(context_lens)
+        return self.decode_step_stats(stats, attention)
 
     def decode_step_stats(
         self,
@@ -805,6 +827,15 @@ class LlamaCostModel:
         """Fixed-length generation (the Section 3.5 serving setup)."""
         if output_len <= 0 or decode_samples <= 0:
             raise ValueError("output_len and decode_samples must be positive")
+        key = None
+        if self._memo_ok:
+            key = (
+                self._pricing_identity, self._fabric_key(), batch, input_len,
+                output_len, attention, decode_samples,
+            )
+            cached = _GENERATE_CACHE.get(key)
+            if cached is not None:
+                return cached
         prefill = self.prefill(batch, input_len)
         # Sample decode steps across the growing context and integrate.
         acc = ActivityAccumulator()
@@ -820,7 +851,7 @@ class LlamaCostModel:
         total = prefill.time + decode_time
         profile = acc.profile(total)
         power = PowerModel(self.device.spec.power).power(profile)
-        return GenerationEstimate(
+        estimate = GenerationEstimate(
             device=self.device.name,
             config_name=self.config.name,
             batch=batch,
@@ -830,6 +861,9 @@ class LlamaCostModel:
             decode_time=decode_time,
             average_power=power,
         )
+        if key is not None:
+            _GENERATE_CACHE.put(key, estimate)
+        return estimate
 
     # -- capacity ----------------------------------------------------------
     def max_kv_tokens(self) -> int:

@@ -252,6 +252,12 @@ class TestAdmissionController:
         assert reason == "quota: tenant metered over 1 req/s (burst 1)"
         assert controller.quota_denied == 1
 
+    def test_duplicate_tenant_names_rejected(self):
+        with pytest.raises(ConfigError, match="duplicate WFQ tenant 'gold'"):
+            _controller(tenants=(
+                TenantSpec(name="gold", tier=0), TenantSpec(name="gold", tier=1),
+            ))
+
     def test_unknown_tenant_rejected(self):
         controller = _controller()
         with pytest.raises(ConfigError):

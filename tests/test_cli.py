@@ -110,8 +110,11 @@ class TestInputErrors:
          "checkpoint_interval must be >= 1, got 0"),
         (lambda config: config.update(admission_watermark=0.0),
          "admission_watermark must be in (0, 1], got 0.0"),
+        (lambda config: config.update(num_kv_blocks=0),
+         "num_kv_blocks must be >= 1, got 0"),
     ], ids=["missing-journal", "tp-0", "empty-nodes", "no-nodes", "tp-str",
-            "tiny-link-factor", "negative-seed", "checkpoint-0", "watermark-0"])
+            "tiny-link-factor", "negative-seed", "checkpoint-0", "watermark-0",
+            "kv-blocks-0"])
     def test_bad_journal_exits_2(self, capsys, tmp_path, edit, message):
         """``repro resume`` treats a missing or malformed journal as bad
         input: one ``error:`` line and exit 2."""

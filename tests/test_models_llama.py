@@ -1,11 +1,15 @@
 """Llama-3.1 cost models (Figures 12, 13)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.hw.backend import A100, GAUDI2, get_backend
 from repro.models.llama import (
     LLAMA_3_1_70B,
     LLAMA_3_1_8B,
     DecodeAttention,
+    DecodeBatchStats,
     LlamaConfig,
     LlamaCostModel,
 )
@@ -81,6 +85,43 @@ class TestPhases:
             model.decode_step(2, [100])
         with pytest.raises(ValueError):
             model.decode_step(1, 0)
+
+
+class TestUniformBatch:
+    """A scalar ``context_len`` is the list ``[context_len] * batch``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.integers(1, 300),
+        context_len=st.integers(1, 20_000),
+        block_size=st.sampled_from((1, 16, 128, 256)),
+    )
+    def test_uniform_stats_equal_list_stats(self, batch, context_len, block_size):
+        assert DecodeBatchStats.uniform(batch, context_len, block_size) == (
+            DecodeBatchStats.from_context_lens([context_len] * batch, block_size)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        backend=st.sampled_from((GAUDI2, A100)),
+        batch=st.integers(1, 64),
+        context_len=st.integers(1, 8192),
+        attention=st.sampled_from(list(DecodeAttention)),
+    )
+    def test_scalar_decode_step_is_bit_identical(
+        self, backend, batch, context_len, attention
+    ):
+        model = LlamaCostModel(LLAMA_3_1_8B, get_backend(backend))
+        scalar = model.decode_step(batch, context_len, attention)
+        listed = model.decode_step(batch, [context_len] * batch, attention)
+        assert scalar.time == listed.time
+        assert vars(scalar.activity) == vars(listed.activity)
+
+    def test_uniform_rejects_empty_and_nonpositive(self):
+        with pytest.raises(ValueError, match="context lengths must be positive"):
+            DecodeBatchStats.uniform(4, 0)
+        with pytest.raises(ValueError, match="at least one"):
+            DecodeBatchStats.uniform(0, 128)
 
 
 class TestGenerate:

@@ -12,8 +12,12 @@ recomputed and compared) and under ``REPRO_NO_MEMO=1``; tests that are
 about sharing turn the memo on for their own scope.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.api import RunContext
+from repro.audit import audit_scope
 from repro.cluster import FleetConfig, NodeFaultPlan
 from repro.cluster.fleet import run_fleet
 from repro.comm import (
@@ -29,13 +33,17 @@ from repro.comm import (
 from repro.core import memo
 from repro.faults.chaos import build_degraded_collectives
 from repro.hw.backend import A100, GAUDI2, get_backend
+from repro.kernels.gather_scatter import run_gather_scatter
+from repro.kernels.stream import StreamOp, run_stream
 from repro.models.llama import (
+    LLAMA_3_1_70B,
     LLAMA_3_1_8B,
     DecodeBatchStats,
     LlamaCostModel,
     default_decode_attention,
 )
 from repro.models.tensor_parallel import TensorParallelConfig
+from repro.obs.metrics import MetricsRegistry
 
 CRASH = "crash:gaudi2-1@t=1,recover=3"
 FABRIC_CHAOS = (
@@ -207,3 +215,121 @@ def test_models_with_distinct_tp_identities_never_share(memo_on):
             assert cached == model.prefill(2, 1000).time
         times.append(cached)
     assert len(set(times)) == len(times)
+
+
+def _generate_stats():
+    return memo.cache_stats().get("llama.generate", {"hits": 0, "misses": 0, "entries": 0})
+
+
+def _fig12_sweep():
+    """A Fig. 12-style grid: a fresh model per point, TP 1 and TP 8."""
+    estimates = []
+    for backend in (GAUDI2, A100):
+        device = get_backend(backend)
+        for tp, config in ((1, LLAMA_3_1_8B), (8, LLAMA_3_1_70B)):
+            for batch in (1, 16):
+                for output_len in (25, 100):
+                    model = LlamaCostModel(
+                        config, device, TensorParallelConfig.for_device(device, tp)
+                    )
+                    estimates.append(model.generate(batch, 100, output_len))
+    return estimates
+
+
+def test_repeated_generate_sweep_only_hits(memo_on):
+    first = _fig12_sweep()
+    before = _generate_stats()
+    assert before["entries"] == len(first)
+    # Sampled audit recomputes would count as misses; this pass counts
+    # lookups, the next one checks values under the ambient audit mode.
+    with audit_scope("off"):
+        second = _fig12_sweep()
+    after = _generate_stats()
+    assert after["entries"] == before["entries"]
+    assert after["misses"] == before["misses"]
+    assert after["hits"] - before["hits"] == len(first)
+    assert second == first
+    assert _fig12_sweep() == first
+    with memo.disabled():
+        assert _fig12_sweep() == first
+
+
+@pytest.mark.parametrize("order", [("degraded", "healthy"), ("healthy", "degraded")])
+def test_tp8_generate_never_crosses_fault_states(memo_on, order):
+    device = get_backend(GAUDI2)
+    degraded_health = FabricHealth()
+    degraded_health.set_link_factor(0, 1, 0.25)
+    models = {
+        name: LlamaCostModel(
+            LLAMA_3_1_8B, device, tp=build_degraded_collectives(GAUDI2, 8, health)[0]
+        )
+        for name, health in (("healthy", FabricHealth()), ("degraded", degraded_health))
+    }
+    with memo.disabled():
+        fresh = {name: model.generate(16, 100, 200) for name, model in models.items()}
+    assert fresh["degraded"] != fresh["healthy"]
+    cached = {name: models[name].generate(16, 100, 200) for name in order}
+    assert cached == fresh
+    assert _generate_stats()["entries"] == 2
+
+
+def test_observed_tp_generate_bypasses_the_cache(memo_on):
+    device = get_backend(GAUDI2)
+    metrics = MetricsRegistry()
+    tp = TensorParallelConfig.for_device(device, 8)
+    tp.bind_observability(metrics)
+    model = LlamaCostModel(LLAMA_3_1_8B, device, tp=tp)
+    calls = metrics.counter("comm.allreduce.calls")
+    counts = []
+    for _ in range(3):
+        before = calls.value
+        model.generate(16, 100, 200)
+        counts.append(calls.value - before)
+    assert counts[0] > 0 and counts == [counts[0]] * 3
+    assert _generate_stats()["entries"] == 0
+
+
+def _kernel_grid():
+    device = get_backend(GAUDI2)
+    streams = [
+        run_stream(device=device, op=op, num_elements=n, access_bytes=access,
+                   unroll=unroll, num_cores=cores, compute_chain=chain)
+        for op in StreamOp
+        for n, access, unroll, cores, chain in (
+            (1 << 16, 256, 1, 1, 1), (1 << 16, 64, 4, 1, 1),
+            (1 << 20, 256, 4, None, 1), (1 << 20, 256, 4, 8, 1),
+            (1 << 20, 256, 4, 8, 4),
+        )
+    ]
+    gathers = [
+        run_gather_scatter(device=device, vector_bytes=vector_bytes,
+                           fraction_accessed=fraction, num_vectors=1 << 16,
+                           is_scatter=is_scatter)
+        for vector_bytes in (16, 256, 2048)
+        for fraction in (0.01, 1.0)
+        for is_scatter in (False, True)
+    ]
+    return [dataclasses.asdict(result) for result in streams + gathers]
+
+
+def test_tpc_kernel_grids_match_uncached(memo_on):
+    first = _kernel_grid()
+    assert _kernel_grid() == first
+    with memo.disabled():
+        assert _kernel_grid() == first
+    stats = memo.cache_stats()
+    assert stats["kernels.stream[Gaudi-2]"]["hits"] > 0
+    assert stats["kernels.gather_scatter[Gaudi-2]"]["hits"] > 0
+
+
+def test_traced_stream_records_on_a_cache_hit(memo_on):
+    device = get_backend(GAUDI2)
+    ctx = RunContext.create()
+    first = run_stream(device=device, op=StreamOp.TRIAD, num_elements=1 << 16, ctx=ctx)
+    hits = memo.cache_stats()["kernels.stream[Gaudi-2]"]["hits"]
+    second = run_stream(device=device, op=StreamOp.TRIAD, num_elements=1 << 16, ctx=ctx)
+    assert memo.cache_stats()["kernels.stream[Gaudi-2]"]["hits"] == hits + 1
+    assert second == first
+    spans = [span for span in ctx.tracer.spans if span.name == "stream.triad"]
+    assert len(spans) == 2 and spans[1].duration == first.time
+    assert ctx.metrics.counter("kernels.stream.calls").value == 2
