@@ -36,6 +36,7 @@ import sys
 from typing import List, Optional
 
 from repro.audit.errors import ConfigError, JournalError
+from repro.core.parallel import parse_workers
 from repro.core.report import render_table
 from repro.hw.backend import (
     BACKENDS_ENV,
@@ -1000,6 +1001,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         configure(args.audit)
     try:
+        if getattr(args, "workers", None) is not None:
+            parse_workers(args.workers)  # also where this run would not fan out
         return args.fn(args)
     except (ConfigError, JournalError) as exc:
         # Bad user input (a flag value, a spec string, an artifact or

@@ -7,8 +7,9 @@ resolves: ``None`` defers to the ``REPRO_WORKERS`` environment
 variable (default serial, so tests and library callers stay
 single-process unless asked), ``"auto"``/``0`` uses the machine's
 cores capped at :data:`MAX_AUTO_WORKERS`, and any positive integer is
-taken literally.  The result is always clamped to the task count --
-spawning more workers than tasks only costs fork time.
+taken literally; anything else is a :class:`~repro.audit.ConfigError`
+(see :func:`parse_workers`).  The result is always clamped to the task
+count -- spawning more workers than tasks only costs fork time.
 
 :func:`map_with_retries` is the crash-safe ``pool.map``: a worker
 process dying (OOM-killed, segfaulted) breaks a plain
@@ -25,13 +26,33 @@ import os
 import time
 from typing import Callable, List, Optional, Sequence, Union
 
-from repro.audit.errors import WorkerRetryExhausted
+from repro.audit.errors import ConfigError, WorkerRetryExhausted
 
-__all__ = ["MAX_AUTO_WORKERS", "map_with_retries", "resolve_worker_count"]
+__all__ = ["MAX_AUTO_WORKERS", "map_with_retries", "parse_workers", "resolve_worker_count"]
 
 #: Cap for "auto": figure regeneration has ~14 tasks and heavy imports
 #: per worker, so more processes than this never pays for itself.
 MAX_AUTO_WORKERS = 8
+
+
+def parse_workers(workers: Union[int, str], source: str = "--workers") -> int:
+    """A ``workers`` value as a count, ``0`` meaning "auto".
+
+    Accepts a non-negative integer (or its decimal string) or ``"auto"``;
+    anything else raises :class:`~repro.audit.ConfigError` naming
+    ``source`` (the flag or environment variable it came from).
+    """
+    if isinstance(workers, str):
+        text = workers.strip()
+        if text.lower() == "auto":
+            return 0
+        if text.isascii() and text.isdigit():
+            return int(text)
+    elif isinstance(workers, int) and workers >= 0:
+        return workers
+    raise ConfigError(
+        f"{source} must be a non-negative integer or 'auto', got {workers!r}"
+    )
 
 
 def resolve_worker_count(workers: Optional[Union[int, str]], tasks: int) -> int:
@@ -39,15 +60,12 @@ def resolve_worker_count(workers: Optional[Union[int, str]], tasks: int) -> int:
     if tasks <= 0:
         return 1
     if workers is None:
-        workers = os.environ.get("REPRO_WORKERS", 1)
-    if isinstance(workers, str):
-        if workers.strip().lower() == "auto":
-            workers = 0
-        else:
-            workers = int(workers)
-    if workers <= 0:  # "auto"
-        workers = min(os.cpu_count() or 1, MAX_AUTO_WORKERS)
-    return max(1, min(int(workers), tasks))
+        count = parse_workers(os.environ.get("REPRO_WORKERS", "1"), "REPRO_WORKERS")
+    else:
+        count = parse_workers(workers)
+    if count == 0:  # "auto"
+        count = min(os.cpu_count() or 1, MAX_AUTO_WORKERS)
+    return max(1, min(count, tasks))
 
 
 def map_with_retries(

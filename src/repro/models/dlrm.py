@@ -22,10 +22,12 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.memo import CostCache
 from repro.hw.device import Device
 from repro.hw.power import ActivityAccumulator, PowerModel
 from repro.hw.spec import DType
@@ -39,6 +41,12 @@ from repro.kernels.embedding import (
 
 #: Per-op dispatch overhead during RecSys inference (HPU/CUDA graphs).
 _OP_DISPATCH = 2e-6
+
+#: Forward estimates shared by every model instance, keyed on
+#: ``(device, config, batch)``: the device is the registry singleton (a
+#: ``fresh=True`` or perturbed backend is another object, so another
+#: key) and ``DlrmConfig`` is frozen.
+_FORWARD_CACHE = CostCache("dlrm.forward")
 
 
 @dataclass(frozen=True)
@@ -120,7 +128,8 @@ class DlrmForwardEstimate:
     config_name: str
     batch: int
     time: float
-    breakdown: Dict[str, float]
+    #: Read-only: a cached estimate is shared by every caller.
+    breakdown: Mapping[str, float]
     average_power: float
 
     @property
@@ -217,6 +226,14 @@ class DlrmCostModel:
     def forward(self, batch: int) -> DlrmForwardEstimate:
         if batch <= 0:
             raise ValueError("batch must be positive")
+        key = (self.device, self.config, batch)
+        estimate = _FORWARD_CACHE.get(key)
+        if estimate is None:
+            estimate = self._forward(batch)
+            _FORWARD_CACHE.put(key, estimate)
+        return estimate
+
+    def _forward(self, batch: int) -> DlrmForwardEstimate:
         acc = ActivityAccumulator()
         breakdown: Dict[str, float] = {}
         breakdown["embedding"] = self.embedding_time(batch, acc)
@@ -235,7 +252,7 @@ class DlrmCostModel:
             config_name=self.config.name,
             batch=batch,
             time=total,
-            breakdown=dict(breakdown),
+            breakdown=MappingProxyType(breakdown),
             average_power=power,
         )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Hashable, Optional, Sequence, Tuple
 
 from repro.core import memo
 from repro.core.memo import CostCache
@@ -390,7 +390,7 @@ class LlamaCostModel:
         return _LAYER_DISPATCH if self.use_graphs else _LAYER_DISPATCH_EAGER
 
     @property
-    def _memo_ok(self) -> bool:
+    def memo_ok(self) -> bool:
         """Whether phase-level memoization is sound: an observed
         tensor-parallel config must fire its per-call allreduce
         metrics/trace events, so it prices every call from scratch.
@@ -405,6 +405,13 @@ class LlamaCostModel:
         phase cache keys on it (``()`` without a library)."""
         library = self.tp.library
         return () if library is None else library.topology.cache_key()
+
+    def pricing_key(self) -> Hashable:
+        """Static pricing identity plus the fabric's live fault state:
+        the leading component of every key a cache shared across model
+        instances uses (``generate``'s, and the figure-level lookups
+        above it)."""
+        return (self._pricing_identity, self._fabric_key())
 
     # -- helpers ---------------------------------------------------------
     def _gemm(
@@ -440,7 +447,7 @@ class LlamaCostModel:
         """Process the whole prompt; produces the first token."""
         if batch <= 0 or seq_len <= 0:
             raise ValueError("batch and seq_len must be positive")
-        if not self._memo_ok:
+        if not self.memo_ok:
             return self._prefill_uncached(batch, seq_len)
         key = (batch, seq_len, self._fabric_key())
         phase = self._prefill_cache.get(key)
@@ -528,7 +535,7 @@ class LlamaCostModel:
         step from scratch instead -- so ``REPRO_NO_MEMO=1`` compares two
         independent paths.
         """
-        if self._memo_ok and memo.memoization_enabled():
+        if self.memo_ok and memo.memoization_enabled():
             acc = ActivityAccumulator()
             time = self.decode_stepper(stats.batch, attention, stats.block_size)(
                 stats.total_context, stats.total_blocks, stats.max_context, acc
@@ -673,7 +680,7 @@ class LlamaCostModel:
         """
         if batch <= 0:
             raise ValueError("batch must be positive")
-        if not self._memo_ok:
+        if not self.memo_ok:
             raise RuntimeError(
                 "decode_stepper requires an unobserved config (no comm "
                 "metrics or event queue); use decode_step_stats"
@@ -828,10 +835,10 @@ class LlamaCostModel:
         if output_len <= 0 or decode_samples <= 0:
             raise ValueError("output_len and decode_samples must be positive")
         key = None
-        if self._memo_ok:
+        if self.memo_ok:
             key = (
-                self._pricing_identity, self._fabric_key(), batch, input_len,
-                output_len, attention, decode_samples,
+                self.pricing_key(), batch, input_len, output_len, attention,
+                decode_samples,
             )
             cached = _GENERATE_CACHE.get(key)
             if cached is not None:

@@ -87,12 +87,28 @@ class TestInputErrors:
         (["chaos", "--degrade-link", "0-99@t=0.1,factor=0.5"],
          "targets a device outside the box (devices 0..7)"),
         (["fleet", "--tenants", "a:tier=0;a:tier=1"], "duplicate tenant names"),
+        # --workers is checked before any verb runs, even where unused.
+        (["figures", "--workers", "abc"],
+         "--workers must be a non-negative integer or 'auto', got 'abc'"),
+        (["figures", "--workers", "1.5"], "got '1.5'"),
+        (["figures", "--workers", "-1"], "got '-1'"),
+        (["figures", "--id", "table1", "--workers", "abc"], "got 'abc'"),
+        (["reproduce", "--workers", "x"], "--workers must be a non-negative integer"),
     ])
     def test_bad_spec_exits_2(self, capsys, argv, message):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "-1"])
+    def test_bad_workers_env_exits_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("REPRO_WORKERS", value)
+        assert main(["figures"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: REPRO_WORKERS must be a non-negative integer or 'auto', got {value!r}\n"
+        )
 
     @pytest.mark.parametrize("edit, message", [
         (None, "no valid journal header"),

@@ -8,6 +8,7 @@ serving runs must not allocate observability state per step.
 
 import pytest
 
+from repro.audit import ConfigError
 from repro.audit.auditor import audit_scope
 from repro.core import memo
 from repro.core.memo import CostCache
@@ -453,3 +454,19 @@ class TestResolveWorkerCount:
         assert 1 <= resolve_worker_count("auto", 100) <= 8
         assert resolve_worker_count(6, 2) == 2
         assert resolve_worker_count(0, 0) == 1
+
+    def test_accepts_integer_strings_and_auto(self):
+        assert resolve_worker_count(" 3 ", 100) == 3
+        assert resolve_worker_count("AUTO", 100) == resolve_worker_count(0, 100)
+        assert resolve_worker_count("0", 100) == resolve_worker_count("auto", 100)
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "-1", "", "²", -1, 1.5])
+    def test_bad_value_names_the_flag(self, value):
+        with pytest.raises(ConfigError, match="^--workers must be a non-negative integer"):
+            resolve_worker_count(value, 100)
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "-1", ""])
+    def test_bad_env_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_WORKERS", value)
+        with pytest.raises(ConfigError, match="^REPRO_WORKERS must be"):
+            resolve_worker_count(None, 100)

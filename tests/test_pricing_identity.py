@@ -5,7 +5,9 @@ Every model, library and fleet node with the same pricing identity
 library fields) shares one set of phase caches, compiled steppers and
 collective memos; the fabric's live fault state goes into each
 per-call key.  These tests pin both halves: equal identities share,
-and no entry ever crosses a static field or a fault state.
+and no entry ever crosses a static field or a fault state.  The
+end-to-end lookups above the models (DLRM forwards, Fig. 17's serving
+points) key on the same identity, so figure re-runs only hit.
 
 CI runs this file under ``REPRO_AUDIT=strict`` (sampled shared hits are
 recomputed and compared) and under ``REPRO_NO_MEMO=1``; tests that are
@@ -32,18 +34,24 @@ from repro.comm import (
 )
 from repro.core import memo
 from repro.faults.chaos import build_degraded_collectives
+from repro.figures import figure17, run_figure
+from repro.figures.figure17 import serve_point
 from repro.hw.backend import A100, GAUDI2, get_backend
 from repro.kernels.gather_scatter import run_gather_scatter
 from repro.kernels.stream import StreamOp, run_stream
+from repro.models import dlrm
+from repro.models.dlrm import RM1_CONFIG, RM2_CONFIG, DlrmCostModel, DlrmForwardEstimate
 from repro.models.llama import (
     LLAMA_3_1_70B,
     LLAMA_3_1_8B,
+    DecodeAttention,
     DecodeBatchStats,
     LlamaCostModel,
     default_decode_attention,
 )
 from repro.models.tensor_parallel import TensorParallelConfig
 from repro.obs.metrics import MetricsRegistry
+from repro.serving import LlmServingEngine, dynamic_sonnet_requests
 
 CRASH = "crash:gaudi2-1@t=1,recover=3"
 FABRIC_CHAOS = (
@@ -333,3 +341,86 @@ def test_traced_stream_records_on_a_cache_hit(memo_on):
     spans = [span for span in ctx.tracer.spans if span.name == "stream.triad"]
     assert len(spans) == 2 and spans[1].duration == first.time
     assert ctx.metrics.counter("kernels.stream.calls").value == 2
+
+
+def _stats(name):
+    return memo.cache_stats().get(name, {"hits": 0, "misses": 0, "entries": 0})
+
+
+def _end_to_end_misses():
+    return {name: _stats(name)["misses"] for name in ("dlrm.forward", "figures.fig17.serve")}
+
+
+def test_figure_reruns_only_hit_end_to_end_points(memo_on):
+    run_figure(figure_id="fig11")
+    run_figure(figure_id="fig17")
+    filled = _end_to_end_misses()
+    assert all(filled.values())
+    # Sampled audit recomputes would count as misses; count lookups
+    # with the auditor off.
+    with audit_scope("off"):
+        run_figure(figure_id="fig11")
+        assert _end_to_end_misses() == filled
+        run_figure(figure_id="headline")
+        assert _end_to_end_misses() == filled
+    assert _stats("dlrm.forward")["hits"] > 0
+    assert _stats("figures.fig17.serve")["hits"] > 0
+
+
+def test_cached_end_to_end_points_match_uncached(memo_on):
+    run_figure(figure_id="fig11")
+    run_figure(figure_id="fig17")
+    forwards = dict(dlrm._FORWARD_CACHE._data)
+    assert {device.name for device, _, _ in forwards} == {"Gaudi-2", "A100"}
+    for (device, config, batch), cached in forwards.items():
+        with memo.disabled():
+            fresh = DlrmCostModel(config, device).forward(batch)
+        for field in dataclasses.fields(DlrmForwardEstimate):
+            assert getattr(cached, field.name) == getattr(fresh, field.name)
+    points = dict(figure17._SERVE_CACHE._data)
+    assert len(points) == 2 * len(figure17._MAX_DECODE_BATCHES[::2])
+    for backend, attention in ((GAUDI2, DecodeAttention.PAGED_OPT),
+                               (A100, DecodeAttention.PAGED_CUDA)):
+        device = get_backend(backend)
+        for max_batch in figure17._MAX_DECODE_BATCHES[::2]:
+            model = LlamaCostModel(LLAMA_3_1_8B, device)
+            num_requests = figure17._NUM_REQUESTS // 2
+            cached = points[(model.pricing_key(), attention, max_batch, num_requests)]
+            with memo.disabled():
+                fresh = serve_point(model, attention, max_batch, num_requests)
+            assert cached._asdict() == fresh._asdict()
+
+
+def test_serve_point_equals_a_direct_engine_run(memo_on):
+    device = get_backend(GAUDI2)
+    model = LlamaCostModel(LLAMA_3_1_8B, device)
+    point = serve_point(model, DecodeAttention.PAGED_OPT, 16, 24)
+    assert serve_point(model, DecodeAttention.PAGED_OPT, 16, 24) is point
+    report = LlmServingEngine(
+        LlamaCostModel(LLAMA_3_1_8B, device), DecodeAttention.PAGED_OPT, max_decode_batch=16,
+    ).run(dynamic_sonnet_requests(24, seed=7))
+    assert point == (report.throughput_tokens_per_s, report.mean_ttft, report.mean_tpot)
+
+
+def test_fresh_device_never_reads_another_devices_entry(memo_on):
+    shared, fresh = get_backend(GAUDI2), get_backend(GAUDI2, fresh=True)
+    estimate = DlrmCostModel(RM2_CONFIG, shared).forward(1024)
+    point = serve_point(LlamaCostModel(LLAMA_3_1_8B, shared), DecodeAttention.PAGED_OPT, 8, 8)
+    before = _end_to_end_misses()
+    with audit_scope("off"):
+        again = DlrmCostModel(RM2_CONFIG, fresh).forward(1024)
+        fresh_point = serve_point(
+            LlamaCostModel(LLAMA_3_1_8B, fresh), DecodeAttention.PAGED_OPT, 8, 8
+        )
+    assert again is not estimate and again == estimate
+    assert fresh_point == point
+    assert {name: misses - before[name] for name, misses in _end_to_end_misses().items()} == {
+        "dlrm.forward": 1, "figures.fig17.serve": 1,
+    }
+
+
+def test_cached_forward_breakdown_is_read_only(memo_on):
+    estimate = DlrmCostModel(RM1_CONFIG, get_backend(A100)).forward(512)
+    with pytest.raises(TypeError):
+        estimate.breakdown["embedding"] = 0.0
+    assert DlrmCostModel(RM1_CONFIG, get_backend(A100)).forward(512) == estimate
