@@ -13,6 +13,8 @@ artifact's headline summary.
 import argparse
 import pathlib
 
+from repro.audit import ConfigError
+from repro.core.parallel import parse_workers
 from repro.figures import generate_all
 
 
@@ -26,6 +28,11 @@ def main() -> None:
                         help="process-pool size for figure generation "
                              "('auto' = one per core, capped)")
     args = parser.parse_args()
+    if args.workers is not None:
+        try:
+            parse_workers(args.workers)  # a bad value fails before any figure runs
+        except ConfigError as exc:
+            parser.error(str(exc))
 
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(exist_ok=True)

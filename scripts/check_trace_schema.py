@@ -2,7 +2,7 @@
 """Validate a chrome://tracing JSON document against the repro schema.
 
 The contract is the one :mod:`repro.obs.exporters` writes (and
-``repro trace`` / :func:`repro.tools.profiler.chrome_trace` emit):
+``repro trace`` / ``repro fleet --trace-out`` emit):
 
 * top level is an object with a ``traceEvents`` list and
   ``displayTimeUnit`` of ``"ms"``;
@@ -11,7 +11,7 @@ The contract is the one :mod:`repro.obs.exporters` writes (and
 * ``C`` (counter) events carry a numeric ``args.value``;
 * ``b``/``e`` async events pair up per (name, id);
 * a serving trace covers all five layers: engine, scheduler, kv,
-  collective, and power (``--layers`` toggles this check).
+  collective, and power.
 
 Stdlib-only on purpose: CI runs it against the ``repro trace`` output
 without installing anything.
@@ -19,7 +19,6 @@ without installing anything.
 Usage::
 
     python scripts/check_trace_schema.py trace.json
-    python scripts/check_trace_schema.py --no-layers hw_trace.json
 """
 
 from __future__ import annotations
@@ -107,16 +106,10 @@ def main(argv: List[str] | None = None) -> int:
     """CLI entry point; exit code 0 iff the document is valid."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trace", help="path to a chrome trace JSON file")
-    parser.add_argument(
-        "--no-layers",
-        dest="layers",
-        action="store_false",
-        help="skip the serving-layer coverage check (for HW-profile traces)",
-    )
     args = parser.parse_args(argv)
     with open(args.trace, "r", encoding="utf-8") as handle:
         document = json.load(handle)
-    errors = check_trace(document, require_layers=args.layers)
+    errors = check_trace(document)
     if errors:
         for error in errors:
             print(f"SCHEMA ERROR: {error}", file=sys.stderr)

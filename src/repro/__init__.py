@@ -11,8 +11,6 @@ mechanistic performance/energy models of both devices:
   scoreboard pipeline, index space, kernel DSL).
 * :mod:`repro.cuda` -- the A100 CUDA-kernel analog.
 * :mod:`repro.comm` -- P2P-mesh vs NVSwitch collectives (HCCL/NCCL).
-* :mod:`repro.graph` -- the Gaudi graph-compiler model (fusion, MME
-  configuration, MME/TPC pipelining).
 * :mod:`repro.kernels` -- GEMM, STREAM, gather/scatter, embedding
   operators, attention, PagedAttention.
 * :mod:`repro.models` -- DLRM-DCNv2 (RM1/RM2) and Llama-3.1 (8B/70B).

@@ -3,8 +3,7 @@
 Every report the stack produces -- a serving run
 (:class:`~repro.serving.engine.ServingReport`), a chaos run
 (:class:`~repro.faults.report.ResilienceReport`), a fleet run
-(:class:`~repro.cluster.report.FleetResilienceReport`), a profile
-(:class:`~repro.tools.profiler.ProfileReport`) -- exposes the same
+(:class:`~repro.cluster.report.FleetResilienceReport`) -- exposes the same
 three exports: ``to_json()``, ``to_csv()``, ``render()``.  The CLI
 then prints any of them through one code path,
 :func:`render_report`, instead of per-command formatting.

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from repro.core.report import render_table
 from repro.figures.common import FigureResult, register_figure
-from repro.hw.device import Gaudi2Device
 from repro.hw.spec import DType
+from repro.tools.profiler import GaudiProfiler
 
 _K = 16384
 _SIZES = (64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384)
@@ -22,24 +22,10 @@ _FIG7C_N = (32, 64, 128, 256, 512, 1024, 2048)
 @register_figure("fig07")
 def run(fast: bool = True) -> FigureResult:
     """Regenerate this figure's rows, summary, and text report."""
-    device = Gaudi2Device()
+    profiler = GaudiProfiler()
+    device = profiler.device
     sizes = _SIZES[::2] if fast else _SIZES
-
-    rows = []
-    for m in sizes:
-        for n in sizes:
-            config = device.mme.select_config(m, _K, n, DType.BF16)
-            estimate = device.mme.gemm(m, _K, n, DType.BF16)
-            rows.append(
-                {
-                    "m": m,
-                    "n": n,
-                    "k": _K,
-                    "geometry": config.geometry.label,
-                    "power_gated": config.power_gated,
-                    "utilization": estimate.utilization,
-                }
-            )
+    rows = profiler.reverse_engineer_mme(sizes, sizes, _K)
 
     # Figure 7(c): configurable vs fixed array, M=K=16,384, N swept.
     fig7c = []

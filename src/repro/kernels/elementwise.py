@@ -1,10 +1,9 @@
 """Element-wise operator cost helpers.
 
-Model graphs (DLRM, Llama) need costs for activations, bias adds,
-normalization, and residual sums.  These are vector-engine ops on
-either platform; the helpers below produce the ``(compute_time,
-input_bytes, output_bytes)`` triple a :class:`repro.graph.ir.Op`
-carries, plus numpy semantics for tests.
+The model cost paths (DLRM, Llama) need costs for activations, bias
+adds, normalization, and residual sums.  These are vector-engine ops
+on either platform; the helpers below produce their ``(compute_time,
+input_bytes, output_bytes)`` cost, plus numpy semantics for tests.
 """
 
 from __future__ import annotations

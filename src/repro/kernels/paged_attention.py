@@ -15,7 +15,8 @@ Three implementations of the decode-stage paged attention operator:
   (Figure 16(b)): a flat 1-D ``BlockList`` of only *effectual* block
   indices feeds one batched high-MLP gather, and the restructured
   query/KV layout lets the graph compiler slice the TPC gather and the
-  MME batched GEMM into pipelined sub-operations.  The structural cost
+  MME batched GEMM into pipelined sub-operations
+  (:func:`pipelined_duration`).  The structural cost
   that remains -- and keeps Gaudi at ~45 % of the A100 kernel -- is the
   extra materialization pass: TPC-C kernels cannot feed the MME
   directly, so gathered KV must be written to a workspace the MME then
@@ -33,7 +34,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.graph.pipeliner import SLICE_OVERHEAD, pipelined_duration
 from repro.hw.spec import A100_SPEC, GAUDI2_SPEC, DeviceSpec, DType
 
 #: Tokens per KV cache block (the vLLM default for Gaudi).
@@ -53,8 +53,33 @@ _OPT_GATHER_EFFICIENCY = 0.70
 #: scattered blocks (32 KB+ contiguous chunks, near-streaming).
 _A100_PAGED_EFFICIENCY = 0.80
 
-#: Pipeline slices the graph compiler carves for the opt design.
+#: Pipeline slices the graph compiler carves for the opt design.  The
+#: count is fixed: users cannot steer the compiler (Section 2.2).
 _OPT_SLICES = 8
+
+#: Per-slice scheduling/staging overhead of a pipelined pair, seconds.
+SLICE_OVERHEAD = 0.5e-6
+
+
+def pipelined_duration(
+    producer_time: float,
+    consumer_time: float,
+    slices: int = _OPT_SLICES,
+    slice_overhead: float = SLICE_OVERHEAD,
+) -> float:
+    """Completion time of a k-slice pipelined producer/consumer pair.
+
+    The graph compiler breaks an MME op and the TPC op feeding it (or
+    fed by it) into ``k`` independent sub-operations staged through the
+    shared SRAM (Section 2.2), so the pair finishes in
+    ``max(t_p, t_c) + min(t_p, t_c) / k + k * slice_overhead`` instead
+    of ``t_p + t_c``.
+    """
+    if slices <= 0:
+        raise ValueError("slices must be positive")
+    longer = max(producer_time, consumer_time)
+    shorter = min(producer_time, consumer_time)
+    return longer + shorter / slices + slices * slice_overhead
 
 
 @dataclass(frozen=True)

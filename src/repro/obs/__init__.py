@@ -1,8 +1,8 @@
 """Unified observability layer: virtual-clock tracing + metrics.
 
 The paper's methodology is observability-driven -- the Intel Gaudi
-Profiler's HW traces reverse-engineer MME geometry selection
-(Section 3.2), and Figures 8/12/15 are utilization/power timelines.
+Profiler reverse-engineers MME geometry selection (Section 3.2), and
+Figures 8/12/15 are utilization/power timelines.
 This package gives the simulator the same substrate:
 
 * :mod:`repro.obs.tracer` -- hierarchical spans on the engine's
@@ -12,8 +12,7 @@ This package gives the simulator the same substrate:
   gauges, and histograms (KV occupancy, batch size, preemptions,
   MME/TPC busy time, per-step watts);
 * :mod:`repro.obs.exporters` -- chrome://tracing JSON, flat JSON, and
-  text-summary exporters sharing one schema with the compiled-graph
-  profiler (:mod:`repro.tools.profiler`).
+  text-summary exporters sharing one schema across every trace.
 
 Instrumented layers bind these through
 :class:`repro.api.RunContext`; unbound, every hook is a cheap no-op.

@@ -1,10 +1,9 @@
 """Trace exporters: chrome://tracing JSON, flat JSON, text summary.
 
-One trace schema serves every producer -- the serving engine's
-virtual-clock tracer and the compiled-graph profiler
-(:mod:`repro.tools.profiler`) both funnel through
-:func:`chrome_trace_events`, so a serving trace and an HW-trace open
-identically in ``chrome://tracing`` / Perfetto.
+One trace schema serves every producer -- a single-engine serving
+trace (``repro trace``) and a fleet trace (``repro fleet
+--trace-out``) both funnel through :func:`chrome_trace_events`, so
+they open identically in ``chrome://tracing`` / Perfetto.
 
 Schema (the contract ``scripts/check_trace_schema.py`` validates):
 

@@ -3,101 +3,18 @@
 Section 3.2 of the paper: "we use the Intel Gaudi Profiler to
 reverse-engineer how the graph compiler and runtime system manages
 MME's GEMM execution, which provide hints on how the MME geometry is
-dynamically configured".  This module provides the same two
-capabilities against the model:
-
-* :meth:`GaudiProfiler.profile` -- record per-op engine occupancy from
-  a compiled graph's timeline (what the real profiler's HW trace
-  shows), exportable as a chrome://tracing JSON via
-  :func:`chrome_trace`;
-* :meth:`GaudiProfiler.reverse_engineer_mme` -- sweep GEMM shapes and
-  tabulate the geometry the compiler picked per shape, i.e. regenerate
-  Figure 7(a) the way the authors did.
+dynamically configured".  :meth:`GaudiProfiler.reverse_engineer_mme`
+does the same against the model: it sweeps GEMM shapes and tabulates
+the geometry the compiler picked per shape, i.e. regenerates
+Figure 7(a) the way the authors did.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.graph.compiler import CompiledGraph
-from repro.graph.ir import Engine
 from repro.hw.device import Gaudi2Device
 from repro.hw.spec import DType
-from repro.obs.exporters import chrome_trace_json
-from repro.obs.tracer import Tracer
-
-
-@dataclass(frozen=True)
-class ProfiledOp:
-    """One op occurrence in the profiled trace."""
-
-    name: str
-    engine: Engine
-    start_us: float
-    duration_us: float
-    traffic_bytes: float
-    pipelined: bool
-
-
-@dataclass
-class ProfileReport:
-    """Engine-occupancy summary of one compiled graph."""
-
-    ops: List[ProfiledOp] = field(default_factory=list)
-    total_us: float = 0.0
-    engine_busy_us: Dict[str, float] = field(default_factory=dict)
-
-    def occupancy(self, engine: Engine) -> float:
-        if self.total_us <= 0:
-            return 0.0
-        return self.engine_busy_us.get(engine.value, 0.0) / self.total_us
-
-    @property
-    def op_count(self) -> int:
-        return len(self.ops)
-
-    # -- Report protocol ----------------------------------------------
-    def to_dict(self) -> Dict:
-        """The report as one plain dict (totals plus per-op records)."""
-        return {
-            "total_us": self.total_us,
-            "op_count": self.op_count,
-            "engine_busy_us": dict(self.engine_busy_us),
-            "ops": [
-                {
-                    "name": op.name,
-                    "engine": op.engine.value,
-                    "start_us": op.start_us,
-                    "duration_us": op.duration_us,
-                    "traffic_bytes": op.traffic_bytes,
-                    "pipelined": op.pipelined,
-                }
-                for op in self.ops
-            ],
-        }
-
-    def to_json(self) -> str:
-        """The report as a JSON document."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def to_csv(self) -> str:
-        """Per-op rows as CSV."""
-        from repro.api.report import rows_to_csv
-
-        return rows_to_csv(self.to_dict()["ops"])
-
-    def render(self) -> str:
-        """Fixed-format occupancy table."""
-        lines = [f"Profile: {self.op_count} ops over {self.total_us:.1f} us"]
-        for engine in Engine:
-            busy = self.engine_busy_us.get(engine.value, 0.0)
-            lines.append(
-                f"  {engine.value.upper():<4s} busy {busy:10.1f} us "
-                f"({self.occupancy(engine):6.1%})"
-            )
-        return "\n".join(lines)
 
 
 class GaudiProfiler:
@@ -105,28 +22,6 @@ class GaudiProfiler:
 
     def __init__(self, device: Gaudi2Device | None = None) -> None:
         self.device = device or Gaudi2Device()
-
-    # ------------------------------------------------------------------
-    def profile(self, compiled: CompiledGraph) -> ProfileReport:
-        """Extract the HW-trace view of a compiled graph."""
-        report = ProfileReport()
-        for entry in compiled.timeline.entries:
-            report.ops.append(
-                ProfiledOp(
-                    name=entry.name,
-                    engine=entry.engine,
-                    start_us=entry.start * 1e6,
-                    duration_us=entry.duration * 1e6,
-                    traffic_bytes=entry.traffic_bytes,
-                    pipelined=entry.pipelined,
-                )
-            )
-        report.total_us = compiled.total_time * 1e6
-        for engine in Engine:
-            report.engine_busy_us[engine.value] = (
-                compiled.timeline.engine_busy(engine) * 1e6
-            )
-        return report
 
     # ------------------------------------------------------------------
     def reverse_engineer_mme(
@@ -156,7 +51,6 @@ class GaudiProfiler:
                         "geometry": config.geometry.label,
                         "power_gated": config.power_gated,
                         "utilization": estimate.utilization,
-                        "memory_bound": estimate.memory_bound,
                     }
                 )
         return records
@@ -171,42 +65,3 @@ class GaudiProfiler:
                 (record["m"], record["n"])
             )
         return grouped
-
-
-def profile_tracer(report: ProfileReport, process_name: str = "Gaudi-2") -> Tracer:
-    """Replay a profile into a :class:`~repro.obs.tracer.Tracer`.
-
-    Each engine becomes one trace track (allocated dynamically in
-    first-seen order -- an op on an engine outside the classic
-    MME/TPC/DMA trio gets its own track instead of a ``KeyError``);
-    pipelined super-ops appear on both partner engines' tracks for the
-    overlapped window, mirroring the real profiler's combined HW trace.
-    """
-    tracer = Tracer(process_name)
-    for op in report.ops:
-        start = op.start_us / 1e6
-        end = start + op.duration_us / 1e6
-        tracer.record(
-            op.name,
-            op.engine.value,
-            start,
-            end,
-            traffic_bytes=op.traffic_bytes,
-            pipelined=op.pipelined,
-        )
-        if op.pipelined:
-            partner = Engine.TPC if op.engine is Engine.MME else Engine.MME
-            tracer.record(
-                f"{op.name} (partner)", partner.value, start, end, pipelined=True
-            )
-    return tracer
-
-
-def chrome_trace(report: ProfileReport, process_name: str = "Gaudi-2") -> str:
-    """Serialize a profile as chrome://tracing JSON.
-
-    Funnels through the shared :mod:`repro.obs` trace schema, so a
-    HW-profile trace and a serving trace open identically in
-    ``chrome://tracing`` / Perfetto.
-    """
-    return chrome_trace_json(profile_tracer(report, process_name))

@@ -124,15 +124,10 @@ class TestReportProtocol:
 
     def test_reports_satisfy_protocol(self, gaudi):
         from repro.faults.chaos import ChaosConfig, run_chaos
-        from repro.graph import Engine, Graph, GraphCompiler
-        from repro.tools import GaudiProfiler
 
         serving = self._serving_report(gaudi)
         resilience = run_chaos(config=ChaosConfig(tp=1, num_requests=4))
-        graph = Graph("g")
-        graph.add_op("gemm", Engine.MME, 10e-6, 1e3, 1e3)
-        profile = GaudiProfiler().profile(GraphCompiler().compile(graph))
-        for report in (serving, resilience, profile):
+        for report in (serving, resilience):
             assert isinstance(report, Report), type(report).__name__
 
     def test_serving_report_formats(self, gaudi):

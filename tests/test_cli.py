@@ -1,5 +1,10 @@
 """Command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -163,6 +168,24 @@ class TestInputErrors:
             main(argv)
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
+
+
+class TestExampleScripts:
+    def test_reproduce_paper_bad_workers_exits_2(self, tmp_path):
+        """The example script reports a bad ``--workers`` the way the CLI
+        does: exit 2 and one ``error:`` line naming the flag."""
+        root = pathlib.Path(__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, str(root / "examples" / "reproduce_paper.py"),
+             "--workers", "abc", "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        errors = [line for line in result.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--workers" in errors[0]
+        assert not (tmp_path / "out").exists()
 
 
 class TestCommands:

@@ -4,7 +4,6 @@ import pytest
 
 from repro import get_backend
 from repro.figures import generate_all
-from repro.graph import Engine, Graph, GraphCompiler
 from repro.models.dlrm import DlrmCostModel, RM2_CONFIG
 from repro.models.llama import DecodeAttention, LLAMA_3_1_8B, LlamaCostModel
 from repro.serving import LlmServingEngine, RecSysServer, dynamic_sonnet_requests
@@ -21,27 +20,6 @@ class TestPublicApi:
         import repro
 
         assert repro.__version__
-
-
-class TestGraphCompilerOverDeviceModels:
-    def test_gemm_activation_pipeline_on_real_costs(self, gaudi):
-        """Build a graph from real device-model costs and compile it."""
-        gemm_estimate = gaudi.gemm(4096, 4096, 4096)
-        graph = Graph("layer")
-        gemm = graph.add_op(
-            "gemm", Engine.MME, gemm_estimate.time,
-            input_bytes=2 * 2 * 4096 * 4096, output_bytes=2 * 4096 * 4096,
-            sliceable=True,
-        )
-        gemm.annotations["gemm_shape"] = (1, 4096, 4096, 4096)
-        graph.add_op(
-            "gelu", Engine.TPC, 4096 * 4096 * 4 / 5.5e12,
-            input_bytes=2 * 4096 * 4096, output_bytes=2 * 4096 * 4096,
-            inputs=[gemm], fusable=True, sliceable=True,
-        )
-        compiled = GraphCompiler().compile(graph)
-        assert compiled.total_time < gemm_estimate.time * 1.3
-        assert compiled.graph.ops[0].annotations["pipelined"]
 
 
 class TestServingPipelines:

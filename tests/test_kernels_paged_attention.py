@@ -8,6 +8,7 @@ import pytest
 from repro.kernels.paged_attention import (
     PagedAttentionConfig,
     a100_paged_attention,
+    pipelined_duration,
     reference_paged_attention,
     vllm_base_paged_attention,
     vllm_opt_paged_attention,
@@ -104,6 +105,20 @@ class TestBaselineVsOptimized:
         config = PagedAttentionConfig.uniform(8, 2048)
         assert vllm_opt_paged_attention(config).pipelined
         assert not vllm_base_paged_attention(config).pipelined
+
+
+class TestPipelinedDuration:
+    def test_pipelined_duration_formula(self):
+        assert pipelined_duration(100e-6, 60e-6, slices=10, slice_overhead=0.0) == (
+            pytest.approx(106e-6)
+        )
+
+    def test_pipelined_duration_beats_serial(self):
+        assert pipelined_duration(100e-6, 60e-6) < 160e-6
+
+    def test_invalid_slices_raise(self):
+        with pytest.raises(ValueError):
+            pipelined_duration(1.0, 1.0, slices=0)
 
 
 class TestVsA100:

@@ -18,7 +18,6 @@ _PACKAGES = [
     "repro.tpc",
     "repro.cuda",
     "repro.comm",
-    "repro.graph",
     "repro.kernels",
     "repro.models",
     "repro.serving",
