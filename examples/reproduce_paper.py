@@ -14,7 +14,7 @@ import argparse
 import pathlib
 
 from repro.audit import ConfigError
-from repro.core.parallel import parse_workers
+from repro.core.parallel import resolve_worker_count
 from repro.figures import generate_all
 
 
@@ -28,11 +28,12 @@ def main() -> None:
                         help="process-pool size for figure generation "
                              "('auto' = one per core, capped)")
     args = parser.parse_args()
-    if args.workers is not None:
-        try:
-            parse_workers(args.workers)  # a bad value fails before any figure runs
-        except ConfigError as exc:
-            parser.error(str(exc))
+    try:
+        # A bad --workers (or REPRO_WORKERS when the flag is absent)
+        # fails before the output directory or any figure is made.
+        resolve_worker_count(args.workers, tasks=1)
+    except ConfigError as exc:
+        parser.error(str(exc))
 
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(exist_ok=True)

@@ -254,7 +254,7 @@ class Auditor:
 
         The scalar engine audits through per-object hooks; the
         struct-of-arrays fast path has no per-token object traffic, so
-        its invariants are asserted directly on the slot arrays: cheap
+        its invariants are asserted directly on the slot columns: cheap
         shadow-KV block conservation every call, plus a sampled deep
         scan for slot aliasing, per-slot state legality, and the
         runner-set aggregates against their recomputation from the slot
@@ -265,14 +265,9 @@ class Auditor:
         """
         import numpy as np
 
-        held = 0
+        inp, gen, bs = core.input_tokens, core.generated, core.block_size
         running = core.running_slots()
-        if running:
-            slots = np.asarray(running, dtype=np.intp)
-            context = core.input_tokens[slots] + core.generated[slots] - 1
-            held = int(
-                np.sum(-(-context // core.block_size))
-            )
+        held = sum(-(-(inp[slot] + gen[slot] - 1) // bs) for slot in running)
         self.check(
             core.free_blocks + held == core.num_blocks,
             KvConservationError,
@@ -297,15 +292,19 @@ class Auditor:
             ))
         if live:
             slots = np.asarray(live, dtype=np.intp)
-            over = core.generated[slots] > core.output_tokens[slots]
+            generated, output, first = (
+                np.asarray(column)[slots]
+                for column in (core.generated, core.output_tokens, core.first_token)
+            )
+            over = generated > output
             if bool(np.any(over)):
                 bad = slots[over][:8].tolist()
                 self.record_violation(TokenConservationError(
                     f"engine core: slots {bad} generated past their output "
                     "budget"
                 ))
-            started = ~np.isnan(core.first_token[slots])
-            unstarted_with_tokens = (core.generated[slots] > 0) & ~started
+            started = ~np.isnan(first)
+            unstarted_with_tokens = (generated > 0) & ~started
             if bool(np.any(unstarted_with_tokens)):
                 bad = slots[unstarted_with_tokens][:8].tolist()
                 self.record_violation(LifecycleError(
@@ -322,13 +321,13 @@ class Auditor:
         # already agree with the columns.
         for slot in waiting:
             request = core.objs[slot]
-            first = float(core.first_token[slot])
+            first = core.first_token[slot]
             columns = (
-                int(core.generated[slot]),
+                core.generated[slot],
                 None if math.isnan(first) else first,
-                int(core.restarts[slot]),
-                int(core.retries[slot]),
-                float(core.arrival[slot]),
+                core.restarts[slot],
+                core.retries[slot],
+                core.arrival[slot],
                 core.wait_key[slot],
             )
             held = (
@@ -348,7 +347,7 @@ class Auditor:
             request = core.objs[slot]
             if (
                 request.state.value != "finished"
-                or request.generated != int(core.generated[slot])
+                or request.generated != core.generated[slot]
             ):
                 self.record_violation(LifecycleError(
                     f"engine core: finished request {request.request_id} "
@@ -364,7 +363,11 @@ class Auditor:
 
         self.checks[TokenConservationError.check] += 1
         slots = np.asarray(list(core.runners.values()), dtype=np.intp)
-        context = core.input_tokens[slots] + core.generated[slots]
+        inp, gen, out = (
+            np.asarray(column)[slots]
+            for column in (core.input_tokens, core.generated, core.output_tokens)
+        )
+        context = inp + gen
         base = context - core.decoded
         pricing_block = len(core.hist128)
         expected = {
@@ -384,7 +387,7 @@ class Auditor:
             "hist_bs": list(core.hist_bs),
         }
         if len(slots):
-            remaining = core.output_tokens[slots] - core.generated[slots]
+            remaining = out - gen
             expected["max_context"] = int(context.max())
             expected["min_remaining"] = int(remaining.min())
             actual["max_context"] = core.max_context()

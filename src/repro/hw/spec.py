@@ -21,17 +21,21 @@ GIB = 1024 * 1024 * 1024
 
 
 class DType(enum.Enum):
-    """Numeric data types used by the evaluated workloads."""
+    """Numeric data types used by the evaluated workloads; ``itemsize``
+    (bytes per element) is a plain attribute set once per member."""
 
-    BF16 = "bf16"
-    FP16 = "fp16"
-    FP32 = "fp32"
-    INT8 = "int8"
+    itemsize: int
 
-    @property
-    def itemsize(self) -> int:
-        """Size of one element in bytes."""
-        return {"bf16": 2, "fp16": 2, "fp32": 4, "int8": 1}[self.value]
+    def __new__(cls, value: str, itemsize: int) -> "DType":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.itemsize = itemsize
+        return member
+
+    BF16 = "bf16", 2
+    FP16 = "fp16", 2
+    FP32 = "fp32", 4
+    INT8 = "int8", 1
 
 
 @dataclass(frozen=True)

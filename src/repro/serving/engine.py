@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.audit import (
     ConfigError,
@@ -473,6 +471,10 @@ class LlmServingEngine:
             else None
         )
         self._synced_steps = 0
+        #: The fast path's decode steppers by runner count, built under
+        #: the fabric fault state ``_stepper_fabric`` (see _decode_burst).
+        self._steppers: Dict[int, Callable] = {}
+        self._stepper_fabric = None
         self._aggregates = None if self.retain_requests else ReportAggregates()
         self.scheduler.on_retire = (
             self._fold_terminal
@@ -722,7 +724,7 @@ class LlmServingEngine:
         One outer iteration mirrors one (or many) scalar iterations: the
         deadline scan, a virtual scheduler step (retire, then admit in
         ``(tier, arrival)`` order under the admission watermark) against
-        the slot arrays, sequential prefills for admissions, capacity
+        the slot columns, sequential prefills for admissions, capacity
         preemption, then a *decode burst* -- consecutive decode steps
         priced against the runner set's integer context aggregates until
         the next membership-changing event.  Request objects are only
@@ -819,7 +821,7 @@ class LlmServingEngine:
             # style, matching the scalar loop's clock arithmetic).
             slowdown = self.slowdown
             for slot in admitted:
-                phase = model.prefill(1, int(inp[slot]) + int(gen[slot]))
+                phase = model.prefill(1, inp[slot] + gen[slot])
                 now += phase.time * slowdown
                 activity.merge(phase.activity)
                 gen[slot] += 1
@@ -842,12 +844,12 @@ class LlmServingEngine:
                 core.leave(victim)
                 core.free_blocks += core.blocks_held(victim)
                 if audit is not None:
-                    audit.on_tokens_rolled_back(int(gen[victim]))
+                    audit.on_tokens_rolled_back(gen[victim])
                 obj = core.sync_object(victim)  # keeps the checkpoint reached
                 obj.restart()
                 gen[victim] = 0
-                first[victim] = np.nan
-                finish[victim] = np.nan
+                first[victim] = math.nan
+                finish[victim] = math.nan
                 core.restarts[victim] = obj.restarts
                 core.ckpt_floor[victim] = 0
                 state[victim] = SLOT_WAITING
@@ -890,7 +892,7 @@ class LlmServingEngine:
                 core.wait_key[slot] = (request.tier, request.arrival_time)
                 core.retries[slot] = request.retries
                 core.generated[slot] = 0
-                core.first_token[slot] = np.nan
+                core.first_token[slot] = math.nan
                 core.ckpt_floor[slot] = 0
                 requeued.append(slot)
                 self.fault_stats.deadline_retries += 1
@@ -987,7 +989,15 @@ class LlmServingEngine:
         hist128 = core.hist128
         hist_bs = core.hist_bs
         same_hist = hist_bs is hist128
-        stepper = self.model.decode_stepper(n, self.attention)
+        fabric = self.model._fabric_key()
+        if fabric is not self._stepper_fabric:
+            # FabricHealth rebuilds its state key on every mutation, so
+            # identity tells whether a fault hit since the table filled.
+            self._steppers = {}
+            self._stepper_fabric = fabric
+        stepper = self._steppers.get(n)
+        if stepper is None:
+            stepper = self._steppers[n] = self.model.decode_stepper(n, self.attention)
         wake, wake_needed = self._burst_wake(now, n)
         retire_pending = bool(core.finished_pending)
         activity = self._activity
@@ -1274,7 +1284,7 @@ class LlmServingEngine:
         for slot in core.running_slots():
             if core.objs[slot] is not request:
                 continue
-            if int(core.state[slot]) == SLOT_FINISHED:
+            if core.state[slot] == SLOT_FINISHED:
                 core.finished_pending.remove(slot)
                 core.free_blocks += core.blocks_held(slot)
                 self._fold_terminal(core.objs[slot])
@@ -1488,12 +1498,8 @@ class LlmServingEngine:
         if self._fast and self._core is not None:
             core = self._core
             core.sync_generated()
-            for slot in core.running_slots():
-                live_tokens += int(core.generated[slot])
-                if core.retries[slot] > 0:
-                    live_retried += 1
-            for slot in core.waiting_slots():
-                live_tokens += int(core.generated[slot])
+            for slot in core.running_slots() + core.waiting_slots():
+                live_tokens += core.generated[slot]
                 if core.retries[slot] > 0:
                     live_retried += 1
         else:

@@ -4,13 +4,13 @@ The scalar engine keeps every request as a live Python object and walks
 the batch attribute-by-attribute each virtual step.  At million-request
 scale that object traffic dominates the wall clock, so the fast path
 (:meth:`~repro.serving.engine.LlmServingEngine` with
-``engine_mode="vectorized"``) keeps request state in parallel numpy
-arrays keyed by a stable *slot* index instead:
+``engine_mode="vectorized"``) keeps request state in parallel columns
+(plain lists, see ``_COLUMNS``) keyed by a stable *slot* index instead:
 
 * a slot is acquired when a request is fed and recycled once the
   request reaches a terminal state and has been materialized back onto
-  its :class:`~repro.serving.request.Request` object, so live array
-  size tracks the working set (waiting + running), not the run length;
+  its :class:`~repro.serving.request.Request` object, so column
+  length tracks the working set (waiting + running), not the run length;
 * the decode batch (the *runner set*) carries its pricing aggregates
   -- total and maximum context, total 128-token KV blocks, minimum
   remaining budget and the context residue histograms -- as running
@@ -27,7 +27,7 @@ arrays keyed by a stable *slot* index instead:
   :meth:`EngineCore.fits`, and checkpoints are derived when an object
   is materialized;
 * the thin ``Request`` objects remain the API boundary: they are
-  materialized from the arrays at every lifecycle event (admission,
+  materialized from the columns at every lifecycle event (admission,
   preemption, requeue, finish, shed, failure), so reports, journaling,
   and audit transitions keep their exact scalar semantics.  Terminal
   transitions publish when they happen and waiting objects are always
@@ -46,7 +46,7 @@ import bisect
 import heapq
 import itertools
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -70,6 +70,18 @@ SLOT_RUNNING = 1
 SLOT_FINISHED = 2
 SLOT_SHED = 3
 SLOT_FAILED = 4
+
+#: Every per-slot column with the value a free slot holds.  Plain lists,
+#: not numpy arrays: the engine reads and writes one element at a time,
+#: and a list element costs a fraction of a boxed numpy scalar.
+_COLUMNS = (
+    ("input_tokens", 0), ("output_tokens", 0), ("generated", 0),
+    ("arrival", 0.0), ("first_token", math.nan), ("finish", math.nan),
+    ("restarts", 0), ("retries", 0), ("ckpt_floor", 0),
+    ("state", SLOT_FREE), ("base", 0), ("join_seq", 0),
+    ("objs", None),
+    ("wait_key", None),  # the slot's ``(tier, arrival)`` queue sort key
+)
 
 #: Process-wide fast-path health counters (the ``repro top`` section).
 CORE_COUNTERS: Dict[str, int] = {
@@ -212,19 +224,8 @@ class EngineCore:
         self.single_tier = True
         self.capacity = max(8, capacity)
         n = self.capacity
-        self.input_tokens = np.zeros(n, dtype=np.int64)
-        self.output_tokens = np.zeros(n, dtype=np.int64)
-        self.generated = np.zeros(n, dtype=np.int64)
-        self.arrival = np.zeros(n, dtype=np.float64)
-        self.first_token = np.full(n, np.nan)
-        self.finish = np.full(n, np.nan)
-        self.restarts = np.zeros(n, dtype=np.int64)
-        self.retries = np.zeros(n, dtype=np.int64)
-        #: Each slot's ``(tier, arrival)`` wait-queue sort key.
-        self.wait_key: List[Optional[Tuple[int, float]]] = [None] * n
-        self.ckpt_floor = np.zeros(n, dtype=np.int64)
-        self.state = np.full(n, SLOT_FREE, dtype=np.int8)
-        self.objs: List[Optional[Request]] = [None] * n
+        for name, fill in _COLUMNS:
+            setattr(self, name, [fill] * n)
         self.free_slots: List[int] = list(range(n - 1, -1, -1))
         self.wait_q: List[int] = []
         self.wait_head = 0
@@ -235,8 +236,6 @@ class EngineCore:
         self.finished_pending: List[int] = []
         self.slot_high_water = 0
         self.vectorized_steps = 0
-        self.base = np.zeros(n, dtype=np.int64)
-        self.join_seq = np.zeros(n, dtype=np.int64)
         #: join sequence -> slot, in join order.
         self.runners: Dict[int, int] = {}
         self.decoded = 0
@@ -255,24 +254,8 @@ class EngineCore:
     def _grow(self) -> None:
         old = self.capacity
         new = old * 2
-        for name in ("input_tokens", "output_tokens", "generated",
-                     "restarts", "retries", "base", "join_seq",
-                     "ckpt_floor"):
-            arr = np.zeros(new, dtype=np.int64)
-            arr[:old] = getattr(self, name)
-            setattr(self, name, arr)
-        arr = np.zeros(new)
-        arr[:old] = self.arrival
-        self.arrival = arr
-        for name in ("first_token", "finish"):
-            arr = np.full(new, np.nan)
-            arr[:old] = getattr(self, name)
-            setattr(self, name, arr)
-        state = np.full(new, SLOT_FREE, dtype=np.int8)
-        state[:old] = self.state
-        self.state = state
-        self.objs.extend([None] * (new - old))
-        self.wait_key.extend([None] * (new - old))
+        for name, fill in _COLUMNS:
+            getattr(self, name).extend([fill] * (new - old))
         self.free_slots.extend(range(new - 1, old - 1, -1))
         self.capacity = new
 
@@ -281,21 +264,22 @@ class EngineCore:
         if not self.free_slots:
             self._grow()
         slot = self.free_slots.pop()
-        self.input_tokens[slot] = request.input_tokens
-        self.output_tokens[slot] = request.output_tokens
-        self.generated[slot] = request.generated
-        self.arrival[slot] = request.arrival_time
-        self.first_token[slot] = (
-            np.nan if request.first_token_time is None else request.first_token_time
-        )
-        self.finish[slot] = np.nan
-        self.restarts[slot] = request.restarts
-        self.retries[slot] = request.retries
+        # A caller's Request may hold numpy scalars; the columns take
+        # builtins once here, so no read back from them needs unboxing.
+        self.input_tokens[slot] = int(request.input_tokens)
+        self.output_tokens[slot] = int(request.output_tokens)
+        self.generated[slot] = int(request.generated)
+        self.arrival[slot] = float(request.arrival_time)
+        first = request.first_token_time
+        self.first_token[slot] = math.nan if first is None else float(first)
+        self.finish[slot] = math.nan
+        self.restarts[slot] = int(request.restarts)
+        self.retries[slot] = int(request.retries)
         self.wait_key[slot] = (request.tier, request.arrival_time)
         if request.tier not in self.tiers:
             self.tiers.add(request.tier)
             self.single_tier = len(self.tiers) == 1
-        self.ckpt_floor[slot] = request.generated
+        self.ckpt_floor[slot] = self.generated[slot]
         self.state[slot] = SLOT_WAITING
         self.objs[slot] = request
         live = self.capacity - len(self.free_slots)
@@ -391,8 +375,8 @@ class EngineCore:
     def next_arrival(self) -> float:
         """Earliest arrival among waiting requests (the idle jump)."""
         if self.single_tier:
-            return float(self.arrival[self.wait_q[self.wait_head]])
-        return float(min(self.arrival[slot] for slot in self.waiting_slots()))
+            return self.arrival[self.wait_q[self.wait_head]]
+        return min(self.arrival[slot] for slot in self.waiting_slots())
 
     # -- shadow KV accounting ------------------------------------------
     def blocks_needed(self, tokens: int) -> int:
@@ -417,22 +401,18 @@ class EngineCore:
         a slot with ``generated`` tokens holds
         ``ceil((input + generated - 1) / block_size)`` blocks.
         """
-        return self.blocks_needed(
-            int(self.input_tokens[slot]) + int(self.generated[slot]) - 1
-        )
+        return self.blocks_needed(self.input_tokens[slot] + self.generated[slot] - 1)
 
     def allocate_shadow(self, slot: int) -> int:
         """Charge the admission allocation for ``slot``'s context."""
-        needed = self.blocks_needed(
-            int(self.input_tokens[slot]) + int(self.generated[slot])
-        )
+        needed = self.blocks_needed(self.input_tokens[slot] + self.generated[slot])
         self.free_blocks -= needed
         return needed
 
     # -- runner set ----------------------------------------------------
     def join(self, slot: int) -> None:
         """Add a post-prefill RUNNING slot to the runner set."""
-        context = int(self.input_tokens[slot]) + int(self.generated[slot])
+        context = self.input_tokens[slot] + self.generated[slot]
         base = context - self.decoded
         seq = self.join_count
         self.join_count = seq + 1
@@ -450,10 +430,10 @@ class EngineCore:
     def leave(self, slot: int) -> None:
         """Remove a runner from the runner set, writing back its
         ``generated`` column; its heap entries go stale."""
-        del self.runners[int(self.join_seq[slot])]
-        base = int(self.base[slot])
+        del self.runners[self.join_seq[slot]]
+        base = self.base[slot]
         context = base + self.decoded
-        self.generated[slot] = context - int(self.input_tokens[slot])
+        self.generated[slot] = context - self.input_tokens[slot]
         self.sum_base -= base
         self.total_blocks -= -(-context // PRICING_BLOCK)
         self.hist128[base % PRICING_BLOCK] -= 1
@@ -466,7 +446,7 @@ class EngineCore:
         live = len(self.runners)
         if len(self.base_heap) > 2 * live:
             self.base_heap = [
-                heap_entry(-int(self.base[slot]), seq)
+                heap_entry(-self.base[slot], seq)
                 for seq, slot in self.runners.items()
             ]
             heapq.heapify(self.base_heap)
@@ -479,10 +459,7 @@ class EngineCore:
 
     def _rem_key(self, slot: int) -> int:
         """A runner's ``r``: its remaining budget plus ``decoded``."""
-        return (
-            int(self.output_tokens[slot]) + int(self.input_tokens[slot])
-            - int(self.base[slot])
-        )
+        return self.output_tokens[slot] + self.input_tokens[slot] - self.base[slot]
 
     def _live_key(self, heap: List[int]) -> Optional[int]:
         """The smallest live key of a lazily-deleted heap (popping the
@@ -519,12 +496,13 @@ class EngineCore:
 
     def sync_generated(self) -> None:
         """Write every runner's implicit ``generated`` count back to the
-        column (for observers that read the slot arrays directly)."""
-        if self.runners:
-            slots = np.fromiter(self.runners.values(), dtype=np.intp)
-            self.generated[slots] = (
-                self.base[slots] + self.decoded - self.input_tokens[slots]
-            )
+        column (for observers that read the slot columns directly)."""
+        gen = self.generated
+        base = self.base
+        inp = self.input_tokens
+        decoded = self.decoded
+        for slot in self.runners.values():
+            gen[slot] = base[slot] + decoded - inp[slot]
 
     def running_slots(self) -> List[int]:
         """Every slot holding KV blocks: runners in join order, then
@@ -545,10 +523,10 @@ class EngineCore:
     def sync_object(self, slot: int) -> Request:
         """Copy a live slot's progress onto its Request (no transition)."""
         request = self.objs[slot]
-        request.generated = int(self.generated[slot])
+        request.generated = self.generated[slot]
         first = self.first_token[slot]
-        request.first_token_time = None if math.isnan(first) else float(first)
-        request.restarts = int(self.restarts[slot])
+        request.first_token_time = None if math.isnan(first) else first
+        request.restarts = self.restarts[slot]
         if self.checkpoint_interval:
             self._sync_checkpoint(slot, request)
         return request
@@ -568,11 +546,11 @@ class EngineCore:
         # them) and its first token, once set, never moves.
         for slot in self.runners.values():
             request = objs[slot]
-            generated = int(base[slot]) + decoded - int(inp[slot])
+            generated = base[slot] + decoded - inp[slot]
             gen[slot] = generated
             request.generated = generated
             if request.first_token_time is None:
-                request.first_token_time = float(self.first_token[slot])
+                request.first_token_time = self.first_token[slot]
             if checkpoints:
                 self._sync_checkpoint(slot, request)
 
@@ -587,8 +565,8 @@ class EngineCore:
         self.finished_pending.append(slot)
         request = self.objs[slot]
         request.record_tokens_bulk(
-            int(self.generated[slot]) - request.generated,
-            float(self.first_token[slot]), float(now),
+            self.generated[slot] - request.generated,
+            self.first_token[slot], now,
         )
         if self.checkpoint_interval:
             self._sync_checkpoint(slot, request)
@@ -605,12 +583,8 @@ class EngineCore:
     def live_generated_total(self) -> int:
         """Generated-token total over live (non-terminal) slots."""
         self.sync_generated()
-        total = 0
-        for slot in self.running_slots():
-            total += int(self.generated[slot])
-        for slot in self.waiting_slots():
-            total += int(self.generated[slot])
-        return total
+        gen = self.generated
+        return sum(gen[slot] for slot in self.running_slots() + self.waiting_slots())
 
 
 #: Log-spaced TTFT histogram bin edges for the constant-memory p99

@@ -171,21 +171,37 @@ class TestInputErrors:
 
 
 class TestExampleScripts:
-    def test_reproduce_paper_bad_workers_exits_2(self, tmp_path):
-        """The example script reports a bad ``--workers`` the way the CLI
-        does: exit 2 and one ``error:`` line naming the flag."""
+    @staticmethod
+    def _bad_workers_error(tmp_path, args, env):
+        """Run ``reproduce_paper.py`` expecting a usage error: exit 2,
+        no traceback, no ``--out`` directory; returns the one ``error:``
+        line."""
         root = pathlib.Path(__file__).resolve().parents[1]
         result = subprocess.run(
             [sys.executable, str(root / "examples" / "reproduce_paper.py"),
-             "--workers", "abc", "--out", str(tmp_path / "out")],
-            env={**os.environ, "PYTHONPATH": str(root / "src")},
+             *args, "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(root / "src"), **env},
             capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         errors = [line for line in result.stderr.splitlines() if "error:" in line]
-        assert len(errors) == 1 and "--workers" in errors[0]
+        assert len(errors) == 1
         assert not (tmp_path / "out").exists()
+        return errors[0]
+
+    def test_reproduce_paper_bad_workers_exits_2(self, tmp_path):
+        """The example script reports a bad ``--workers`` the way the CLI
+        does: exit 2 and one ``error:`` line naming the flag."""
+        assert "--workers" in self._bad_workers_error(
+            tmp_path, ["--workers", "abc"], {}
+        )
+
+    def test_reproduce_paper_bad_workers_env_exits_2(self, tmp_path):
+        """``REPRO_WORKERS`` is checked as early as the flag."""
+        assert "REPRO_WORKERS" in self._bad_workers_error(
+            tmp_path, [], {"REPRO_WORKERS": "abc"}
+        )
 
 
 class TestCommands:

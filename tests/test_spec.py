@@ -13,10 +13,16 @@ from repro.hw.spec import (
 
 class TestDType:
     def test_itemsizes(self):
-        assert DType.BF16.itemsize == 2
-        assert DType.FP16.itemsize == 2
-        assert DType.FP32.itemsize == 4
-        assert DType.INT8.itemsize == 1
+        """Every member's value, lookup and itemsize, the latter a plain
+        per-member attribute rather than a computed property."""
+        assert {m.name: (m.value, m.itemsize) for m in DType} == {
+            "BF16": ("bf16", 2), "FP16": ("fp16", 2),
+            "FP32": ("fp32", 4), "INT8": ("int8", 1),
+        }
+        for member in DType:
+            assert DType(member.value) is member
+            assert type(member.itemsize) is int
+            assert vars(member)["itemsize"] == member.itemsize
 
 
 class TestTable1Values:
