@@ -32,6 +32,7 @@ from typing import Any, Dict, Hashable, Iterator, List, Optional
 from repro.audit import get_auditor
 
 __all__ = [
+    "ClosureCache",
     "CostCache",
     "cache_stats",
     "clear_caches",
@@ -168,6 +169,43 @@ class CostCache:
             f"CostCache({self.name!r}, {len(self._data)}/{self.maxsize} entries, "
             f"{self.hits} hits, {self.misses} misses)"
         )
+
+
+class ClosureCache(CostCache):
+    """Closure-valued :class:`CostCache` without memo-equivalence
+    sampling: two independently compiled pricing closures are
+    bit-identical in what they compute but never compare equal as
+    objects, so the recompute-and-compare audit would always flag a
+    false mismatch.  Registry membership (``clear_caches`` /
+    ``cache_stats``), the memoization switch and the LRU bound are
+    inherited."""
+
+    __slots__ = ()
+
+    def get(self, key: Hashable) -> Optional[Any]:
+        if not _enabled:
+            return None
+        data = self._data
+        value = data.get(key)
+        if value is None:
+            self.misses += 1
+            return None
+        data.move_to_end(key)
+        self.hits += 1
+        return value
+
+    def put(self, key: Hashable, value: Any) -> None:
+        if not _enabled:
+            return
+        data = self._data
+        if key in data:
+            data.move_to_end(key)
+            data[key] = value
+            return
+        if len(data) >= self.maxsize:
+            data.popitem(last=False)
+            self.evictions += 1
+        data[key] = value
 
 
 # -- registry-wide views -------------------------------------------------

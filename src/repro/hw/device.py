@@ -14,8 +14,9 @@ Platform lookup goes through the string-keyed registry of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Tuple
 
-from repro.core.memo import CostCache
+from repro.core.memo import ClosureCache, CostCache
 from repro.hw.memory import HbmModel
 from repro.hw.mme import MmeModel
 from repro.hw.power import PowerModel
@@ -81,6 +82,7 @@ class Device:
         self._attention_cache = CostCache(f"kernels.attention[{spec.name}]")
         self._stream_cache = CostCache(f"kernels.stream[{spec.name}]")
         self._gather_scatter_cache = CostCache(f"kernels.gather_scatter[{spec.name}]")
+        self._gemm_rows = ClosureCache(f"device.gemm_row[{spec.name}]")
 
     @property
     def name(self) -> str:
@@ -106,6 +108,32 @@ class Device:
     ) -> MatmulResult:
         """Subclass hook: derive one GEMM estimate from scratch."""
         raise NotImplementedError
+
+    def gemm_row(
+        self, k: int, n: int, dtype: DType = DType.BF16
+    ) -> Callable[[int], Tuple[float, float]]:
+        """``price(m) -> (time, active_mac_fraction)`` of the unbatched
+        GEMM ``(m, k, n)``, bit-identical to :meth:`gemm` -- the compiled
+        prefill pricer's per-shape row, shared per ``(k, n, dtype)``."""
+        key = (k, n, dtype)
+        row = self._gemm_rows.get(key)
+        if row is None:
+            row = self._gemm_row_uncached(k, n, dtype)
+            self._gemm_rows.put(key, row)
+        return row
+
+    def _gemm_row_uncached(
+        self, k: int, n: int, dtype: DType
+    ) -> Callable[[int], Tuple[float, float]]:
+        """Subclass hook: a row priced through :meth:`gemm` itself.  A
+        device whose matrix model can price ``m`` without building
+        result objects overrides this."""
+
+        def price(m: int) -> Tuple[float, float]:
+            result = self.gemm(m, k, n, dtype)
+            return result.time, result.active_mac_fraction
+
+        return price
 
     def matrix_utilization(self, m: int, k: int, n: int, dtype: DType = DType.BF16) -> float:
         """Achieved/peak utilization of one GEMM shape."""
@@ -172,6 +200,12 @@ class Gaudi2Device(Device):
             config_label=f"MME {estimate.config_label}",
         )
 
+    def _gemm_row_uncached(self, k, n, dtype):
+        # A subclass that re-prices GEMMs keeps the generic row.
+        if type(self)._gemm_uncached is not Gaudi2Device._gemm_uncached:
+            return super()._gemm_row_uncached(k, n, dtype)
+        return self.mme.row(k, n, dtype)
+
 
 class A100Device(Device):
     """NVIDIA A100: Tensor Cores + 108 SMs of SIMD cores."""
@@ -207,3 +241,9 @@ class A100Device(Device):
             active_mac_fraction=1.0,
             config_label=f"CTA {tm}x{tn}, {estimate.waves} waves",
         )
+
+    def _gemm_row_uncached(self, k, n, dtype):
+        # A subclass that re-prices GEMMs keeps the generic row.
+        if type(self)._gemm_uncached is not A100Device._gemm_uncached:
+            return super()._gemm_row_uncached(k, n, dtype)
+        return self.tensorcore.row(k, n, dtype)

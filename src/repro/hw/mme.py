@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.memo import CostCache
 from repro.hw.spec import DeviceSpec, DType, GAUDI2_SPEC
@@ -31,6 +31,7 @@ from repro.hw.systolic import (
     SystolicGeometry,
     best_geometry,
     blocked_gemm_traffic,
+    blocked_gemm_traffic_row,
 )
 
 #: Geometry set recovered from Figure 7(a).  Full-array shapes first,
@@ -135,18 +136,25 @@ class MmeModel:
         The compiler minimizes compute cycles, breaking ties toward the
         configuration with fewer active MACs (power gating).
         """
-        key = (-(-m // self._tile_h), k, -(-n // self._tile_w), dtype)
-        search = self._config_cache.get(key)
-        if search is None:
-            search = self._search_geometry(m, k, n, dtype)
-            self._config_cache.put(key, search)
-        geo, compute_time = search
+        geo, compute_time = self._class_search(m, k, n, dtype)
         # The memory term depends on the exact shape, not its class.
         traffic = blocked_gemm_traffic(
             m, k, n, dtype.itemsize, self.spec.memory.sram_bytes
         )
         mem_bw = self.spec.memory.bandwidth * self.spec.memory.stream_efficiency
         return MmeConfig(geometry=geo, compute_time=compute_time, memory_time=traffic / mem_bw)
+
+    def _class_search(
+        self, m: int, k: int, n: int, dtype: DType
+    ) -> Tuple[SystolicGeometry, float]:
+        """:meth:`_search_geometry` memoized on the shape's quotient
+        class."""
+        key = (-(-m // self._tile_h), k, -(-n // self._tile_w), dtype)
+        search = self._config_cache.get(key)
+        if search is None:
+            search = self._search_geometry(m, k, n, dtype)
+            self._config_cache.put(key, search)
+        return search
 
     def _search_geometry(
         self, m: int, k: int, n: int, dtype: DType
@@ -181,6 +189,36 @@ class MmeModel:
 
     def gemm_time(self, m: int, k: int, n: int, dtype: DType = DType.BF16) -> float:
         return self.gemm(m, k, n, dtype).time
+
+    def row(
+        self, k: int, n: int, dtype: DType = DType.BF16
+    ) -> Callable[[int], Tuple[float, float]]:
+        """:meth:`gemm` with ``m`` left free, as ``price(m) -> (time,
+        active_mac_fraction)`` without building result objects.
+
+        The row keeps its own table of the geometry search per
+        ``ceil(m / tile_h)`` class (see ``__init__``); only the memory
+        term is evaluated per ``m``.  Bit-identical to :meth:`gemm`.
+        """
+        traffic = blocked_gemm_traffic_row(
+            k, n, dtype.itemsize, self.spec.memory.sram_bytes
+        )
+        mem_bw = self.spec.memory.bandwidth * self.spec.memory.stream_efficiency
+        total_macs = self.spec.matrix.total_macs
+        tile_h = self._tile_h
+        table: Dict[int, Tuple[float, float]] = {}
+
+        def price(m: int) -> Tuple[float, float]:
+            entry = table.get(-(-m // tile_h))
+            if entry is None:
+                geo, compute_time = self._class_search(m, k, n, dtype)
+                entry = table[-(-m // tile_h)] = (
+                    compute_time, geo.active_macs / total_macs
+                )
+            compute_time, fraction = entry
+            return max(compute_time, traffic(m) / mem_bw), fraction
+
+        return price
 
     # ------------------------------------------------------------------
     def fixed_array_utilization(self, m: int, k: int, n: int) -> float:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Callable, Iterable, Tuple
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,23 @@ def blocked_gemm_traffic(
     b_reads = math.ceil(m / block) * k * n
     c_writes = m * n
     return float(itemsize) * (a_reads + b_reads + c_writes)
+
+
+def blocked_gemm_traffic_row(
+    k: int, n: int, itemsize: int, sram_bytes: int, k_panel: int = 512
+) -> Callable[[int], float]:
+    """:func:`blocked_gemm_traffic` with ``m`` left free: the block side
+    and the A re-read count depend only on ``k`` and ``n``.  Every read
+    count is an exact integer, so ``traffic(m)`` returns the same bits."""
+    block = max(64, (sram_bytes // itemsize) // (3 * min(k, k_panel)))
+    a_per_m = math.ceil(n / block) * k
+    kn = k * n
+    scale = float(itemsize)
+
+    def traffic(m: int) -> float:
+        return scale * (a_per_m * m + math.ceil(m / block) * kn + m * n)
+
+    return traffic
 
 
 def best_geometry(

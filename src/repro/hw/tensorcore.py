@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from repro.hw.spec import A100_SPEC, DeviceSpec, DType
-from repro.hw.systolic import blocked_gemm_traffic
+from repro.hw.systolic import blocked_gemm_traffic, blocked_gemm_traffic_row
 
 #: CTA tile shapes cuBLAS chooses from, (tile_m, tile_n).
 DEFAULT_CTA_TILES: Sequence[Tuple[int, int]] = (
@@ -40,6 +40,10 @@ TC_PIPELINE_EFFICIENCY = 0.91
 
 #: MACs one SM retires per clock with Tensor Cores (BF16).
 _MACS_PER_SM = 1024
+
+#: DRAM-efficiency derate for skinny (GEMV-like) shapes, ``min(m, n)
+#: < 128`` (see ``TensorCoreModel._memory_time``).
+_SKINNY_EFFICIENCY = 0.88
 
 #: Fixed per-tile prologue/epilogue cost in cycles (smem staging,
 #: fragment load/store); dominates tiny-K tiles.
@@ -101,7 +105,7 @@ class TensorCoreModel:
         # the flip side of the reconfigurable-MME advantage the paper
         # credits for Gaudi-2's decode speedups (Section 3.5).
         if min(m, n) < 128:
-            efficiency *= 0.88
+            efficiency *= _SKINNY_EFFICIENCY
         bw = self.spec.memory.bandwidth * efficiency
         return traffic / bw
 
@@ -140,6 +144,46 @@ class TensorCoreModel:
 
     def gemm_time(self, m: int, k: int, n: int, dtype: DType = DType.BF16) -> float:
         return self.gemm(m, k, n, dtype).time
+
+    def row(
+        self, k: int, n: int, dtype: DType = DType.BF16
+    ) -> Callable[[int], Tuple[float, float]]:
+        """:meth:`gemm` with ``m`` left free, as ``price(m) -> (time,
+        1.0)`` without building result objects.
+
+        Every tile height is a multiple of their gcd ``g``, and
+        ``ceil(m / tm) == ceil(ceil(m / g) / (tm / g))``, so the tile
+        search and the compute time depend on ``m`` only through
+        ``ceil(m / g)``: the row tabulates them per class and evaluates
+        the memory term (with its skinny-shape derate) per ``m``.
+        Bit-identical to :meth:`gemm`.
+        """
+        if min(k, n) <= 0:
+            raise ValueError(f"GEMM dims must be positive, got {(k, n)}")
+        grain = math.gcd(*(tm for tm, _ in self.cta_tiles))
+        dtype_scale = self.spec.matrix.peak(dtype) / self.spec.matrix.peak(DType.BF16)
+        traffic = blocked_gemm_traffic_row(
+            k, n, dtype.itemsize, self.spec.memory.sram_bytes
+        )
+        memory = self.spec.memory
+        wide_bw = memory.bandwidth * memory.stream_efficiency
+        skinny_bw = memory.bandwidth * (memory.stream_efficiency * _SKINNY_EFFICIENCY)
+        narrow_n = n < 128
+        table: Dict[int, float] = {}
+
+        def price(m: int) -> Tuple[float, float]:
+            compute_time = table.get(-(-m // grain))
+            if compute_time is None:
+                if m <= 0:
+                    raise ValueError(f"GEMM dims must be positive, got {(m, k, n)}")
+                tile = self.select_tile(m, k, n)
+                compute_time = table[-(-m // grain)] = (
+                    self._compute_time(tile, m, k, n) / dtype_scale
+                )
+            bw = skinny_bw if narrow_n or m < 128 else wide_bw
+            return max(compute_time, traffic(m) / bw), 1.0
+
+        return price
 
     def batched_gemm(
         self, batch: int, m: int, k: int, n: int, dtype: DType = DType.BF16

@@ -18,6 +18,7 @@ Section 3.5:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Tuple
 
 from repro.hw.device import Device
 from repro.hw.spec import DType
@@ -133,6 +134,67 @@ def fused_sdpa_time(device: Device, config: AttentionConfig) -> AttentionResult:
         memory_time=memory,
         memory_bound=memory > compute,
     )
+
+
+def build_attention_fn(
+    device: Device,
+    batch: int,
+    q_heads: int,
+    kv_heads: int,
+    head_dim: int,
+    dtype: DType = DType.BF16,
+) -> Callable[[int], Tuple[float, float, float]]:
+    """:func:`attention_time` of causal self-attention with the sequence
+    length left free, as ``attend(seq) -> (time, compute_time,
+    memory_time)`` for ``seq_q == seq_kv == seq``.
+
+    Every left-to-right product prefix that does not involve ``seq`` is
+    folded at build time, so each field is the same float operation
+    sequence as the :class:`AttentionConfig` properties and the kernel
+    functions above: bit-identical, with no config or result object.
+    """
+    # Validates the shape the way the per-call config would.
+    AttentionConfig(batch, q_heads, kv_heads, head_dim, 1, 1, dtype)
+    family = getattr(device, "family", "")
+    if family not in ("gaudi", "cuda"):
+        raise TypeError(f"unsupported device {device!r} (family {family!r})")
+    spec = device.spec
+    peak = spec.matrix.peak(dtype) * device.attention_efficiency
+    bw = spec.memory.bandwidth * spec.memory.stream_efficiency
+    launch = spec.kernel_launch_overhead
+    itemsize = dtype.itemsize
+    flops_prefix = 4.0 * batch * q_heads
+    qo_prefix = 2.0 * batch * q_heads
+    kv_prefix = 2.0 * batch * kv_heads
+    if family == "cuda":
+
+        def flash(seq: int) -> Tuple[float, float, float]:
+            compute = flops_prefix * seq * seq * head_dim * 0.5 / peak
+            traffic = (
+                qo_prefix * seq * head_dim * itemsize
+                + kv_prefix * seq * head_dim * itemsize
+            )
+            memory = traffic / bw
+            return max(compute, memory) + launch, compute, memory
+
+        return flash
+
+    heads = batch * q_heads
+    sram = spec.memory.sram_bytes
+    spill = 2.0 * _SDPA_SPILL_FRACTION
+
+    def sdpa(seq: int) -> Tuple[float, float, float]:
+        compute = flops_prefix * seq * seq * head_dim * 0.5 / peak
+        traffic = (
+            qo_prefix * seq * head_dim * itemsize
+            + kv_prefix * seq * head_dim * itemsize
+        )
+        if heads * min(seq, 512) * seq * itemsize > sram:
+            traffic += spill * (heads * seq * seq * itemsize)
+        memory = traffic / bw
+        return max(compute, memory) + launch, compute, memory
+
+    return sdpa
 
 
 def attention_time(device: Device, config: AttentionConfig) -> AttentionResult:

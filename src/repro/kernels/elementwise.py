@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -72,14 +72,53 @@ def elementwise_cost(
     return cost
 
 
+def elementwise_fn(
+    spec: DeviceSpec,
+    flops_per_element: float = 1.0,
+    num_inputs: int = 1,
+    dtype: DType = DType.BF16,
+    uses_fma: bool = False,
+) -> Callable[[int], Tuple[float, float]]:
+    """:func:`elementwise_cost` with the element count left free, as
+    ``cost(num_elements) -> (compute_time, input_bytes + output_bytes)``
+    (bit-identical, no result object, no cache lookup)."""
+    if num_inputs < 1 or flops_per_element < 0:
+        raise ValueError("need num_inputs >= 1 and flops_per_element >= 0")
+    ceiling = VectorUnitModel(spec.vector).sustained_flops(dtype, uses_fma).flops
+    itemsize = dtype.itemsize
+
+    def cost(num_elements: int) -> Tuple[float, float]:
+        if num_elements < 0:
+            raise ValueError("num_elements must be >= 0")
+        compute = (
+            num_elements * flops_per_element / ceiling
+            if num_elements and flops_per_element else 0.0
+        )
+        elements = float(num_elements)
+        return compute, elements * itemsize * num_inputs + elements * itemsize
+
+    return cost
+
+
+#: Vector ops per element of a SiLU/GELU-style activation.
+ACTIVATION_FLOPS = 4.0
+
+#: Vector ops per element of RMSNorm/LayerNorm (two passes fused).
+LAYERNORM_FLOPS = 6.0
+
+
 def activation_cost(spec: DeviceSpec, num_elements: int, dtype: DType = DType.BF16) -> ElementwiseCost:
     """SiLU/GELU-style activation: ~4 vector ops per element."""
-    return elementwise_cost(spec, num_elements, flops_per_element=4.0, dtype=dtype)
+    return elementwise_cost(
+        spec, num_elements, flops_per_element=ACTIVATION_FLOPS, dtype=dtype
+    )
 
 
 def layernorm_cost(spec: DeviceSpec, num_elements: int, dtype: DType = DType.BF16) -> ElementwiseCost:
     """RMSNorm/LayerNorm: ~6 vector ops per element (two passes fused)."""
-    return elementwise_cost(spec, num_elements, flops_per_element=6.0, dtype=dtype)
+    return elementwise_cost(
+        spec, num_elements, flops_per_element=LAYERNORM_FLOPS, dtype=dtype
+    )
 
 
 # -- functional semantics ------------------------------------------------

@@ -11,16 +11,23 @@ implementations (the vLLM setup of Section 4.2).
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence, Tuple
 
 from repro.core import memo
-from repro.core.memo import CostCache
+from repro.core.memo import ClosureCache, CostCache
 from repro.hw.device import Device
 from repro.hw.power import ActivityAccumulator, PowerModel
 from repro.hw.spec import DType
-from repro.kernels.attention import AttentionConfig, attention_time
-from repro.kernels.elementwise import activation_cost, layernorm_cost
+from repro.kernels.attention import AttentionConfig, attention_time, build_attention_fn
+from repro.kernels.elementwise import (
+    ACTIVATION_FLOPS,
+    LAYERNORM_FLOPS,
+    activation_cost,
+    elementwise_fn,
+    layernorm_cost,
+)
 from repro.kernels.paged_attention import (
     DEFAULT_BLOCK_SIZE,
     PagedAttentionStats,
@@ -38,45 +45,11 @@ _LAYER_DISPATCH = 1.5e-6
 _LAYER_DISPATCH_EAGER = 45e-6
 
 
-class _StepperCache(CostCache):
-    """Closure-valued :class:`CostCache` without memo-equivalence
-    sampling: two independently compiled steppers are bit-identical in
-    what they compute but never compare equal as objects, so the
-    recompute-and-compare audit would always flag a false mismatch.
-    Registry membership (``clear_caches`` / ``cache_stats``) and the
-    LRU bound are inherited."""
-
-    def get(self, key):
-        if not memo.memoization_enabled():
-            return None
-        data = self._data
-        value = data.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        data.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def put(self, key, value) -> None:
-        if not memo.memoization_enabled():
-            return
-        data = self._data
-        if key in data:
-            data.move_to_end(key)
-            data[key] = value
-            return
-        if len(data) >= self.maxsize:
-            data.popitem(last=False)
-            self.evictions += 1
-        data[key] = value
-
-
 #: Cross-instance compiled decode steppers: fleet and figure sweeps
 #: build many short-lived engines over the same (device, config) pair,
 #: and a drained batch walks every batch size down to 1 -- sharing the
 #: compiled closures turns those rebuilds into dictionary hits.
-_SHARED_STEPPERS = _StepperCache("llama.decode_stepper", maxsize=4096)
+_SHARED_STEPPERS = ClosureCache("llama.decode_stepper", maxsize=4096)
 
 #: Cross-instance end-to-end generation estimates, keyed on the pricing
 #: identity, the fabric fault state and the call shape: figure sweeps
@@ -94,14 +67,15 @@ _SHARED_PHASE_CACHES: dict = {}
 
 
 def _phase_caches(identity: tuple, label: str):
-    """The (prefill, decode-terms) caches for one pricing identity,
-    created on first use and shared by every later model with the same
-    identity."""
+    """The (prefill, decode-terms, prefill-pricer) caches for one
+    pricing identity, created on first use and shared by every later
+    model with the same identity."""
     caches = _SHARED_PHASE_CACHES.get(identity)
     if caches is None:
         caches = _SHARED_PHASE_CACHES[identity] = (
             CostCache(f"llama.prefill[{label}]", maxsize=2048),
             CostCache(f"llama.decode_terms[{label}]", maxsize=1024),
+            ClosureCache(f"llama.prefill_pricer[{label}]", maxsize=256),
         )
     return caches
 
@@ -376,8 +350,8 @@ class LlamaCostModel:
         # Cached PhaseEstimates are shared between calls and models, so
         # callers must treat them (and their activity accumulators) as
         # read-only.
-        self._prefill_cache, self._decode_terms_cache = _phase_caches(
-            self._pricing_identity, label
+        self._prefill_cache, self._decode_terms_cache, self._pricer_cache = (
+            _phase_caches(self._pricing_identity, label)
         )
         # Compiled per-(attention, batch, fault state) step closures;
         # pure in the aggregates, so a plain dict (no audit interplay)
@@ -444,17 +418,142 @@ class LlamaCostModel:
 
     # -- phases ----------------------------------------------------------
     def prefill(self, batch: int, seq_len: int) -> PhaseEstimate:
-        """Process the whole prompt; produces the first token."""
+        """Process the whole prompt; produces the first token.
+
+        A phase-cache miss prices through the compiled
+        :meth:`prefill_pricer`; observed configs, and runs with
+        memoization off, assemble the phase from scratch instead
+        (:meth:`_prefill_uncached`, the reference the pricer is pinned
+        to), so ``REPRO_NO_MEMO=1`` compares two independent paths.
+        """
         if batch <= 0 or seq_len <= 0:
             raise ValueError("batch and seq_len must be positive")
         if not self.memo_ok:
-            return self._prefill_uncached(batch, seq_len)
+            return self._prefill_uncached(int(batch), int(seq_len))
         key = (batch, seq_len, self._fabric_key())
         phase = self._prefill_cache.get(key)
         if phase is None:
-            phase = self._prefill_uncached(batch, seq_len)
+            # Price and store builtins: a numpy length would put a numpy
+            # time in the shared cache for every later caller.  (A numpy
+            # key still finds the builtin entry: hash and == agree.)
+            batch, seq_len = int(batch), int(seq_len)
+            key = (batch, seq_len, key[2])
+            if memo.memoization_enabled():
+                phase = self.prefill_pricer(batch)(seq_len, self.tp)
+            else:
+                phase = self._prefill_uncached(batch, seq_len)
             self._prefill_cache.put(key, phase)
         return phase
+
+    def prefill_pricer(
+        self, batch: int
+    ) -> Callable[[int, TensorParallelConfig], PhaseEstimate]:
+        """Compile a prefill pricing closure for a fixed batch.
+
+        The returned ``pricer(seq_len, tp)`` is bit-identical to
+        :meth:`_prefill_uncached` in time and every activity field.
+        Everything that does not depend on ``seq_len`` is folded at
+        build time -- the LM head included, the one GEMM priced through
+        ``Device.gemm`` -- and each sequence-dependent term is a
+        per-shape twin: :meth:`Device.gemm_row` for the four layer
+        GEMMs, the fused-attention and element-wise twins for the rest.
+        The AllReduces run live through ``tp`` (the calling model's), so
+        a degraded fabric prices them at its current fault state.
+        Pricers are shared across models with the same pricing identity.
+        """
+        if batch <= 0:
+            raise ValueError("batch must be positive")
+        if not self.memo_ok:
+            raise RuntimeError(
+                "prefill_pricer requires an unobserved config (no comm "
+                "metrics or event queue); use prefill"
+            )
+        pricer = self._pricer_cache.get(batch)
+        if pricer is None:
+            pricer = self._build_prefill_pricer(batch)
+            self._pricer_cache.put(batch, pricer)
+        return pricer
+
+    def _build_prefill_pricer(
+        self, batch: int
+    ) -> Callable[[int, TensorParallelConfig], PhaseEstimate]:
+        """:meth:`_prefill_uncached` as one expression per field.
+
+        Each field replays the reference's left-to-right chain of
+        accumulator additions (its leading ``0.0 +`` dropped: every
+        first term is positive), is scaled by the layer count, and then
+        takes the LM head's folded share -- comm excepted, which is
+        never scaled and has no LM-head term.
+        """
+        cfg, tp, device = self.config, self.tp, self.device
+        spec, dtype = device.spec, cfg.dtype
+        hidden, hd, layers = cfg.hidden_size, cfg.head_dim, cfg.num_layers
+        inter, degree = cfg.intermediate_size, tp.degree
+        itemsize = dtype.itemsize
+        peak_bw = device.peak_bandwidth
+        stream_bw = spec.memory.bandwidth * spec.memory.stream_efficiency
+        dtype_peak = spec.matrix.peak(dtype)
+        dispatch = self._layer_dispatch
+
+        def gemm_term(k: int, n: int):
+            row = device.gemm_row(k, n, dtype)
+            kn, k_plus_n = k * n, k + n
+
+            def term(m: int) -> Tuple[float, float, float, float]:
+                time, fraction = row(m)
+                busy = 2.0 * m * k * n / dtype_peak
+                traffic = itemsize * (kn + m * k_plus_n)
+                return time, busy, busy * fraction, traffic / peak_bw
+
+            return term
+
+        qkv = gemm_term(hidden, tp.shard((cfg.q_heads + 2 * cfg.kv_heads) * hd, "qkv width"))
+        oproj = gemm_term(tp.shard(cfg.q_heads * hd, "o-proj"), hidden)
+        up = gemm_term(hidden, tp.shard(2 * inter, "mlp up"))
+        down = gemm_term(tp.shard(inter, "mlp down"), hidden)
+        attend = build_attention_fn(
+            device, batch, cfg.q_heads // degree, max(1, cfg.kv_heads // degree),
+            hd, dtype,
+        )
+        layernorm = elementwise_fn(spec, LAYERNORM_FLOPS, dtype=dtype)
+        activation = elementwise_fn(spec, ACTIVATION_FLOPS, dtype=dtype)
+        lm = ActivityAccumulator()
+        lm_t = self._gemm(lm, batch, hidden, tp.shard(cfg.vocab_size, "lm head"))
+        lm_m, lm_w, lm_mem = lm.matrix_seconds, lm.matrix_active_weighted, lm.memory_seconds
+
+        def pricer(seq_len: int, tp: TensorParallelConfig) -> PhaseEstimate:
+            tokens = batch * seq_len
+            ln_c, ln_bytes = layernorm(tokens * hidden)
+            ln_t = max(ln_c, ln_bytes / stream_bw)
+            ln_mem = ln_bytes / peak_bw
+            q_t, q_m, q_w, q_mem = qkv(tokens)
+            a_t, a_c, a_mem = attend(seq_len)
+            a_m = min(a_c, a_t)
+            a_mem = min(a_mem, a_t)
+            o_t, o_m, o_w, o_mem = oproj(tokens)
+            ar1 = tp.allreduce_time(tokens * hidden * itemsize)
+            u_t, u_m, u_w, u_mem = up(tokens)
+            act_c, act_bytes = activation(tokens * inter // degree)
+            act_t = max(act_c, act_bytes / stream_bw)
+            act_mem = act_bytes / peak_bw
+            d_t, d_m, d_w, d_mem = down(tokens)
+            ar2 = tp.allreduce_time(tokens * hidden * itemsize)
+            acc = ActivityAccumulator()
+            acc.matrix_seconds = (q_m + a_m + o_m + u_m + d_m) * layers + lm_m
+            acc.matrix_active_weighted = (q_w + a_m + o_w + u_w + d_w) * layers + lm_w
+            acc.vector_seconds = (ln_c + ln_c + act_c) * layers
+            acc.memory_seconds = (
+                (ln_mem + q_mem + a_mem + o_mem + ln_mem + u_mem + act_mem + d_mem)
+                * layers + lm_mem
+            )
+            acc.comm_seconds = ar1 + ar2
+            time = (
+                (ln_t + q_t + a_t + o_t + ar1 + ln_t + u_t + act_t + d_t + ar2 + dispatch)
+                * layers + lm_t
+            )
+            return PhaseEstimate(time=time, activity=acc)
+
+        return pricer
 
     def _prefill_uncached(self, batch: int, seq_len: int) -> PhaseEstimate:
         cfg, tp = self.config, self.tp
@@ -510,7 +609,7 @@ class LlamaCostModel:
         """
         if batch <= 0:
             raise ValueError("batch must be positive")
-        if isinstance(context_len, (int, float)):
+        if isinstance(context_len, numbers.Real):
             stats = DecodeBatchStats.uniform(batch, int(context_len))
         else:
             context_lens = [int(c) for c in context_len]
@@ -832,6 +931,8 @@ class LlamaCostModel:
         decode_samples: int = 8,
     ) -> GenerationEstimate:
         """Fixed-length generation (the Section 3.5 serving setup)."""
+        # Builtins in the shared cache's key and estimate (see prefill).
+        batch, input_len, output_len = int(batch), int(input_len), int(output_len)
         if output_len <= 0 or decode_samples <= 0:
             raise ValueError("output_len and decode_samples must be positive")
         key = None

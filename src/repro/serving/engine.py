@@ -510,6 +510,7 @@ class LlmServingEngine:
 
     def feed(self, request: Request) -> None:
         """Submit one request to an open run (streaming admission)."""
+        request.coerce_builtins()
         if self.policy and self.policy.deadline is not None and request.deadline is None:
             request.deadline = self.policy.deadline
         if self._audit is not None and request.generated:

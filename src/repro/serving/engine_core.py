@@ -264,17 +264,17 @@ class EngineCore:
         if not self.free_slots:
             self._grow()
         slot = self.free_slots.pop()
-        # A caller's Request may hold numpy scalars; the columns take
-        # builtins once here, so no read back from them needs unboxing.
-        self.input_tokens[slot] = int(request.input_tokens)
-        self.output_tokens[slot] = int(request.output_tokens)
-        self.generated[slot] = int(request.generated)
-        self.arrival[slot] = float(request.arrival_time)
+        # The engine fed the request through Request.coerce_builtins, so
+        # the columns hold builtins and no read back needs unboxing.
+        self.input_tokens[slot] = request.input_tokens
+        self.output_tokens[slot] = request.output_tokens
+        self.generated[slot] = request.generated
+        self.arrival[slot] = request.arrival_time
         first = request.first_token_time
-        self.first_token[slot] = math.nan if first is None else float(first)
+        self.first_token[slot] = math.nan if first is None else first
         self.finish[slot] = math.nan
-        self.restarts[slot] = int(request.restarts)
-        self.retries[slot] = int(request.retries)
+        self.restarts[slot] = request.restarts
+        self.retries[slot] = request.retries
         self.wait_key[slot] = (request.tier, request.arrival_time)
         if request.tier not in self.tiers:
             self.tiers.add(request.tier)

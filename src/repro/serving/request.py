@@ -99,6 +99,13 @@ class RetryPolicy:
         return delay
 
 
+#: The integer fields :meth:`Request.coerce_builtins` converts.
+_INT_FIELDS = (
+    "input_tokens", "output_tokens", "generated", "checkpoint", "restarts",
+    "retries", "tier",
+)
+
+
 @dataclass
 class Request:
     """One generation request and its latency bookkeeping."""
@@ -138,6 +145,32 @@ class Request:
             raise ValueError("input_tokens and output_tokens must be positive")
         if self.tier < 0:
             raise ValueError(f"tier must be >= 0, got {self.tier}")
+
+    def coerce_builtins(self) -> None:
+        """Hold every numeric field an engine reads as a Python builtin.
+
+        A caller building requests from numpy samples may pass numpy
+        scalars; both engine cores call this when a request is fed, so
+        neither does arithmetic on them and both publish builtin times
+        and counts.  The common all-builtin request costs one chained
+        type test and no writes."""
+        first, deadline = self.first_token_time, self.deadline
+        if (
+            type(self.input_tokens) is type(self.output_tokens) is type(self.generated)
+            is type(self.checkpoint) is type(self.restarts) is type(self.retries)
+            is type(self.tier) is int
+            and type(self.arrival_time) is float
+            and (first is None or type(first) is float)
+            and (deadline is None or type(deadline) is float)
+        ):
+            return
+        for name in _INT_FIELDS:
+            setattr(self, name, int(getattr(self, name)))
+        self.arrival_time = float(self.arrival_time)
+        if first is not None:
+            self.first_token_time = float(first)
+        if deadline is not None:
+            self.deadline = float(deadline)
 
     def _transition(self, new_state: RequestState) -> None:
         """Move to ``new_state``, auditing legality when enabled."""

@@ -86,7 +86,9 @@ class SurrogateCollectiveLibrary(CollectiveLibrary):
     """Collective library serving fitted per-op tables.
 
     Off-table traffic -- participant counts outside the fitted lattice,
-    unknown ops -- goes to the exact library; rebinding onto another
+    sizes outside its size range (the table clamps at its edges, which
+    would price a 2.6 GB AllReduce as a 1 GiB one), unknown ops -- goes
+    to the exact library; rebinding onto another
     topology (including every degraded fault-state view) returns the
     *exact* library, because fitted tables only describe the healthy
     fabric they were sampled on.
@@ -107,7 +109,7 @@ class SurrogateCollectiveLibrary(CollectiveLibrary):
         if (
             surface not in self._model.surfaces
             or participants not in COLLECTIVE_PARTICIPANTS
-            or size_bytes <= 0
+            or not self._in_size_range(surface, size_bytes)
         ):
             SURROGATE_COUNTERS["collective.fallback"] += 1
             return self._exact.run(op, size_bytes, participants)
@@ -132,6 +134,10 @@ class SurrogateCollectiveLibrary(CollectiveLibrary):
             bus_bandwidth=busbw,
             bus_utilization=busbw / self.NOMINAL_BANDWIDTH,
         )
+
+    def _in_size_range(self, surface: str, size_bytes: float) -> bool:
+        sizes = self._model.predictor(surface).axes[0]["values"]
+        return sizes[0] <= size_bytes <= sizes[-1]
 
     def with_topology(self, topology) -> CollectiveLibrary:
         # Fault-state and what-if views are priced exactly.

@@ -1,19 +1,25 @@
-"""No numpy scalar leaks from the engine core into a Request.
+"""No numpy scalar leaks from either engine core into a Request.
 
-The vectorized core keeps its slot columns as plain Python lists,
-converts a fed request's fields to builtins once at acquisition, and
-copies the columns back onto ``Request`` objects at lifecycle events
-without any ``int``/``float`` unboxing, so every value it publishes
-must already be a builtin.  This drives the paths that write the columns -- admission,
-prefill, decode bursts, capacity preemption with checkpoints, deadline
-requeues -- and checks every published field's exact type, plus byte
-parity of the report with the scalar core.  CI also runs this file
-under ``REPRO_NO_MEMO=1``.
+Both cores feed every request through ``Request.coerce_builtins``, so
+a caller's numpy-typed fields become builtins before any arithmetic.
+The vectorized core keeps its slot columns as plain Python lists and
+copies them back onto ``Request`` objects at lifecycle events without
+any ``int``/``float`` unboxing, so every value it publishes must
+already be a builtin.  This drives the paths that write the columns --
+admission, prefill, decode bursts, capacity preemption with
+checkpoints, deadline requeues -- and checks every published field's
+exact type, plus byte parity of the report with the scalar core.
+Numpy-typed and builtin runs go in both orders in one process, so a
+numpy value stored in a cross-instance cost cache (the prefill cache
+keys on the prompt length) would reach the later run.  CI also runs
+this file under ``REPRO_NO_MEMO=1``.
 """
 
 import numpy as np
 import pytest
 
+from repro.core import memo
+from repro.hw.backend import get_backend
 from repro.models.llama import DecodeAttention, LLAMA_3_1_8B, LlamaCostModel
 from repro.serving import LlmServingEngine, ResiliencePolicy, dynamic_sonnet_requests
 from repro.serving.loadgen import poisson_arrivals
@@ -90,14 +96,39 @@ def test_published_fields_are_builtins(runs):
 
 
 def test_numpy_typed_requests(gaudi, runs):
-    """Numpy-typed request fields enter the columns as builtins: the
-    core publishes builtins (the caller's own ``arrival_time`` aside)
-    and the same report bytes."""
+    """Numpy-typed request fields are builtins once fed: on either core,
+    in either run order against cleared caches, every published field
+    is a builtin (``arrival_time`` included) and the report bytes match
+    a builtin run."""
     (_, _, report), _ = runs
-    engine, requests, numpy_report = _run(gaudi, "vectorized", numpy_fields=True)
-    assert engine._fast
-    assert numpy_report.to_json() == report.to_json()
-    _assert_builtin_fields(requests, skip=("arrival_time",))
+    for mode in ("vectorized", "scalar"):
+        for order in ((True, False), (False, True)):
+            memo.clear_caches()
+            for numpy_fields in order:
+                engine, requests, run_report = _run(gaudi, mode, numpy_fields)
+                where = (mode, order, numpy_fields)
+                assert engine._fast == (mode == "vectorized"), where
+                assert run_report.to_json() == report.to_json(), where
+                _assert_builtin_fields(requests)
+
+
+def test_shared_cost_caches_hold_builtins():
+    """A numpy length prices as its builtin: the cross-instance prefill
+    and generation caches never hand a numpy value to a later caller."""
+    memo.clear_caches()
+    device = get_backend("gaudi2")
+    first = LlamaCostModel(LLAMA_3_1_8B, device).prefill(1, np.int64(777))
+    later = LlamaCostModel(LLAMA_3_1_8B, device).prefill(1, 777)
+    assert type(first.time) is float and type(later.time) is float
+    assert first == later
+    LlamaCostModel(LLAMA_3_1_8B, device).generate(
+        np.int64(2), np.int64(128), np.int64(64)
+    )
+    estimate = LlamaCostModel(LLAMA_3_1_8B, device).generate(2, 128, 64)
+    for name in ("batch", "input_len", "output_len"):
+        assert type(getattr(estimate, name)) is int, name
+    for name in ("prefill_time", "decode_time", "average_power"):
+        assert type(getattr(estimate, name)) is float, name
 
 
 def test_report_matches_scalar_core(runs):

@@ -6,6 +6,8 @@ decode statistics must match a from-scratch rebuild, and unobserved
 serving runs must not allocate observability state per step.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.audit import ConfigError
@@ -14,6 +16,7 @@ from repro.core import memo
 from repro.core.memo import CostCache
 from repro.core.parallel import resolve_worker_count
 from repro.hw.backend import get_backend
+from repro.hw.device import Device, Gaudi2Device
 from repro.hw.power import ActivityAccumulator
 from repro.hw.spec import DType
 from repro.models.llama import (
@@ -212,6 +215,67 @@ class TestDecodeEquivalence:
             cold = model.prefill(2, 1024)
         assert warm2.time == warm.time == cold.time
         assert _activity_tuple(warm.activity) == _activity_tuple(cold.activity)
+
+
+class TestPrefillPricer:
+    """A cold prompt length prices through the compiled prefill pricer:
+    its GEMM rows never build ``Device.gemm`` results, and pricers and
+    rows live in registered caches, so a cold run starts cold."""
+
+    @pytest.fixture(autouse=True)
+    def _memo_on(self):
+        # The pricer is the memo-on path; REPRO_NO_MEMO=1 runs the
+        # reference instead, which these tests do not cover.
+        previous = memo.memoization_enabled()
+        memo.set_enabled(True)
+        memo.clear_caches()
+        yield
+        memo.set_enabled(previous)
+
+    @pytest.mark.parametrize("backend", ("gaudi2", "a100"))
+    def test_cold_lengths_price_gemms_only_for_lm_head(self, backend, monkeypatch):
+        calls = []
+        gemm = Device.gemm
+
+        def counted(self, m, k, n, dtype=DType.BF16, batch=1):
+            calls.append((m, k, n))
+            return gemm(self, m, k, n, dtype, batch)
+
+        monkeypatch.setattr(Device, "gemm", counted)
+        model = LlamaCostModel(LLAMA_3_1_8B, get_backend(backend))
+        for seq_len in range(1, 4001, 20):
+            model.prefill(1, seq_len)
+        for batch in (2, 4):
+            model.prefill(batch, 100)
+        lm_head = (LLAMA_3_1_8B.hidden_size, LLAMA_3_1_8B.vocab_size)
+        assert calls == [(batch,) + lm_head for batch in (1, 2, 4)]
+
+    def test_overridden_gemm_keeps_generic_row(self):
+        class SlowGemm(Gaudi2Device):
+            def _gemm_uncached(self, m, k, n, dtype, batch):
+                result = super()._gemm_uncached(m, k, n, dtype, batch)
+                return dataclasses.replace(result, time=2.0 * result.time)
+
+        device = SlowGemm()
+        row = device.gemm_row(4096, 14336)
+        assert row(300) == (
+            device.gemm(300, 4096, 14336).time,
+            device.gemm(300, 4096, 14336).active_mac_fraction,
+        )
+
+    def test_pricers_and_rows_live_in_registered_caches(self):
+        model = LlamaCostModel(LLAMA_3_1_8B, get_backend("gaudi2"))
+        model.prefill(1, 100)
+        stats = memo.cache_stats()
+        assert stats[f"llama.prefill_pricer[Gaudi-2/{LLAMA_3_1_8B.name}]"]["entries"] == 1
+        assert stats["device.gemm_row[Gaudi-2]"]["entries"] == 4
+        assert "device.gemm_row[Gaudi-2]" in memo.render_stats()
+        memo.clear_caches()
+        assert all(entry["entries"] == 0 for entry in memo.cache_stats().values())
+        pricer = model.prefill_pricer(1)
+        assert model.prefill_pricer(1) is pricer
+        with memo.disabled():
+            assert model.prefill_pricer(1) is not pricer
 
 
 class TestFaultStateMemo:

@@ -180,6 +180,20 @@ class TestBackendFacade:
         assert report.time == exact.run(CollectiveOp.ALL_REDUCE, 2**20, 3).time
         assert SURROGATE_COUNTERS["collective.fallback"] > before
 
+    def test_off_range_sizes_fall_back(self):
+        """The size axis clamps at its edges; past them (a 70B prefill
+        AllReduce reaches gigabytes) the exact library prices."""
+        from repro.comm.collectives import CollectiveOp
+
+        device = get_backend("gaudi2@surrogate")
+        exact = get_backend("gaudi2").collective_library(8)
+        library = device.collective_library(8)
+        for size in (2**9, 2**31 + 2**30):
+            before = SURROGATE_COUNTERS["collective.fallback"]
+            report = library.run(CollectiveOp.ALL_REDUCE, size, 2)
+            assert report.time == exact.run(CollectiveOp.ALL_REDUCE, size, 2).time
+            assert SURROGATE_COUNTERS["collective.fallback"] > before
+
     def test_degraded_fabric_is_priced_exactly(self):
         device = get_backend("gaudi2@surrogate")
         library = device.collective_library(8)
