@@ -123,6 +123,12 @@ class CostCache:
         self.hits += 1
         return value
 
+    def verifying(self, key: Hashable) -> bool:
+        """Whether the last :meth:`get` of ``key`` was a sampled audit
+        recompute: the caller may then price through an independent
+        reference path, so the check compares two implementations."""
+        return key in self._pending_verify
+
     def put(self, key: Hashable, value: Any) -> None:
         """Store ``value`` (must not be None), evicting the LRU entry
         when full."""

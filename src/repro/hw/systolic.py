@@ -103,19 +103,29 @@ class SystolicArray:
         return ideal_cycles / timing.cycles
 
 
+#: K panel length the on-chip blocking streams (elements).
+_K_PANEL = 512
+
+
+def _block_side(k: int, itemsize: int, sram_bytes: int) -> int:
+    """Side of the square output block whose A panel, B panel and
+    output block fit on chip together."""
+    return max(64, (sram_bytes // itemsize) // (3 * min(k, _K_PANEL)))
+
+
 def blocked_gemm_traffic(
-    m: int, k: int, n: int, itemsize: int, sram_bytes: int, k_panel: int = 512
+    m: int, k: int, n: int, itemsize: int, sram_bytes: int
 ) -> float:
     """Off-chip traffic of a GEMM blocked through on-chip SRAM, bytes.
 
     Both platforms stage operand panels on chip (the Gaudi graph
     compiler through the 48 MB shared SRAM, cuBLAS through the 40 MB
-    L2), streaming K in panels of ``k_panel``.  With a square block of
+    L2), streaming K in panels of 512 elements.  With a square block of
     side ``b`` chosen so that an A panel, a B panel, and the output
     block fit on chip, A is re-read ``ceil(N/b)`` times and B
     ``ceil(M/b)`` times; C is written once.
     """
-    block = max(64, (sram_bytes // itemsize) // (3 * min(k, k_panel)))
+    block = _block_side(k, itemsize, sram_bytes)
     a_reads = math.ceil(n / block) * m * k
     b_reads = math.ceil(m / block) * k * n
     c_writes = m * n
@@ -123,12 +133,12 @@ def blocked_gemm_traffic(
 
 
 def blocked_gemm_traffic_row(
-    k: int, n: int, itemsize: int, sram_bytes: int, k_panel: int = 512
+    k: int, n: int, itemsize: int, sram_bytes: int
 ) -> Callable[[int], float]:
     """:func:`blocked_gemm_traffic` with ``m`` left free: the block side
     and the A re-read count depend only on ``k`` and ``n``.  Every read
     count is an exact integer, so ``traffic(m)`` returns the same bits."""
-    block = max(64, (sram_bytes // itemsize) // (3 * min(k, k_panel)))
+    block = _block_side(k, itemsize, sram_bytes)
     a_per_m = math.ceil(n / block) * k
     kn = k * n
     scale = float(itemsize)

@@ -73,18 +73,15 @@ def elementwise_cost(
 
 
 def elementwise_fn(
-    spec: DeviceSpec,
-    flops_per_element: float = 1.0,
-    num_inputs: int = 1,
-    dtype: DType = DType.BF16,
-    uses_fma: bool = False,
+    spec: DeviceSpec, flops_per_element: float, dtype: DType = DType.BF16
 ) -> Callable[[int], Tuple[float, float]]:
-    """:func:`elementwise_cost` with the element count left free, as
-    ``cost(num_elements) -> (compute_time, input_bytes + output_bytes)``
-    (bit-identical, no result object, no cache lookup)."""
-    if num_inputs < 1 or flops_per_element < 0:
-        raise ValueError("need num_inputs >= 1 and flops_per_element >= 0")
-    ceiling = VectorUnitModel(spec.vector).sustained_flops(dtype, uses_fma).flops
+    """:func:`elementwise_cost` of a one-input, non-FMA op with the
+    element count left free, as ``cost(num_elements) -> (compute_time,
+    input_bytes + output_bytes)`` (bit-identical, no result object, no
+    cache lookup)."""
+    if flops_per_element < 0:
+        raise ValueError("flops_per_element must be >= 0")
+    ceiling = VectorUnitModel(spec.vector).sustained_flops(dtype, uses_fma=False).flops
     itemsize = dtype.itemsize
 
     def cost(num_elements: int) -> Tuple[float, float]:
@@ -95,7 +92,7 @@ def elementwise_fn(
             if num_elements and flops_per_element else 0.0
         )
         elements = float(num_elements)
-        return compute, elements * itemsize * num_inputs + elements * itemsize
+        return compute, elements * itemsize + elements * itemsize
 
     return cost
 

@@ -421,29 +421,41 @@ class LlamaCostModel:
         """Process the whole prompt; produces the first token.
 
         A phase-cache miss prices through the compiled
-        :meth:`prefill_pricer`; observed configs, and runs with
-        memoization off, assemble the phase from scratch instead
-        (:meth:`_prefill_uncached`, the reference the pricer is pinned
-        to), so ``REPRO_NO_MEMO=1`` compares two independent paths.
+        :meth:`prefill_pricer`.  Observed configs skip the phase cache
+        (each call must fire its AllReduce metrics and events) but
+        still price through the pricer, whose AllReduces run live.  The
+        from-scratch assembly (:meth:`_prefill_uncached`, the reference
+        the pricer is pinned to) runs with memoization off and for a
+        sampled audit recompute, so both ``REPRO_NO_MEMO=1`` and the
+        memo-equivalence check compare two independent paths.
         """
         if batch <= 0 or seq_len <= 0:
             raise ValueError("batch and seq_len must be positive")
         if not self.memo_ok:
-            return self._prefill_uncached(int(batch), int(seq_len))
+            return self._price_prefill(int(batch), int(seq_len))
         key = (batch, seq_len, self._fabric_key())
-        phase = self._prefill_cache.get(key)
+        cache = self._prefill_cache
+        phase = cache.get(key)
         if phase is None:
             # Price and store builtins: a numpy length would put a numpy
             # time in the shared cache for every later caller.  (A numpy
             # key still finds the builtin entry: hash and == agree.)
             batch, seq_len = int(batch), int(seq_len)
             key = (batch, seq_len, key[2])
-            if memo.memoization_enabled():
-                phase = self.prefill_pricer(batch)(seq_len, self.tp)
+            if cache.verifying(key):
+                # Recompute from scratch without filling the device and
+                # kernel caches the pricer never reads.
+                with memo.disabled():
+                    phase = self._prefill_uncached(batch, seq_len)
             else:
-                phase = self._prefill_uncached(batch, seq_len)
-            self._prefill_cache.put(key, phase)
+                phase = self._price_prefill(batch, seq_len)
+            cache.put(key, phase)
         return phase
+
+    def _price_prefill(self, batch: int, seq_len: int) -> PhaseEstimate:
+        if memo.memoization_enabled():
+            return self.prefill_pricer(batch)(seq_len, self.tp)
+        return self._prefill_uncached(batch, seq_len)
 
     def prefill_pricer(
         self, batch: int
@@ -458,16 +470,13 @@ class LlamaCostModel:
         per-shape twin: :meth:`Device.gemm_row` for the four layer
         GEMMs, the fused-attention and element-wise twins for the rest.
         The AllReduces run live through ``tp`` (the calling model's), so
-        a degraded fabric prices them at its current fault state.
-        Pricers are shared across models with the same pricing identity.
+        a degraded fabric prices them at its current fault state and an
+        observed config fires its metrics and queues its events in the
+        reference's order.  Pricers are shared across models with the
+        same pricing identity.
         """
         if batch <= 0:
             raise ValueError("batch must be positive")
-        if not self.memo_ok:
-            raise RuntimeError(
-                "prefill_pricer requires an unobserved config (no comm "
-                "metrics or event queue); use prefill"
-            )
         pricer = self._pricer_cache.get(batch)
         if pricer is None:
             pricer = self._build_prefill_pricer(batch)

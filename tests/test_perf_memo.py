@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-from repro.audit import ConfigError
+from repro.audit import ConfigError, MemoEquivalenceError
 from repro.audit.auditor import audit_scope
 from repro.core import memo
 from repro.core.memo import CostCache
@@ -24,6 +24,7 @@ from repro.models.llama import (
     DecodeAttention,
     DecodeBatchStats,
     LlamaCostModel,
+    PhaseEstimate,
 )
 from repro.serving import (
     LlmServingEngine,
@@ -230,6 +231,8 @@ class TestPrefillPricer:
         memo.set_enabled(True)
         memo.clear_caches()
         yield
+        # Leave no injected pricer or poisoned entry to later tests.
+        memo.clear_caches()
         memo.set_enabled(previous)
 
     @pytest.mark.parametrize("backend", ("gaudi2", "a100"))
@@ -262,6 +265,54 @@ class TestPrefillPricer:
             device.gemm(300, 4096, 14336).time,
             device.gemm(300, 4096, 14336).active_mac_fraction,
         )
+
+    def test_strict_audit_flags_a_wrong_pricer(self):
+        """A sampled prefill hit recomputes through the from-scratch
+        reference, not the pricer that filled the entry, so a pricer
+        that drifted from the reference is caught."""
+        model = LlamaCostModel(LLAMA_3_1_8B, get_backend("gaudi2"))
+        good = model.prefill_pricer(1)
+
+        def wrong(seq_len, tp):
+            phase = good(seq_len, tp)
+            return PhaseEstimate(time=phase.time * 1.01, activity=phase.activity)
+
+        model._pricer_cache.put(1, wrong)
+        with audit_scope("strict", sample_fraction=1.0):
+            model.prefill(1, 100)
+            with pytest.raises(MemoEquivalenceError):
+                model.prefill(1, 100)
+
+    def test_strict_audit_passes_the_real_pricer(self):
+        model = LlamaCostModel(LLAMA_3_1_8B, get_backend("gaudi2"))
+        with audit_scope("strict", sample_fraction=1.0) as auditor:
+            first = model.prefill(1, 100)
+            assert model.prefill(1, 100) == first
+            assert auditor.memo_verified > 0
+            assert auditor.total_violations == 0
+
+    @pytest.mark.parametrize("slow_link", (False, True))
+    def test_observed_tp8_prices_through_pricer_with_same_events(self, slow_link):
+        from repro.comm import FabricHealth
+        from repro.faults.chaos import build_degraded_collectives
+        from repro.obs.metrics import MetricsRegistry
+
+        health = FabricHealth()
+        tp = build_degraded_collectives("gaudi2", 8, health)[0]
+        if slow_link:
+            health.set_link_factor(0, 1, 0.25)
+        metrics = MetricsRegistry()
+        tp.bind_observability(metrics, queue_events=True)
+        model = LlamaCostModel(LLAMA_3_1_8B, get_backend("gaudi2"), tp=tp)
+        calls = metrics.counter("comm.allreduce.calls")
+        phase = model.prefill(2, 300)
+        priced = (tp.drain_comm_events(), calls.value)
+        reference = model._prefill_uncached(2, 300)
+        assert (tp.drain_comm_events(), calls.value - priced[1]) == priced
+        assert priced[1] == 2 and priced[0][0][0] == "all_reduce"
+        assert phase == reference
+        assert len(model._pricer_cache) == 1
+        assert len(model._prefill_cache) == 0
 
     def test_pricers_and_rows_live_in_registered_caches(self):
         model = LlamaCostModel(LLAMA_3_1_8B, get_backend("gaudi2"))
