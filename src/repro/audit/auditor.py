@@ -3,8 +3,8 @@
 The auditor cross-checks the simulator's internal accounting while it
 runs -- the same class of conservation checks detailed-simulator
 validation work uses to keep results trustworthy.  It is wired through
-the serving engine, scheduler, KV block manager, collectives, and the
-memo caches; every hook is a cheap ``is None`` test when auditing is
+the serving engine and its struct-of-arrays core, request lifecycle
+transitions, collectives, and the memo caches; every hook is a cheap ``is None`` test when auditing is
 off, so unaudited runs pay nothing.
 
 Modes (env ``REPRO_AUDIT``, CLI ``--audit``):
@@ -17,9 +17,9 @@ Modes (env ``REPRO_AUDIT``, CLI ``--audit``):
 
 Invariants covered:
 
-* **KV block conservation** -- free + allocated block counts always
-  equal the pool size, block ids are never double-owned, and a
-  completed run leaves ``allocated_blocks == 0``.
+* **KV block conservation** -- free blocks plus the blocks running
+  requests hold always equal the pool size, no slot is owned twice,
+  and a completed run leaves the pool empty.
 * **Request lifecycle legality** -- only
   ``waiting -> running -> {preempted(waiting), finished, shed,
   failed}`` transitions are legal.
@@ -201,59 +201,12 @@ class Auditor:
             f"request {request_id}: illegal transition {old_v} -> {new_v}",
         )
 
-    # -- KV conservation ----------------------------------------------
-    def on_kv_op(self, manager) -> None:
-        """Cheap O(1) conservation after every pool mutation, plus a
-        sampled deep scan for double-owned or out-of-range block ids."""
-        free = manager.free_blocks
-        allocated = manager.allocated_blocks
-        self.check(
-            free + allocated == manager.num_blocks,
-            KvConservationError,
-            f"block conservation broken: {free} free + {allocated} allocated "
-            f"!= {manager.num_blocks} total",
-        )
-        if self._deep_gate.fire():
-            self.deep_check_kv(manager)
-
-    def deep_check_kv(self, manager) -> None:
-        """Full O(blocks) ownership scan of the pool."""
-        self.checks[KvConservationError.check] += 1
-        owned: Dict[int, int] = {}
-        for request_id, blocks in manager.iter_tables():
-            for block in blocks:
-                if not 0 <= block < manager.num_blocks:
-                    self.record_violation(KvConservationError(
-                        f"request {request_id} owns out-of-range block {block}"
-                    ))
-                elif block in owned:
-                    self.record_violation(KvConservationError(
-                        f"block {block} owned by both request {owned[block]} "
-                        f"and request {request_id}"
-                    ))
-                owned[block] = request_id
-        doubled = set(manager.free_block_ids()) & set(owned)
-        if doubled:
-            self.record_violation(KvConservationError(
-                f"blocks {sorted(doubled)[:8]} are simultaneously free and allocated"
-            ))
-
-    def check_kv_drained(self, manager, where: str = "end of run") -> None:
-        """A finished run must leave the pool empty (no leaked blocks)."""
-        self.check(
-            manager.allocated_blocks == 0,
-            KvConservationError,
-            f"KV pool not drained at {where}: {manager.allocated_blocks} "
-            f"blocks still allocated",
-        )
-
-    # -- vectorized engine core ---------------------------------------
+    # -- engine core ----------------------------------------------------
     def check_core_invariants(self, core) -> None:
-        """Vectorized invariant sweep over a fast-path
+        """Vectorized invariant sweep over an
         :class:`~repro.serving.engine_core.EngineCore`.
 
-        The scalar engine audits through per-object hooks; the
-        struct-of-arrays fast path has no per-token object traffic, so
+        The struct-of-arrays core has no per-token object traffic, so
         its invariants are asserted directly on the slot columns: cheap
         shadow-KV block conservation every call, plus a sampled deep
         scan for slot aliasing, per-slot state legality, and the
@@ -596,9 +549,6 @@ class RunAudit:
     # -- delegation conveniences --------------------------------------
     def on_transition(self, request_id: int, old, new) -> None:
         self.auditor.on_transition(request_id, old, new)
-
-    def check_kv_drained(self, manager, where: str = "end of run") -> None:
-        self.auditor.check_kv_drained(manager, where)
 
     def check_report(self, report, ttfts=None) -> None:
         """Consistency of one serving/resilience report.

@@ -14,6 +14,8 @@ Budgets come from the constructor or the ``REPRO_WATCHDOG_STEPS`` /
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 import time
 from typing import Optional
@@ -33,11 +35,20 @@ class Watchdog:
         max_steps: Optional[int] = None,
         max_wall_seconds: Optional[float] = None,
     ) -> None:
-        if max_steps is not None and max_steps < 1:
-            raise ConfigError(f"max_steps must be >= 1, got {max_steps!r}")
-        if max_wall_seconds is not None and max_wall_seconds <= 0:
+        if max_steps is not None and (
+            isinstance(max_steps, bool)
+            or not isinstance(max_steps, numbers.Integral)
+            or max_steps < 1
+        ):
+            raise ConfigError(f"max_steps must be an integer >= 1, got {max_steps!r}")
+        if max_wall_seconds is not None and not (
+            isinstance(max_wall_seconds, numbers.Real)
+            and math.isfinite(max_wall_seconds)
+            and max_wall_seconds > 0
+        ):
             raise ConfigError(
-                f"max_wall_seconds must be positive, got {max_wall_seconds!r}"
+                f"max_wall_seconds must be a positive finite number, "
+                f"got {max_wall_seconds!r}"
             )
         self.max_steps = max_steps
         self.max_wall_seconds = max_wall_seconds
@@ -45,15 +56,17 @@ class Watchdog:
 
     @classmethod
     def from_env(cls) -> Optional["Watchdog"]:
-        """A watchdog per ``REPRO_WATCHDOG_STEPS`` / ``REPRO_WATCHDOG_WALL``,
-        or None when neither is set."""
+        """A watchdog per ``REPRO_WATCHDOG_STEPS`` (a positive integer)
+        / ``REPRO_WATCHDOG_WALL`` (positive finite seconds), or None when
+        neither is set; a malformed value raises
+        :class:`~repro.audit.errors.ConfigError` naming its variable."""
         steps = os.environ.get("REPRO_WATCHDOG_STEPS")
         wall = os.environ.get("REPRO_WATCHDOG_WALL")
         if not steps and not wall:
             return None
         return cls(
-            max_steps=int(steps) if steps else None,
-            max_wall_seconds=float(wall) if wall else None,
+            max_steps=_env_budget("REPRO_WATCHDOG_STEPS", steps, int),
+            max_wall_seconds=_env_budget("REPRO_WATCHDOG_WALL", wall, float),
         )
 
     @property
@@ -84,3 +97,18 @@ class Watchdog:
                     steps=steps,
                     wall_seconds=elapsed,
                 )
+
+
+def _env_budget(name: str, text: Optional[str], kind: type):
+    """The budget environment variable ``name`` holds (None when unset
+    or empty): a positive ``kind`` (finite for floats)."""
+    if not text:
+        return None
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or not math.isfinite(value) or value <= 0:
+        expected = "a positive integer" if kind is int else "a positive finite number"
+        raise ConfigError(f"{name} must be {expected}, got {text!r}")
+    return value

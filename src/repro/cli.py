@@ -331,7 +331,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
     from repro.serving import engine_core
 
     print()
-    print("Vectorized engine core:")
+    print("Engine core:")
     print(engine_core.render_counters())
     from repro.cluster import admission
 
@@ -388,16 +388,17 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _print_audit_summary() -> int:
-    """Append the auditor section when auditing is on; non-zero exit
-    when violations were counted (sample mode -- strict raises)."""
+    """Print the auditor section to stderr when auditing is on, so
+    stdout carries only simulated output; non-zero exit when violations
+    were counted (sample mode -- strict raises)."""
     from repro.audit import get_auditor
 
     auditor = get_auditor()
     if auditor is None:
         return 0
-    print()
-    print("Runtime invariant auditor:")
-    print(auditor.render())
+    print(file=sys.stderr)
+    print("Runtime invariant auditor:", file=sys.stderr)
+    print(auditor.render(), file=sys.stderr)
     return 1 if auditor.total_violations else 0
 
 

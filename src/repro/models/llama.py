@@ -634,11 +634,11 @@ class LlamaCostModel:
     ) -> PhaseEstimate:
         """:meth:`decode_step` priced from batch aggregates.
 
-        The serving engine maintains a :class:`DecodeBatchStats`
-        incrementally across steps; this entry point skips the
-        per-request length walk entirely.  With the memo available it
-        prices through the same compiled :meth:`decode_stepper` closure
-        the vectorized core uses (bit-identical by construction).
+        The serving engine keeps the batch aggregates as running state;
+        this entry point skips the per-request length walk entirely.
+        With the memo available it prices through the same compiled
+        :meth:`decode_stepper` closure the engine uses (bit-identical by
+        construction).
         Observed configs, and runs with memoization off, assemble the
         step from scratch instead -- so ``REPRO_NO_MEMO=1`` compares two
         independent paths.
@@ -768,7 +768,7 @@ class LlamaCostModel:
         acc.add_vector(min(result.gather_time, result.time))
         return result.time
 
-    # -- vectorized-engine fast path ---------------------------------------
+    # -- serving-engine step pricing ---------------------------------------
     def decode_stepper(
         self,
         batch: int,
@@ -782,7 +782,7 @@ class LlamaCostModel:
         acc)`` adds one step's activity directly into ``acc`` and
         returns the step time, bit-identical to the from-scratch
         assembly in :meth:`decode_step_stats` followed by an
-        ``ActivityAccumulator.merge`` -- the serving engines call it
+        ``ActivityAccumulator.merge`` -- the serving engine calls it
         once per virtual step, so everything that does not depend on
         the context aggregates is folded at build time.
         """

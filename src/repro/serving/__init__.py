@@ -9,10 +9,11 @@
   (PagedAttention's memory side).
 * :mod:`repro.serving.block_table` -- 2-D zero-padded BlockTable vs
   flat BlockList construction (Figure 16).
-* :mod:`repro.serving.scheduler` -- continuous-batching scheduler with
-  a maximum decode batch size (the Figure 17(d, e) sweep knob).
-* :mod:`repro.serving.engine` -- the step-driven serving engine over a
-  :class:`~repro.models.llama.LlamaCostModel`.
+* :mod:`repro.serving.engine` -- the step-driven continuous-batching
+  serving engine over a :class:`~repro.models.llama.LlamaCostModel`,
+  with a maximum decode batch size (the Figure 17(d, e) sweep knob).
+* :mod:`repro.serving.engine_core` -- the struct-of-arrays request
+  store the engine steps.
 * :mod:`repro.serving.recsys` -- single-device RecSys serving over a
   :class:`~repro.models.dlrm.DlrmCostModel`.
 """
@@ -40,7 +41,6 @@ from repro.serving.loadgen import (
 from repro.serving.kv_cache import BlockManager, KvCacheError
 from repro.serving.recsys import RecSysServer, RecSysReport
 from repro.serving.request import Request, RequestState, RetryPolicy
-from repro.serving.scheduler import ContinuousBatchingScheduler
 
 __all__ = [
     "BlockManager",
@@ -54,7 +54,6 @@ __all__ = [
     "poisson_arrivals",
     "run_load_test",
     "run_resilient_load_test",
-    "ContinuousBatchingScheduler",
     "KvCacheError",
     "LlmServingEngine",
     "RecSysReport",

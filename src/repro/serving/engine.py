@@ -1,12 +1,17 @@
 """Step-driven LLM serving engine (the vLLM analog).
 
-The engine advances a virtual clock: each iteration admits requests
-through the continuous-batching scheduler, charges a prefill phase for
-newly admitted prompts, then one decode step for the whole running
-batch, using the bound :class:`~repro.models.llama.LlamaCostModel` and
-the selected decode-attention implementation.  TTFT and TPOT fall out
-of the per-request timestamps, which is how Figure 17(d, e) is
-regenerated.
+The engine advances a virtual clock: each iteration retires finished
+requests and admits waiting ones (vLLM-style continuous batching: in
+``(tier, arrival)`` order while the decode batch is below
+``max_decode_batch`` -- the knob swept in Figure 17(d, e) -- and the
+paged KV pool holds their prompts), charges a prefill phase for newly
+admitted prompts, then decode steps for the whole running batch, using
+the bound :class:`~repro.models.llama.LlamaCostModel` and the selected
+decode-attention implementation.  Request state lives in the
+struct-of-arrays :class:`~repro.serving.engine_core.EngineCore`, and
+consecutive decode steps of an unchanged batch are priced as one burst.
+TTFT and TPOT fall out of the per-request timestamps, which is how
+Figure 17(d, e) is regenerated.
 
 With a :class:`ResiliencePolicy` (and optionally a
 :class:`~repro.faults.injector.FaultInjector`) bound, the engine
@@ -42,15 +47,11 @@ from repro.serving.engine_core import (
     ReportAggregates,
     bump_counter,
 )
-from repro.serving.kv_cache import BlockManager, KvCacheError
+from repro.serving.kv_cache import KvCacheError
 from repro.serving.request import Request, RequestState, RetryPolicy
-from repro.serving.scheduler import ContinuousBatchingScheduler
 
 #: Default KV block size in tokens (matches the paged-attention kernel).
 DEFAULT_BLOCK_SIZE = 128
-
-#: Accepted ``engine_mode`` values.
-_ENGINE_MODES = ("auto", "vectorized", "scalar")
 
 
 @dataclass(frozen=True)
@@ -230,7 +231,6 @@ class LlmServingEngine:
         ctx: Optional[object] = None,
         auditor: Optional[object] = None,
         watchdog: Optional[object] = None,
-        engine_mode: str = "auto",
         retain_requests: bool = True,
     ) -> None:
         """``injector`` is a :class:`~repro.faults.injector.FaultInjector`
@@ -245,12 +245,6 @@ class LlmServingEngine:
         time -- tripping it yields a typed partial report instead of a
         wedged simulation.
 
-        ``engine_mode`` selects the stepping core: ``"scalar"`` walks
-        per-request objects (the reference semantics), ``"vectorized"``
-        runs the struct-of-arrays fast path (and raises
-        :class:`~repro.audit.ConfigError` when a bound injector /
-        watchdog / tracer makes it ineligible), and ``"auto"`` picks
-        the fast path whenever it is eligible.  Both cores produce byte-identical reports.
         ``retain_requests=False`` folds terminal requests into constant-
         memory aggregates instead of keeping every object alive, which
         is what makes million-request streaming runs possible; latency
@@ -269,17 +263,16 @@ class LlmServingEngine:
                     f"tokens per device, less than one {block_size}-token "
                     "block; raise the TP degree"
                 )
-        self.block_manager = BlockManager(num_kv_blocks, block_size)
+        if num_kv_blocks < 1 or block_size < 1:
+            raise ConfigError("num_kv_blocks and block_size must be positive")
+        if max_decode_batch < 1:
+            raise ConfigError(f"max_decode_batch must be positive, got {max_decode_batch}")
+        self.num_kv_blocks = num_kv_blocks
+        self.block_size = block_size
         self.policy = policy
         self.injector = injector
         self.auditor = auditor if auditor is not None else get_auditor()
         self.watchdog = watchdog if watchdog is not None else Watchdog.from_env()
-        self.block_manager.bind_auditor(self.auditor)
-        self.scheduler = ContinuousBatchingScheduler(
-            self.block_manager,
-            max_decode_batch,
-            admission_watermark=policy.admission_watermark if policy else 1.0,
-        )
         self.max_decode_batch = max_decode_batch
         self.fault_stats = FaultStats()
         self._fault_restarted_ids: set = set()
@@ -297,33 +290,22 @@ class LlmServingEngine:
         self._steps = 0
         self._preemptions = 0
         self._activity: Optional[ActivityAccumulator] = None
-        self._batch_stats: Optional[DecodeBatchStats] = None
-        self._batch_version = -1
         self._all_requests: List[Request] = []
-        if engine_mode not in _ENGINE_MODES:
-            raise ConfigError(
-                f"engine_mode must be one of {_ENGINE_MODES}, got {engine_mode!r}"
-            )
-        self.engine_mode = engine_mode
         self.retain_requests = retain_requests
-        self._fast = False
         self._core: Optional[EngineCore] = None
         self._aggregates: Optional[ReportAggregates] = None
         self._max_fed_arrival = 0.0
-        self._request_deadlines = False
         self._synced_steps = 0
         if ctx is not None:
             self.bind_context(ctx)
 
     def bind_context(self, ctx) -> None:
         """Bind a :class:`~repro.api.RunContext` (or None to unbind),
-        propagating its tracer/metrics to the scheduler, KV block
-        manager, and tensor-parallel collective hooks."""
+        propagating its tracer/metrics to the tensor-parallel collective
+        hooks."""
         self.ctx = ctx
         self._tracer = ctx.tracer if ctx is not None else None
         self._metrics = ctx.metrics if ctx is not None else None
-        self.scheduler.bind_observability(self._tracer, self._metrics)
-        self.block_manager.bind_metrics(self._metrics)
         self.model.tp.bind_observability(
             self._metrics, queue_events=self._tracer is not None
         )
@@ -331,7 +313,7 @@ class LlmServingEngine:
     # -- observability helpers -----------------------------------------
     def _trace_request_begin(self, request: Request, now: float) -> None:
         """Open the per-request async span on first admission."""
-        if self._tracer is None or request.request_id in self._traced_request_ids:
+        if request.request_id in self._traced_request_ids:
             return
         self._traced_request_ids.add(request.request_id)
         self._tracer.async_begin(
@@ -373,12 +355,60 @@ class LlmServingEngine:
             )
             start += seconds
 
+    def _observe_pool(self, event: str, blocks: int) -> None:
+        """Publish one KV-pool mutation as ``kv.*`` metrics: an
+        ``allocate`` (an admission's prompt), a ``grow`` (decode appends
+        starting new blocks) or a ``free``."""
+        metrics = self._metrics
+        if event == "free":
+            metrics.counter("kv.frees").inc()
+            metrics.counter("kv.blocks_freed").inc(blocks)
+        else:
+            if event == "allocate":
+                metrics.counter("kv.allocations").inc()
+            metrics.counter("kv.blocks_allocated").inc(blocks)
+        core = self._core
+        metrics.gauge("kv.occupancy").set(
+            (core.num_blocks - core.free_blocks) / core.num_blocks
+        )
+
+    def _observe_schedule(self, now: float, admitted: int, retired: int) -> None:
+        """The virtual scheduler step's span and ``scheduler.*`` metrics."""
+        core = self._core
+        running = len(core.runners) + admitted
+        waiting = core.waiting_count
+        if self._tracer is not None:
+            # Scheduling is instantaneous on the virtual clock, so the
+            # span is zero-width; its args carry the admission ledger.
+            self._tracer.record(
+                "scheduler.step", "scheduler", now, now,
+                admitted=admitted, retired=retired, running=running,
+                waiting=waiting,
+            )
+        metrics = self._metrics
+        if metrics is not None:
+            metrics.counter("scheduler.steps").inc()
+            if admitted:
+                metrics.counter("scheduler.admitted").inc(admitted)
+            if retired:
+                metrics.counter("scheduler.retired").inc(retired)
+            metrics.gauge("scheduler.running").set(running)
+            metrics.gauge("scheduler.waiting").set(waiting)
+
+    def _observe_event(self, name: str, metric: str, count: int = 1, **args) -> None:
+        """A scheduler instant (stamped with the last virtual scheduler
+        step's time) and its counter."""
+        if self._tracer is not None:
+            self._tracer.instant(name, "scheduler", self._sched_now, **args)
+        if self._metrics is not None:
+            self._metrics.counter(metric).inc(count)
+
     def _finish_step(
         self,
         step_span: Optional[object],
         step_start: float,
         now: float,
-        step_activity: Optional[ActivityAccumulator],
+        step_activity: ActivityAccumulator,
         batch_size: int,
     ) -> None:
         """Close one iteration's span and record its samples: a power
@@ -386,19 +416,17 @@ class LlmServingEngine:
         occupancy / batch size, and the per-step metrics."""
         tracer = self._tracer
         metrics = self._metrics
-        if tracer is None and metrics is None:
-            return
         duration = now - step_start
         watts = 0.0
-        if step_activity is not None and duration > 0:
+        if duration > 0:
             watts = self._power_model.power(step_activity.profile(duration))
-        stats = self.block_manager.stats()
+        allocated = self._core.num_blocks - self._core.free_blocks
         if tracer is not None:
             tracer.record(
                 "power.sample", "power", step_start, now, watts=round(watts, 3)
             )
             tracer.counter("power.watts", now, round(watts, 3))
-            tracer.counter("kv.allocated_blocks", now, stats.allocated_blocks)
+            tracer.counter("kv.allocated_blocks", now, allocated)
             tracer.counter("batch.running", now, batch_size)
             if step_span is not None:
                 tracer.end(step_span, now, batch=batch_size)
@@ -406,9 +434,8 @@ class LlmServingEngine:
             metrics.counter("engine.steps").inc()
             metrics.histogram("engine.batch_size").observe(batch_size)
             metrics.histogram("power.watts").observe(watts)
-            metrics.gauge("kv.allocated_blocks").set(stats.allocated_blocks)
-            if step_activity is not None:
-                step_activity.record_to(metrics)
+            metrics.gauge("kv.allocated_blocks").set(allocated)
+            step_activity.record_to(metrics)
 
     @property
     def _graceful(self) -> bool:
@@ -421,82 +448,35 @@ class LlmServingEngine:
     # the engine, feeding requests as a gateway routes them and
     # advancing the simulation in bounded horizons.
 
-    def _fast_block_reason(self) -> str:
-        """Why the vectorized core cannot serve this configuration
-        (empty string = eligible).  Device faults, watchdogs and
-        per-step observability need the per-iteration object walk, so
-        they pin the run to the scalar core; a :class:`ResiliencePolicy`
-        (tiers, deadlines, shedding, watermark, checkpoints) does not."""
-        if self.injector is not None:
-            return "a FaultInjector is bound"
-        if self.watchdog is not None:
-            return "a Watchdog is armed"
-        if self._tracer is not None or self._metrics is not None:
-            return "tracing/metrics observability is bound"
-        return ""
-
-    def _resolve_engine_mode(self) -> bool:
-        """True when this run uses the vectorized core.
-
-        ``"auto"`` follows eligibility; requesting ``"vectorized"`` on
-        an ineligible engine is a hard :class:`ConfigError`.
-        """
-        mode = self.engine_mode
-        if mode == "auto":
-            return not self._fast_block_reason()
-        if mode == "scalar":
-            return False
-        reason = self._fast_block_reason()
-        if reason:
-            raise ConfigError(
-                f"engine_mode='vectorized' is unavailable: {reason}; "
-                "use 'auto' or 'scalar'"
-            )
-        return True
-
     def begin(self, requests: Sequence[Request] = ()) -> None:
         """Open a run: arm the audit ledger and watchdog, start the
         root span, and submit any up-front ``requests``."""
-        self._fast = self._resolve_engine_mode()
         policy = self.policy
-        self._core = (
-            EngineCore(
-                self.block_manager.num_blocks,
-                self.block_manager.block_size,
-                checkpoint_interval=policy.checkpoint_interval if policy else 0,
-                admission_watermark=policy.admission_watermark if policy else 1.0,
-                deadlines=policy is not None,
-            )
-            if self._fast
-            else None
+        self._core = EngineCore(
+            self.num_kv_blocks,
+            self.block_size,
+            checkpoint_interval=policy.checkpoint_interval if policy else 0,
+            admission_watermark=policy.admission_watermark if policy else 1.0,
+            deadlines=policy is not None,
         )
         self._synced_steps = 0
-        #: The fast path's decode steppers by runner count, built under
-        #: the fabric fault state ``_stepper_fabric`` (see _decode_burst).
+        #: The decode steppers by runner count, built under the fabric
+        #: fault state ``_stepper_fabric`` (see _stepper).
         self._steppers: Dict[int, Callable] = {}
         self._stepper_fabric = None
         self._aggregates = None if self.retain_requests else ReportAggregates()
-        self.scheduler.on_retire = (
-            self._fold_terminal
-            if (self._aggregates is not None and not self._fast)
-            else None
-        )
         self._max_fed_arrival = 0.0
-        self._request_deadlines = any(r.deadline is not None for r in requests)
-        bump_counter("vectorized_runs" if self._fast else "scalar_runs")
+        bump_counter("vectorized_runs")
         self._audit = self.auditor.begin_run("serving.run") if self.auditor else None
-        self.scheduler.bind_audit(self._audit)
         if self.watchdog is not None:
             self.watchdog.start()
         self._now = 0.0
+        #: Virtual time of the last scheduler step; preemption, shed and
+        #: failure instants are stamped with it.
+        self._sched_now = 0.0
         self._steps = 0
         self._preemptions = 0
         self._activity = ActivityAccumulator()
-        # Incremental decode-batch statistics: valid while the running
-        # batch's membership is unchanged (scheduler.mutation_count) and
-        # every runner grew by exactly one token since they were built.
-        self._batch_stats: Optional[DecodeBatchStats] = None
-        self._batch_version = -1
         self._all_requests: List[Request] = []
         if self._tracer is not None:
             self._tracer.begin(
@@ -521,8 +501,6 @@ class LlmServingEngine:
             )
         if request.arrival_time > self._max_fed_arrival:
             self._max_fed_arrival = request.arrival_time
-        if request.deadline is not None:
-            self._request_deadlines = True
         if self._aggregates is not None:
             self._aggregates.fed += 1
         if self.retain_requests:
@@ -548,9 +526,13 @@ class LlmServingEngine:
 
     @property
     def has_unfinished(self) -> bool:
-        if self._fast and self._core is not None:
-            return self._core.has_unfinished
-        return self.scheduler.has_unfinished
+        return self._core is not None and self._core.has_unfinished
+
+    @property
+    def allocated_kv_blocks(self) -> int:
+        """KV blocks held by running requests of the current run."""
+        core = self._core
+        return 0 if core is None else core.num_blocks - core.free_blocks
 
     def advance(self, horizon: float = math.inf, *, sync_exit: bool = True) -> float:
         """Drive the step loop while work remains and steps start at or
@@ -566,163 +548,18 @@ class LlmServingEngine:
         partial report).
 
         Terminal transitions are always published when they happen.
-        ``sync_exit=False`` skips the vectorized core's exit copy of
-        runner progress (``generated``, ``first_token_time``,
-        ``checkpoint``) onto the live Request objects; a caller that
-        passes it reads runner progress only after :meth:`sync_live`.
+        ``sync_exit=False`` skips the exit copy of runner progress
+        (``generated``, ``first_token_time``, ``checkpoint``) onto the
+        live Request objects; a caller that passes it reads runner
+        progress only after :meth:`sync_live`.
         """
-        if self._fast:
-            return self._advance_fast(horizon, sync_exit)
-        audit = self._audit
-        watchdog = self.watchdog
-        tracer = self._tracer
-        observing = tracer is not None or self._metrics is not None
-        while self.scheduler.has_unfinished:
-            if self._now > horizon:
-                break
-            if watchdog is not None:
-                watchdog.check(self._steps)
-            now = self._advance_faults(self._now)
-            if audit is not None:
-                audit.observe_clock(now)
-            self._enforce_deadlines(now)
-            schedule = self.scheduler.step(now)
-            if not schedule.has_work:
-                self._now = now
-                if not self.scheduler.waiting:
-                    break  # everything retired in this step
-                head = self.scheduler.next_blocked(now)
-                if head is not None:
-                    # Nothing runs, nothing admits, and the highest-
-                    # priority arrived request is blocked: the pool can
-                    # never serve it.
-                    reason = (
-                        f"kv-exhausted: {head.context_len} prompt tokens exceed "
-                        "the free KV pool with no running request to retire"
-                    )
-                    if self._graceful:
-                        self.scheduler.shed(head, reason)
-                        continue
-                    raise KvCacheError(
-                        f"request {head.request_id} cannot be admitted: {reason}"
-                    )
-                next_arrival = self.scheduler.next_arrival()
-                if next_arrival > horizon:
-                    break  # idle until past the horizon; do not jump it
-                # All remaining requests arrive later; jump the clock.
-                self._now = max(now, next_arrival)
-                continue
-            slowdown = self._slowdown()
-            step_start = now
-            step_span = None
-            step_activity = None
-            if observing:
-                step_activity = ActivityAccumulator()
-            if tracer is not None:
-                step_span = tracer.begin(
-                    "engine.step", "engine", now,
-                    step=self._steps, admitted=len(schedule.new_requests),
-                )
-            for request in schedule.new_requests:
-                # vLLM prefills prompts individually (no padding waste).
-                # A fault-restarted request recomputes its checkpointed
-                # tokens too, hence context_len rather than input_tokens.
-                prefill_span = None
-                if tracer is not None:
-                    self._trace_request_begin(request, now)
-                    prefill_span = tracer.begin(
-                        "prefill", "engine", now,
-                        request_id=request.request_id,
-                        prompt_tokens=request.context_len,
-                    )
-                phase = self.model.prefill(1, request.context_len)
-                now += phase.time * slowdown
-                self._activity.merge(phase.activity)
-                if step_activity is not None:
-                    step_activity.merge(phase.activity)
-                    self._emit_comm_spans(now)
-                if prefill_span is not None:
-                    tracer.end(prefill_span, now)
-                request.record_token(now)
-                if audit is not None:
-                    audit.on_tokens_emitted()
-                self._maybe_checkpoint(request)
-            running = [r for r in schedule.running if r.state is RequestState.RUNNING]
-            if not running:
-                self._steps += 1
-                self._now = now
-                if observing:
-                    self._finish_step(step_span, step_start, now, step_activity, 0)
-                continue
-            self._preemptions += self._ensure_headroom(running)
-            running = [r for r in running if r.state is RequestState.RUNNING]
-            if not running:
-                self._steps += 1
-                self._now = now
-                if observing:
-                    self._finish_step(step_span, step_start, now, step_activity, 0)
-                continue
-            decode_span = None
-            if tracer is not None:
-                decode_span = tracer.begin(
-                    "decode.step", "engine", now, batch=len(running)
-                )
-            version = self.scheduler.mutation_count
-            if (
-                self._batch_stats is None
-                or self._batch_version != version
-                or self._batch_stats.batch != len(running)
-            ):
-                self._batch_stats = DecodeBatchStats.from_context_lens(
-                    [r.context_len for r in running]
-                )
-                self._batch_version = version
-            phase = self.model.decode_step_stats(self._batch_stats, self.attention)
-            now += phase.time * slowdown
-            self._activity.merge(phase.activity)
-            if step_activity is not None:
-                step_activity.merge(phase.activity)
-                self._emit_comm_spans(now)
-            if decode_span is not None:
-                tracer.end(decode_span, now)
-            self._steps += 1
-            self._now = now
-            if self.injector is not None and self.injector.kernel_fault():
-                # Transient kernel failure: the step's output is lost
-                # and recomputed next iteration; the time still passed.
-                # No runner grew, so batch_stats stays valid as-is.
-                self.fault_stats.kernel_retries += 1
-                if tracer is not None:
-                    tracer.instant("kernel_fault", "engine", now)
-                if self._metrics is not None:
-                    self._metrics.counter("engine.kernel_retries").inc()
-                if observing:
-                    self._finish_step(step_span, step_start, now, step_activity, len(running))
-                continue
-            grew_all = True
-            for request in running:
-                if not self._grow_kv(request):
-                    grew_all = False
-                    continue
-                request.record_token(now)
-                if audit is not None:
-                    audit.on_tokens_emitted()
-                self._maybe_checkpoint(request)
-            if grew_all and self.scheduler.mutation_count == self._batch_version:
-                # Every runner gained exactly one token: advance the
-                # batch statistics in O(1) instead of rebuilding.
-                self._batch_stats = self._batch_stats.advanced()
-            else:
-                self._batch_stats = None
-            if observing:
-                self._finish_step(step_span, step_start, now, step_activity, len(running))
-        return self._now
+        return self._advance_fast(horizon, sync_exit)
 
-    # -- vectorized fast path ------------------------------------------
     def _advance_fast(self, horizon: float, sync_exit: bool = True) -> float:
-        """The struct-of-arrays twin of :meth:`advance`.
+        """The step loop over the struct-of-arrays core.
 
-        One outer iteration mirrors one (or many) scalar iterations: the
+        One outer iteration is one virtual scheduler iteration, or many
+        when its decode burst runs several steps: fault events and the
         deadline scan, a virtual scheduler step (retire, then admit in
         ``(tier, arrival)`` order under the admission watermark) against
         the slot columns, sequential prefills for admissions, capacity
@@ -731,8 +568,15 @@ class LlmServingEngine:
         the next membership-changing event.  Request objects are only
         touched at lifecycle events (a finisher is materialized as it
         finishes) and runners are re-synchronized on exit (only when a
-        step ran), so callers observe the exact scalar semantics.
-        ``sync_exit=False`` skips that runner sync (see :meth:`advance`).
+        step ran).
+
+        With a watchdog, a device fault injector or an observer bound,
+        every burst is one step, so each iteration does one step's work
+        in order: the watchdog check, fault events (a device failure
+        preempts every runner back to its checkpoint; a total outage
+        waits for a recovery), the step's slowdown, a transient kernel
+        fault drawn before the decode step (its time passes, its tokens
+        are lost), and the spans and metrics of every event.
         """
         core = self._core
         audit = self._audit
@@ -742,16 +586,25 @@ class LlmServingEngine:
         out = core.output_tokens
         gen = core.generated
         first = core.first_token
-        finish = core.finish
         state = core.state
         runners = core.runners
         wait_q = core.wait_q
         objs = core.objs
         activity = self._activity
+        watchdog = self.watchdog
+        injector = self.injector
+        tracer = self._tracer
+        observing = tracer is not None or self._metrics is not None
+        stepwise = observing or injector is not None or watchdog is not None
+        burst_horizon = -math.inf if stepwise else horizon
         while core.has_unfinished:
             now = self._now
             if now > horizon:
                 break
+            if watchdog is not None:
+                watchdog.check(self._steps)
+            if injector is not None:
+                now = self._advance_faults(now)
             if audit is not None:
                 audit.observe_clock(now)
                 if self.auditor is not None:
@@ -759,11 +612,21 @@ class LlmServingEngine:
                     self.auditor.check_core_invariants(core)
             if now >= core.next_expiry:
                 self._enforce_deadlines_fast(now)
-            # Virtual scheduler step: retire, then admit (the exact
-            # order of ContinuousBatchingScheduler.step).
-            if core.finished_pending:
+            # Virtual scheduler step: retire, then admit.
+            retired = len(core.finished_pending)
+            if retired:
+                if tracer is not None:
+                    # Pool bookkeeping is instantaneous on the virtual
+                    # clock; zero-width spans mark each release on the
+                    # ``kv`` track, in admission order.
+                    for slot in sorted(core.finished_pending, key=core.join_seq.__getitem__):
+                        tracer.record(
+                            "kv.free", "kv", now, now,
+                            request_id=objs[slot].request_id,
+                            blocks=core.blocks_held(slot),
+                        )
                 for slot in core.finished_pending:
-                    core.free_blocks += core.blocks_held(slot)
+                    self._release_blocks(slot)
                     self._fold_terminal(objs[slot])
                     core.release(slot)
                 core.finished_pending.clear()
@@ -787,10 +650,21 @@ class LlmServingEngine:
                     index = core.wait_head  # the pop may compact the queue
                 else:
                     del wait_q[index]
-                core.allocate_shadow(slot)
+                needed = core.allocate_shadow(slot)
                 request.start_running()
                 state[slot] = SLOT_RUNNING
                 admitted.append(slot)
+                if observing:
+                    if tracer is not None:
+                        tracer.record(
+                            "kv.allocate", "kv", now, now,
+                            request_id=request.request_id, blocks=needed,
+                        )
+                    if self._metrics is not None:
+                        self._observe_pool("allocate", needed)
+            if observing:
+                self._sched_now = now
+                self._observe_schedule(now, len(admitted), retired)
             if not runners and not admitted:
                 self._now = now
                 if not core.waiting_count:
@@ -818,17 +692,43 @@ class LlmServingEngine:
                 # All remaining requests arrive later; jump the clock.
                 self._now = max(now, next_arrival)
                 continue
+            slowdown = self._slowdown()
+            step_start = now
+            step_span = None
+            if observing:
+                step_activity = ActivityAccumulator()
+                if tracer is not None:
+                    step_span = tracer.begin(
+                        "engine.step", "engine", now,
+                        step=self._steps, admitted=len(admitted),
+                    )
             # Prefills run sequentially, one prompt at a time (vLLM
-            # style, matching the scalar loop's clock arithmetic).
-            slowdown = self.slowdown
+            # style); a fault-restarted request recomputes its
+            # checkpointed tokens too.
             for slot in admitted:
+                if tracer is not None:
+                    request = objs[slot]
+                    self._trace_request_begin(request, now)
+                    prefill_span = tracer.begin(
+                        "prefill", "engine", now,
+                        request_id=request.request_id,
+                        prompt_tokens=inp[slot] + gen[slot],
+                    )
                 phase = model.prefill(1, inp[slot] + gen[slot])
                 now += phase.time * slowdown
                 activity.merge(phase.activity)
+                if observing:
+                    step_activity.merge(phase.activity)
+                    if tracer is not None:
+                        self._emit_comm_spans(now)
+                        tracer.end(prefill_span, now)
                 gen[slot] += 1
                 if math.isnan(first[slot]):
                     first[slot] = now
                 if gen[slot] >= out[slot]:
+                    # Never a runner, but retired in admission order.
+                    core.join_seq[slot] = core.join_count
+                    core.join_count += 1
                     core.finish_slot(slot, now)
                 else:
                     core.join(slot)
@@ -837,45 +737,56 @@ class LlmServingEngine:
             if not runners:
                 self._steps += 1
                 self._now = now
+                if observing:
+                    self._finish_step(step_span, step_start, now, step_activity, 0)
                 continue
             # Capacity preemption: evict the newest runners until every
-            # remaining one can grow a block (the scalar rule).
+            # remaining one can grow a block.
             while core.free_blocks < len(runners) and len(runners) > 1:
-                victim = next(reversed(runners.values()))
-                core.leave(victim)
-                core.free_blocks += core.blocks_held(victim)
-                if audit is not None:
-                    audit.on_tokens_rolled_back(gen[victim])
-                obj = core.sync_object(victim)  # keeps the checkpoint reached
-                obj.restart()
-                gen[victim] = 0
-                first[victim] = math.nan
-                finish[victim] = math.nan
-                core.restarts[victim] = obj.restarts
-                core.ckpt_floor[victim] = 0
-                state[victim] = SLOT_WAITING
-                core.insort_waiting(victim, left=True)
+                self._preempt(next(reversed(runners.values())), from_checkpoint=False)
                 self._preemptions += 1
-            now = self._decode_burst(now, horizon, slowdown)
+            batch = len(runners)
+            lost = injector is not None and injector.kernel_fault()
+            if not observing:
+                now = self._decode_burst(now, burst_horizon, slowdown, activity, lost)
+                continue
+            decode_span = None
+            if tracer is not None:
+                decode_span = tracer.begin("decode.step", "engine", now, batch=batch)
+            phase_activity = ActivityAccumulator()
+            try:
+                now = self._decode_burst(now, burst_horizon, slowdown, phase_activity, lost)
+            finally:
+                # A fail-fast exhaustion raises after the step's time
+                # passed: the step is still accounted and its span closed.
+                activity.merge(phase_activity)
+                step_activity.merge(phase_activity)
+                if tracer is not None:
+                    self._emit_comm_spans(self._now)
+                    tracer.end(decode_span, self._now)
+            if lost and tracer is not None:
+                tracer.instant("kernel_fault", "engine", now)
+            if lost and self._metrics is not None:
+                self._metrics.counter("engine.kernel_retries").inc()
+            self._finish_step(step_span, step_start, now, step_activity, batch)
         if sync_exit:
             self.sync_live()
         return self._now
 
     def sync_live(self) -> None:
-        """Copy the vectorized core's runner progress onto the live
-        Request objects, unless no step ran since the last sync (a no-op
-        on the scalar core, whose objects are always current)."""
-        if self._fast and self._steps != self._synced_steps:
+        """Copy the core's runner progress onto the live Request
+        objects, unless no step ran since the last sync."""
+        if self._core is not None and self._steps != self._synced_steps:
             self._core.sync_live_objects()
             self._synced_steps = self._steps
 
     def _enforce_deadlines_fast(self, now: float) -> None:
-        """:meth:`_enforce_deadlines` over the waiting slots: the same
-        ``deadline_missed`` scan in waiting order (waiting objects are
-        current), the same backoff requeue with its audit rollback, and
-        the same shed reason.  Requeued slots re-enter the queue in scan
-        order after the survivors, which is where the scheduler's
-        one-at-a-time reinsertion puts them too."""
+        """Retry or shed every waiting request whose TTFT deadline
+        passed, in waiting order: a retry re-arrives after the policy's
+        backoff (rolling back its tokens in the audit ledger), the last
+        one sheds.  Requeued slots re-enter the queue in scan order
+        after the survivors, which is where one-at-a-time reinsertion
+        puts them too."""
         core = self._core
         retry = self.policy.retry
         kept: List[int] = []
@@ -897,6 +808,13 @@ class LlmServingEngine:
                 core.ckpt_floor[slot] = 0
                 requeued.append(slot)
                 self.fault_stats.deadline_retries += 1
+                if self._tracer is not None:
+                    self._tracer.instant(
+                        "deadline_retry", "engine", now,
+                        request_id=request.request_id, retry=request.retries,
+                    )
+                if self._metrics is not None:
+                    self._metrics.counter("engine.deadline_retries").inc()
             else:
                 self._shed_slot(
                     slot,
@@ -908,15 +826,53 @@ class LlmServingEngine:
             core.insort_waiting(slot)
         core.refresh_expiry()
 
+    def _release_blocks(self, slot: int) -> None:
+        """Return the KV blocks a slot holds to the pool."""
+        core = self._core
+        held = core.blocks_held(slot)
+        core.free_blocks += held
+        if self._metrics is not None:
+            self._observe_pool("free", held)
+
     def _shed_slot(self, slot: int, reason: str) -> None:
-        """Shed a fast-core slot already taken out of the wait queue or
-        the runner set, with its blocks returned."""
+        """Shed a slot already taken out of the wait queue or the runner
+        set, with its blocks returned."""
         core = self._core
         request = core.sync_object(slot)
         request.shed(reason)
         core.state[slot] = SLOT_SHED
         self._fold_terminal(request)
         core.release(slot)
+        self._observe_event(
+            "shed", "scheduler.sheds", request_id=request.request_id, reason=reason
+        )
+
+    def _preempt(self, slot: int, from_checkpoint: bool) -> Request:
+        """Evict a runner back to the wait queue, ahead of later
+        arrivals of its tier.  Capacity preemption recomputes from
+        scratch; a device fault resumes from the last checkpoint,
+        keeping the first token those tokens delivered."""
+        core = self._core
+        core.leave(slot)
+        self._release_blocks(slot)
+        request = core.sync_object(slot)  # keeps the checkpoint reached
+        if self._audit is not None:
+            kept = request.checkpoint if from_checkpoint else 0
+            self._audit.on_tokens_rolled_back(request.generated - kept)
+        request.restart(from_checkpoint=from_checkpoint)
+        first = request.first_token_time
+        core.generated[slot] = request.generated
+        core.first_token[slot] = math.nan if first is None else first
+        core.finish[slot] = math.nan
+        core.restarts[slot] = request.restarts
+        core.ckpt_floor[slot] = request.generated
+        core.state[slot] = SLOT_WAITING
+        core.insort_waiting(slot, left=True)
+        self._observe_event(
+            "preempt", "scheduler.preemptions",
+            request_id=request.request_id, from_checkpoint=from_checkpoint,
+        )
+        return request
 
     def _burst_wake(self, now: float, n: int) -> Tuple[float, int]:
         """When a decode burst of ``n`` runners starting at ``now`` must
@@ -957,9 +913,45 @@ class LlmServingEngine:
             needed_min = 0
         return wake, needed_min
 
-    def _decode_burst(self, now: float, horizon: float, slowdown: float) -> float:
+    def _stepper(self, n: int) -> Callable:
+        """The decode-step pricer for ``n`` runners, looked up once per
+        runner count and fabric fault state."""
+        fabric = self.model._fabric_key()
+        if fabric is not self._stepper_fabric:
+            # FabricHealth rebuilds its state key on every mutation, so
+            # identity tells whether a fault hit since the table filled.
+            self._steppers = {}
+            self._stepper_fabric = fabric
+        stepper = self._steppers.get(n)
+        if stepper is None:
+            model, attention = self.model, self.attention
+            if model.memo_ok:
+                stepper = model.decode_stepper(n, attention)
+            else:
+                # An observed config fires its per-call collective
+                # metrics and trace events, so it prices from scratch.
+                def stepper(total_context, total_blocks, max_context, acc):
+                    phase = model.decode_step_stats(
+                        DecodeBatchStats(n, total_context, total_blocks, max_context),
+                        attention,
+                    )
+                    acc.merge(phase.activity)
+                    return phase.time
+
+            self._steppers[n] = stepper
+        return stepper
+
+    def _decode_burst(
+        self,
+        now: float,
+        horizon: float,
+        slowdown: float,
+        activity: ActivityAccumulator,
+        lost: bool = False,
+    ) -> float:
         """Price consecutive decode steps for the fixed runner set
-        without any per-request work; returns the clock after the burst.
+        without any per-request work, adding their activity into
+        ``activity``; returns the clock after the burst.
 
         The burst ends just before the first virtual iteration whose
         scheduler step would diverge from a pure decode continuation: a
@@ -969,16 +961,26 @@ class LlmServingEngine:
         costs come from ``LlamaCostModel.decode_stepper``, whose integer
         recurrences are bit-identical to rebuilding
         ``DecodeBatchStats`` per step.  The aggregates are the core's
-        running state, so a burst costs O(steps + finishers).
+        running state, so a burst costs O(steps + finishers).  ``lost``
+        is a transient kernel fault: one step's time passes and no
+        runner gains a token.
         """
         core = self._core
         bs = core.block_size
         n = len(core.runners)
         offset = core.decoded
-        min_rem = core.min_remaining()
         total_context = core.sum_base + n * offset
         total_blocks = core.total_blocks
         max_context = core.max_context()
+        stepper = self._stepper(n)
+        if lost:
+            now += stepper(total_context, total_blocks, max_context, activity) * slowdown
+            self._steps += 1
+            core.vectorized_steps += 1
+            self._now = now
+            self.fault_stats.kernel_retries += 1
+            return now
+        min_rem = core.min_remaining()
         # Pricing always buckets KV at the kernel's 128-token blocks;
         # the engine's pool may use a different block size, so shadow
         # growth reads its own residue histogram.  A runner with base b
@@ -990,18 +992,9 @@ class LlmServingEngine:
         hist128 = core.hist128
         hist_bs = core.hist_bs
         same_hist = hist_bs is hist128
-        fabric = self.model._fabric_key()
-        if fabric is not self._stepper_fabric:
-            # FabricHealth rebuilds its state key on every mutation, so
-            # identity tells whether a fault hit since the table filled.
-            self._steppers = {}
-            self._stepper_fabric = fabric
-        stepper = self._steppers.get(n)
-        if stepper is None:
-            stepper = self._steppers[n] = self.model.decode_stepper(n, self.attention)
         wake, wake_needed = self._burst_wake(now, n)
         retire_pending = bool(core.finished_pending)
-        activity = self._activity
+        free_before = core.free_blocks
         j = 0  # completed steps this burst
         recorded = 0  # steps whose tokens were recorded
         exhausted = False
@@ -1013,7 +1006,7 @@ class LlmServingEngine:
                 # Only reachable with a single runner (the headroom
                 # guard below breaks first for n > 1): the step's time
                 # is charged, then the append fails before any token is
-                # recorded -- the scalar exhaustion path.
+                # recorded.
                 exhausted = True
                 break
             core.free_blocks -= growth
@@ -1033,6 +1026,8 @@ class LlmServingEngine:
             if core.free_blocks < n and n > 1:
                 break  # capacity preemption due next step
             growth = crossed if same_hist else hist_bs[(1 - j - offset) % bs]
+        if self._metrics is not None and core.free_blocks < free_before:
+            self._observe_pool("grow", free_before - core.free_blocks)
         finished = core.end_burst(recorded, total_blocks)
         self._steps += j
         core.vectorized_steps += j
@@ -1045,7 +1040,7 @@ class LlmServingEngine:
                 raise KvCacheError("out of KV blocks during decode")
             slot = next(iter(core.runners.values()))
             core.leave(slot)
-            core.free_blocks += core.blocks_held(slot)
+            self._release_blocks(slot)
             self._shed_slot(slot, "kv-exhausted: pool full during decode")
         for slot in finished:
             core.finish_slot(slot, now)
@@ -1057,13 +1052,9 @@ class LlmServingEngine:
         if self._tracer is not None:
             self._tracer.finish(self._now)
         self.sync_live()
-        bump_counter(
-            "vectorized_steps" if self._fast else "scalar_steps", self._steps
-        )
+        bump_counter("vectorized_steps", self._steps)
         audit = self._audit
         self._audit = None
-        self.scheduler.bind_audit(None)
-        self.scheduler.on_retire = None
         requests = self._all_requests
         report = self._build_report(
             requests, self._now, self._steps, self._preemptions,
@@ -1071,13 +1062,12 @@ class LlmServingEngine:
         )
         if audit is not None:
             audit.observe_clock(self._now)
-            audit.check_kv_drained(self.block_manager)
-            if self._fast and self._core is not None and self.auditor is not None:
+            if self.auditor is not None:
                 core = self._core
                 self.auditor.check(
                     core.free_blocks == core.num_blocks,
                     KvConservationError,
-                    f"fast-path shadow pool not drained at end of run: "
+                    f"KV pool not drained at end of run: "
                     f"{core.free_blocks}/{core.num_blocks} blocks free",
                 )
             audit.check_token_conservation(self._total_generated())
@@ -1115,14 +1105,7 @@ class LlmServingEngine:
         both retained and folded (``retain_requests=False``) runs."""
         if self._aggregates is None:
             return sum(r.generated for r in self._all_requests)
-        if self._fast and self._core is not None:
-            live = self._core.live_generated_total()
-        else:
-            live = sum(
-                r.generated
-                for r in self.scheduler.waiting + self.scheduler.running
-            )
-        return self._aggregates.terminal_tokens + live
+        return self._aggregates.terminal_tokens + self._core.live_generated_total()
 
     def run(self, requests: Iterable[Request]) -> ServingReport:
         """Serve ``requests``; returns aggregate metrics.
@@ -1144,27 +1127,7 @@ class LlmServingEngine:
         if not isinstance(requests, Sequence):
             return self.run_streaming(requests)
         self.begin(requests)
-        watchdog_reason = ""
-        try:
-            self.advance()
-        except WatchdogExceeded as error:
-            # A wedged simulation becomes a typed partial result: release
-            # every held block and report what completed so far.
-            watchdog_reason = str(error)
-            self.block_manager.free_all()
-            if self._tracer is not None:
-                self._tracer.instant("watchdog_exceeded", "engine", self._now)
-            if self._metrics is not None:
-                self._metrics.counter("engine.watchdog_trips").inc()
-        except BaseException:
-            # Fail-fast paths (e.g. KvCacheError without a policy) must
-            # still close the root span and unbind the audit handle.
-            if self._tracer is not None:
-                self._tracer.finish(self._now)
-            self._audit = None
-            self.scheduler.bind_audit(None)
-            raise
-        return self.finish(watchdog_reason)
+        return self._drive(self.advance)
 
     def run_streaming(self, arrivals: Iterable[Request]) -> ServingReport:
         """Serve a lazily generated arrival stream in bounded memory.
@@ -1182,8 +1145,9 @@ class LlmServingEngine:
         """
         iterator = iter(arrivals)
         self.begin(())
-        watchdog_reason = ""
-        try:
+
+        def serve() -> None:
+            core = self._core
             last_arrival = -math.inf
             pending = next(iterator, None)
             while pending is not None:
@@ -1193,10 +1157,10 @@ class LlmServingEngine:
                         f"arrival_time (got {pending.arrival_time!r} after "
                         f"{last_arrival!r})"
                     )
-                if pending.arrival_time <= self._now or not self.has_unfinished:
+                if pending.arrival_time <= self._now or not core.has_unfinished:
                     last_arrival = pending.arrival_time
                     self.feed(pending)
-                    bump_counter("arrival_buffer_peak", self._waiting_count())
+                    bump_counter("arrival_buffer_peak", core.waiting_count)
                     pending = next(iterator, None)
                     continue
                 before = self._now
@@ -1214,12 +1178,27 @@ class LlmServingEngine:
                     # external arrival: feed it so the clock can jump.
                     last_arrival = pending.arrival_time
                     self.feed(pending)
-                    bump_counter("arrival_buffer_peak", self._waiting_count())
+                    bump_counter("arrival_buffer_peak", core.waiting_count)
                     pending = next(iterator, None)
             self.advance()
+
+        return self._drive(serve)
+
+    def _drive(self, serve: Callable[[], object]) -> ServingReport:
+        """Run ``serve`` on the open run and finish it.  A tripped
+        watchdog becomes a typed partial result: every held block is
+        released and the report covers what completed so far.  Any
+        other error (e.g. a fail-fast KvCacheError) still closes the
+        root span and drops the audit handle before propagating."""
+        watchdog_reason = ""
+        try:
+            serve()
         except WatchdogExceeded as error:
             watchdog_reason = str(error)
-            self.block_manager.free_all()
+            core = self._core
+            core.sync_generated()
+            for slot in core.running_slots():
+                self._release_blocks(slot)
             if self._tracer is not None:
                 self._tracer.instant("watchdog_exceeded", "engine", self._now)
             if self._metrics is not None:
@@ -1228,31 +1207,24 @@ class LlmServingEngine:
             if self._tracer is not None:
                 self._tracer.finish(self._now)
             self._audit = None
-            self.scheduler.bind_audit(None)
             raise
         return self.finish(watchdog_reason)
-
-    def _waiting_count(self) -> int:
-        if self._fast and self._core is not None:
-            return self._core.waiting_count
-        return len(self.scheduler.waiting)
 
     # -- cluster-facing lifecycle wrappers ------------------------------
     def fail_all(self, reason: str) -> List[Request]:
         """Terminally fail every in-flight request (the cluster node
-        crash path).  Requests that FINISHED awaiting retirement are
-        retired, not failed.  Dispatches to whichever core owns the
-        run's state, so callers never reach into the scheduler."""
-        if not self._fast or self._core is None:
-            return self.scheduler.fail_all(reason)
+        crash path, and a permanent total outage).  Requests that
+        FINISHED awaiting retirement are retired, not failed."""
         core = self._core
+        if core is None:
+            return []  # no run opened yet
         waiting = core.waiting_slots()
         running = list(core.runners.values())
         for slot in running:
             core.leave(slot)
         finished_slots = list(core.finished_pending)
         for slot in running + finished_slots:
-            core.free_blocks += core.blocks_held(slot)
+            self._release_blocks(slot)
         victim_slots = waiting + running
         core.finished_pending.clear()
         core.wait_q.clear()
@@ -1268,14 +1240,16 @@ class LlmServingEngine:
             victims.append(request)
             self._fold_terminal(request)
             core.release(slot)
+        if victims:
+            self._observe_event(
+                "fail_all", "scheduler.failed", len(victims),
+                victims=len(victims), reason=reason,
+            )
         return victims
 
     def cancel(self, request: Request, reason: str) -> None:
         """Shed one scheduled request (the gateway cancellation path);
         a FINISHED request awaiting retirement is retired instead."""
-        if not self._fast or self._core is None:
-            self.scheduler.shed(request, reason)
-            return
         core = self._core
         q = core.wait_q
         for i in range(core.wait_head, len(q)):
@@ -1287,37 +1261,40 @@ class LlmServingEngine:
                 continue
             if core.state[slot] == SLOT_FINISHED:
                 core.finished_pending.remove(slot)
-                core.free_blocks += core.blocks_held(slot)
+                self._release_blocks(slot)
                 self._fold_terminal(core.objs[slot])
                 core.release(slot)
             else:
                 core.leave(slot)
-                core.free_blocks += core.blocks_held(slot)
+                self._release_blocks(slot)
                 self._shed_slot(slot, reason)
             return
         raise ValueError(f"request {request.request_id} is not scheduled")
 
     # ------------------------------------------------------------------
     def _submit(self, request: Request) -> None:
-        """Submit to whichever core runs; an oversized prompt fails hard
-        without a policy and is shed with a reason under one."""
-        try:
-            if self._fast:
-                self.scheduler.validate(request)
-                self._core.acquire(request)
-            else:
-                self.scheduler.submit(request)
-        except KvCacheError as error:
+        """Queue a fed request; an oversized prompt fails hard without a
+        policy and is shed with a reason under one."""
+        core = self._core
+        if request.state is not RequestState.WAITING:
+            raise ValueError(f"request {request.request_id} is not schedulable")
+        needed = core.blocks_needed(request.input_tokens)
+        if needed > core.num_blocks:
+            error = KvCacheError(
+                f"request {request.request_id}'s prompt needs {needed} KV "
+                f"blocks but the pool only has {core.num_blocks}; "
+                "it can never be scheduled"
+            )
             if not self._graceful:
-                raise
+                raise error
             request.shed(f"oversized: {error}")
             self._fold_terminal(request)
+            return
+        core.acquire(request)
 
     def _advance_faults(self, now: float) -> float:
         """Apply fault events due at ``now``; returns the clock, advanced
         past any total-outage window the run had to wait out."""
-        if self.injector is None:
-            return now
         self._apply_fault_summary(self.injector.advance(now), now)
         # Total outage: with every device down nothing can execute.  The
         # clock can only move to the next scheduled event (a recovery, if
@@ -1325,7 +1302,7 @@ class LlmServingEngine:
         while self.injector.alive_devices() == 0:
             next_time = self.injector.next_event_time
             if next_time is None:
-                self.scheduler.fail_all("outage: all devices down")
+                self.fail_all("outage: all devices down")
                 break
             now = max(now, next_time)
             self._apply_fault_summary(self.injector.advance(now), now)
@@ -1355,67 +1332,12 @@ class LlmServingEngine:
         if summary.device_failures:
             # A device fault kills the in-flight batch: preempt every
             # runner into checkpointed recompute.  A request that
-            # FINISHED in the last step was already served; leave it for
-            # retirement instead of restarting (double-serving) it.
-            for victim in list(self.scheduler.running):
-                if victim.state is RequestState.FINISHED:
-                    continue
-                self.scheduler.preempt(victim, from_checkpoint=True)
+            # FINISHED in the last step was already served; it stays for
+            # retirement instead of restarting (double-serving).
+            for slot in list(self._core.runners.values()):
+                request = self._preempt(slot, from_checkpoint=True)
                 self.fault_stats.fault_preemptions += 1
-                self._fault_restarted_ids.add(victim.request_id)
-
-    def _enforce_deadlines(self, now: float) -> None:
-        # Scan when the policy sets a fleet-wide SLO *or* any fed
-        # request carries its own (e.g. a tenant-tier TTFT deadline).
-        if self.policy is None or (
-            self.policy.deadline is None and not self._request_deadlines
-        ):
-            return
-        for request in list(self.scheduler.waiting):
-            if not request.deadline_missed(now):
-                continue
-            if request.retries < self.policy.retry.max_retries:
-                delay = self.policy.retry.backoff(
-                    request.retries, token=request.request_id
-                )
-                self.scheduler.requeue(request, now + delay)
-                self.fault_stats.deadline_retries += 1
-                if self._tracer is not None:
-                    self._tracer.instant(
-                        "deadline_retry", "engine", now,
-                        request_id=request.request_id, retry=request.retries,
-                    )
-                if self._metrics is not None:
-                    self._metrics.counter("engine.deadline_retries").inc()
-            else:
-                self.scheduler.shed(
-                    request,
-                    f"deadline: no first token within {request.deadline:g}s "
-                    f"after {request.retries} retries",
-                )
-
-    def _slowdown(self) -> float:
-        if self.injector is None:
-            return self.slowdown
-        return self.slowdown * self.injector.compute_slowdown()
-
-    def _maybe_checkpoint(self, request: Request) -> None:
-        if self.policy is None:
-            return
-        if request.generated % self.policy.checkpoint_interval == 0:
-            request.checkpoint = request.generated
-
-    def _grow_kv(self, request: Request) -> bool:
-        """Extend a runner's KV allocation by one token; shed on a full
-        pool in graceful mode (only reachable with a single runner)."""
-        try:
-            self.block_manager.append_token(request.request_id)
-            return True
-        except KvCacheError:
-            if not self._graceful:
-                raise
-            self.scheduler.shed(request, "kv-exhausted: pool full during decode")
-            return False
+                self._fault_restarted_ids.add(request.request_id)
 
     def _build_report(
         self,
@@ -1496,18 +1418,12 @@ class LlmServingEngine:
         agg = self._aggregates
         live_tokens = 0
         live_retried = 0
-        if self._fast and self._core is not None:
-            core = self._core
-            core.sync_generated()
-            for slot in core.running_slots() + core.waiting_slots():
-                live_tokens += core.generated[slot]
-                if core.retries[slot] > 0:
-                    live_retried += 1
-        else:
-            for request in self.scheduler.waiting + self.scheduler.running:
-                live_tokens += request.generated
-                if request.retries > 0:
-                    live_retried += 1
+        core = self._core
+        core.sync_generated()
+        for slot in core.running_slots() + core.waiting_slots():
+            live_tokens += core.generated[slot]
+            if core.retries[slot] > 0:
+                live_retried += 1
         finished = agg.finished
         power = 0.0
         if now > 0:
@@ -1534,12 +1450,7 @@ class LlmServingEngine:
             watchdog_reason=watchdog_reason,
         )
 
-    # ------------------------------------------------------------------
-    def _ensure_headroom(self, running: List[Request]) -> int:
-        """Preempt newest requests until every runner can grow a block."""
-        preempted = 0
-        while self.block_manager.free_blocks < len(running) and len(running) > 1:
-            victim = running.pop()
-            self.scheduler.preempt(victim)
-            preempted += 1
-        return preempted
+    def _slowdown(self) -> float:
+        if self.injector is None:
+            return self.slowdown
+        return self.slowdown * self.injector.compute_slowdown()

@@ -1,11 +1,10 @@
-"""Struct-of-arrays state store for the vectorized serving fast path.
+"""Struct-of-arrays state store of the serving engine.
 
-The scalar engine keeps every request as a live Python object and walks
-the batch attribute-by-attribute each virtual step.  At million-request
-scale that object traffic dominates the wall clock, so the fast path
-(:meth:`~repro.serving.engine.LlmServingEngine` with
-``engine_mode="vectorized"``) keeps request state in parallel columns
-(plain lists, see ``_COLUMNS``) keyed by a stable *slot* index instead:
+Walking every request as a live Python object attribute-by-attribute
+each virtual step makes object traffic dominate the wall clock long
+before the cost model does, so :class:`~repro.serving.engine.LlmServingEngine`
+keeps request state in parallel columns (plain lists, see
+``_COLUMNS``) keyed by a stable *slot* index instead:
 
 * a slot is acquired when a request is fed and recycled once the
   request reaches a terminal state and has been materialized back onto
@@ -29,13 +28,13 @@ scale that object traffic dominates the wall clock, so the fast path
 * the thin ``Request`` objects remain the API boundary: they are
   materialized from the columns at every lifecycle event (admission,
   preemption, requeue, finish, shed, failure), so reports, journaling,
-  and audit transitions keep their exact scalar semantics.  Terminal
+  and audit transitions see every transition when it happens.  Terminal
   transitions publish when they happen and waiting objects are always
   current, so the ``advance()`` exit sync copies runner progress only
   -- O(batch), not O(live slots) -- and a caller that never reads
   runner progress (a fleet node) skips it.
 
-The module also owns the process-wide fast-path counters surfaced by
+The module also owns the process-wide engine-core counters surfaced by
 ``repro top`` and :class:`ReportAggregates`, the constant-memory
 folding sink used when the engine runs with ``retain_requests=False``.
 """
@@ -83,12 +82,12 @@ _COLUMNS = (
     ("wait_key", None),  # the slot's ``(tier, arrival)`` queue sort key
 )
 
-#: Process-wide fast-path health counters (the ``repro top`` section).
+#: Process-wide engine-core counters (the ``repro top`` section).
+#: ``scalar_steps`` is always 0; the benchmark harness still reads it.
 CORE_COUNTERS: Dict[str, int] = {
     "vectorized_steps": 0,
     "scalar_steps": 0,
     "vectorized_runs": 0,
-    "scalar_runs": 0,
     "slot_high_water": 0,
     "arrival_buffer_peak": 0,
 }
@@ -105,12 +104,12 @@ def bump_counter(name: str, amount: int = 1) -> None:
 
 
 def counters_snapshot() -> Dict[str, int]:
-    """A copy of the process-wide fast-path counters."""
+    """A copy of the process-wide engine-core counters."""
     return dict(CORE_COUNTERS)
 
 
 def reset_counters() -> None:
-    """Zero every process-wide fast-path counter (test isolation)."""
+    """Zero every process-wide engine-core counter (test isolation)."""
     for key in CORE_COUNTERS:
         CORE_COUNTERS[key] = 0
 
@@ -119,10 +118,8 @@ def render_counters() -> str:
     """Fixed-format counter block for ``repro top``."""
     c = CORE_COUNTERS
     return "\n".join([
-        f"  steps      : {c['vectorized_steps']} vectorized | "
-        f"{c['scalar_steps']} scalar",
-        f"  runs       : {c['vectorized_runs']} vectorized | "
-        f"{c['scalar_runs']} scalar",
+        f"  steps      : {c['vectorized_steps']}",
+        f"  runs       : {c['vectorized_runs']}",
         f"  slots      : {c['slot_high_water']} high-water mark",
         f"  arrivals   : {c['arrival_buffer_peak']} peak buffered",
     ])
@@ -158,7 +155,7 @@ class EngineCore:
     * shadow KV accounting conserves blocks: free plus the blocks held
       by running slots always equals the pool size;
     * ``wait_q[wait_head:]`` is sorted by ``(tier, arrival)``, the
-      scheduler's admission order;
+      admission order;
     * every waiting slot's Request equals its columns (waiting slots
       make no progress, and every write to one updates both), and every
       terminal slot's Request is materialized when it turns terminal,
@@ -167,8 +164,8 @@ class EngineCore:
       columns.
 
     Policy state.  ``tiers`` holds every tier fed so far
-    (``single_tier`` false makes admission skip unarrived requests, as
-    the scheduler does); ``admit_limit`` is the admission watermark in
+    (``single_tier`` false makes admission skip unarrived requests);
+    ``admit_limit`` is the admission watermark in
     blocks; ``checkpoint_interval`` (0 = off) derives
     ``Request.checkpoint`` at materialization from ``ckpt_floor``, the
     ``generated`` count at the slot's last (re)start; with
@@ -181,7 +178,7 @@ class EngineCore:
     joining with context ``c`` stores ``b = c - G`` in its ``base``
     column; its remaining budget plus ``G`` is then
     ``r = output + input - b``.  ``runners`` maps each join sequence
-    number to its slot, in join order (the scheduler's running order).
+    number to its slot, in join order (admission order).
     For ``n`` runners, ``total_context = sum_base + n * G``, the longest
     context is ``max(b) + G`` and the smallest remaining budget
     ``min(r) - G``; ``hist128[k]`` (and ``hist_bs[k]`` for the pool's
@@ -230,7 +227,7 @@ class EngineCore:
         self.wait_q: List[int] = []
         self.wait_head = 0
         #: Slots that FINISHED during the last burst, awaiting retirement
-        #: at the next virtual scheduler step (mirrors the scalar order).
+        #: at the next virtual scheduler step.
         #: They still hold their KV blocks but have left the runner set;
         #: their Requests are already materialized.
         self.finished_pending: List[int] = []
@@ -295,13 +292,13 @@ class EngineCore:
         self.objs[slot] = None
         self.free_slots.append(slot)
 
-    # -- waiting queue ((tier, arrival)-sorted, matching the scheduler) -
+    # -- waiting queue ((tier, arrival)-sorted, the admission order) ---
     def insort_waiting(self, slot: int, left: bool = False) -> None:
         """Insert into the active waiting region by ``(tier, arrival)``.
 
         ``left=False`` lands after equal keys (submission FIFO);
         ``left=True`` lands before them (preempted victims re-admit
-        ahead of later arrivals) -- the scalar scheduler's exact rule.
+        ahead of later arrivals).
         """
         keys = self.wait_key
         key = keys[slot]
@@ -383,9 +380,10 @@ class EngineCore:
         return -(-tokens // self.block_size)
 
     def fits(self, needed: int) -> bool:
-        """``BlockManager.has_headroom`` for ``needed`` blocks: they are
-        free, and admitting them keeps occupancy under the watermark
-        (an empty pool always admits a fitting request)."""
+        """Whether ``needed`` blocks can be admitted: they are free, and
+        admitting them keeps occupancy under the watermark (an empty
+        pool always admits a fitting request, so a watermark can delay
+        but never deadlock admission)."""
         free = self.free_blocks
         return needed <= free and (
             self.num_blocks - free + needed <= self.admit_limit
@@ -511,9 +509,9 @@ class EngineCore:
 
     # -- materialization ------------------------------------------------
     def _sync_checkpoint(self, slot: int, request: Request) -> None:
-        """The scalar engine checkpoints at every multiple of the
-        interval a request reaches; the last one reached since the
-        slot's (re)start is the checkpoint, else it keeps its old one."""
+        """A request checkpoints at every multiple of the interval it
+        reaches; the last one reached since the slot's (re)start is the
+        checkpoint, else it keeps its old one."""
         interval = self.checkpoint_interval
         generated = request.generated
         reached = generated - generated % interval
@@ -557,8 +555,8 @@ class EngineCore:
     def finish_slot(self, slot: int, now: float) -> None:
         """Mark a RUNNING slot FINISHED at ``now`` and publish it: its
         Request takes the slot's tokens and fires the terminal transition
-        (auditor and outbox included), as the scalar core does at the
-        same step.  The slot keeps its KV blocks in ``finished_pending``
+        (auditor and outbox included) at the step it finishes.  The
+        slot keeps its KV blocks in ``finished_pending``
         until retirement at the next virtual scheduler step."""
         self.state[slot] = SLOT_FINISHED
         self.finish[slot] = now

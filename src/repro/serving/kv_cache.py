@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List
 
 
 class KvCacheError(RuntimeError):
@@ -45,20 +45,13 @@ class KvCacheStats:
 class BlockManager:
     """Allocates KV-cache blocks to requests.
 
-    With a :class:`~repro.obs.metrics.MetricsRegistry` bound (see
-    :meth:`bind_metrics`), every allocate/append/free updates the
-    ``kv.*`` counters and occupancy gauge; unbound, the hooks cost one
-    None test.  Likewise an :class:`~repro.audit.Auditor` bound via
-    :meth:`bind_auditor` verifies block conservation after every pool
-    mutation.
-
     Misuse (freeing an unknown or already-freed request id,
     re-allocating an existing id) always raises :class:`KvCacheError` --
     never a silent pass or a bare ``KeyError`` -- because a tolerated
     double-free would silently skew every downstream occupancy metric.
     """
 
-    def __init__(self, num_blocks: int, block_size: int, metrics=None) -> None:
+    def __init__(self, num_blocks: int, block_size: int) -> None:
         if num_blocks <= 0 or block_size <= 0:
             raise ValueError("num_blocks and block_size must be positive")
         self.num_blocks = num_blocks
@@ -66,21 +59,6 @@ class BlockManager:
         self._free: List[int] = list(range(num_blocks - 1, -1, -1))
         self._tables: Dict[int, List[int]] = {}
         self._tokens: Dict[int, int] = {}
-        self.metrics = metrics
-        self.auditor = None
-
-    def bind_metrics(self, metrics) -> None:
-        """Attach a metrics registry (or None to detach)."""
-        self.metrics = metrics
-
-    def bind_auditor(self, auditor) -> None:
-        """Attach an :class:`~repro.audit.Auditor` (or None to detach)."""
-        self.auditor = auditor
-
-    def _observe_occupancy(self) -> None:
-        self.metrics.gauge("kv.occupancy").set(
-            (self.num_blocks - len(self._free)) / self.num_blocks
-        )
 
     # ------------------------------------------------------------------
     def blocks_needed(self, num_tokens: int) -> int:
@@ -88,21 +66,6 @@ class BlockManager:
 
     def can_allocate(self, num_tokens: int) -> bool:
         return self.blocks_needed(num_tokens) <= len(self._free)
-
-    def has_headroom(self, num_tokens: int, watermark: float = 1.0) -> bool:
-        """Like :meth:`can_allocate`, but also respects an admission
-        watermark: new admissions may not push pool occupancy above
-        ``watermark`` (a fraction of all blocks), reserving headroom
-        for the running batch to grow during decode.  An empty pool
-        always admits a fitting request, so a watermark can delay but
-        never deadlock admission."""
-        if not 0.0 < watermark <= 1.0:
-            raise ValueError("watermark must be in (0, 1]")
-        needed = self.blocks_needed(num_tokens)
-        if needed > len(self._free):
-            return False
-        allocated = self.num_blocks - len(self._free)
-        return allocated + needed <= max(watermark * self.num_blocks, needed)
 
     def allocate(self, request_id: int, num_tokens: int) -> List[int]:
         """Allocate blocks for a request's prompt."""
@@ -118,12 +81,6 @@ class BlockManager:
         blocks = [self._free.pop() for _ in range(needed)]
         self._tables[request_id] = blocks
         self._tokens[request_id] = num_tokens
-        if self.metrics is not None:
-            self.metrics.counter("kv.allocations").inc()
-            self.metrics.counter("kv.blocks_allocated").inc(needed)
-            self._observe_occupancy()
-        if self.auditor is not None:
-            self.auditor.on_kv_op(self)
         return list(blocks)
 
     def append_token(self, request_id: int) -> bool:
@@ -137,11 +94,6 @@ class BlockManager:
             if not self._free:
                 raise KvCacheError("out of KV blocks during decode")
             self._tables[request_id].append(self._free.pop())
-            if self.metrics is not None:
-                self.metrics.counter("kv.blocks_allocated").inc()
-                self._observe_occupancy()
-            if self.auditor is not None:
-                self.auditor.on_kv_op(self)
             return True
         return False
 
@@ -160,23 +112,13 @@ class BlockManager:
             )
         self._tokens.pop(request_id, None)
         self._free.extend(reversed(blocks))
-        if self.metrics is not None:
-            self.metrics.counter("kv.frees").inc()
-            self.metrics.counter("kv.blocks_freed").inc(len(blocks))
-            self._observe_occupancy()
-        if self.auditor is not None:
-            self.auditor.on_kv_op(self)
 
     def free_all(self) -> int:
-        """Release every allocation (engine teardown); returns how many
-        requests still held blocks.  Always leaves
-        ``allocated_blocks == 0`` -- asserted by the auditor when one
-        is bound."""
+        """Release every allocation; returns how many requests still
+        held blocks.  Always leaves ``allocated_blocks == 0``."""
         holders = list(self._tables)
         for request_id in holders:
             self.free(request_id)
-        if self.auditor is not None:
-            self.auditor.check_kv_drained(self, where="free_all")
         return len(holders)
 
     def block_list(self, request_id: int) -> List[int]:
@@ -193,15 +135,6 @@ class BlockManager:
     @property
     def allocated_blocks(self) -> int:
         return self.num_blocks - len(self._free)
-
-    # -- auditor views -------------------------------------------------
-    def iter_tables(self) -> Iterable[Tuple[int, List[int]]]:
-        """(request_id, blocks) pairs for ownership scans."""
-        return self._tables.items()
-
-    def free_block_ids(self) -> List[int]:
-        """The free list (auditor's double-ownership scan)."""
-        return list(self._free)
 
     def stats(self) -> KvCacheStats:
         allocated = self.num_blocks - len(self._free)

@@ -150,9 +150,8 @@ class Request:
         """Hold every numeric field an engine reads as a Python builtin.
 
         A caller building requests from numpy samples may pass numpy
-        scalars; both engine cores call this when a request is fed, so
-        neither does arithmetic on them and both publish builtin times
-        and counts.  The common all-builtin request costs one chained
+        scalars; the engine calls this when a request is fed, so it does
+        no arithmetic on them and publishes builtin times and counts.  The common all-builtin request costs one chained
         type test and no writes."""
         first, deadline = self.first_token_time, self.deadline
         if (

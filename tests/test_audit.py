@@ -25,12 +25,12 @@ from repro.audit import (
 from repro.models.llama import DecodeAttention, LLAMA_3_1_8B, LlamaCostModel
 from repro.serving import (
     BlockManager,
-    ContinuousBatchingScheduler,
     KvCacheError,
     LlmServingEngine,
     dynamic_sonnet_requests,
     fixed_length_requests,
 )
+from repro.serving.engine_core import EngineCore
 from repro.serving.request import Request, RequestState
 
 
@@ -153,31 +153,37 @@ class TestKvHardening:
         assert manager.allocated_blocks == 0
         assert manager.free_all() == 0
 
-    def test_free_all_audited(self):
+    def test_free_all_audited(self, gaudi):
+        """A watchdog trip releases every block the run holds, and the
+        audited end of run checks that the pool drained."""
         auditor = Auditor(AuditMode.STRICT)
-        manager = BlockManager(num_blocks=8, block_size=4)
-        manager.bind_auditor(auditor)
-        manager.allocate(1, 16)
-        manager.free_all()
+        engine = LlmServingEngine(
+            LlamaCostModel(LLAMA_3_1_8B, gaudi),
+            DecodeAttention.PAGED_OPT,
+            max_decode_batch=4,
+            auditor=auditor,
+            watchdog=Watchdog(max_steps=10),
+        )
+        assert engine.run(fixed_length_requests(8, 100, 50)).watchdog_tripped
         assert auditor.checks["kv_conservation"] > 0
         assert auditor.total_violations == 0
 
     def test_free_and_allocated_overlap_detected(self):
-        auditor = Auditor(AuditMode.STRICT)
-        manager = BlockManager(num_blocks=8, block_size=4)
-        manager.allocate(1, 4)
-        manager._free.append(manager._tables[1][0])  # corrupt: block both free and owned
-        with pytest.raises(KvConservationError):
-            auditor.deep_check_kv(manager)
+        auditor = Auditor(AuditMode.STRICT, sample_fraction=1.0)
+        core = EngineCore(num_blocks=8, block_size=4)
+        slot = core.acquire(Request(1, input_tokens=4, output_tokens=2))
+        core.free_slots.append(slot)  # corrupt: slot both free and live
+        with pytest.raises(LifecycleError, match="simultaneously free and live"):
+            auditor.check_core_invariants(core)
 
     def test_deep_scan_catches_double_ownership(self):
-        auditor = Auditor(AuditMode.STRICT)
-        manager = BlockManager(num_blocks=8, block_size=4)
-        manager.allocate(1, 4)
-        manager.allocate(2, 4)
-        manager._tables[2][0] = manager._tables[1][0]
-        with pytest.raises(KvConservationError):
-            auditor.deep_check_kv(manager)
+        auditor = Auditor(AuditMode.STRICT, sample_fraction=1.0)
+        core = EngineCore(num_blocks=8, block_size=4)
+        slot = core.acquire(Request(1, input_tokens=4, output_tokens=2))
+        core.acquire(Request(2, input_tokens=4, output_tokens=2))
+        core.wait_q.append(slot)  # corrupt: one slot owned twice
+        with pytest.raises(LifecycleError, match="appears twice"):
+            auditor.check_core_invariants(core)
 
 
 class TestCollectiveAudit:
@@ -279,6 +285,15 @@ class TestWatchdog:
         with pytest.raises(ConfigError):
             Watchdog(max_wall_seconds=-1.0)
 
+    @pytest.mark.parametrize("budget", [
+        {"max_steps": 2.5}, {"max_steps": True}, {"max_steps": "10"},
+        {"max_wall_seconds": float("nan")}, {"max_wall_seconds": float("inf")},
+        {"max_wall_seconds": "1"},
+    ])
+    def test_rejects_non_finite_and_non_integer_budgets(self, budget):
+        with pytest.raises(ConfigError):
+            Watchdog(**budget)
+
     def test_from_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_WATCHDOG_STEPS", raising=False)
         monkeypatch.delenv("REPRO_WATCHDOG_WALL", raising=False)
@@ -305,7 +320,7 @@ class TestWatchdog:
         assert report.watchdog_tripped
         assert "PARTIAL RESULT" in report.render()
         # The watchdog path must not leak KV blocks.
-        assert engine.block_manager.allocated_blocks == 0
+        assert engine.allocated_kv_blocks == 0
 
     def test_untripped_run_reports_nothing(self, gaudi):
         engine = LlmServingEngine(
@@ -362,10 +377,10 @@ class TestStrictEndToEnd:
 
 @st.composite
 def _op_sequences(draw):
-    """Sequences of (op, arg) driving the scheduler API."""
+    """Sequences of (op, arg) driving the engine's streaming API."""
     return draw(st.lists(
         st.tuples(
-            st.sampled_from(["submit", "step", "preempt", "shed", "requeue"]),
+            st.sampled_from(["submit", "step", "cancel", "fail_all", "slow"]),
             st.integers(min_value=0, max_value=7),
         ),
         min_size=1,
@@ -379,48 +394,43 @@ class TestSchedulerPropertyAudit:
     @settings(max_examples=60, deadline=None)
     @given(ops=_op_sequences())
     def test_random_schedules_hold_invariants(self, ops):
+        """Feeds, horizons, cancellations, failures and slowdowns in any
+        order on a pool tight enough to preempt: the strict audit
+        (every deep scan on) finds nothing, and the pool drains."""
+        from repro.hw.backend import get_backend
+
         with audit_scope("strict", sample_fraction=1.0) as auditor:
-            manager = BlockManager(num_blocks=32, block_size=16)
-            manager.bind_auditor(auditor)
-            scheduler = ContinuousBatchingScheduler(manager, max_decode_batch=4)
-            audit = auditor.begin_run("property")
-            scheduler.bind_audit(audit)
+            engine = LlmServingEngine(
+                LlamaCostModel(LLAMA_3_1_8B, get_backend("gaudi2")),
+                DecodeAttention.PAGED_OPT,
+                max_decode_batch=4,
+                block_size=16,
+                num_kv_blocks=7,
+            )
             requests = [
-                Request(i, input_tokens=24, output_tokens=4, arrival_time=0.0)
+                Request(i, input_tokens=30, output_tokens=6, arrival_time=0.0)
                 for i in range(8)
             ]
+            live = (RequestState.WAITING, RequestState.RUNNING)
             submitted = set()
-            now = 0.0
-            emitted = 0
+            engine.begin(())
             for op, index in ops:
                 request = requests[index]
                 if op == "submit" and index not in submitted:
-                    scheduler.submit(request)
+                    engine.feed(request)
                     submitted.add(index)
                 elif op == "step":
-                    now += 1.0
-                    for runner in scheduler.step(now).running:
-                        runner.record_token(now)
-                        emitted += 1
-                        audit.on_tokens_emitted()
-                elif op == "preempt" and request in scheduler.running:
-                    scheduler.preempt(request)
-                elif op == "shed" and (
-                    request in scheduler.waiting or request in scheduler.running
-                ):
-                    scheduler.shed(request, "property-test")
-                elif op == "requeue" and request in scheduler.waiting:
-                    scheduler.requeue(request, now + 0.5)
-            # Conservation at the end of any interleaving:
-            audit.check_token_conservation(sum(r.generated for r in requests))
-            owned = sum(
-                len(blocks) for _, blocks in manager.iter_tables()
-            )
-            assert owned == manager.allocated_blocks
-            running_ids = {r.request_id for r in scheduler.running}
-            table_ids = {rid for rid, _ in manager.iter_tables()}
-            assert running_ids == table_ids
-            auditor.deep_check_kv(manager)
+                    engine.advance(engine.now + 0.01 * (index + 1))
+                elif op == "cancel" and index in submitted and request.state in live:
+                    engine.cancel(request, "property-test")
+                elif op == "fail_all":
+                    engine.fail_all("property-test")
+                elif op == "slow":
+                    engine.slowdown = 1.0 + index / 4
+            engine.advance()
+            report = engine.finish()
+            assert report.num_requests == len(submitted)
+            assert engine.allocated_kv_blocks == 0
             assert auditor.total_violations == 0
 
 

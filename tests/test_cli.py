@@ -115,6 +115,26 @@ class TestInputErrors:
             f"error: REPRO_WORKERS must be a non-negative integer or 'auto', got {value!r}\n"
         )
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("REPRO_WATCHDOG_STEPS", "abc",
+         "REPRO_WATCHDOG_STEPS must be a positive integer, got 'abc'"),
+        ("REPRO_WATCHDOG_STEPS", "-5",
+         "REPRO_WATCHDOG_STEPS must be a positive integer, got '-5'"),
+        ("REPRO_WATCHDOG_STEPS", "2.5",
+         "REPRO_WATCHDOG_STEPS must be a positive integer, got '2.5'"),
+        # NaN would arm a watchdog that never trips.
+        ("REPRO_WATCHDOG_WALL", "nan",
+         "REPRO_WATCHDOG_WALL must be a positive finite number, got 'nan'"),
+        ("REPRO_WATCHDOG_WALL", "inf",
+         "REPRO_WATCHDOG_WALL must be a positive finite number, got 'inf'"),
+        ("REPRO_WATCHDOG_WALL", "0",
+         "REPRO_WATCHDOG_WALL must be a positive finite number, got '0'"),
+    ])
+    def test_bad_watchdog_env_exits_2(self, capsys, monkeypatch, name, value, message):
+        monkeypatch.setenv(name, value)
+        assert main(["serve", "--requests", "8"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("edit, message", [
         (None, "no valid journal header"),
         (lambda config: config.update(tp=0), "tp must be >= 1, got 0"),

@@ -1,4 +1,4 @@
-"""The vectorized core looks a decode stepper up once per batch size.
+"""The engine core looks a decode stepper up once per batch size.
 
 ``LlmServingEngine`` keeps a per-run table of compiled steppers keyed
 by runner count, dropped whenever the model's fabric fault state
@@ -14,17 +14,12 @@ import collections
 
 import pytest
 
-from repro.comm import FabricHealth
-from repro.faults.chaos import build_degraded_collectives
-from repro.hw.backend import GAUDI2, get_backend
-from repro.models.llama import (
-    LLAMA_3_1_8B,
-    DecodeAttention,
-    LlamaCostModel,
-    default_decode_attention,
-)
+from repro.api import RunContext
+from repro.models.llama import LLAMA_3_1_8B, DecodeAttention, LlamaCostModel
+from repro.models.tensor_parallel import TensorParallelConfig
 from repro.serving import LlmServingEngine, dynamic_sonnet_requests
 from repro.serving.loadgen import poisson_arrivals
+from tests import engine_goldens
 
 
 @pytest.fixture
@@ -52,7 +47,7 @@ def _requests():
 def test_one_lookup_per_batch_size(gaudi, stepper_calls):
     engine = LlmServingEngine(
         LlamaCostModel(LLAMA_3_1_8B, gaudi), DecodeAttention.PAGED_OPT,
-        max_decode_batch=32, engine_mode="vectorized",
+        max_decode_batch=32,
     )
     report = engine.run(_requests())
     assert report.finished_requests == 64
@@ -61,34 +56,11 @@ def test_one_lookup_per_batch_size(gaudi, stepper_calls):
     assert engine._core.vectorized_steps > 2 * len(stepper_calls)
 
 
-def _tp_run(mode, mutate, horizon):
-    """A TP-8 run on a degraded-capable fabric, faulted by ``mutate``
-    between two ``advance()`` calls; returns the engine, its model's
-    fabric keys before and after, and the report."""
-    health = FabricHealth()
-    device = get_backend(GAUDI2)
-    model = LlamaCostModel(
-        LLAMA_3_1_8B, device, tp=build_degraded_collectives(GAUDI2, 8, health)[0]
+@pytest.mark.parametrize("fault", sorted(engine_goldens.FABRIC_FAULTS))
+def test_fabric_fault_refreshes_the_table(stepper_calls, fault):
+    engine, (before, after), report = engine_goldens.tp8_fabric_fault_run(
+        engine_goldens.FABRIC_FAULTS[fault]
     )
-    engine = LlmServingEngine(
-        model, default_decode_attention(device), max_decode_batch=32,
-        engine_mode=mode,
-    )
-    engine.begin(_requests())
-    engine.advance(horizon)
-    before = model._fabric_key()
-    mutate(health)
-    engine.advance()
-    return engine, (before, model._fabric_key()), engine.finish()
-
-
-@pytest.mark.parametrize("mutate", [
-    lambda health: health.set_link_factor(0, 1, 0.25),
-    lambda health: health.fail_device(3),
-], ids=["link-factor", "fail-device"])
-def test_fabric_fault_refreshes_the_table(stepper_calls, mutate):
-    horizon = 1.0
-    engine, (before, after), fast = _tp_run("vectorized", mutate, horizon)
     assert before != after
     assert engine._stepper_fabric is after
     fabrics = {fabric for _, fabric in stepper_calls}
@@ -104,5 +76,30 @@ def test_fabric_fault_refreshes_the_table(stepper_calls, mutate):
         (n, before) in stepper_calls and (n, after) in stepper_calls
         for n, _ in stepper_calls
     )
-    _, _, scalar = _tp_run("scalar", mutate, horizon)
-    assert fast.to_json() == scalar.to_json()
+    assert engine_goldens.digest(report.to_json()) == (
+        engine_goldens.load_goldens()[f"tp8_{fault}"]
+    )
+
+
+def test_observed_tp_prices_steps_from_scratch(gaudi, stepper_calls):
+    """An observed TP config fires per-call collective metrics, so its
+    table holds ``decode_step_stats`` pricers, never compiled steppers,
+    and the report is the unobserved one's."""
+
+    def run(ctx):
+        model = LlamaCostModel(
+            LLAMA_3_1_8B, gaudi, tp=TensorParallelConfig.for_device(gaudi, 2)
+        )
+        engine = LlmServingEngine(
+            model, DecodeAttention.PAGED_OPT, max_decode_batch=32, ctx=ctx
+        )
+        return engine, engine.run(_requests()).to_json()
+
+    ctx = RunContext.create()
+    observed, traced = run(ctx)
+    assert not stepper_calls
+    assert observed._steppers
+    assert ctx.metrics.counter("engine.steps").value == observed._steps
+    _, plain = run(None)
+    assert stepper_calls
+    assert traced == plain

@@ -57,7 +57,7 @@ class TestPoolPressure:
         report = engine.run(requests)
         assert report.preemptions > 0
         assert all(r.done for r in requests)
-        assert engine.block_manager.stats().allocated_blocks == 0
+        assert engine.allocated_kv_blocks == 0
 
     def test_block_manager_rejects_negative_pool(self):
         with pytest.raises(ValueError):

@@ -33,7 +33,7 @@ from repro.serving import (
 )
 from repro.serving.loadgen import sweep_seeds
 from repro.serving.request import Request
-from repro.serving.scheduler import ContinuousBatchingScheduler, _insort_by_arrival
+from repro.serving.engine_core import EngineCore
 
 
 def _fresh_devices():
@@ -485,62 +485,55 @@ class TestObservabilityAllocationGuard:
 
 
 class TestSortedWaitingQueue:
-    def _scheduler(self, num_blocks=64):
-        from repro.serving.kv_cache import BlockManager
+    """The engine core's wait queue stays ``(tier, arrival)``-sorted."""
 
-        return ContinuousBatchingScheduler(
-            BlockManager(num_blocks=num_blocks, block_size=128), max_decode_batch=4
-        )
+    def _queued(self, core):
+        return [core.objs[slot].request_id for slot in core.waiting_slots()]
 
     def test_submit_keeps_arrival_order(self):
-        scheduler = self._scheduler()
+        core = EngineCore(num_blocks=64, block_size=128)
         arrivals = [5.0, 1.0, 3.0, 1.0, 4.0]
-        requests = [
-            Request(request_id=i, input_tokens=10, output_tokens=5, arrival_time=t)
-            for i, t in enumerate(arrivals)
-        ]
-        for request in requests:
-            scheduler.submit(request)
-        assert [r.arrival_time for r in scheduler.waiting] == sorted(arrivals)
+        for i, t in enumerate(arrivals):
+            core.acquire(
+                Request(request_id=i, input_tokens=10, output_tokens=5, arrival_time=t)
+            )
+        assert [core.arrival[slot] for slot in core.waiting_slots()] == sorted(arrivals)
         # Equal arrivals stay in submission order (stable FIFO).
-        ones = [r.request_id for r in scheduler.waiting if r.arrival_time == 1.0]
-        assert ones == [1, 3]
+        assert self._queued(core) == [1, 3, 2, 4, 0]
 
     def test_insort_left_vs_right(self):
-        queue = []
-        a = Request(request_id=0, input_tokens=1, output_tokens=1, arrival_time=1.0)
-        b = Request(request_id=1, input_tokens=1, output_tokens=1, arrival_time=1.0)
-        c = Request(request_id=2, input_tokens=1, output_tokens=1, arrival_time=1.0)
-        _insort_by_arrival(queue, a)
-        _insort_by_arrival(queue, b)          # right: after equal arrivals
-        _insort_by_arrival(queue, c, left=True)  # left: before equal arrivals
-        assert [r.request_id for r in queue] == [2, 0, 1]
+        core = EngineCore(num_blocks=64, block_size=128)
+        a, b, c = (
+            Request(request_id=i, input_tokens=1, output_tokens=1, arrival_time=1.0)
+            for i in range(3)
+        )
+        core.acquire(a)
+        core.acquire(b)  # right: after equal arrivals
+        slot = core.acquire(c)
+        core.wait_q.remove(slot)
+        core.insort_waiting(slot, left=True)  # left: before equal arrivals
+        assert self._queued(core) == [2, 0, 1]
 
-    def test_requeue_moves_to_new_arrival_slot(self):
-        scheduler = self._scheduler()
-        early = Request(request_id=0, input_tokens=10, output_tokens=5, arrival_time=0.0)
-        late = Request(request_id=1, input_tokens=10, output_tokens=5, arrival_time=9.0)
-        scheduler.submit(early)
-        scheduler.submit(late)
-        scheduler.requeue(early, at=5.0)
-        assert [r.request_id for r in scheduler.waiting] == [0, 1]
-        assert early.arrival_time == 5.0
-        scheduler.requeue(early, at=20.0)
-        assert [r.request_id for r in scheduler.waiting] == [1, 0]
+    def test_requeue_moves_to_new_arrival_slot(self, gaudi):
+        """A TTFT-deadline retry re-arrives after its backoff, behind a
+        request that arrived in between."""
+        from repro.serving import ResiliencePolicy
+        from repro.serving.request import RetryPolicy
 
-    def test_mutation_count_tracks_running_changes(self):
-        scheduler = self._scheduler()
-        requests = fixed_length_requests(2, 100, 10)
-        for request in requests:
-            scheduler.submit(request)
-        v0 = scheduler.mutation_count
-        scheduler.step(0.0)  # admits both
-        assert scheduler.mutation_count > v0
-        v1 = scheduler.mutation_count
-        scheduler.step(0.1)  # nothing admitted or retired
-        assert scheduler.mutation_count == v1
-        scheduler.preempt(scheduler.running[-1])
-        assert scheduler.mutation_count > v1
+        engine = LlmServingEngine(
+            LlamaCostModel(LLAMA_3_1_8B, gaudi), DecodeAttention.PAGED_OPT,
+            max_decode_batch=1,
+            policy=ResiliencePolicy(
+                deadline=0.05, retry=RetryPolicy(max_retries=1, backoff_base=1.0)
+            ),
+        )
+        busy = Request(request_id=0, input_tokens=10, output_tokens=400)
+        early = Request(request_id=1, input_tokens=10, output_tokens=5, arrival_time=0.0)
+        late = Request(request_id=2, input_tokens=10, output_tokens=5, arrival_time=0.5)
+        engine.begin([busy, early, late])
+        engine.advance(0.1)
+        assert early.retries == 1 and early.arrival_time > late.arrival_time
+        assert self._queued(engine._core) == [2, 1]
 
 
 class TestSweepSeeds:

@@ -1,13 +1,14 @@
-"""Requests, datasets, block tables, and the scheduler."""
+"""Requests, datasets, block tables, and continuous-batching admission."""
 
 import numpy as np
 import pytest
 
+from repro.hw.backend import get_backend
+from repro.models.llama import LLAMA_3_1_8B, DecodeAttention, LlamaCostModel
+from repro.serving import LlmServingEngine
 from repro.serving.block_table import build_block_list, build_block_table
 from repro.serving.dataset import dynamic_sonnet_requests, fixed_length_requests
-from repro.serving.kv_cache import BlockManager
 from repro.serving.request import Request, RequestState
-from repro.serving.scheduler import ContinuousBatchingScheduler
 
 
 class TestRequest:
@@ -91,49 +92,59 @@ class TestBlockTables:
 
 
 class TestScheduler:
-    def _scheduler(self, max_batch=4, blocks=64):
-        return ContinuousBatchingScheduler(
-            BlockManager(num_blocks=blocks, block_size=128), max_decode_batch=max_batch
+    """Admission at the engine's virtual scheduler step; ``advance(t)``
+    runs the iterations that start by ``t``."""
+
+    def _engine(self, max_batch=4, blocks=64):
+        return LlmServingEngine(
+            LlamaCostModel(LLAMA_3_1_8B, get_backend("gaudi2")),
+            DecodeAttention.PAGED_OPT,
+            max_decode_batch=max_batch,
+            num_kv_blocks=blocks,
         )
 
     def test_admits_up_to_max_batch(self):
-        scheduler = self._scheduler(max_batch=2)
-        for i in range(4):
-            scheduler.submit(Request(i, 128, 8))
-        step = scheduler.step(0.0)
-        assert len(step.new_requests) == 2
-        assert len(scheduler.waiting) == 2
+        engine = self._engine(max_batch=2)
+        requests = [Request(i, 128, 8) for i in range(4)]
+        engine.begin(requests)
+        engine.advance(0.0)
+        assert [r.state for r in requests] == [RequestState.RUNNING] * 2 + [
+            RequestState.WAITING
+        ] * 2
 
     def test_admission_blocked_by_kv_capacity(self):
-        scheduler = self._scheduler(max_batch=8, blocks=2)
-        scheduler.submit(Request(0, 256, 8))   # takes both blocks
-        scheduler.submit(Request(1, 128, 8))
-        step = scheduler.step(0.0)
-        assert [r.request_id for r in step.new_requests] == [0]
+        engine = self._engine(max_batch=8, blocks=2)
+        requests = [Request(0, 256, 1), Request(1, 128, 1)]  # 0 takes both blocks
+        engine.begin(requests)
+        engine.advance(0.0)
+        assert [r.state for r in requests] == [
+            RequestState.FINISHED, RequestState.WAITING
+        ]
 
     def test_finished_requests_release_blocks(self):
-        scheduler = self._scheduler(max_batch=1, blocks=1)
-        first = Request(0, 128, 1)
-        scheduler.submit(first)
-        scheduler.submit(Request(1, 128, 1))
-        scheduler.step(0.0)
-        first.record_token(1.0)  # finishes
-        step = scheduler.step(1.0)
-        assert [r.request_id for r in step.new_requests] == [1]
+        engine = self._engine(max_batch=1, blocks=1)
+        first, second = Request(0, 128, 1), Request(1, 128, 1)
+        report = engine.run([first, second])
+        assert report.finished_requests == 2 and report.engine_steps == 2
+        assert second.first_token_time > first.finish_time
 
     def test_respects_arrival_times(self):
-        scheduler = self._scheduler()
-        scheduler.submit(Request(0, 128, 4, arrival_time=5.0))
-        assert not scheduler.step(0.0).has_work
-        assert scheduler.step(5.0).new_requests
+        engine = self._engine()
+        request = Request(0, 128, 4, arrival_time=5.0)
+        engine.begin([request])
+        engine.advance(4.9)
+        assert request.state is RequestState.WAITING and engine.now == 0.0
+        engine.advance(5.0)
+        assert request.state is RequestState.RUNNING
 
     def test_submit_running_request_rejected(self):
-        scheduler = self._scheduler()
+        engine = self._engine()
+        engine.begin(())
         request = Request(0, 128, 4)
         request.state = RequestState.RUNNING
         with pytest.raises(ValueError):
-            scheduler.submit(request)
+            engine.feed(request)
 
     def test_invalid_max_batch(self):
         with pytest.raises(ValueError):
-            ContinuousBatchingScheduler(BlockManager(4, 128), 0)
+            self._engine(max_batch=0)

@@ -129,28 +129,6 @@ class TestPreemption:
         # the victim's first token only lands after its last re-prefill
         assert victim.ttft > survivor.ttft
 
-    def test_preemption_via_scheduler_api(self, gaudi):
-        """ContinuousBatchingScheduler.preempt owns the whole victim
-        hand-back: engine internals never touch waiting/running lists."""
-        from repro.serving import BlockManager, ContinuousBatchingScheduler
-
-        scheduler = ContinuousBatchingScheduler(
-            BlockManager(num_blocks=16, block_size=128), max_decode_batch=4
-        )
-        requests = fixed_length_requests(2, 100, 10)
-        for request in requests:
-            scheduler.submit(request)
-        scheduler.step(0.0)
-        assert scheduler.running == requests
-        victim = requests[-1]
-        scheduler.preempt(victim)
-        assert victim not in scheduler.running
-        assert scheduler.waiting[0] is victim
-        assert victim.restarts == 1
-        assert victim.generated == 0
-        with pytest.raises(ValueError):
-            scheduler.preempt(victim)  # not running any more
-
 
 class TestKvPoolSizing:
     def test_weights_over_device_memory_is_a_config_error(self, gaudi):
@@ -165,7 +143,7 @@ class TestKvPoolSizing:
             LlmServingEngine(model, DecodeAttention.PAGED_OPT)
         # An explicit pool size is the caller's choice and stays honoured.
         engine = LlmServingEngine(model, DecodeAttention.PAGED_OPT, num_kv_blocks=64)
-        assert engine.block_manager.num_blocks == 64
+        assert engine.num_kv_blocks == 64
 
 
 class TestRecSysServer:

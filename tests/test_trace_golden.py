@@ -3,7 +3,8 @@
 Two serving runs with the same seed and the same ``RunContext``
 configuration must produce *byte-identical* chrome://tracing exports —
 the tracer runs on the engine's virtual clock, so there is no wall-time
-jitter to forgive.
+jitter to forgive — and the export and metrics snapshot must equal the
+digest the scalar stepper recorded (``tests/engine_digests.json``).
 """
 
 import importlib.util
@@ -11,10 +12,7 @@ import json
 import pathlib
 
 from repro.api import RunContext
-from repro.hw.device import Gaudi2Device
-from repro.models.llama import LLAMA_3_1_8B, LlamaCostModel
-from repro.models.tensor_parallel import TensorParallelConfig
-from repro.serving import LlmServingEngine, Request
+from tests import engine_goldens
 
 _CHECKER_PATH = pathlib.Path(__file__).parent.parent / "scripts" / "check_trace_schema.py"
 
@@ -28,20 +26,16 @@ def _load_checker():
 
 def _traced_run(seed: int = 0) -> RunContext:
     ctx = RunContext.create(seed=seed, device="gaudi2")
-    device = Gaudi2Device()
-    model = LlamaCostModel(
-        LLAMA_3_1_8B, device, tp=TensorParallelConfig.for_device(device, 4)
-    )
-    engine = LlmServingEngine(model, max_decode_batch=8, ctx=ctx)
-    requests = [
-        Request(request_id=i, input_tokens=128, output_tokens=32, arrival_time=0.01 * i)
-        for i in range(4)
-    ]
-    engine.run(requests)
+    engine_goldens.traced_run(ctx)
     return ctx
 
 
 class TestGoldenTrace:
+    def test_trace_and_metrics_match_scalar(self):
+        assert engine_goldens.digest(engine_goldens.case_golden_trace()) == (
+            engine_goldens.load_goldens()["golden_trace"]
+        )
+
     def test_same_seed_runs_are_byte_identical(self):
         first = _traced_run(seed=0).chrome_trace()
         second = _traced_run(seed=0).chrome_trace()
