@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from repro.hw.device import Device, MatmulResult
 from repro.hw.spec import (
@@ -43,7 +43,7 @@ from repro.hw.spec import (
     VectorEngineSpec,
     register_spec,
 )
-from repro.hw.systolic import blocked_gemm_traffic
+from repro.hw.systolic import blocked_gemm_traffic, blocked_gemm_traffic_row
 
 #: Warpgroup-MMA tile shapes the tile compiler chooses from,
 #: ``(tile_m, tile_n)`` -- the Hopper CUTLASS/CUDA-Tile kernel set.
@@ -273,6 +273,48 @@ class TileGemmModel:
     def gemm_time(self, m: int, k: int, n: int, dtype: DType = DType.BF16) -> float:
         return self.gemm(m, k, n, dtype).time
 
+    def row(
+        self, k: int, n: int, dtype: DType = DType.BF16
+    ) -> Callable[[int], Tuple[float, float]]:
+        """:meth:`gemm` with ``m`` left free, as ``price(m) -> (time,
+        1.0)`` without building result objects.
+
+        Every tile height is a multiple of their gcd ``g``, so the tile
+        search and the stream-K grid depend on ``m`` only through
+        ``ceil(m / g)`` (as in ``TensorCoreModel.row``): the row
+        tabulates the compute time per class and evaluates the memory
+        term per ``m`` -- cluster reuse, the TMA box floor and the
+        skinny-shape derate.  Bit-identical to :meth:`gemm`.
+        """
+        if min(k, n) <= 0:
+            raise ValueError(f"GEMM dims must be positive, got {(k, n)}")
+        grain = math.gcd(*(tm for tm, _ in self.tile_shapes))
+        dtype_scale = self.spec.matrix.peak(dtype) / self.spec.matrix.peak(DType.BF16)
+        traffic = blocked_gemm_traffic_row(
+            k, n, dtype.itemsize, self.spec.memory.sram_bytes
+        )
+        memory = self.spec.memory
+        reuse = 1.0 - _CLUSTER_REUSE
+        wide_bw = memory.bandwidth * memory.stream_efficiency
+        skinny_bw = memory.bandwidth * (memory.stream_efficiency * _SKINNY_EFFICIENCY)
+        narrow_n = n < 128
+        table: Dict[int, float] = {}
+
+        def price(m: int) -> Tuple[float, float]:
+            compute_time = table.get(-(-m // grain))
+            if compute_time is None:
+                if m <= 0:
+                    raise ValueError(f"GEMM dims must be positive, got {(m, k, n)}")
+                tile = self.select_tile(m, k, n)
+                compute_time = table[-(-m // grain)] = (
+                    self._compute_time(tile, m, k, n) / dtype_scale
+                )
+            moved = max(traffic(m) * reuse, TMA_BOX_BYTES)
+            bw = skinny_bw if narrow_n or m < 128 else wide_bw
+            return max(compute_time, moved / bw), 1.0
+
+        return price
+
     def batched_gemm(
         self, batch: int, m: int, k: int, n: int, dtype: DType = DType.BF16
     ) -> TileEstimate:
@@ -320,3 +362,9 @@ class H100Device(Device):
             active_mac_fraction=1.0,
             config_label=f"Tile {tm}x{tn}+TMA, {estimate.waves:.2f} waves",
         )
+
+    def _gemm_row_uncached(self, k, n, dtype):
+        # A subclass that re-prices GEMMs keeps the generic row.
+        if type(self)._gemm_uncached is not H100Device._gemm_uncached:
+            return super()._gemm_row_uncached(k, n, dtype)
+        return self.tile_gemm.row(k, n, dtype)

@@ -29,6 +29,7 @@ Three implementations of the decode-stage paged attention operator:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,6 +60,10 @@ _OPT_SLICES = 8
 
 #: Per-slice scheduling/staging overhead of a pipelined pair, seconds.
 SLICE_OVERHEAD = 0.5e-6
+
+#: Upper bound of an aggregate a priced piece does not depend on (see
+#: :func:`build_paged_time_fn`).
+UNBOUNDED = sys.maxsize
 
 
 def pipelined_duration(
@@ -358,24 +363,49 @@ def build_paged_time_fn(
     from the decode batch's aggregates.
 
     Returns ``fn(total_context, total_blocks, max_context) -> (time,
-    vector_s, memory_s)``: the call's time, its vector-engine seconds
-    (``min(gather_time, time)``) and its memory seconds (``kv_bytes /
-    peak_bandwidth``), with every shape- and spec-derived constant
-    folded at build time.  The vectorized serving engine prices
-    millions of decode steps through these closures, so they must stay
-    bit-identical to the corresponding ``*_paged_attention`` call on a
-    :class:`PagedAttentionStats`: each arithmetic expression below
-    keeps the operand association of its twin, and folded constants are
-    only subexpressions the twin also evaluates as a unit (``bw *
-    efficiency``, ``peak * 0.48``, ...) or exact integers (block bytes,
-    the ``4 q d`` flops prefix, the padded byte count).  ``max(a, b)``
-    is spelled ``a if a >= b else b``, which picks the same value.  All
-    three have ``time >= gather_time`` (the other terms are
-    non-negative and rounded addition is monotone), so the vector term
-    is ``gather_time`` itself.
+    vector_s, memory_s, context_hi, max_hi)``: the call's time, its
+    vector-engine seconds (``min(gather_time, time)``) and its memory
+    seconds (``kv_bytes / peak_bandwidth``), with every shape- and
+    spec-derived constant folded at build time.  The vectorized serving
+    engine prices millions of decode steps through these closures, so
+    they must stay bit-identical to the corresponding
+    ``*_paged_attention`` call on a :class:`PagedAttentionStats`: each
+    arithmetic expression below keeps the operand association of its
+    twin, and folded constants are only subexpressions the twin also
+    evaluates as a unit (``bw * efficiency``, ``peak * 0.48``, ...) or
+    exact integers (block bytes, the ``4 q d`` flops prefix, the padded
+    byte count).  ``max(a, b)`` is spelled ``a if a >= b else b``, which
+    picks the same value.  All three have ``time >= gather_time`` (the
+    other terms are non-negative and rounded addition is monotone), so
+    the vector term is ``gather_time`` itself.
+
+    ``context_hi`` and ``max_hi`` bound the box of aggregates the
+    three values hold over: at the same ``total_blocks``, every
+    ``total_context`` from the priced one up to ``context_hi`` and every
+    ``max_context`` from the priced one up to ``max_hi`` give the same
+    bits.  The compute term ``4 q d * total_context / peak`` enters only
+    through ``max(read, compute)``, and rounded multiplication and
+    division are monotone, so while the read term wins the context sum
+    does not matter: ``context_hi`` is the largest sum whose compute
+    term, evaluated with the same expression, still does not exceed the
+    read term (the priced sum itself once compute wins).  Only
+    vllm-base reads ``max_context``, through its padded block count.
     """
     block_bytes = 2 * kv_heads * head_dim * block_size * dtype.itemsize
     flops_coeff = 4.0 * q_heads * head_dim  # exact prefix of gemm_flops
+
+    def read_bound_limit(total_context: int, read: float, matrix_peak: float) -> int:
+        """The largest context sum whose compute term stays <= ``read``,
+        given that ``total_context``'s does."""
+        limit = int(read * matrix_peak / flops_coeff)
+        if limit < total_context:
+            limit = total_context
+        while flops_coeff * (limit + 1) / matrix_peak <= read:
+            limit += 1
+        while flops_coeff * limit / matrix_peak > read:
+            limit -= 1
+        return limit
+
     if implementation == "vllm-base":
         stream_bw = spec.memory.bandwidth * spec.memory.stream_efficiency
         launch = spec.kernel_launch_overhead
@@ -385,16 +415,24 @@ def build_paged_time_fn(
         padded_row_bytes = batch * block_bytes  # an exact integer
 
         def base_fn(total_context: int, total_blocks: int, max_context: int):
-            padded = float(padded_row_bytes * math.ceil(max_context / block_size))
+            max_blocks = math.ceil(max_context / block_size)
+            padded = float(padded_row_bytes * max_blocks)
             per_request_bytes = padded / batch
             gather_time = batch * (launch + per_request_bytes / per_core_bw)
             sdpa_read = padded / stream_bw
             compute = flops_coeff * total_context / matrix_peak
-            gemm_time = sdpa_read if sdpa_read >= compute else compute
+            if sdpa_read >= compute:
+                gemm_time = sdpa_read
+                context_hi = read_bound_limit(total_context, sdpa_read, matrix_peak)
+            else:
+                gemm_time = compute
+                context_hi = total_context
             return (
                 gather_time + gemm_time + dispatch,
                 gather_time,
                 float(total_blocks) * block_bytes / peak_bandwidth,
+                context_hi,
+                max_blocks * block_size,
             )
 
         return base_fn
@@ -411,13 +449,21 @@ def build_paged_time_fn(
             gemm_read = kv_bytes / stream_bw
             gather_time = kv_bytes / gather_bw + gemm_read
             compute = flops_coeff * total_context / matrix_peak
-            gemm_time = gemm_read if gemm_read >= compute else compute
+            if gemm_read >= compute:
+                gemm_time = gemm_read
+                context_hi = read_bound_limit(total_context, gemm_read, matrix_peak)
+            else:
+                gemm_time = compute
+                context_hi = total_context
             # pipelined_duration(gather_time, gemm_time, _OPT_SLICES)
             if gather_time >= gemm_time:
                 busy = gather_time + gemm_time / _OPT_SLICES + slice_cost
             else:
                 busy = gemm_time + gather_time / _OPT_SLICES + slice_cost
-            return busy + overhead, gather_time, kv_bytes / peak_bandwidth
+            return (
+                busy + overhead, gather_time, kv_bytes / peak_bandwidth,
+                context_hi, UNBOUNDED,
+            )
 
         return opt_fn
     if implementation == "cuda-paged-attention":
@@ -429,8 +475,16 @@ def build_paged_time_fn(
             kv_bytes = float(total_blocks) * block_bytes
             read = kv_bytes / read_bw
             compute = flops_coeff * total_context / matrix_peak
-            busy = read if read >= compute else compute
-            return busy + launch, read, kv_bytes / peak_bandwidth
+            if read >= compute:
+                busy = read
+                context_hi = read_bound_limit(total_context, read, matrix_peak)
+            else:
+                busy = compute
+                context_hi = total_context
+            return (
+                busy + launch, read, kv_bytes / peak_bandwidth,
+                context_hi, UNBOUNDED,
+            )
 
         return a100_fn
     raise ValueError(f"unknown paged-attention implementation {implementation!r}")

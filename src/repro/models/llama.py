@@ -30,6 +30,7 @@ from repro.kernels.elementwise import (
 )
 from repro.kernels.paged_attention import (
     DEFAULT_BLOCK_SIZE,
+    UNBOUNDED,
     PagedAttentionStats,
     a100_paged_attention,
     build_paged_time_fn,
@@ -50,6 +51,11 @@ _LAYER_DISPATCH_EAGER = 45e-6
 #: and a drained batch walks every batch size down to 1 -- sharing the
 #: compiled closures turns those rebuilds into dictionary hits.
 _SHARED_STEPPERS = ClosureCache("llama.decode_stepper", maxsize=4096)
+
+#: Read-bound decode pieces one compiled pricer keeps (see
+#: ``LlamaCostModel._build_stepper``): a serve run visits a few hundred
+#: block sums per batch size.
+_PIECE_MEMO_SIZE = 1024
 
 #: Cross-instance end-to-end generation estimates, keyed on the pricing
 #: identity, the fabric fault state and the call shape: figure sweeps
@@ -193,12 +199,7 @@ class DecodeBatchStats:
     Decode-step cost depends on the per-request context lengths only
     through four integer aggregates (sum, KV-block sum, max, batch), so
     the serving engine can maintain these incrementally instead of
-    rebuilding a length list every step.  ``residues`` is a histogram
-    of ``context_len % block_size`` supporting O(block_size)
-    :meth:`advanced` updates: when every request grows one token, only
-    the ``residue == 0`` requests (exactly at a block boundary) start a
-    new KV block.  All fields are integers, so the incremental path is
-    bit-identical to a from-scratch rebuild.
+    rebuilding a length list every step.
     """
 
     batch: int
@@ -206,7 +207,6 @@ class DecodeBatchStats:
     total_blocks: int
     max_context: int
     block_size: int = DEFAULT_BLOCK_SIZE
-    residues: Tuple[int, ...] = ()
 
     @classmethod
     def from_context_lens(
@@ -217,59 +217,63 @@ class DecodeBatchStats:
             raise ValueError("need at least one context length")
         if any(c <= 0 for c in lens):
             raise ValueError("context lengths must be positive")
-        residues = [0] * block_size
-        total = 0
-        blocks = 0
-        longest = 0
-        for c in lens:
-            total += c
-            blocks += (c + block_size - 1) // block_size
-            if c > longest:
-                longest = c
-            residues[c % block_size] += 1
         return cls(
             batch=len(lens),
-            total_context=total,
-            total_blocks=blocks,
-            max_context=longest,
+            total_context=sum(lens),
+            total_blocks=sum((c + block_size - 1) // block_size for c in lens),
+            max_context=max(lens),
             block_size=block_size,
-            residues=tuple(residues),
         )
 
     @classmethod
     def uniform(
         cls, batch: int, context_len: int, block_size: int = DEFAULT_BLOCK_SIZE
     ) -> "DecodeBatchStats":
-        """:meth:`from_context_lens` of ``[context_len] * batch`` in
-        O(block_size): every request sits in one residue bucket."""
+        """:meth:`from_context_lens` of ``[context_len] * batch`` in O(1)."""
         if batch <= 0:
             raise ValueError("need at least one context length")
         if context_len <= 0:
             raise ValueError("context lengths must be positive")
-        residues = [0] * block_size
-        residues[context_len % block_size] = batch
         return cls(
             batch=batch,
             total_context=batch * context_len,
             total_blocks=batch * ((context_len + block_size - 1) // block_size),
             max_context=context_len,
             block_size=block_size,
-            residues=tuple(residues),
         )
 
-    def advanced(self) -> "DecodeBatchStats":
-        """The aggregates after every request grows by one token."""
-        if not self.residues:
-            raise ValueError("advanced() requires the residue histogram")
-        residues = self.residues
-        return DecodeBatchStats(
-            batch=self.batch,
-            total_context=self.total_context + self.batch,
-            total_blocks=self.total_blocks + residues[0],
-            max_context=self.max_context + 1,
-            block_size=self.block_size,
-            residues=(residues[-1],) + residues[:-1],
+
+#: One priced decode piece: ``(time, matrix_s, weighted_matrix_s,
+#: vector_s, memory_s, comm_s, context_hi, blocks_hi, max_hi)``.  The
+#: first six are one step's time and activity increments; they hold for
+#: every step whose aggregates grew from the priced ``(total_context,
+#: total_blocks, max_context)`` without passing the box's upper corner
+#: ``(context_hi, blocks_hi, max_hi)`` (see LlamaCostModel.decode_stepper).
+DecodePiece = Tuple[float, float, float, float, float, float, int, int, int]
+
+
+def one_step_pricer(
+    price_step: Callable[[DecodeBatchStats, DecodeAttention], PhaseEstimate],
+    batch: int,
+    attention: DecodeAttention,
+) -> Callable[[int, int, int], DecodePiece]:
+    """A piece pricer over ``price_step(stats, attention)`` whose box is
+    the priced aggregates alone, so its caller prices every step
+    through ``price_step`` (an observed config's per-call collective
+    metrics and events fire once per step)."""
+
+    def price(total_context: int, total_blocks: int, max_context: int) -> DecodePiece:
+        phase = price_step(
+            DecodeBatchStats(batch, total_context, total_blocks, max_context), attention
         )
+        acc = phase.activity
+        return (
+            phase.time, acc.matrix_seconds, acc.matrix_active_weighted,
+            acc.vector_seconds, acc.memory_seconds, acc.comm_seconds,
+            total_context, total_blocks, max_context,
+        )
+
+    return price
 
 
 @dataclass(frozen=True)
@@ -636,19 +640,30 @@ class LlamaCostModel:
 
         The serving engine keeps the batch aggregates as running state;
         this entry point skips the per-request length walk entirely.
-        With the memo available it prices through the same compiled
-        :meth:`decode_stepper` closure the engine uses (bit-identical by
-        construction).
+        With the memo available it takes the step's price from the same
+        compiled :meth:`decode_stepper` piece pricer the engine uses
+        (bit-identical by construction).
         Observed configs, and runs with memoization off, assemble the
         step from scratch instead -- so ``REPRO_NO_MEMO=1`` compares two
         independent paths.
         """
         if self.memo_ok and memo.memoization_enabled():
-            acc = ActivityAccumulator()
-            time = self.decode_stepper(stats.batch, attention, stats.block_size)(
-                stats.total_context, stats.total_blocks, stats.max_context, acc
+            piece = self.decode_stepper(stats.batch, attention, stats.block_size)(
+                stats.total_context, stats.total_blocks, stats.max_context
             )
+            acc = ActivityAccumulator()
+            (
+                time, acc.matrix_seconds, acc.matrix_active_weighted,
+                acc.vector_seconds, acc.memory_seconds, acc.comm_seconds,
+            ) = piece[:6]
             return PhaseEstimate(time=time, activity=acc)
+        return self._decode_step_uncached(stats, attention)
+
+    def _decode_step_uncached(
+        self, stats: DecodeBatchStats, attention: DecodeAttention
+    ) -> PhaseEstimate:
+        """One decode step assembled from scratch: the reference the
+        compiled :meth:`decode_stepper` is pinned to."""
         terms = self._decode_terms_uncached(stats.batch)
         ln1, qkv, oproj, ar1, ln2, up, act, down, ar2, lm_head = terms
         cfg = self.config
@@ -774,17 +789,18 @@ class LlamaCostModel:
         batch: int,
         attention: DecodeAttention,
         block_size: int = DEFAULT_BLOCK_SIZE,
-    ) -> Callable[[int, int, int, ActivityAccumulator], float]:
-        """Compile a one-decode-step pricing closure for a fixed batch
-        (at the fabric's current fault state).
+    ) -> Callable[[int, int, int], DecodePiece]:
+        """Compile a decode-piece pricer for a fixed batch (at the
+        fabric's current fault state).
 
-        The returned ``stepper(total_context, total_blocks, max_context,
-        acc)`` adds one step's activity directly into ``acc`` and
-        returns the step time, bit-identical to the from-scratch
-        assembly in :meth:`decode_step_stats` followed by an
-        ``ActivityAccumulator.merge`` -- the serving engine calls it
-        once per virtual step, so everything that does not depend on
-        the context aggregates is folded at build time.
+        The returned ``price(total_context, total_blocks, max_context)``
+        gives a :data:`DecodePiece`: one step's time and its five
+        activity increments, bit-identical to the from-scratch assembly
+        in :meth:`decode_step_stats`, plus the box of aggregates over
+        which all six hold (DESIGN.md §10).  Everything that does not
+        depend on the context aggregates is folded at build time, and
+        the serving engine calls the pricer once per piece, not once
+        per step.
         """
         if batch <= 0:
             raise ValueError("batch must be positive")
@@ -809,7 +825,7 @@ class LlamaCostModel:
 
     def _build_stepper(
         self, batch: int, attention: DecodeAttention, block_size: int
-    ) -> Callable[[int, int, int, ActivityAccumulator], float]:
+    ) -> Callable[[int, int, int], DecodePiece]:
         """One step's pricing as one fixed-arity expression per field.
 
         Each field replays the from-scratch assembly's left-to-right
@@ -871,32 +887,28 @@ class LlamaCostModel:
             lm_w = lm.matrix_active_weighted
             v_step = folded("vector_seconds", layers)
 
-            def static_stepper(
-                total_context: int, total_blocks: int, max_context: int,
-                acc: ActivityAccumulator,
-            ) -> float:
+            def static_piece(
+                total_context: int, total_blocks: int, max_context: int
+            ) -> DecodePiece:
+                # The piece is one padded length: every max_context up
+                # to the bucket edge.
                 padded_len = ((max_context + bucket - 1) // bucket) * bucket
                 kv_bytes = kv_coeff * padded_len * itemsize
                 a_m = flops_coeff * padded_len * hd / dtype_peak
-                acc.matrix_seconds += (
-                    (pre_m + a_m + m1 + m2 + m3 + m4 + m5 + m6 + m7) * layers + lm_m
-                )
-                acc.matrix_active_weighted += (
-                    (pre_w + a_m * 0.5 + w1 + w2 + w3 + w4 + w5 + w6 + w7) * layers
-                    + lm_w
-                )
-                acc.vector_seconds += v_step
-                acc.memory_seconds += (
-                    (pre_mem + kv_bytes / peak_bw + e1 + e2 + e3 + e4 + e5 + e6 + e7)
-                    * layers + lm_mem
-                )
-                acc.comm_seconds += comm_step
                 return (
                     (pre_t + kv_bytes / stream_bw + t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8)
-                    * layers + lm_t
+                    * layers + lm_t,
+                    (pre_m + a_m + m1 + m2 + m3 + m4 + m5 + m6 + m7) * layers + lm_m,
+                    (pre_w + a_m * 0.5 + w1 + w2 + w3 + w4 + w5 + w6 + w7) * layers
+                    + lm_w,
+                    v_step,
+                    (pre_mem + kv_bytes / peak_bw + e1 + e2 + e3 + e4 + e5 + e6 + e7)
+                    * layers + lm_mem,
+                    comm_step,
+                    UNBOUNDED, UNBOUNDED, padded_len,
                 )
 
-            return static_stepper
+            return static_piece
 
         implementation = _PAGED_IMPLEMENTATIONS.get(attention)
         if implementation is None:
@@ -912,23 +924,40 @@ class LlamaCostModel:
         v1, v2, v3, v4, v5, v6, v7 = chain("vector_seconds")
         lm_v = lm.vector_seconds
 
-        def paged_stepper(
-            total_context: int, total_blocks: int, max_context: int,
-            acc: ActivityAccumulator,
-        ) -> float:
-            a_t, a_v, a_mem = attend(total_context, total_blocks, max_context)
-            acc.matrix_seconds += m_step
-            acc.matrix_active_weighted += w_step
-            acc.vector_seconds += (
-                (pre_v + a_v + v1 + v2 + v3 + v4 + v5 + v6 + v7) * layers + lm_v
-            )
-            acc.memory_seconds += (
-                (pre_mem + a_mem + e1 + e2 + e3 + e4 + e5 + e6 + e7) * layers + lm_mem
-            )
-            acc.comm_seconds += comm_step
-            return (pre_t + a_t + t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8) * layers + lm_t
+        # Read-bound pieces by total_blocks.  When the twin says a piece
+        # depends on neither max_context nor (below context_hi) the
+        # context sum, it is the piece of every aggregate triple with
+        # that block sum and a context sum up to context_hi, so a later
+        # call there returns it without repricing.  Bounded, and off
+        # with memoization.
+        pieces: dict = {}
+        capacity = _PIECE_MEMO_SIZE if memo.memoization_enabled() else 0
 
-        return paged_stepper
+        def paged_piece(
+            total_context: int, total_blocks: int, max_context: int
+        ) -> DecodePiece:
+            piece = pieces.get(total_blocks)
+            if piece is not None and total_context <= piece[6]:
+                return piece
+            a_t, a_v, a_mem, context_hi, max_hi = attend(
+                total_context, total_blocks, max_context
+            )
+            # Memory reads total_blocks, so a piece never spans a block.
+            piece = (
+                (pre_t + a_t + t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8) * layers + lm_t,
+                m_step,
+                w_step,
+                (pre_v + a_v + v1 + v2 + v3 + v4 + v5 + v6 + v7) * layers + lm_v,
+                (pre_mem + a_mem + e1 + e2 + e3 + e4 + e5 + e6 + e7) * layers + lm_mem,
+                comm_step,
+                context_hi, total_blocks, max_hi,
+            )
+            # context_hi > total_context only while the read term wins.
+            if max_hi == UNBOUNDED and context_hi > total_context and len(pieces) < capacity:
+                pieces[total_blocks] = piece
+            return piece
+
+        return paged_piece
 
     # -- end-to-end --------------------------------------------------------
     def generate(

@@ -36,13 +36,15 @@ from repro.audit import (
     get_auditor,
 )
 from repro.hw.power import ActivityAccumulator, PowerModel
-from repro.models.llama import DecodeAttention, DecodeBatchStats, LlamaCostModel
+from repro.models.llama import DecodeAttention, LlamaCostModel, one_step_pricer
 from repro.serving.engine_core import (
     SLOT_FAILED,
     SLOT_FINISHED,
     SLOT_RUNNING,
     SLOT_SHED,
     SLOT_WAITING,
+    SEQ_BITS,
+    SEQ_MASK,
     EngineCore,
     ReportAggregates,
     bump_counter,
@@ -460,8 +462,8 @@ class LlmServingEngine:
             deadlines=policy is not None,
         )
         self._synced_steps = 0
-        #: The decode steppers by runner count, built under the fabric
-        #: fault state ``_stepper_fabric`` (see _stepper).
+        #: The decode-piece pricers by runner count, built under the
+        #: fabric fault state ``_stepper_fabric`` (see _refresh_steppers).
         self._steppers: Dict[int, Callable] = {}
         self._stepper_fabric = None
         self._aggregates = None if self.retain_requests else ReportAggregates()
@@ -597,6 +599,7 @@ class LlmServingEngine:
         observing = tracer is not None or self._metrics is not None
         stepwise = observing or injector is not None or watchdog is not None
         burst_horizon = -math.inf if stepwise else horizon
+        self._refresh_steppers()
         while core.has_unfinished:
             now = self._now
             if now > horizon:
@@ -605,6 +608,7 @@ class LlmServingEngine:
                 watchdog.check(self._steps)
             if injector is not None:
                 now = self._advance_faults(now)
+                self._refresh_steppers()
             if audit is not None:
                 audit.observe_clock(now)
                 if self.auditor is not None:
@@ -913,32 +917,30 @@ class LlmServingEngine:
             needed_min = 0
         return wake, needed_min
 
-    def _stepper(self, n: int) -> Callable:
-        """The decode-step pricer for ``n`` runners, looked up once per
-        runner count and fabric fault state."""
+    def _refresh_steppers(self) -> None:
+        """Drop the pricer table once the model's fabric fault state is
+        no longer the one it was filled under.  The fabric only changes
+        between two ``advance()`` calls or at the fault events an
+        injector applies, so those are the two places that call this,
+        and a burst reads the table directly."""
         fabric = self.model._fabric_key()
         if fabric is not self._stepper_fabric:
             # FabricHealth rebuilds its state key on every mutation, so
             # identity tells whether a fault hit since the table filled.
             self._steppers = {}
             self._stepper_fabric = fabric
-        stepper = self._steppers.get(n)
-        if stepper is None:
-            model, attention = self.model, self.attention
-            if model.memo_ok:
-                stepper = model.decode_stepper(n, attention)
-            else:
-                # An observed config fires its per-call collective
-                # metrics and trace events, so it prices from scratch.
-                def stepper(total_context, total_blocks, max_context, acc):
-                    phase = model.decode_step_stats(
-                        DecodeBatchStats(n, total_context, total_blocks, max_context),
-                        attention,
-                    )
-                    acc.merge(phase.activity)
-                    return phase.time
 
-            self._steppers[n] = stepper
+    def _stepper(self, n: int) -> Callable:
+        """Fill the pricer table's entry for ``n`` runners: built once
+        per runner count and fabric fault state."""
+        model, attention = self.model, self.attention
+        if model.memo_ok:
+            stepper = model.decode_stepper(n, attention)
+        else:
+            # An observed config fires its per-call collective metrics
+            # and trace events, so it prices every step from scratch.
+            stepper = one_step_pricer(model.decode_step_stats, n, attention)
+        self._steppers[n] = stepper
         return stepper
 
     def _decode_burst(
@@ -958,12 +960,14 @@ class LlmServingEngine:
         runner finishing, a pending retirement, a waiting request
         becoming admissible or missing its deadline (see
         :meth:`_burst_wake`), capacity preemption, or the horizon.  Step
-        costs come from ``LlamaCostModel.decode_stepper``, whose integer
-        recurrences are bit-identical to rebuilding
-        ``DecodeBatchStats`` per step.  The aggregates are the core's
-        running state, so a burst costs O(steps + finishers).  ``lost``
-        is a transient kernel fault: one step's time passes and no
-        runner gains a token.
+        costs come from the pricer ``LlamaCostModel.decode_stepper``
+        returns, called once per *piece*: the priced step's time and
+        activity hold until the aggregates leave the piece's box, so
+        the steps inside one add the same values in the same order as
+        pricing each step would.  The aggregates are the core's running
+        state, so a burst costs O(steps + finishers).  ``lost`` is a
+        transient kernel fault: one step's time passes and no runner
+        gains a token.
         """
         core = self._core
         bs = core.block_size
@@ -971,16 +975,34 @@ class LlmServingEngine:
         offset = core.decoded
         total_context = core.sum_base + n * offset
         total_blocks = core.total_blocks
-        max_context = core.max_context()
-        stepper = self._stepper(n)
+        # The runner-set extrema are the live heap tops (the methods
+        # pop stale entries first when a top is stale).
+        top = core.base_heap[0]
+        low = core.rem_heap[0]
+        runners = core.runners
+        if top & SEQ_MASK in runners and low & SEQ_MASK in runners:
+            max_context = offset - (top >> SEQ_BITS)
+            min_rem = (low >> SEQ_BITS) - offset
+        else:
+            max_context = core.max_context()
+            min_rem = core.min_remaining()
+        price = self._steppers.get(n) or self._stepper(n)
+        (
+            step_time, matrix, weighted, vector, memory, comm,
+            context_hi, blocks_hi, max_hi,
+        ) = price(total_context, total_blocks, max_context)
         if lost:
-            now += stepper(total_context, total_blocks, max_context, activity) * slowdown
+            now += step_time * slowdown
+            activity.matrix_seconds += matrix
+            activity.matrix_active_weighted += weighted
+            activity.vector_seconds += vector
+            activity.memory_seconds += memory
+            activity.comm_seconds += comm
             self._steps += 1
             core.vectorized_steps += 1
             self._now = now
             self.fault_stats.kernel_retries += 1
             return now
-        min_rem = core.min_remaining()
         # Pricing always buckets KV at the kernel's 128-token blocks;
         # the engine's pool may use a different block size, so shadow
         # growth reads its own residue histogram.  A runner with base b
@@ -999,8 +1021,33 @@ class LlmServingEngine:
         recorded = 0  # steps whose tokens were recorded
         exhausted = False
         growth = hist_bs[(1 - offset) % bs]
+        # Activity sums stay in locals for the burst: the same additions
+        # in the same order as adding into ``activity`` step by step.
+        acc_matrix = activity.matrix_seconds
+        acc_weighted = activity.matrix_active_weighted
+        acc_vector = activity.vector_seconds
+        acc_memory = activity.memory_seconds
+        acc_comm = activity.comm_seconds
+        step = step_time * slowdown
+        # Steps the piece still covers: the context sum grows by n and
+        # the longest context by 1 per step; a block crossing past
+        # blocks_hi ends the piece early.
+        left = min((context_hi - total_context) // n, max_hi - max_context) + 1
         while True:
-            now += stepper(total_context, total_blocks, max_context, activity) * slowdown
+            if not left:
+                (
+                    step_time, matrix, weighted, vector, memory, comm,
+                    context_hi, blocks_hi, max_hi,
+                ) = price(total_context, total_blocks, max_context)
+                step = step_time * slowdown
+                left = min((context_hi - total_context) // n, max_hi - max_context) + 1
+            now += step
+            acc_matrix += matrix
+            acc_weighted += weighted
+            acc_vector += vector
+            acc_memory += memory
+            acc_comm += comm
+            left -= 1
             j += 1
             if growth > core.free_blocks:
                 # Only reachable with a single runner (the headroom
@@ -1015,6 +1062,8 @@ class LlmServingEngine:
             max_context += 1
             crossed = hist128[(1 - j - offset) % 128]
             total_blocks += crossed
+            if total_blocks > blocks_hi:
+                left = 0
             if j >= min_rem:
                 break  # at least one runner finished this step
             if retire_pending:
@@ -1026,6 +1075,11 @@ class LlmServingEngine:
             if core.free_blocks < n and n > 1:
                 break  # capacity preemption due next step
             growth = crossed if same_hist else hist_bs[(1 - j - offset) % bs]
+        activity.matrix_seconds = acc_matrix
+        activity.matrix_active_weighted = acc_weighted
+        activity.vector_seconds = acc_vector
+        activity.memory_seconds = acc_memory
+        activity.comm_seconds = acc_comm
         if self._metrics is not None and core.free_blocks < free_before:
             self._observe_pool("grow", free_before - core.free_blocks)
         finished = core.end_burst(recorded, total_blocks)

@@ -127,13 +127,13 @@ def render_counters() -> str:
 
 #: Heap entries pack ``(key, join sequence)`` into one int that orders by
 #: key, then join order (a tuple per entry would triple the heaps' memory).
-_SEQ_BITS = 40
-_SEQ_MASK = (1 << _SEQ_BITS) - 1
+SEQ_BITS = 40
+SEQ_MASK = (1 << SEQ_BITS) - 1
 
 
 def heap_entry(key: int, seq: int) -> int:
     """One runner-set heap entry (``key`` may be negative)."""
-    return (key << _SEQ_BITS) | seq
+    return (key << SEQ_BITS) | seq
 
 
 def _expiry_bound(arrival: float, deadline: float) -> float:
@@ -464,8 +464,8 @@ class EngineCore:
         stale entries above it), or None when no runner is left."""
         runners = self.runners
         while heap:
-            if heap[0] & _SEQ_MASK in runners:
-                return heap[0] >> _SEQ_BITS
+            if heap[0] & SEQ_MASK in runners:
+                return heap[0] >> SEQ_BITS
             heapq.heappop(heap)
         return None
 
@@ -487,7 +487,7 @@ class EngineCore:
         heap = self.rem_heap
         done: List[int] = []
         while self._live_key(heap) == self.decoded:
-            done.append(self.runners[heapq.heappop(heap) & _SEQ_MASK])
+            done.append(self.runners[heapq.heappop(heap) & SEQ_MASK])
         for slot in done:
             self.leave(slot)
         return done

@@ -17,7 +17,6 @@ from repro.core.memo import CostCache
 from repro.core.parallel import resolve_worker_count
 from repro.hw.backend import get_backend
 from repro.hw.device import Device, Gaudi2Device
-from repro.hw.power import ActivityAccumulator
 from repro.hw.spec import DType
 from repro.models.llama import (
     LLAMA_3_1_8B,
@@ -167,16 +166,6 @@ class TestDecodeBatchStats:
         # 100 -> 1 block, 256 -> 2 blocks, 300 -> 3 blocks
         assert stats.total_blocks == 6
 
-    def test_advanced_matches_rebuild(self):
-        lens = [1, 127, 128, 129, 255, 256, 1000]
-        stats = DecodeBatchStats.from_context_lens(lens, block_size=128)
-        for step in range(1, 300):
-            stats = stats.advanced()
-            rebuilt = DecodeBatchStats.from_context_lens(
-                [c + step for c in lens], block_size=128
-            )
-            assert stats == rebuilt
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             DecodeBatchStats.from_context_lens([])
@@ -235,7 +224,7 @@ class TestPrefillPricer:
         memo.clear_caches()
         memo.set_enabled(previous)
 
-    @pytest.mark.parametrize("backend", ("gaudi2", "a100"))
+    @pytest.mark.parametrize("backend", ("gaudi2", "a100", "h100"))
     def test_cold_lengths_price_gemms_only_for_lm_head(self, backend, monkeypatch):
         calls = []
         gemm = Device.gemm
@@ -391,14 +380,14 @@ class TestFaultStateMemo:
         for degrade in (False, True):
             if degrade:
                 node.degrade_fabric(0.25)
-            acc = ActivityAccumulator()
-            time = model.decode_stepper(stats.batch, attention)(
-                stats.total_context, stats.total_blocks, stats.max_context, acc
+            piece = model.decode_stepper(stats.batch, attention)(
+                stats.total_context, stats.total_blocks, stats.max_context
             )
+            time = piece[0]
             with memo.disabled():
                 cold = model.decode_step_stats(stats, attention)
             assert time == cold.time
-            assert _activity_tuple(acc) == _activity_tuple(cold.activity)
+            assert piece[1:6] == _activity_tuple(cold.activity)
             steps.append(time)
         assert steps[1] > steps[0]
 
