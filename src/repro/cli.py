@@ -450,7 +450,13 @@ def _parse_nodes_spec(spec: str):
             raise ConfigError(
                 f"--nodes: bad pool {part!r} (expected e.g. '4x gaudi2,2x a100')"
             )
-        pools.append((match.group(2), int(match.group(1))))
+        try:
+            count = int(match.group(1))
+        except ValueError:  # more digits than int() converts
+            raise ConfigError(
+                f"--nodes: pool count in {part[:40]!r}... is too large"
+            ) from None
+        pools.append((match.group(2), count))
     if not pools:
         raise ConfigError("--nodes names no pools")
     return tuple(pools)
@@ -837,7 +843,8 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--nodes", nargs="+", default=["2x", "gaudi2"],
                        metavar="SPEC",
                        help="pools as 'Nx device' comma-separated, "
-                            "e.g. '4x gaudi2,2x a100'")
+                            "e.g. '4x gaudi2,2x a100' (at most 1024 nodes "
+                            "in all)")
     fleet.add_argument("--model", default="8b", choices=["8b", "70b"])
     fleet.add_argument("--tp", type=int, default=8,
                        help="tensor-parallel degree inside each node")

@@ -23,6 +23,8 @@ activity process-wide.
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
@@ -224,11 +226,13 @@ class WeightedFairQueue:
     def __init__(self) -> None:
         self._order: List[str] = []
         self._weights: Dict[str, float] = {}
-        self._queues: Dict[str, Deque[object]] = {}
+        #: Tenant -> its FIFO queue, in registration order (read-only
+        #: outside this class).
+        self.queues: Dict[str, Deque[object]] = {}
         self._finish: Dict[str, float] = {}
         self._vtime = 0.0
         #: Items queued over every tenant (kept so ``len`` is O(1)).
-        self._size = 0
+        self.size = 0
 
     def register(self, name: str, weight: float) -> None:
         if weight <= 0:
@@ -237,11 +241,11 @@ class WeightedFairQueue:
             raise ConfigError(f"duplicate WFQ tenant {name!r}")
         self._order.append(name)
         self._weights[name] = weight
-        self._queues[name] = deque()
+        self.queues[name] = deque()
         self._finish[name] = 0.0
 
     def push(self, name: str, item: object) -> None:
-        queue = self._queues[name]
+        queue = self.queues[name]
         if not queue:
             # A tenant re-entering service restarts from the current
             # virtual time, so idle periods are not banked as credit.
@@ -249,40 +253,37 @@ class WeightedFairQueue:
                 max(self._vtime, self._finish[name]) + 1.0 / self._weights[name]
             )
         queue.append(item)
-        self._size += 1
+        self.size += 1
         bump_counter("wfq_enqueues")
 
     def pop(self) -> Optional[Tuple[str, object]]:
         """Dequeue from the backlogged tenant with the smallest tag."""
         best: Optional[str] = None
         for name in self._order:
-            if not self._queues[name]:
+            if not self.queues[name]:
                 continue
             if best is None or self._finish[name] < self._finish[best]:
                 best = name
         if best is None:
             return None
-        item = self._queues[best].popleft()
-        self._size -= 1
+        item = self.queues[best].popleft()
+        self.size -= 1
         self._vtime = self._finish[best]
-        if self._queues[best]:
+        if self.queues[best]:
             self._finish[best] += 1.0 / self._weights[best]
         bump_counter("wfq_dequeues")
         return best, item
 
-    def peek_items(self) -> List[Tuple[str, object]]:
-        """Every queued (tenant, item), registration-then-FIFO order."""
-        out: List[Tuple[str, object]] = []
-        for name in self._order:
-            out.extend((name, item) for item in self._queues[name])
-        return out
-
-    def remove(self, name: str, item: object) -> None:
-        self._queues[name].remove(item)
-        self._size -= 1
+    def drop_head(self, name: str, count: int) -> None:
+        """Remove the first ``count`` items of ``name``'s queue (the
+        virtual finish tags are left as they are)."""
+        queue = self.queues[name]
+        for _ in range(count):
+            queue.popleft()
+        self.size -= count
 
     def __len__(self) -> int:
-        return self._size
+        return self.size
 
 
 # -- circuit breakers --------------------------------------------------
@@ -459,6 +460,12 @@ class AdmissionController:
     :meth:`evaluate` at deterministic ticks to move between NORMAL,
     BROWNOUT, and SHED based on the oldest queued request's delay --
     the CoDel signal: *sojourn time*, not queue length.
+
+    Offers come in non-decreasing time (the fleet clock), so each
+    tenant's FIFO queue is in enqueue-time order and its head is its
+    oldest entry; every entry of a tenant carries the tenant's tier.
+    The ticks read only the heads: a tick costs O(tenants) plus the
+    entries it sheds.
     """
 
     def __init__(
@@ -513,14 +520,19 @@ class AdmissionController:
 
     @property
     def queued(self) -> int:
-        return len(self.wfq)
+        return self.wfq.size
 
-    def oldest_delay(self, now: float) -> float:
-        """Sojourn time of the oldest queued request (0 when empty)."""
-        entries = self.wfq.peek_items()
-        if not entries:
-            return 0.0
-        return max(now - entry.enqueued_at for _, entry in entries)
+    def oldest_delay(self, now: float, skip: Optional[Dict[str, int]] = None) -> float:
+        """Sojourn time of the oldest queued request (0 when empty),
+        ignoring the first ``skip[tenant]`` entries of each tenant's
+        queue.  ``now - t`` rounds monotonically in ``t``, so the
+        oldest head's delay is bit for bit the largest delay."""
+        oldest = math.inf
+        for name, queue in self.wfq.queues.items():
+            cut = skip.get(name, 0) if skip else 0
+            if len(queue) > cut and queue[cut].enqueued_at < oldest:
+                oldest = queue[cut].enqueued_at
+        return 0.0 if oldest == math.inf else now - oldest
 
     # -- the CoDel-style state machine ---------------------------------
     def evaluate(self, now: float) -> List[Tuple[_QueueEntry, str]]:
@@ -548,46 +560,45 @@ class AdmissionController:
             if self.mode is AdmissionMode.BROWNOUT:
                 self.brownout_entries += 1
                 bump_counter("brownout_entries")
+        # Sheds come in registration-then-FIFO order per pass; each
+        # tenant loses a prefix of its queue (``cut`` entries).
         sheds: List[Tuple[_QueueEntry, str]] = []
-        for tenant, entry in self.wfq.peek_items():
-            if now - entry.enqueued_at > self.policy.max_queue_delay:
+        cut: Dict[str, int] = {}
+        queues = self.wfq.queues
+        bound = self.policy.max_queue_delay
+        for name, queue in queues.items():
+            for entry in queue:
+                if not now - entry.enqueued_at > bound:
+                    break  # every later entry of this tenant is younger
                 sheds.append((entry, (
                     f"admission-timeout: queued "
-                    f"{now - entry.enqueued_at:.3f}s > "
-                    f"{self.policy.max_queue_delay:g}s hard bound"
+                    f"{now - entry.enqueued_at:.3f}s > {bound:g}s hard bound"
                 )))
+                cut[name] = cut.get(name, 0) + 1
         if self.mode is AdmissionMode.SHED:
             # Shed lowest tier first; tier 0 is never overload-shed.
-            already = {id(entry) for entry, _ in sheds}
             for tier in range(NUM_TIERS - 1, 0, -1):
-                if self.oldest_surviving_delay(now, sheds) \
-                        <= self.policy.shed_queue_delay:
+                if self.oldest_delay(now, cut) <= self.policy.shed_queue_delay:
                     break
-                for tenant, entry in self.wfq.peek_items():
-                    if entry.tier == tier and id(entry) not in already:
-                        sheds.append((entry, (
-                            f"overload: queue delay {delay:.3f}s > "
-                            f"{self.policy.shed_queue_delay:g}s, "
-                            f"tier {tier} shed first"
-                        )))
-                        already.add(id(entry))
+                reason = (
+                    f"overload: queue delay {delay:.3f}s > "
+                    f"{self.policy.shed_queue_delay:g}s, tier {tier} shed first"
+                )
+                for name, queue in queues.items():
+                    if self.tenants[name].tier == tier:
+                        sheds.extend(
+                            (entry, reason)
+                            for entry in itertools.islice(queue, cut.get(name, 0), None)
+                        )
+                        cut[name] = len(queue)
+        for name, count in cut.items():
+            self.wfq.drop_head(name, count)
         for entry, _ in sheds:
-            self.wfq.remove(entry.tenant, entry)
-            self.overload_sheds += 1
             self.queue_sheds_by_tier[entry.tier] += 1
-            bump_counter("overload_sheds")
+        self.overload_sheds += len(sheds)
+        if sheds:
+            bump_counter("overload_sheds", len(sheds))
         return sheds
-
-    def oldest_surviving_delay(
-        self, now: float, sheds: List[Tuple[_QueueEntry, str]]
-    ) -> float:
-        doomed = {id(entry) for entry, _ in sheds}
-        delays = [
-            now - entry.enqueued_at
-            for _, entry in self.wfq.peek_items()
-            if id(entry) not in doomed
-        ]
-        return max(delays) if delays else 0.0
 
     # -- brownout effects ----------------------------------------------
     @property

@@ -30,6 +30,7 @@ chaos included.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -56,18 +57,26 @@ from repro.cluster.admission import (
 from repro.cluster.autoscaler import AutoscalePolicy, Autoscaler
 from repro.cluster.faults import NodeFaultEvent, NodeFaultKind, NodeFaultPlan
 from repro.cluster.gateway import ROUTING_POLICIES, FleetRequest, Gateway
-from repro.cluster.node import Node, NodeClass
+from repro.cluster.node import Node, NodeClass, NodeState
 from repro.cluster.report import FleetResilienceReport, NodeReport, TenantReport
 from repro.core.journal import RunJournal, decode, encode
 from repro.core.metrics import percentile
 from repro.faults.report import GATEWAY_SHED_PREFIX
 from repro.hw.backend import GAUDI2, resolve_backend
 from repro.serving.engine import ResiliencePolicy
-from repro.serving.dataset import dynamic_sonnet_requests
-from repro.serving.loadgen import diurnal_arrivals, poisson_arrivals
+from repro.serving.dataset import dynamic_sonnet_lengths
+from repro.serving.loadgen import arrival_times
 from repro.serving.request import Request, RequestState, RetryPolicy
 
-__all__ = ["FleetConfig", "resume_fleet", "run_fleet"]
+__all__ = ["FleetConfig", "MAX_FLEET_NODES", "resume_fleet", "run_fleet"]
+
+#: Most nodes a fleet may start with, over every pool.  Each node is a
+#: whole serving engine, so a mistyped count must fail at validation
+#: instead of building engines until memory runs out.
+MAX_FLEET_NODES = 1024
+
+#: The health states the gateway may route new work to.
+_ROUTABLE_STATES = (NodeState.HEALTHY, NodeState.DEGRADED)
 
 
 @dataclass
@@ -119,6 +128,11 @@ class FleetConfig:
             resolve_backend(name)  # typed error naming registered backends
             if count < 1:
                 raise ConfigError(f"pool {name!r} needs count >= 1, got {count}")
+        total = sum(count for _, count in self.nodes)
+        if total > MAX_FLEET_NODES:
+            raise ConfigError(
+                f"nodes: {total} nodes exceed the fleet ceiling of {MAX_FLEET_NODES}"
+            )
         if self.num_kv_blocks is not None and self.num_kv_blocks < 1:
             raise ConfigError(
                 f"num_kv_blocks must be >= 1, got {self.num_kv_blocks}"
@@ -267,15 +281,18 @@ class _FleetRun:
 
     # -- workload ------------------------------------------------------
     def seed_workload(self) -> None:
+        """Build the fleet requests from the Dynamic-Sonnet length and
+        arrival draws (``dynamic_sonnet_requests`` plus
+        ``poisson_arrivals`` or ``diurnal_arrivals`` with this seed) and
+        heap their arrivals in one pass."""
         config = self.config
-        shapes = dynamic_sonnet_requests(config.num_requests, seed=config.seed)
-        if config.diurnal:
-            diurnal_arrivals(
-                shapes, config.rate, period=config.diurnal_period, seed=config.seed
-            )
-        else:
-            poisson_arrivals(shapes, config.rate, seed=config.seed)
-        assigned: List[Optional[TenantSpec]] = [None] * len(shapes)
+        count = config.num_requests
+        inputs, outputs = dynamic_sonnet_lengths(count, seed=config.seed)
+        times = arrival_times(
+            count, config.rate, seed=config.seed,
+            period=config.diurnal_period if config.diurnal else None,
+        )
+        shapes = zip(itertools.count(), inputs, outputs, times)
         if config.tenants:
             # Attribute the SAME arrival stream to tenants by weighted
             # share: the arrival process is identical to an untenanted
@@ -284,26 +301,28 @@ class _FleetRun:
             # assignment is platform-stable.
             by_name = {spec.name: spec for spec in config.tenants}
             rng = random.Random(f"fleet-tenants/{config.seed}")
-            assigned = [
-                by_name[name] for name in rng.choices(
-                    [spec.name for spec in config.tenants],
-                    weights=[spec.share for spec in config.tenants],
-                    k=len(shapes),
-                )
-            ]
-        for shape, spec in zip(shapes, assigned):
-            fleet_request = FleetRequest(
-                fleet_id=shape.request_id,
-                input_tokens=shape.input_tokens,
-                output_tokens=shape.output_tokens,
-                arrival_time=shape.arrival_time,
+            names = rng.choices(
+                [spec.name for spec in config.tenants],
+                weights=[spec.share for spec in config.tenants],
+                k=count,
             )
-            if spec is not None:
-                fleet_request.tenant = spec.name
-                fleet_request.tier = spec.tier
-                fleet_request.ttft_slo = spec.ttft_slo
-            self.requests.append(fleet_request)
-            self.push(shape.arrival_time, "arrival", fleet_request.fleet_id)
+            self.requests = [
+                FleetRequest(
+                    fleet_id, input_tokens, output_tokens, arrival_time,
+                    spec.name, spec.tier, spec.ttft_slo,
+                )
+                for (fleet_id, input_tokens, output_tokens, arrival_time), spec
+                in zip(shapes, map(by_name.__getitem__, names))
+            ]
+        else:
+            self.requests = list(itertools.starmap(FleetRequest, shapes))
+        seq = self._seq
+        self.heap.extend(
+            (arrival_time, seq + fleet_id, "arrival", fleet_id)
+            for fleet_id, arrival_time in enumerate(times)
+        )
+        heapq.heapify(self.heap)
+        self._seq = seq + count
         for event in config.plan.scheduled():
             self.push(event.time, "fault", event)
         self.push(config.probe_interval, "probe")
@@ -322,12 +341,12 @@ class _FleetRun:
     def reconcile(self) -> None:
         """Fold newly terminal attempts into the fleet ledger.  A node
         with an empty outbox has nothing to reap unless it is draining
-        (it may retire once idle)."""
-        for node in list(self.gateway.nodes.values()):
-            if not node.outbox and not node.draining:
-                continue
-            for attempt in node.reap():
-                self._observe_attempt(node, attempt)
+        (it may retire once idle).  Only a provision event adds nodes,
+        so the pool dict is iterated in place."""
+        for node in self.gateway.nodes.values():
+            if node.outbox or node.draining:
+                for attempt in node.reap():
+                    self._observe_attempt(node, attempt)
         if self.auditor is not None:
             for node in self.gateway.nodes.values():
                 self.auditor.check_reaped(
@@ -412,33 +431,33 @@ class _FleetRun:
     def _brownout_active(self) -> bool:
         return self.admission is not None and self.admission.brownout_active
 
-    def _has_headroom(self, limit: int) -> bool:
-        """Does some routable node with in-flight headroom have a
-        breaker that admits dispatches?  Breakers are consulted only
-        for nodes with headroom (``blocked`` is a pure query)."""
-        breakers = self.breakers
-        for node in self.gateway.nodes.values():
-            if node.routable and node.load < limit:
-                breaker = breakers.get(node.name)
-                if breaker is None or not breaker.blocked(self.now):
-                    return True
-        return False
-
     def pump(self) -> None:
         """Dispatch fair-queued arrivals while gateway headroom exists.
 
         The admission queue drains in WFQ order; the pump stops once no
         breaker-closed routable node has in-flight headroom, so queued
         work waits at the gateway (where it can be overload-shed)
-        instead of piling onto saturated engines.
+        instead of piling onto saturated engines.  Breakers are
+        consulted only for nodes with headroom (``blocked`` is a pure
+        query).
         """
         controller = self.admission
-        if controller is None:
+        if controller is None or not controller.wfq.size:
             return
+        wfq = controller.wfq
         limit = controller.policy.max_inflight_per_node
         if limit is None:
             limit = self.config.max_decode_batch
-        while controller.queued and self._has_headroom(limit):
+        nodes = self.gateway.nodes.values()
+        breakers = self.breakers
+        while wfq.size:
+            for node in nodes:
+                if node.routable and len(node.inflight) < limit:
+                    breaker = breakers.get(node.name)
+                    if breaker is None or not breaker.blocked(self.now):
+                        break
+            else:
+                return  # no headroom anywhere
             entry = controller.pop_dispatchable()
             if entry is None:
                 break
@@ -466,12 +485,16 @@ class _FleetRun:
                 "exhausted with no routable node",
             )
             return
-        self.check(
-            node.routable,
-            FleetRoutingError,
-            f"policy {self.gateway.policy!r} picked unroutable node "
-            f"{node.name} ({node.state.value}) for request {fleet_request.fleet_id}",
-        )
+        if self.auditor is not None:
+            # Re-derive routability from the health flags: the stored
+            # bit is what routing read, the flags are the truth.
+            state = node.state
+            self.auditor.check(
+                node.routable and state in _ROUTABLE_STATES,
+                FleetRoutingError,
+                f"policy {self.gateway.policy!r} picked unroutable node "
+                f"{node.name} ({state.value}) for request {fleet_request.fleet_id}",
+            )
         breaker = self.breakers.get(node.name)
         if breaker is not None:
             breaker.on_dispatch(now)
@@ -526,7 +549,7 @@ class _FleetRun:
         if self.metrics is not None:
             self.metrics.counter("fleet.sheds").inc()
 
-    # -- event handlers ------------------------------------------------
+    # -- event handlers (each takes its event's payload) ---------------
     def handle_arrival(self, fleet_id: int) -> None:
         fleet_request = self.requests[fleet_id]
         if self.tracer is not None:
@@ -543,7 +566,11 @@ class _FleetRun:
             return
         self.pump()
 
-    def handle_timeout(self, fleet_id: int, attempt_id: int) -> None:
+    def handle_dispatch(self, fleet_id: int) -> None:
+        self.dispatch(self.requests[fleet_id], self.now)
+
+    def handle_timeout(self, ids: Tuple[int, int]) -> None:
+        fleet_id, attempt_id = ids
         fleet_request = self.requests[fleet_id]
         if fleet_request.terminal:
             return
@@ -575,7 +602,8 @@ class _FleetRun:
             f"{GATEWAY_SHED_PREFIX}timeout: retry budget exhausted",
         )
 
-    def handle_hedge(self, fleet_id: int, attempt_id: int) -> None:
+    def handle_hedge(self, ids: Tuple[int, int]) -> None:
+        fleet_id, attempt_id = ids
         fleet_request = self.requests[fleet_id]
         if fleet_request.terminal or fleet_request.hedged:
             return
@@ -652,7 +680,7 @@ class _FleetRun:
     def handle_warm(self, node_name: str) -> None:
         self.gateway.nodes[node_name].warm()
 
-    def handle_probe(self) -> None:
+    def handle_probe(self, _payload: None) -> None:
         states = self.gateway.probe()
         healthy = sum(1 for state in states.values() if state == "healthy")
         if self.tracer is not None:
@@ -662,7 +690,7 @@ class _FleetRun:
         if self.terminal_count < len(self.requests):
             self.push(self.now + self.config.probe_interval, "probe")
 
-    def handle_autoscale(self) -> None:
+    def handle_autoscale(self, _payload: None) -> None:
         scaler = self.autoscaler
         for pool, node_class in self._node_classes.items():
             live = [
@@ -699,7 +727,7 @@ class _FleetRun:
         if self.tracer is not None:
             self.tracer.instant("node.provision", "fleet", self.now, node=node.name)
 
-    def handle_admission(self) -> None:
+    def handle_admission(self, _payload: None) -> None:
         """Deterministic CoDel tick: move the overload state machine
         and shed what it condemns."""
         controller = self.admission
@@ -813,26 +841,27 @@ class _FleetRun:
         """Drive the event heap to quiescence; returns the watchdog
         reason ("" for a complete run)."""
         handlers = {
-            "arrival": lambda p: self.handle_arrival(p),
-            "dispatch": lambda p: self.dispatch(self.requests[p], self.now),
-            "timeout": lambda p: self.handle_timeout(*p),
-            "hedge": lambda p: self.handle_hedge(*p),
-            "fault": lambda p: self.handle_fault(p),
-            "warm": lambda p: self.handle_warm(p),
-            "probe": lambda p: self.handle_probe(),
-            "autoscale": lambda p: self.handle_autoscale(),
-            "provision": lambda p: self.handle_provision(p),
-            "admission": lambda p: self.handle_admission(),
-            "upgrade": lambda p: self.handle_upgrade(p),
-            "upgrade_poll": lambda p: self.handle_upgrade_poll(p),
-            "upgrade_rejoin": lambda p: self.handle_upgrade_rejoin(p),
+            "arrival": self.handle_arrival,
+            "dispatch": self.handle_dispatch,
+            "timeout": self.handle_timeout,
+            "hedge": self.handle_hedge,
+            "fault": self.handle_fault,
+            "warm": self.handle_warm,
+            "probe": self.handle_probe,
+            "autoscale": self.handle_autoscale,
+            "provision": self.handle_provision,
+            "admission": self.handle_admission,
+            "upgrade": self.handle_upgrade,
+            "upgrade_poll": self.handle_upgrade_poll,
+            "upgrade_rejoin": self.handle_upgrade_rejoin,
         }
         try:
             while True:
                 if self.heap:
                     time, _, kind, payload = heapq.heappop(self.heap)
                     self.advance_nodes(time)
-                    self.now = max(self.now, time)
+                    if time > self.now:
+                        self.now = time
                     if self.audit is not None:
                         self.audit.observe_clock(self.now)
                     self.reconcile()

@@ -126,10 +126,6 @@ class Gateway:
             raise ConfigError(f"duplicate node name {node.name!r}")
         self.nodes[node.name] = node
 
-    def routable_nodes(self) -> List[Node]:
-        """Nodes eligible for new work, in registration order."""
-        return [node for node in self.nodes.values() if node.routable]
-
     # -- routing -------------------------------------------------------
     def pick(
         self,
@@ -150,12 +146,16 @@ class Gateway:
         fully-excluded or fully-unhealthy pool cannot perturb routing
         for subsequent requests.
         """
-        candidates = [
-            node for node in self.routable_nodes() if node.name not in avoid
-        ]
+        # One pass over the pool: the routable bit, then the name sets.
+        candidates: List[Node] = []
+        preferred: List[Node] = []
+        for node in self.nodes.values():
+            if node.routable and node.name not in avoid:
+                candidates.append(node)
+                if node.name not in exclude:
+                    preferred.append(node)
         if not candidates:
             return None
-        preferred = [node for node in candidates if node.name not in exclude]
         if not preferred and require_untried:
             return None
         pool = preferred or candidates
@@ -164,10 +164,11 @@ class Gateway:
             self._rr_cursor += 1
             return choice
         if self.policy == "least-loaded":
-            return min(pool, key=lambda node: (node.load, node.name))
+            return min(pool, key=lambda node: (len(node.inflight), node.name))
         # latency-aware: lowest recent TTFT estimate, then load, then name.
         return min(
-            pool, key=lambda node: (node.latency_estimate, node.load, node.name)
+            pool,
+            key=lambda node: (node.latency_estimate, len(node.inflight), node.name),
         )
 
     def dispatch(

@@ -10,7 +10,11 @@ A :class:`Node` wraps a :class:`~repro.serving.engine.LlmServingEngine`
 
 Health is derived, not stored: crashes, brownouts, fabric degradation,
 and blips each set one flag, and :meth:`Node.state` folds them in
-priority order, so overlapping faults resolve deterministically.
+priority order, so overlapping faults resolve deterministically.  The
+one bit the gateway reads per node per dispatch, :attr:`Node.routable`,
+is the exception: a plain bool each transition method recomputes from
+the flags it moves (the strict fleet audit re-derives it from
+:meth:`Node.state` on every dispatch).
 Brownouts scale every engine step by ``1 / factor`` through the
 engine's ``slowdown``; fabric degradation mutates the node's own
 :class:`~repro.comm.FabricHealth`, which the engine's degraded
@@ -136,6 +140,10 @@ class Node:
         #: Upgrade restart in progress (down, but coming back).
         self.upgrading = False
         self.retired = False
+        #: May the gateway send *new* work here?  HEALTHY and DEGRADED
+        #: are exactly the states with no down flag set; kept current
+        #: by every transition that moves a down flag.
+        self.routable = True
         # Bookkeeping the gateway/report read.
         self.crashes = 0
         self.upgrades = 0
@@ -168,11 +176,8 @@ class Node:
             return NodeState.DEGRADED
         return NodeState.HEALTHY
 
-    @property
-    def routable(self) -> bool:
-        """May the gateway send *new* work here?  HEALTHY and DEGRADED
-        are exactly the states with no down flag set."""
-        return not (
+    def _update_routable(self) -> None:
+        self.routable = not (
             self.retired or self.dead or self.recovering or self.upgrading
             or self.draining or self.blipped
         )
@@ -182,6 +187,7 @@ class Node:
         """Hard node loss: fail every in-flight attempt; returns them
         so the gateway can fail them over."""
         self.dead = True
+        self.routable = False
         self.crashes += 1
         victims = self.engine.fail_all(f"outage: node {self.name} crashed")
         self.inflight.clear()
@@ -191,10 +197,12 @@ class Node:
     def begin_recovery(self) -> None:
         self.dead = False
         self.recovering = True
+        self.routable = False
 
     def warm(self) -> None:
         """Recovery warmup elapsed: the node rejoins the pool."""
         self.recovering = False
+        self._update_routable()
 
     def set_brownout(self, factor: float) -> None:
         self.brownout_factor = factor
@@ -212,9 +220,11 @@ class Node:
 
     def set_blip(self, active: bool) -> None:
         self.blipped = active
+        self._update_routable()
 
     def drain(self) -> None:
         self.draining = True
+        self.routable = False
 
     # -- rolling upgrades ----------------------------------------------
     def start_upgrade_drain(self) -> None:
@@ -222,6 +232,7 @@ class Node:
         and the node restarts (instead of retiring) once idle."""
         self.draining = True
         self.upgrade_pending = True
+        self.routable = False
 
     @property
     def drained(self) -> bool:
@@ -233,11 +244,13 @@ class Node:
         self.draining = False
         self.upgrade_pending = False
         self.upgrading = True
+        self.routable = False
 
     def finish_upgrade(self) -> None:
         """Restart delay elapsed: rejoin the pool."""
         self.upgrading = False
         self.upgrades += 1
+        self._update_routable()
 
     # -- serving -------------------------------------------------------
     def begin(self) -> None:
@@ -273,14 +286,19 @@ class Node:
         to completion, so the returned clock may overrun it.  A dead,
         unopened or idle node, or one whose clock already passed the
         horizon, holds its clock without entering the engine (whose loop
-        would stop at once).
+        would stop at once).  Every fleet event re-enters every node, so
+        the guard reads the engine's clock and its core's work queues
+        directly instead of through their properties.
         """
         engine = self.engine
-        if (
-            self.dead or not self._began or engine.now > horizon
-            or not engine.has_unfinished
+        now = engine._now
+        if self.dead or now > horizon:
+            return now
+        core = engine._core
+        if core is None or not (
+            core.runners or core.finished_pending or core.wait_head < len(core.wait_q)
         ):
-            return engine.now
+            return now
         return engine.advance(horizon, sync_exit=False)
 
     def reap(self) -> List[Request]:
@@ -295,12 +313,8 @@ class Node:
             and not self.inflight and not self.engine.has_unfinished
         ):
             self.retired = True
+            self.routable = False
         return done
-
-    @property
-    def load(self) -> int:
-        """In-flight attempt count (least-loaded routing input)."""
-        return len(self.inflight)
 
     def observe_latency(self, ttft: float) -> None:
         """Fold one finished attempt's TTFT into the routing estimate."""

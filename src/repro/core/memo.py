@@ -34,6 +34,7 @@ from repro.audit import get_auditor
 __all__ = [
     "ClosureCache",
     "CostCache",
+    "DictFamily",
     "cache_stats",
     "clear_caches",
     "disabled",
@@ -212,6 +213,45 @@ class ClosureCache(CostCache):
             data.popitem(last=False)
             self.evictions += 1
         data[key] = value
+
+
+class DictFamily:
+    """Plain-dict memos kept by compiled closures, listed as one cache.
+
+    A closure on a hot path keeps its own dict (a lookup there is a
+    ``dict.get``, not a method call) and bumps ``hits`` and ``misses``
+    on its family itself.  :func:`cache_stats` reports the family under
+    one name with every member dict's entries, :func:`clear_caches`
+    empties the members, and a member goes away with the closure that
+    owns it.  Members never evict; a closure bounds its own dict.
+    Auditing is the owner's job too (``Auditor.should_verify_memo`` /
+    ``on_memo_result``), since only it can recompute an entry.
+    """
+
+    __slots__ = ("name", "hits", "misses", "evictions", "_members", "__weakref__")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self._members: "weakref.WeakKeyDictionary[Any, dict]" = (
+            weakref.WeakKeyDictionary()
+        )
+        _REGISTRY.add(self)
+
+    def adopt(self, owner: Any, data: dict) -> None:
+        """Count ``data`` as a member for as long as ``owner`` lives."""
+        self._members[owner] = data
+
+    def clear(self) -> None:
+        for data in self._members.values():
+            data.clear()
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return sum(len(data) for data in self._members.values())
 
 
 # -- registry-wide views -------------------------------------------------

@@ -15,8 +15,9 @@ import numbers
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence, Tuple
 
+from repro.audit import get_auditor
 from repro.core import memo
-from repro.core.memo import ClosureCache, CostCache
+from repro.core.memo import ClosureCache, CostCache, DictFamily
 from repro.hw.device import Device
 from repro.hw.power import ActivityAccumulator, PowerModel
 from repro.hw.spec import DType
@@ -56,6 +57,9 @@ _SHARED_STEPPERS = ClosureCache("llama.decode_stepper", maxsize=4096)
 #: ``LlamaCostModel._build_stepper``): a serve run visits a few hundred
 #: block sums per batch size.
 _PIECE_MEMO_SIZE = 1024
+
+#: Every paged pricer's piece memo, counted as one cache.
+_DECODE_PIECES = DictFamily("llama.decode_piece")
 
 #: Cross-instance end-to-end generation estimates, keyed on the pricing
 #: identity, the fabric fault state and the call shape: figure sweeps
@@ -340,6 +344,12 @@ class LlamaCostModel:
         self.tp.shard(config.q_heads, "q_heads")
         if self.tp.degree > 1:
             self.tp.shard(config.kv_heads, "kv_heads")
+        library = self.tp.library
+        #: ``_fabric_key()`` is the TP fabric's live fault state as a
+        #: memo-key component: degraded topology views price collectives
+        #: against it, so every phase cache keys on it (``()`` without a
+        #: library).  Bound once: the serving engine reads it per call.
+        self._fabric_key = tuple if library is None else library.topology.cache_key
         # Everything a price depends on besides the call shape and the
         # fabric fault state (see _fabric_key): the key of the shared
         # phase caches and of every shared stepper.
@@ -376,13 +386,6 @@ class LlamaCostModel:
         either way."""
         tp = self.tp
         return tp.metrics is None and not tp.queue_events
-
-    def _fabric_key(self):
-        """The TP fabric's live fault state as a memo-key component:
-        degraded topology views price collectives against it, so every
-        phase cache keys on it (``()`` without a library)."""
-        library = self.tp.library
-        return () if library is None else library.topology.cache_key()
 
     def pricing_key(self) -> Hashable:
         """Static pricing identity plus the fabric's live fault state:
@@ -800,7 +803,9 @@ class LlamaCostModel:
         which all six hold (DESIGN.md §10).  Everything that does not
         depend on the context aggregates is folded at build time, and
         the serving engine calls the pricer once per piece, not once
-        per step.
+        per step.  With auditing on, a paged pricer comes back in its
+        audited form, which re-verifies a sampled share of its piece
+        memo's hits.
         """
         if batch <= 0:
             raise ValueError("batch must be positive")
@@ -813,14 +818,15 @@ class LlamaCostModel:
         # belongs in both keys.
         key = (attention, batch, block_size, self._fabric_key())
         stepper = self._stepper_cache.get(key)
-        if stepper is not None:
-            return stepper
-        shared_key = (self._pricing_identity, key)
-        stepper = _SHARED_STEPPERS.get(shared_key)
         if stepper is None:
-            stepper = self._build_stepper(batch, attention, block_size)
-            _SHARED_STEPPERS.put(shared_key, stepper)
-        self._stepper_cache[key] = stepper
+            shared_key = (self._pricing_identity, key)
+            stepper = _SHARED_STEPPERS.get(shared_key)
+            if stepper is None:
+                stepper = self._build_stepper(batch, attention, block_size)
+                _SHARED_STEPPERS.put(shared_key, stepper)
+            self._stepper_cache[key] = stepper
+        if get_auditor() is not None:
+            return getattr(stepper, "audited", stepper)
         return stepper
 
     def _build_stepper(
@@ -928,17 +934,21 @@ class LlamaCostModel:
         # depends on neither max_context nor (below context_hi) the
         # context sum, it is the piece of every aggregate triple with
         # that block sum and a context sum up to context_hi, so a later
-        # call there returns it without repricing.  Bounded, and off
-        # with memoization.
+        # call there returns it without repricing.  Bounded, off with
+        # memoization, and counted as one cache (_DECODE_PIECES).
         pieces: dict = {}
         capacity = _PIECE_MEMO_SIZE if memo.memoization_enabled() else 0
+        family = _DECODE_PIECES
 
         def paged_piece(
             total_context: int, total_blocks: int, max_context: int
         ) -> DecodePiece:
             piece = pieces.get(total_blocks)
             if piece is not None and total_context <= piece[6]:
+                family.hits += 1
                 return piece
+            if capacity:
+                family.misses += 1
             a_t, a_v, a_mem, context_hi, max_hi = attend(
                 total_context, total_blocks, max_context
             )
@@ -957,6 +967,24 @@ class LlamaCostModel:
                 pieces[total_blocks] = piece
             return piece
 
+        def audited_piece(
+            total_context: int, total_blocks: int, max_context: int
+        ) -> DecodePiece:
+            """``paged_piece`` under the memo-equivalence audit: a
+            sampled hit is dropped, repriced through ``attend`` (counted
+            as a miss, stored again) and compared with what it held."""
+            piece = pieces.get(total_blocks)
+            if piece is not None and total_context <= piece[6]:
+                auditor = get_auditor()
+                if auditor is not None and auditor.should_verify_memo():
+                    del pieces[total_blocks]
+                    fresh = paged_piece(total_context, total_blocks, max_context)
+                    auditor.on_memo_result(family.name, total_blocks, piece, fresh)
+                    return fresh
+            return paged_piece(total_context, total_blocks, max_context)
+
+        paged_piece.audited = audited_piece
+        family.adopt(paged_piece, pieces)
         return paged_piece
 
     # -- end-to-end --------------------------------------------------------

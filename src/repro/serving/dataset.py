@@ -13,7 +13,7 @@ Two generators mirror the paper's two serving setups:
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -42,8 +42,12 @@ def fixed_length_requests(
     ]
 
 
-def dynamic_sonnet_requests(num_requests: int, seed: int = 0) -> List[Request]:
-    """Variable-length requests with Dynamic-Sonnet-like statistics."""
+def dynamic_sonnet_lengths(
+    num_requests: int, seed: int = 0
+) -> Tuple[List[int], List[int]]:
+    """The (input, output) token counts of
+    :func:`dynamic_sonnet_requests`, as two lists of ints (for callers
+    that build their own request objects from the same draws)."""
     if num_requests <= 0:
         raise ValueError("num_requests must be positive")
     rng = np.random.default_rng(seed)
@@ -55,9 +59,15 @@ def dynamic_sonnet_requests(num_requests: int, seed: int = 0) -> List[Request]:
     )
     inputs = np.clip(inputs, *_SONNET_INPUT_RANGE).astype(int)
     outputs = np.clip(outputs, *_SONNET_OUTPUT_RANGE).astype(int)
+    return inputs.tolist(), outputs.tolist()
+
+
+def dynamic_sonnet_requests(num_requests: int, seed: int = 0) -> List[Request]:
+    """Variable-length requests with Dynamic-Sonnet-like statistics."""
+    inputs, outputs = dynamic_sonnet_lengths(num_requests, seed)
     return [
-        Request(request_id=i, input_tokens=int(inputs[i]), output_tokens=int(outputs[i]))
-        for i in range(num_requests)
+        Request(request_id=i, input_tokens=input_tokens, output_tokens=output_tokens)
+        for i, (input_tokens, output_tokens) in enumerate(zip(inputs, outputs))
     ]
 
 

@@ -40,6 +40,7 @@ from repro.models.llama import DecodeAttention, LlamaCostModel, one_step_pricer
 from repro.serving.engine_core import (
     SLOT_FAILED,
     SLOT_FINISHED,
+    SLOT_FREE,
     SLOT_RUNNING,
     SLOT_SHED,
     SLOT_WAITING,
@@ -579,11 +580,19 @@ class LlmServingEngine:
         waits for a recovery), the step's slowdown, a transient kernel
         fault drawn before the decode step (its time passes, its tokens
         are lost), and the spans and metrics of every event.
+
+        A fleet node re-enters here at every fleet event and runs about
+        two steps per call, so what does not change inside one call is
+        read once per call: the brownout slowdown (an injector's varies
+        per step) and the fabric fault state the pricer table answers
+        to (:meth:`_refresh_steppers`).  The retire and admit steps do
+        their slot and pool bookkeeping inline.
         """
         core = self._core
         audit = self._audit
         model = self.model
         max_batch = self.max_decode_batch
+        bs = core.block_size
         inp = core.input_tokens
         out = core.output_tokens
         gen = core.generated
@@ -592,15 +601,20 @@ class LlmServingEngine:
         runners = core.runners
         wait_q = core.wait_q
         objs = core.objs
+        free_slots = core.free_slots
+        finished_pending = core.finished_pending
+        aggregates = self._aggregates
         activity = self._activity
         watchdog = self.watchdog
         injector = self.injector
         tracer = self._tracer
-        observing = tracer is not None or self._metrics is not None
+        metrics = self._metrics
+        observing = tracer is not None or metrics is not None
         stepwise = observing or injector is not None or watchdog is not None
         burst_horizon = -math.inf if stepwise else horizon
+        slowdown = self.slowdown
         self._refresh_steppers()
-        while core.has_unfinished:
+        while runners or finished_pending or core.wait_head < len(wait_q):
             now = self._now
             if now > horizon:
                 break
@@ -617,23 +631,31 @@ class LlmServingEngine:
             if now >= core.next_expiry:
                 self._enforce_deadlines_fast(now)
             # Virtual scheduler step: retire, then admit.
-            retired = len(core.finished_pending)
+            retired = len(finished_pending)
             if retired:
                 if tracer is not None:
                     # Pool bookkeeping is instantaneous on the virtual
                     # clock; zero-width spans mark each release on the
                     # ``kv`` track, in admission order.
-                    for slot in sorted(core.finished_pending, key=core.join_seq.__getitem__):
+                    for slot in sorted(finished_pending, key=core.join_seq.__getitem__):
                         tracer.record(
                             "kv.free", "kv", now, now,
                             request_id=objs[slot].request_id,
                             blocks=core.blocks_held(slot),
                         )
-                for slot in core.finished_pending:
-                    self._release_blocks(slot)
-                    self._fold_terminal(objs[slot])
-                    core.release(slot)
-                core.finished_pending.clear()
+                for slot in finished_pending:
+                    # Return the slot's blocks (core.blocks_held), fold
+                    # its materialized Request, recycle the slot.
+                    held = -(-(inp[slot] + gen[slot] - 1) // bs)
+                    core.free_blocks += held
+                    if metrics is not None:
+                        self._observe_pool("free", held)
+                    if aggregates is not None:
+                        aggregates.fold_terminal(objs[slot])
+                    state[slot] = SLOT_FREE
+                    objs[slot] = None
+                    free_slots.append(slot)
+                finished_pending.clear()
             admitted: List[int] = []
             single_tier = core.single_tier
             index = core.wait_head
@@ -645,8 +667,12 @@ class LlmServingEngine:
                         break  # arrival-sorted: nothing behind has arrived
                     index += 1
                     continue
-                if not core.fits(
-                    core.blocks_needed(request.input_tokens + request.generated)
+                # core.fits(needed, free), inline.
+                needed = -(-(inp[slot] + gen[slot]) // bs)
+                free = core.free_blocks
+                if needed > free or (
+                    core.num_blocks - free + needed > core.admit_limit
+                    and free != core.num_blocks
                 ):
                     break
                 if index == core.wait_head:
@@ -654,7 +680,7 @@ class LlmServingEngine:
                     index = core.wait_head  # the pop may compact the queue
                 else:
                     del wait_q[index]
-                needed = core.allocate_shadow(slot)
+                core.free_blocks = free - needed
                 request.start_running()
                 state[slot] = SLOT_RUNNING
                 admitted.append(slot)
@@ -664,7 +690,7 @@ class LlmServingEngine:
                             "kv.allocate", "kv", now, now,
                             request_id=request.request_id, blocks=needed,
                         )
-                    if self._metrics is not None:
+                    if metrics is not None:
                         self._observe_pool("allocate", needed)
             if observing:
                 self._sched_now = now
@@ -696,7 +722,8 @@ class LlmServingEngine:
                 # All remaining requests arrive later; jump the clock.
                 self._now = max(now, next_arrival)
                 continue
-            slowdown = self._slowdown()
+            if injector is not None:
+                slowdown = self.slowdown * injector.compute_slowdown()
             step_start = now
             step_span = None
             if observing:
@@ -878,11 +905,12 @@ class LlmServingEngine:
         )
         return request
 
-    def _burst_wake(self, now: float, n: int) -> Tuple[float, int]:
-        """When a decode burst of ``n`` runners starting at ``now`` must
-        stop to let the scheduler act: ``(wake, needed)`` such that any
-        admission or deadline scan due after a step implies the clock
-        reached ``wake`` with ``needed`` blocks still free.
+    def _burst_wake(self, now: float, n: int, free: int) -> Tuple[float, int]:
+        """When a decode burst of ``n`` runners starting at ``now`` with
+        ``free`` blocks free must stop to let the scheduler act:
+        ``(wake, needed)`` such that any admission or deadline scan due
+        after a step implies the clock reached ``wake`` with ``needed``
+        blocks still free.
 
         Free blocks only shrink during a burst, so a waiting request
         that does not fit now never will; the candidates are the fitting
@@ -903,7 +931,7 @@ class LlmServingEngine:
                 request = objs[wait_q[index]]  # current while waiting
                 at = request.arrival_time
                 needed = core.blocks_needed(request.input_tokens + request.generated)
-                if core.fits(needed):
+                if core.fits(needed, free):
                     if at < wake:
                         wake = at
                     if needed < needed_min:
@@ -1014,7 +1042,10 @@ class LlmServingEngine:
         hist128 = core.hist128
         hist_bs = core.hist_bs
         same_hist = hist_bs is hist128
-        wake, wake_needed = self._burst_wake(now, n)
+        # The scheduler wake is computed on the first step that outlives
+        # the horizon check (a fleet node's burst rarely does).
+        start = now
+        wake = None
         retire_pending = bool(core.finished_pending)
         free_before = core.free_blocks
         j = 0  # completed steps this burst
@@ -1032,7 +1063,10 @@ class LlmServingEngine:
         # Steps the piece still covers: the context sum grows by n and
         # the longest context by 1 per step; a block crossing past
         # blocks_hi ends the piece early.
-        left = min((context_hi - total_context) // n, max_hi - max_context) + 1
+        left = (context_hi - total_context) // n
+        if max_hi - max_context < left:
+            left = max_hi - max_context
+        left += 1
         while True:
             if not left:
                 (
@@ -1040,7 +1074,10 @@ class LlmServingEngine:
                     context_hi, blocks_hi, max_hi,
                 ) = price(total_context, total_blocks, max_context)
                 step = step_time * slowdown
-                left = min((context_hi - total_context) // n, max_hi - max_context) + 1
+                left = (context_hi - total_context) // n
+                if max_hi - max_context < left:
+                    left = max_hi - max_context
+                left += 1
             now += step
             acc_matrix += matrix
             acc_weighted += weighted
@@ -1070,6 +1107,8 @@ class LlmServingEngine:
                 break  # a prefill finisher awaits retirement next step
             if now > horizon:
                 break
+            if wake is None:
+                wake, wake_needed = self._burst_wake(start, n, free_before)
             if wake <= now and wake_needed <= core.free_blocks:
                 break  # the scheduler may admit or scan deadlines next step
             if core.free_blocks < n and n > 1:
@@ -1082,7 +1121,12 @@ class LlmServingEngine:
         activity.comm_seconds = acc_comm
         if self._metrics is not None and core.free_blocks < free_before:
             self._observe_pool("grow", free_before - core.free_blocks)
-        finished = core.end_burst(recorded, total_blocks)
+        if recorded >= min_rem:
+            finished = core.end_burst(recorded, total_blocks)
+        else:  # no runner's budget ran out
+            core.decoded = offset + recorded
+            core.total_blocks = total_blocks
+            finished = ()
         self._steps += j
         core.vectorized_steps += j
         self._now = now
@@ -1504,7 +1548,3 @@ class LlmServingEngine:
             watchdog_reason=watchdog_reason,
         )
 
-    def _slowdown(self) -> float:
-        if self.injector is None:
-            return self.slowdown
-        return self.slowdown * self.injector.compute_slowdown()

@@ -379,12 +379,12 @@ class EngineCore:
     def blocks_needed(self, tokens: int) -> int:
         return -(-tokens // self.block_size)
 
-    def fits(self, needed: int) -> bool:
-        """Whether ``needed`` blocks can be admitted: they are free, and
-        admitting them keeps occupancy under the watermark (an empty
-        pool always admits a fitting request, so a watermark can delay
-        but never deadlock admission)."""
-        free = self.free_blocks
+    def fits(self, needed: int, free: int) -> bool:
+        """Whether ``needed`` blocks can be admitted with ``free`` blocks
+        free: they are free, and admitting them keeps occupancy under the
+        watermark (an empty pool always admits a fitting request, so a
+        watermark can delay but never deadlock admission).  The engine's
+        admission step evaluates the same rule inline."""
         return needed <= free and (
             self.num_blocks - free + needed <= self.admit_limit
             or free == self.num_blocks
@@ -401,16 +401,14 @@ class EngineCore:
         """
         return self.blocks_needed(self.input_tokens[slot] + self.generated[slot] - 1)
 
-    def allocate_shadow(self, slot: int) -> int:
-        """Charge the admission allocation for ``slot``'s context."""
-        needed = self.blocks_needed(self.input_tokens[slot] + self.generated[slot])
-        self.free_blocks -= needed
-        return needed
-
     # -- runner set ----------------------------------------------------
+    # join, leave and end_burst run once per runner per admission or
+    # finish, so they pack heap entries (heap_entry) and test staleness
+    # (_live_key) inline.
     def join(self, slot: int) -> None:
         """Add a post-prefill RUNNING slot to the runner set."""
-        context = self.input_tokens[slot] + self.generated[slot]
+        inp = self.input_tokens[slot]
+        context = inp + self.generated[slot]
         base = context - self.decoded
         seq = self.join_count
         self.join_count = seq + 1
@@ -422,13 +420,16 @@ class EngineCore:
         self.hist128[base % PRICING_BLOCK] += 1
         if self.hist_bs is not self.hist128:
             self.hist_bs[base % self.block_size] += 1
-        heapq.heappush(self.base_heap, heap_entry(-base, seq))
-        heapq.heappush(self.rem_heap, heap_entry(self._rem_key(slot), seq))
+        heapq.heappush(self.base_heap, (-base << SEQ_BITS) | seq)
+        # r = output + input - b: the remaining budget plus ``decoded``.
+        rem = self.output_tokens[slot] + inp - base
+        heapq.heappush(self.rem_heap, (rem << SEQ_BITS) | seq)
 
     def leave(self, slot: int) -> None:
         """Remove a runner from the runner set, writing back its
         ``generated`` column; its heap entries go stale."""
-        del self.runners[self.join_seq[slot]]
+        runners = self.runners
+        del runners[self.join_seq[slot]]
         base = self.base[slot]
         context = base + self.decoded
         self.generated[slot] = context - self.input_tokens[slot]
@@ -437,7 +438,9 @@ class EngineCore:
         self.hist128[base % PRICING_BLOCK] -= 1
         if self.hist_bs is not self.hist128:
             self.hist_bs[base % self.block_size] -= 1
-        self._compact()
+        bound = 2 * len(runners)  # _compact's trigger, tested inline
+        if len(self.base_heap) > bound or len(self.rem_heap) > bound:
+            self._compact()
 
     def _compact(self) -> None:
         """Rebuild a heap once its stale entries outnumber the runners."""
@@ -449,15 +452,12 @@ class EngineCore:
             ]
             heapq.heapify(self.base_heap)
         if len(self.rem_heap) > 2 * live:
+            out, inp, base = self.output_tokens, self.input_tokens, self.base
             self.rem_heap = [
-                heap_entry(self._rem_key(slot), seq)
+                heap_entry(out[slot] + inp[slot] - base[slot], seq)
                 for seq, slot in self.runners.items()
             ]
             heapq.heapify(self.rem_heap)
-
-    def _rem_key(self, slot: int) -> int:
-        """A runner's ``r``: its remaining budget plus ``decoded``."""
-        return self.output_tokens[slot] + self.input_tokens[slot] - self.base[slot]
 
     def _live_key(self, heap: List[int]) -> Optional[int]:
         """The smallest live key of a lazily-deleted heap (popping the
@@ -482,12 +482,21 @@ class EngineCore:
         runner and left ``total_blocks`` pricing blocks; returns the
         runners whose budget is now spent, removed from the runner set
         in join order (``finished_pending`` order)."""
-        self.decoded += recorded
+        decoded = self.decoded = self.decoded + recorded
         self.total_blocks = total_blocks
         heap = self.rem_heap
+        runners = self.runners
         done: List[int] = []
-        while self._live_key(heap) == self.decoded:
-            done.append(self.runners[heapq.heappop(heap) & SEQ_MASK])
+        while heap:
+            top = heap[0]
+            seq = top & SEQ_MASK
+            if seq not in runners:
+                heapq.heappop(heap)  # stale: the runner already left
+            elif top >> SEQ_BITS == decoded:
+                heapq.heappop(heap)
+                done.append(runners[seq])
+            else:
+                break
         for slot in done:
             self.leave(slot)
         return done

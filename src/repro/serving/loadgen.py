@@ -10,6 +10,7 @@ knee of the latency curve).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
 
@@ -26,6 +27,7 @@ __all__ = [
     "LoadTestReport",
     "ResilientLoadReport",
     "RetryPolicy",
+    "arrival_times",
     "diurnal_arrivals",
     "max_sustainable_rate",
     "poisson_arrivals",
@@ -101,13 +103,34 @@ def poisson_arrivals(
         raise ValueError("rate must be positive")
     if not isinstance(requests, Sequence):
         return _lazy_poisson(requests, rate, seed)
-    rng = np.random.default_rng(seed)
-    gaps = rng.exponential(1.0 / rate, size=len(requests))
-    clock = 0.0
-    for request, gap in zip(requests, gaps):
-        clock += float(gap)
+    for request, clock in zip(requests, arrival_times(len(requests), rate, seed)):
         request.arrival_time = clock
     return list(requests)
+
+
+def arrival_times(
+    count: int,
+    rate: float,
+    seed: int = 0,
+    period: Optional[float] = None,
+    amplitude: float = 0.8,
+) -> List[float]:
+    """The first ``count`` arrival clocks :func:`poisson_arrivals`
+    (``period`` None) or :func:`diurnal_arrivals` (with ``period`` and
+    ``amplitude``) stamp on a request list with this ``seed``: the same
+    draws, for callers that build their own request objects."""
+    if rate <= 0:
+        raise ValueError("rate must be positive")
+    if period is not None:
+        if period <= 0:
+            raise ValueError("period must be positive")
+        if not 0.0 <= amplitude < 1.0:
+            raise ValueError("amplitude must be in [0, 1)")
+        return list(itertools.islice(
+            _diurnal_clock(rate, period, amplitude, seed), count
+        ))
+    gaps = np.random.default_rng(seed).exponential(1.0 / rate, size=count)
+    return list(itertools.accumulate(gaps.tolist()))
 
 
 def _lazy_poisson(
@@ -158,19 +181,26 @@ def _lazy_diurnal(
     amplitude: float,
     seed: int,
 ) -> Iterator[Request]:
+    for request, clock in zip(requests, _diurnal_clock(rate, period, amplitude, seed)):
+        request.arrival_time = clock
+        yield request
+
+
+def _diurnal_clock(
+    rate: float, period: float, amplitude: float, seed: int
+) -> Iterator[float]:
+    """The endless diurnal arrival clock: candidate gaps at the peak
+    rate, each kept with probability instantaneous / peak."""
     rng = np.random.default_rng(seed)
     peak = rate * (1.0 + amplitude)
     clock = 0.0
-    for request in requests:
-        while True:
-            clock += float(rng.exponential(1.0 / peak))
-            instantaneous = rate * (
-                1.0 + amplitude * np.sin(2.0 * np.pi * clock / period)
-            )
-            if rng.random() * peak <= instantaneous:
-                break
-        request.arrival_time = clock
-        yield request
+    while True:
+        clock += float(rng.exponential(1.0 / peak))
+        instantaneous = rate * (
+            1.0 + amplitude * np.sin(2.0 * np.pi * clock / period)
+        )
+        if rng.random() * peak <= instantaneous:
+            yield clock
 
 
 def run_load_test(

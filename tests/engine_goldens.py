@@ -472,6 +472,59 @@ def hedging_fleet_config():
     )
 
 
+def autoscale_fleet_config():
+    """A diurnal single-pool fleet whose autoscaler provisions nodes
+    inside the event loop at each peak and drains them (to retirement)
+    in each trough."""
+    from repro.cluster import AutoscalePolicy, FleetConfig
+
+    return FleetConfig(
+        nodes=(("gaudi2", 1),),
+        max_decode_batch=4,
+        num_requests=300,
+        rate=15.0,
+        diurnal=True,
+        diurnal_period=10.0,
+        timeout=20.0,
+        autoscale=AutoscalePolicy(
+            target_p99_ttft=1.0, evaluate_interval=1.0, cooldown=2.0,
+            scale_down_factor=0.9, max_nodes=3, provision_delay=0.5,
+        ),
+    )
+
+
+def diurnal_fleet_config():
+    """Diurnal arrivals attributed to tenants, under admission control,
+    breakers and a node crash."""
+    from repro.cluster import (
+        AdmissionPolicy,
+        BreakerPolicy,
+        FleetConfig,
+        NodeFaultPlan,
+        TenantSpec,
+    )
+
+    return FleetConfig(
+        nodes=(("gaudi2", 2), ("a100", 1)),
+        max_decode_batch=4,
+        num_requests=300,
+        rate=40.0,
+        diurnal=True,
+        diurnal_period=8.0,
+        timeout=20.0,
+        tenants=(
+            TenantSpec(name="gold", tier=0, share=0.3, weight=4.0, ttft_slo=2.0),
+            TenantSpec(name="bronze", tier=2, share=0.7,
+                       quota_rate=20.0, quota_burst=8.0),
+        ),
+        admission=AdmissionPolicy(
+            target_queue_delay=0.4, shed_queue_delay=0.8, max_queue_delay=10.0
+        ),
+        breaker=BreakerPolicy(),
+        plan=NodeFaultPlan.from_spec("crash:gaudi2-1@t=2,recover=5"),
+    )
+
+
 def drawn_fleet_config(seed):
     """One seeded draw of a small heterogeneous fleet exercising every
     node-level policy: tenants with TTFT SLOs and quotas, admission,
@@ -746,6 +799,8 @@ CASES: Dict[str, Callable[[], object]] = {
         for seed in range(4)
     },
     "fleet_hedging": _case_fleet(hedging_fleet_config),
+    "fleet_autoscale": _case_fleet(autoscale_fleet_config),
+    "fleet_diurnal": _case_fleet(diurnal_fleet_config),
     **{
         f"fuzz_fleet_{seed}": _case_fleet(drawn_fleet_config, seed)
         for seed in range(FUZZ_DRAWS)

@@ -158,7 +158,7 @@ class TestWeightedFairQueue:
         wfq.push("a", "x")
         wfq.push("a", "y")
         assert len(wfq) == 2
-        wfq.remove("a", "x")
+        wfq.drop_head("a", 1)
         assert len(wfq) == 1
         assert wfq.pop() == ("a", "y")
         assert wfq.pop() is None
@@ -287,7 +287,7 @@ class TestAdmissionController:
         (entry, reason), = sheds
         assert reason == "overload: queue delay 3.000s > 2s, tier 2 shed first"
         # Tier 0 survives in the queue even though it is just as old.
-        assert [e.tenant for _, e in controller.wfq.peek_items()] == ["gold"]
+        assert [e.tenant for q in controller.wfq.queues.values() for e in q] == ["gold"]
         assert controller.queue_sheds_by_tier == [0, 0, 1]
 
     def test_hard_bound_sheds_any_tier(self):

@@ -171,6 +171,35 @@ class TestNodeHealth:
         node.clear_brownout()
         assert node.state is NodeState.HEALTHY
 
+    def test_routable_bit_follows_every_transition(self):
+        node = self._node()
+        node.begin()
+        steps = [
+            (node.set_brownout, 0.5), (node.set_blip, True), (node.crash,),
+            (node.begin_recovery,), (node.set_blip, False), (node.warm,),
+            (node.start_upgrade_drain,), (node.begin_upgrade_restart,),
+            (node.finish_upgrade,), (node.drain,), (node.reap,),
+        ]
+        for step, *args in steps:
+            step(*args)
+            assert node.routable == (
+                node.state in (NodeState.HEALTHY, NodeState.DEGRADED)
+            ), step.__name__
+        assert node.state is NodeState.RETIRED
+
+    def test_flag_set_without_its_transition_fails_the_strict_audit(self):
+        """Routing reads the stored bit; the strict audit re-derives it
+        from the flags on every dispatch."""
+        from repro.audit import FleetRoutingError
+        from repro.cluster.fleet import _FleetRun
+
+        with audit_scope("strict"):
+            run = _FleetRun(_small_config())
+            run.seed_workload()
+            run.gateway.nodes["gaudi2-0"].blipped = True  # bypasses set_blip
+            with pytest.raises(FleetRoutingError, match="unroutable node gaudi2-0"):
+                run.run()
+
     def test_fabric_degradation_marks_degraded(self):
         node = self._node()
         node.degrade_fabric(0.5)
@@ -205,10 +234,10 @@ class TestNodeHealth:
         node.cancel(requests[0], "gateway-timeout: test")
         assert node.reap() == [requests[0], requests[2]]
         assert list(node.inflight.values()) == [requests[1]]
-        assert node.load == 1
+        assert len(node.inflight) == 1
         node.advance_to(math.inf)
         assert node.reap() == [requests[1]]
-        assert node.load == 0
+        assert len(node.inflight) == 0
 
     def test_unreported_terminal_attempt_fails_the_audit(self):
         from repro.audit import Auditor, AuditMode, FleetConservationError

@@ -20,6 +20,8 @@ from repro.audit import audit_scope
 from repro.serving.engine_core import counters_snapshot, reset_counters
 from tests import engine_goldens
 from tests.engine_goldens import (
+    autoscale_fleet_config,
+    diurnal_fleet_config,
     drawn_fleet_config,
     fleet_chaos_config,
     fleet_payload,
@@ -47,6 +49,25 @@ def test_hedging_fleet_matches_scalar():
     onto the attempt only on demand (``engine.sync_live()``)."""
     payload = _assert_pinned("fleet_hedging", hedging_fleet_config())
     assert json.loads(payload)["hedges"] > 0
+
+
+@pytest.mark.parametrize("name,config_fn", [
+    ("fleet_autoscale", autoscale_fleet_config),
+    ("fleet_diurnal", diurnal_fleet_config),
+])
+def test_event_loop_paths_pinned(name, config_fn):
+    """Paths no drawn fleet takes: nodes provisioned and retired inside
+    the event loop, and diurnal arrivals attributed to tenants.  The
+    digests hold plain, under the strict audit and with a RunContext
+    bound."""
+    payload = _assert_pinned(name, config_fn())
+    with audit_scope("strict"):
+        assert fleet_payload(config_fn()) == payload
+    assert fleet_payload(config_fn(), RunContext.create()) == payload
+    report = json.loads(payload)
+    if name == "fleet_autoscale":
+        assert report["scale_ups"] > 0 and report["scale_downs"] > 0
+        assert "retired" in {node["final_state"] for node in report["node_reports"]}
 
 
 def test_drawn_fleets_match_scalar():

@@ -191,6 +191,26 @@ class TestStreamingLoadgen:
         )
         assert [r.arrival_time for r in lazy] == [r.arrival_time for r in listed]
 
+    @pytest.mark.parametrize("period", [None, 7.5])
+    def test_arrival_times_are_the_stamped_clocks(self, period):
+        """The fleet seeds its requests from ``arrival_times`` and
+        ``dynamic_sonnet_lengths``: the same draws the request-stamping
+        helpers make."""
+        from repro.serving.dataset import dynamic_sonnet_lengths, dynamic_sonnet_requests
+        from repro.serving.loadgen import arrival_times, diurnal_arrivals
+
+        requests = dynamic_sonnet_requests(60, seed=9)
+        if period is None:
+            poisson_arrivals(requests, 12.0, seed=9)
+        else:
+            diurnal_arrivals(requests, 12.0, period=period, seed=9)
+        assert arrival_times(60, 12.0, seed=9, period=period) == [
+            r.arrival_time for r in requests
+        ]
+        assert dynamic_sonnet_lengths(60, seed=9) == (
+            [r.input_tokens for r in requests], [r.output_tokens for r in requests]
+        )
+
     def test_streaming_factory_matches_list_factory(self):
         list_report = run_load_test(
             engine_factory=_small_engine, request_factory=_small_requests,

@@ -318,6 +318,73 @@ class TestPrefillPricer:
             assert model.prefill_pricer(1) is not pricer
 
 
+class TestDecodePieceMemo:
+    """Every paged pricer's piece memo is one registered cache, and the
+    audit re-verifies its hits."""
+
+    @pytest.fixture(autouse=True)
+    def memo_on(self):
+        previous = memo.memoization_enabled()
+        memo.set_enabled(True)
+        try:
+            yield
+        finally:
+            memo.set_enabled(previous)
+
+    @staticmethod
+    def _pieces(price):
+        import inspect
+
+        return inspect.getclosurevars(price).nonlocals["pieces"]
+
+    def test_listed_as_one_cache(self, audit_off):
+        memo.clear_caches()
+        engine = LlmServingEngine(
+            LlamaCostModel(LLAMA_3_1_8B, get_backend("gaudi2")),
+            DecodeAttention.PAGED_OPT, max_decode_batch=16,
+        )
+        engine.run(dynamic_sonnet_requests(48, seed=3))
+        entry = memo.cache_stats()["llama.decode_piece"]
+        assert entry["hits"] > 0 and entry["misses"] > 0 and entry["entries"] > 0
+        assert "llama.decode_piece" in memo.render_stats()
+        memo.clear_caches()
+        entry = memo.cache_stats()["llama.decode_piece"]
+        assert (entry["hits"], entry["misses"], entry["entries"]) == (0, 0, 0)
+
+    def test_strict_audit_catches_a_corrupted_piece(self):
+        memo.clear_caches()
+        model = LlamaCostModel(LLAMA_3_1_8B, get_backend("gaudi2"))
+        with audit_scope("strict", sample_fraction=1.0) as auditor:
+            price = model.decode_stepper(4, DecodeAttention.PAGED_OPT)
+            piece = price(2000, 16, 500)
+            pieces = self._pieces(price)
+            assert pieces[16] == piece  # a read-bound piece is kept
+            assert price(2001, 16, 501) == piece
+            assert auditor.total_violations == 0
+            pieces[16] = (piece[0] * 1.01,) + piece[1:]
+            with pytest.raises(MemoEquivalenceError, match="llama.decode_piece"):
+                price(2002, 16, 502)
+
+    def test_audited_serve_matches_unaudited(self):
+        def serve():
+            memo.clear_caches()
+            requests = dynamic_sonnet_requests(32, seed=5)
+            report = LlmServingEngine(
+                LlamaCostModel(LLAMA_3_1_8B, get_backend("gaudi2")),
+                DecodeAttention.PAGED_OPT, max_decode_batch=16,
+            ).run(requests)
+            return report.to_json()
+
+        with audit_scope("off"):
+            plain = serve()
+        with audit_scope("strict", sample_fraction=1.0) as auditor:
+            audited = serve()
+            verified = auditor.memo_verified
+            assert auditor.total_violations == 0
+        assert audited == plain
+        assert verified > 0
+
+
 class TestFaultStateMemo:
     """Degraded fabrics memoize under their fault-state key, so fleet
     and chaos runs price through the cached path; it must stay
