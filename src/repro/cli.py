@@ -219,6 +219,7 @@ def _build_serving_engine(args: argparse.Namespace, ctx=None):
     config = LLAMA_3_1_8B if args.model == "8b" else LLAMA_3_1_70B
     for flag, value in (
         ("--requests", args.requests), ("--max-batch", args.max_batch), ("--tp", args.tp),
+        ("--samples", getattr(args, "samples", 1)),  # top's only
     ):
         if value < 1:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
@@ -242,6 +243,15 @@ def _build_serving_engine(args: argparse.Namespace, ctx=None):
     return engine
 
 
+def _output_file(flag: str, path: str) -> pathlib.Path:
+    """``path`` once its directory is known to exist, so a bad output
+    path exits 2 naming ``flag`` before the run, not after it."""
+    out = pathlib.Path(path)
+    if not out.parent.is_dir():
+        raise ConfigError(f"{flag}: directory {out.parent} does not exist")
+    return out
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.api import render_report
     from repro.serving import dynamic_sonnet_requests
@@ -258,12 +268,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     ctx = RunContext.create(seed=args.seed, device=args.device)
     engine = _build_serving_engine(args, ctx=ctx)
+    out = _output_file("--out", args.out)
     num_requests = min(args.requests, 16) if args.fast else args.requests
     engine.run(dynamic_sonnet_requests(num_requests, seed=args.seed))
     from repro.core import memo
 
     memo.publish_metrics(ctx.metrics)
-    out = pathlib.Path(args.out)
     out.write_text(ctx.chrome_trace() + "\n")
     print(ctx.tracer_summary())
     print()
@@ -543,12 +553,14 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         upgrade=upgrade,
         plan=NodeFaultPlan.from_spec(args.chaos) if args.chaos else NodeFaultPlan(),
     )
-    ctx = RunContext.create(seed=args.seed) if args.trace_out else None
-    report = run_fleet(config, journal=args.out, ctx=ctx)
+    ctx = None
     if args.trace_out:
-        out = pathlib.Path(args.trace_out)
-        out.write_text(ctx.chrome_trace() + "\n")
-        print(f"chrome trace written to {out}", file=sys.stderr)
+        trace_out = _output_file("--trace-out", args.trace_out)
+        ctx = RunContext.create(seed=args.seed)
+    report = run_fleet(config, journal=args.out, ctx=ctx)
+    if ctx is not None:
+        trace_out.write_text(ctx.chrome_trace() + "\n")
+        print(f"chrome trace written to {trace_out}", file=sys.stderr)
     print(render_report(report, args.format))
     if args.format == "text":
         return _print_audit_summary()

@@ -55,17 +55,14 @@ def serve_point(
 ) -> ServePoint:
     """Serve ``num_requests`` Dynamic-Sonnet requests (seed 7) on
     ``model``; looked up before the engine runs."""
-    key = None
-    if model.memo_ok:
-        key = (model.pricing_key(), attention, max_decode_batch, num_requests)
-        point = _SERVE_CACHE.get(key)
-        if point is not None:
-            return point
+    key = (model.pricing_key(), attention, max_decode_batch, num_requests)
+    point = _SERVE_CACHE.get(key)
+    if point is not None:
+        return point
     engine = LlmServingEngine(model, attention, max_decode_batch=max_decode_batch)
     report = engine.run(dynamic_sonnet_requests(num_requests, seed=_DATASET_SEED))
     point = ServePoint(report.throughput_tokens_per_s, report.mean_ttft, report.mean_tpot)
-    if key is not None:
-        _SERVE_CACHE.put(key, point)
+    _SERVE_CACHE.put(key, point)
     return point
 
 

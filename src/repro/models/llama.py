@@ -256,30 +256,6 @@ class DecodeBatchStats:
 DecodePiece = Tuple[float, float, float, float, float, float, int, int, int]
 
 
-def one_step_pricer(
-    price_step: Callable[[DecodeBatchStats, DecodeAttention], PhaseEstimate],
-    batch: int,
-    attention: DecodeAttention,
-) -> Callable[[int, int, int], DecodePiece]:
-    """A piece pricer over ``price_step(stats, attention)`` whose box is
-    the priced aggregates alone, so its caller prices every step
-    through ``price_step`` (an observed config's per-call collective
-    metrics and events fire once per step)."""
-
-    def price(total_context: int, total_blocks: int, max_context: int) -> DecodePiece:
-        phase = price_step(
-            DecodeBatchStats(batch, total_context, total_blocks, max_context), attention
-        )
-        acc = phase.activity
-        return (
-            phase.time, acc.matrix_seconds, acc.matrix_active_weighted,
-            acc.vector_seconds, acc.memory_seconds, acc.comm_seconds,
-            total_context, total_blocks, max_context,
-        )
-
-    return price
-
-
 @dataclass(frozen=True)
 class GenerationEstimate:
     """End-to-end generation of ``output_len`` tokens for a batch."""
@@ -377,22 +353,26 @@ class LlamaCostModel:
     def _layer_dispatch(self) -> float:
         return _LAYER_DISPATCH if self.use_graphs else _LAYER_DISPATCH_EAGER
 
-    @property
-    def memo_ok(self) -> bool:
-        """Whether phase-level memoization is sound: an observed
-        tensor-parallel config must fire its per-call allreduce
-        metrics/trace events, so it prices every call from scratch.
-        The pure device and kernel caches below this layer stay active
-        either way."""
-        tp = self.tp
-        return tp.metrics is None and not tp.queue_events
-
     def pricing_key(self) -> Hashable:
         """Static pricing identity plus the fabric's live fault state:
         the leading component of every key a cache shared across model
         instances uses (``generate``'s, and the figure-level lookups
         above it)."""
         return (self._pricing_identity, self._fabric_key())
+
+    def collectives(self, tokens: int) -> Tuple[Tuple[float, float], ...]:
+        """The ``(seconds, bytes)`` AllReduces one prefill or decode
+        step over ``tokens`` tokens runs, in order: the two activation
+        AllReduces of a decoder layer at the fabric's current fault
+        state, or ``()`` when there is no exchange (TP 1, or fewer than
+        two live participants).  Pricing folds their time in; this is
+        how an observer learns they ran."""
+        tp = self.tp
+        if tp.effective_degree() < 2:
+            return ()
+        size_bytes = tokens * self.config.hidden_size * self.config.dtype.itemsize
+        allreduce = (tp.allreduce_time(size_bytes), size_bytes)
+        return (allreduce, allreduce)
 
     # -- helpers ---------------------------------------------------------
     def _gemm(
@@ -428,18 +408,14 @@ class LlamaCostModel:
         """Process the whole prompt; produces the first token.
 
         A phase-cache miss prices through the compiled
-        :meth:`prefill_pricer`.  Observed configs skip the phase cache
-        (each call must fire its AllReduce metrics and events) but
-        still price through the pricer, whose AllReduces run live.  The
-        from-scratch assembly (:meth:`_prefill_uncached`, the reference
-        the pricer is pinned to) runs with memoization off and for a
-        sampled audit recompute, so both ``REPRO_NO_MEMO=1`` and the
-        memo-equivalence check compare two independent paths.
+        :meth:`prefill_pricer`.  The from-scratch assembly
+        (:meth:`_prefill_uncached`, the reference the pricer is pinned
+        to) runs with memoization off and for a sampled audit
+        recompute, so both ``REPRO_NO_MEMO=1`` and the memo-equivalence
+        check compare two independent paths.
         """
         if batch <= 0 or seq_len <= 0:
             raise ValueError("batch and seq_len must be positive")
-        if not self.memo_ok:
-            return self._price_prefill(int(batch), int(seq_len))
         key = (batch, seq_len, self._fabric_key())
         cache = self._prefill_cache
         phase = cache.get(key)
@@ -454,15 +430,12 @@ class LlamaCostModel:
                 # kernel caches the pricer never reads.
                 with memo.disabled():
                     phase = self._prefill_uncached(batch, seq_len)
+            elif memo.memoization_enabled():
+                phase = self.prefill_pricer(batch)(seq_len, self.tp)
             else:
-                phase = self._price_prefill(batch, seq_len)
+                phase = self._prefill_uncached(batch, seq_len)
             cache.put(key, phase)
         return phase
-
-    def _price_prefill(self, batch: int, seq_len: int) -> PhaseEstimate:
-        if memo.memoization_enabled():
-            return self.prefill_pricer(batch)(seq_len, self.tp)
-        return self._prefill_uncached(batch, seq_len)
 
     def prefill_pricer(
         self, batch: int
@@ -477,10 +450,8 @@ class LlamaCostModel:
         per-shape twin: :meth:`Device.gemm_row` for the four layer
         GEMMs, the fused-attention and element-wise twins for the rest.
         The AllReduces run live through ``tp`` (the calling model's), so
-        a degraded fabric prices them at its current fault state and an
-        observed config fires its metrics and queues its events in the
-        reference's order.  Pricers are shared across models with the
-        same pricing identity.
+        a degraded fabric prices them at its current fault state.
+        Pricers are shared across models with the same pricing identity.
         """
         if batch <= 0:
             raise ValueError("batch must be positive")
@@ -645,12 +616,11 @@ class LlamaCostModel:
         this entry point skips the per-request length walk entirely.
         With the memo available it takes the step's price from the same
         compiled :meth:`decode_stepper` piece pricer the engine uses
-        (bit-identical by construction).
-        Observed configs, and runs with memoization off, assemble the
-        step from scratch instead -- so ``REPRO_NO_MEMO=1`` compares two
-        independent paths.
+        (bit-identical by construction).  With memoization off it
+        assembles the step from scratch instead -- so ``REPRO_NO_MEMO=1``
+        compares two independent paths.
         """
-        if self.memo_ok and memo.memoization_enabled():
+        if memo.memoization_enabled():
             piece = self.decode_stepper(stats.batch, attention, stats.block_size)(
                 stats.total_context, stats.total_blocks, stats.max_context
             )
@@ -809,11 +779,6 @@ class LlamaCostModel:
         """
         if batch <= 0:
             raise ValueError("batch must be positive")
-        if not self.memo_ok:
-            raise RuntimeError(
-                "decode_stepper requires an unobserved config (no comm "
-                "metrics or event queue); use decode_step_stats"
-            )
         # A TP stepper folds comm_step at build time, so the fault state
         # belongs in both keys.
         key = (attention, batch, block_size, self._fabric_key())
@@ -1001,15 +966,13 @@ class LlamaCostModel:
         batch, input_len, output_len = int(batch), int(input_len), int(output_len)
         if output_len <= 0 or decode_samples <= 0:
             raise ValueError("output_len and decode_samples must be positive")
-        key = None
-        if self.memo_ok:
-            key = (
-                self.pricing_key(), batch, input_len, output_len, attention,
-                decode_samples,
-            )
-            cached = _GENERATE_CACHE.get(key)
-            if cached is not None:
-                return cached
+        key = (
+            self.pricing_key(), batch, input_len, output_len, attention,
+            decode_samples,
+        )
+        cached = _GENERATE_CACHE.get(key)
+        if cached is not None:
+            return cached
         prefill = self.prefill(batch, input_len)
         # Sample decode steps across the growing context and integrate.
         acc = ActivityAccumulator()
@@ -1035,8 +998,7 @@ class LlamaCostModel:
             decode_time=decode_time,
             average_power=power,
         )
-        if key is not None:
-            _GENERATE_CACHE.put(key, estimate)
+        _GENERATE_CACHE.put(key, estimate)
         return estimate
 
     # -- capacity ----------------------------------------------------------

@@ -10,8 +10,8 @@ with TP degree (Figure 12(a)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Hashable, Optional
 
 from repro.audit import get_auditor
 from repro.comm import CollectiveLibrary
@@ -22,24 +22,12 @@ from repro.hw.device import Device
 class TensorParallelConfig:
     """TP degree plus the collective library serving it.
 
-    With observability bound (:meth:`bind_observability`), every
-    AllReduce is counted in the metrics registry and queued as a
-    pending ``(op, seconds, bytes)`` event the serving engine drains
-    into collective spans on its virtual clock.
+    Pricing through it is pure: an observer learns which AllReduces a
+    phase ran from :meth:`repro.models.llama.LlamaCostModel.collectives`.
     """
 
     degree: int = 1
     library: Optional[CollectiveLibrary] = None
-    #: Metrics registry recording per-collective counters (None = off).
-    metrics: Optional[object] = field(default=None, repr=False, compare=False)
-    #: Whether comm events queue for :meth:`drain_comm_events` (set it
-    #: only when something drains them, or the queue grows unbounded).
-    queue_events: bool = field(default=False, repr=False, compare=False)
-    #: Comm events since the last :meth:`drain_comm_events` call; only
-    #: populated while observability is bound.
-    _pending: List[Tuple[str, float, float]] = field(
-        default_factory=list, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.degree < 1:
@@ -94,26 +82,4 @@ class TensorParallelConfig:
         auditor = get_auditor()
         if auditor is not None:
             auditor.check_collective(time, size_bytes, participants, self.degree)
-        if self.metrics is not None:
-            self.metrics.counter("comm.allreduce.calls").inc()
-            self.metrics.counter("comm.allreduce.bytes").inc(size_bytes)
-            self.metrics.histogram("comm.allreduce.seconds").observe(time)
-        if self.queue_events:
-            self._pending.append(("all_reduce", time, size_bytes))
         return time
-
-    # -- observability -----------------------------------------------------
-    def bind_observability(self, metrics, queue_events: bool = False) -> None:
-        """Attach a metrics registry (or None to detach); with
-        ``queue_events`` set, comm events also queue for
-        :meth:`drain_comm_events`."""
-        self.metrics = metrics
-        self.queue_events = queue_events
-        self._pending.clear()
-
-    def drain_comm_events(self) -> List[Tuple[str, float, float]]:
-        """Return and clear the ``(op, seconds, bytes)`` events queued
-        since the last drain (the engine turns them into spans)."""
-        events = list(self._pending)
-        self._pending.clear()
-        return events

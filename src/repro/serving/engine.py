@@ -36,7 +36,7 @@ from repro.audit import (
     get_auditor,
 )
 from repro.hw.power import ActivityAccumulator, PowerModel
-from repro.models.llama import DecodeAttention, LlamaCostModel, one_step_pricer
+from repro.models.llama import DecodeAttention, LlamaCostModel
 from repro.serving.engine_core import (
     SLOT_FAILED,
     SLOT_FINISHED,
@@ -303,15 +303,10 @@ class LlmServingEngine:
             self.bind_context(ctx)
 
     def bind_context(self, ctx) -> None:
-        """Bind a :class:`~repro.api.RunContext` (or None to unbind),
-        propagating its tracer/metrics to the tensor-parallel collective
-        hooks."""
+        """Bind a :class:`~repro.api.RunContext` (or None to unbind)."""
         self.ctx = ctx
         self._tracer = ctx.tracer if ctx is not None else None
         self._metrics = ctx.metrics if ctx is not None else None
-        self.model.tp.bind_observability(
-            self._metrics, queue_events=self._tracer is not None
-        )
 
     # -- observability helpers -----------------------------------------
     def _trace_request_begin(self, request: Request, now: float) -> None:
@@ -327,36 +322,38 @@ class LlmServingEngine:
             prompt_tokens=request.input_tokens,
         )
 
-    def _emit_comm_spans(self, end: float) -> None:
-        """Lay the collectives queued during the last model phase as
-        back-to-back spans ending at ``end``.
+    def _emit_comm_spans(self, tokens: int, end: float) -> None:
+        """Publish the AllReduces of the model phase over ``tokens``
+        tokens that just ended at ``end``: count them in the metrics
+        and lay them as back-to-back spans ending at ``end``.
 
         The cost model reports AllReduce durations, not timestamps, so
         the spans are reconstructed at the tail of the phase window --
         which is where they sit in a real execution: the activation
         AllReduce follows the sharded matmuls it synchronises."""
+        collectives = self.model.collectives(tokens)
+        if not collectives:
+            return
+        metrics = self._metrics
+        if metrics is not None:
+            calls = metrics.counter("comm.allreduce.calls")
+            sent = metrics.counter("comm.allreduce.bytes")
+            seconds = metrics.histogram("comm.allreduce.seconds")
+            for time, size_bytes in collectives:
+                calls.inc()
+                sent.inc(size_bytes)
+                seconds.observe(time)
         tracer = self._tracer
         if tracer is None:
             return
-        events = self.model.tp.drain_comm_events()
-        if not events:
-            return
         library = self.model.tp.library
-        prefix = (
-            type(library).__name__.replace("Library", "").lower()
-            if library is not None
-            else "comm"
-        )
-        start = end - sum(seconds for _, seconds, _ in events)
-        for op, seconds, size_bytes in events:
+        name = type(library).__name__.replace("Library", "").lower() + ".all_reduce"
+        start = end - sum(time for time, _ in collectives)
+        for time, size_bytes in collectives:
             tracer.record(
-                f"{prefix}.{op}",
-                "collective",
-                start,
-                start + seconds,
-                size_bytes=size_bytes,
+                name, "collective", start, start + time, size_bytes=size_bytes
             )
-            start += seconds
+            start += time
 
     def _observe_pool(self, event: str, blocks: int) -> None:
         """Publish one KV-pool mutation as ``kv.*`` metrics: an
@@ -750,8 +747,8 @@ class LlmServingEngine:
                 activity.merge(phase.activity)
                 if observing:
                     step_activity.merge(phase.activity)
+                    self._emit_comm_spans(inp[slot] + gen[slot], now)
                     if tracer is not None:
-                        self._emit_comm_spans(now)
                         tracer.end(prefill_span, now)
                 gen[slot] += 1
                 if math.isnan(first[slot]):
@@ -792,8 +789,8 @@ class LlmServingEngine:
                 # passed: the step is still accounted and its span closed.
                 activity.merge(phase_activity)
                 step_activity.merge(phase_activity)
+                self._emit_comm_spans(batch, self._now)
                 if tracer is not None:
-                    self._emit_comm_spans(self._now)
                     tracer.end(decode_span, self._now)
             if lost and tracer is not None:
                 tracer.instant("kernel_fault", "engine", now)
@@ -961,13 +958,7 @@ class LlmServingEngine:
     def _stepper(self, n: int) -> Callable:
         """Fill the pricer table's entry for ``n`` runners: built once
         per runner count and fabric fault state."""
-        model, attention = self.model, self.attention
-        if model.memo_ok:
-            stepper = model.decode_stepper(n, attention)
-        else:
-            # An observed config fires its per-call collective metrics
-            # and trace events, so it prices every step from scratch.
-            stepper = one_step_pricer(model.decode_step_stats, n, attention)
+        stepper = self.model.decode_stepper(n, self.attention)
         self._steppers[n] = stepper
         return stepper
 

@@ -99,12 +99,25 @@ class TestInputErrors:
         (["figures", "--workers", "-1"], "got '-1'"),
         (["figures", "--id", "table1", "--workers", "abc"], "got 'abc'"),
         (["reproduce", "--workers", "x"], "--workers must be a non-negative integer"),
+        # An empty table is no sample of the run.
+        (["top", "--samples", "0"], "--samples must be >= 1, got 0"),
+        (["top", "--samples", "-2"], "--samples must be >= 1, got -2"),
     ])
     def test_bad_spec_exits_2(self, capsys, argv, message):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("verb, flag", [("trace", "--out"), ("fleet", "--trace-out")])
+    def test_output_in_a_missing_directory_exits_2(self, capsys, tmp_path, verb, flag):
+        """Checked before the run, not found when writing after it."""
+        out = tmp_path / "missing" / "dir" / "t.json"
+        assert main([verb, flag, str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag}: directory {out.parent} does not exist\n"
+        )
+        assert not (tmp_path / "missing").exists()
 
     @pytest.mark.parametrize("value", ["abc", "1.5", "-1"])
     def test_bad_workers_env_exits_2(self, capsys, monkeypatch, value):

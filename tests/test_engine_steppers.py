@@ -81,9 +81,9 @@ def test_fabric_fault_refreshes_the_table(stepper_calls, fault):
     )
 
 
-def test_observed_tp_prices_steps_from_scratch(gaudi, stepper_calls):
-    """An observed TP config fires per-call collective metrics, so its
-    table holds ``decode_step_stats`` pricers, never compiled steppers,
+def test_observed_tp_prices_through_compiled_steppers(gaudi, stepper_calls):
+    """Observing a TP run does not change how it is priced: its table
+    holds the compiled ``decode_stepper`` pricers, one per runner count,
     and the report is the unobserved one's."""
 
     def run(ctx):
@@ -97,9 +97,12 @@ def test_observed_tp_prices_steps_from_scratch(gaudi, stepper_calls):
 
     ctx = RunContext.create()
     observed, traced = run(ctx)
-    assert not stepper_calls
+    fabric = observed.model._fabric_key()
     assert observed._steppers
+    assert set(stepper_calls.values()) == {1}
+    for n, stepper in observed._steppers.items():
+        assert stepper is stepper_calls.built[(n, fabric)]
     assert ctx.metrics.counter("engine.steps").value == observed._steps
+    assert ctx.metrics.counter("comm.allreduce.calls").value > 0
     _, plain = run(None)
-    assert stepper_calls
     assert traced == plain

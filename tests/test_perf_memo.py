@@ -280,28 +280,60 @@ class TestPrefillPricer:
             assert auditor.memo_verified > 0
             assert auditor.total_violations == 0
 
-    @pytest.mark.parametrize("slow_link", (False, True))
-    def test_observed_tp8_prices_through_pricer_with_same_events(self, slow_link):
+    @pytest.mark.parametrize("fabric", ("healthy", "slow-link", "one-alive", "tp1"))
+    def test_collectives_are_the_priced_allreduces(self, fabric, monkeypatch):
+        """``collectives(tokens)`` names the AllReduces the references
+        price: the ``(seconds, bytes)`` each passes to
+        ``allreduce_time``, or ``()`` when no exchange happens (TP 1,
+        or one TP-8 device left alive)."""
         from repro.comm import FabricHealth
         from repro.faults.chaos import build_degraded_collectives
-        from repro.obs.metrics import MetricsRegistry
 
         health = FabricHealth()
-        tp = build_degraded_collectives("gaudi2", 8, health)[0]
-        if slow_link:
+        tp = build_degraded_collectives("gaudi2", 1 if fabric == "tp1" else 8, health)[0]
+        if fabric == "slow-link":
             health.set_link_factor(0, 1, 0.25)
-        metrics = MetricsRegistry()
-        tp.bind_observability(metrics, queue_events=True)
+        elif fabric == "one-alive":
+            for device in range(1, 8):
+                health.fail_device(device)
         model = LlamaCostModel(LLAMA_3_1_8B, get_backend("gaudi2"), tp=tp)
-        calls = metrics.counter("comm.allreduce.calls")
-        phase = model.prefill(2, 300)
-        priced = (tp.drain_comm_events(), calls.value)
-        reference = model._prefill_uncached(2, 300)
-        assert (tp.drain_comm_events(), calls.value - priced[1]) == priced
-        assert priced[1] == 2 and priced[0][0][0] == "all_reduce"
-        assert phase == reference
+        passed = []
+        allreduce_time = tp.allreduce_time
+
+        def recorded(size_bytes):
+            time = allreduce_time(size_bytes)
+            passed.append((time, size_bytes))
+            return time
+
+        monkeypatch.setattr(tp, "allreduce_time", recorded)
+        for price, tokens in (
+            (lambda: model._prefill_uncached(2, 300), 600),
+            (lambda: model._decode_terms_uncached(24), 24),
+        ):
+            passed.clear()
+            price()
+            priced = tuple(passed)
+            assert len(priced) == 2
+            if fabric in ("one-alive", "tp1"):
+                assert {time for time, _ in priced} == {0.0}
+                priced = ()
+            assert model.collectives(tokens) == priced
+
+    def test_observed_prefill_fills_the_phase_cache(self):
+        from repro.api import RunContext
+        from repro.models.tensor_parallel import TensorParallelConfig
+
+        device = get_backend("gaudi2")
+        model = LlamaCostModel(
+            LLAMA_3_1_8B, device, tp=TensorParallelConfig.for_device(device, 8)
+        )
+        ctx = RunContext.create()
+        requests = dynamic_sonnet_requests(8, seed=3)
+        LlmServingEngine(model, DecodeAttention.PAGED_OPT, ctx=ctx).run(requests)
+        lengths = {r.input_tokens for r in requests}
+        assert len(model._prefill_cache) == len(lengths)
         assert len(model._pricer_cache) == 1
-        assert len(model._prefill_cache) == 0
+        assert ctx.metrics.counter("comm.allreduce.calls").value > 0
 
     def test_pricers_and_rows_live_in_registered_caches(self):
         model = LlamaCostModel(LLAMA_3_1_8B, get_backend("gaudi2"))

@@ -50,7 +50,6 @@ from repro.models.llama import (
     default_decode_attention,
 )
 from repro.models.tensor_parallel import TensorParallelConfig
-from repro.obs.metrics import MetricsRegistry
 from repro.serving import LlmServingEngine, dynamic_sonnet_requests
 
 CRASH = "crash:gaudi2-1@t=1,recover=3"
@@ -279,22 +278,6 @@ def test_tp8_generate_never_crosses_fault_states(memo_on, order):
     cached = {name: models[name].generate(16, 100, 200) for name in order}
     assert cached == fresh
     assert _generate_stats()["entries"] == 2
-
-
-def test_observed_tp_generate_bypasses_the_cache(memo_on):
-    device = get_backend(GAUDI2)
-    metrics = MetricsRegistry()
-    tp = TensorParallelConfig.for_device(device, 8)
-    tp.bind_observability(metrics)
-    model = LlamaCostModel(LLAMA_3_1_8B, device, tp=tp)
-    calls = metrics.counter("comm.allreduce.calls")
-    counts = []
-    for _ in range(3):
-        before = calls.value
-        model.generate(16, 100, 200)
-        counts.append(calls.value - before)
-    assert counts[0] > 0 and counts == [counts[0]] * 3
-    assert _generate_stats()["entries"] == 0
 
 
 def _kernel_grid():

@@ -38,7 +38,6 @@ from repro.models.llama import (
     DecodeBatchStats,
     LlamaConfig,
     LlamaCostModel,
-    one_step_pricer,
 )
 from repro.models.tensor_parallel import TensorParallelConfig
 from repro.serving import LlmServingEngine
@@ -261,6 +260,25 @@ def test_read_bound_edge_is_the_last_context_sum_compute_loses():
         phase = _scratch(model, stats, attention)
         assert (phase.time == piece[0]) is same
         assert price(total_context, 2, 65)[6] == (edge if same else total_context)
+
+
+def one_step_pricer(price_step, batch, attention):
+    """A piece pricer over ``price_step(stats, attention)`` whose box is
+    the priced aggregates alone, so its caller prices every step
+    through ``price_step``."""
+
+    def price(total_context, total_blocks, max_context):
+        phase = price_step(
+            DecodeBatchStats(batch, total_context, total_blocks, max_context), attention
+        )
+        acc = phase.activity
+        return (
+            phase.time, acc.matrix_seconds, acc.matrix_active_weighted,
+            acc.vector_seconds, acc.memory_seconds, acc.comm_seconds,
+            total_context, total_blocks, max_context,
+        )
+
+    return price
 
 
 class TestEngineDifferential:
