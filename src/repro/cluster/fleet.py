@@ -49,6 +49,7 @@ from repro.cluster.admission import (
     AdmissionController,
     AdmissionPolicy,
     BreakerPolicy,
+    BreakerState,
     CircuitBreaker,
     TenantSpec,
     UpgradePlan,
@@ -77,6 +78,9 @@ MAX_FLEET_NODES = 1024
 
 #: The health states the gateway may route new work to.
 _ROUTABLE_STATES = (NodeState.HEALTHY, NodeState.DEGRADED)
+
+#: The avoid set while every breaker is closed.
+_NO_AVOID: frozenset = frozenset()
 
 
 @dataclass
@@ -209,8 +213,19 @@ class _FleetRun:
             AdmissionController(config.tenants, config.admission)
             if config.admission is not None else None
         )
+        #: In-flight attempts per node beyond which the pump holds work.
+        self._inflight_limit = config.max_decode_batch
+        if config.admission is not None and (
+            config.admission.max_inflight_per_node is not None
+        ):
+            self._inflight_limit = config.admission.max_inflight_per_node
         #: node name -> breaker (empty dict when breakers are off).
         self.breakers: Dict[str, CircuitBreaker] = {}
+        #: False once a breaker may have left CLOSED (see _breaker_avoid).
+        self._breakers_closed = True
+        #: The pump skips its headroom scan while ``now`` is before this
+        #: (see _next_headroom); -inf whenever headroom may have appeared.
+        self._headroom_at = -math.inf
         self.breaker_short_circuits = 0
         self.upgrades_started = 0
         self.upgrades_completed = 0
@@ -273,6 +288,7 @@ class _FleetRun:
             node.engine.bind_context(self.ctx)
         node.begin()
         self.gateway.register(node)
+        self._headroom_at = -math.inf
         if self.config.breaker is not None:
             self.breakers[node.name] = CircuitBreaker(self.config.breaker)
         if self.metrics is not None:
@@ -345,7 +361,10 @@ class _FleetRun:
         so the pool dict is iterated in place."""
         for node in self.gateway.nodes.values():
             if node.outbox or node.draining:
-                for attempt in node.reap():
+                done = node.reap()
+                if done:
+                    self._headroom_at = -math.inf
+                for attempt in done:
                     self._observe_attempt(node, attempt)
         if self.auditor is not None:
             for node in self.gateway.nodes.values():
@@ -395,9 +414,7 @@ class _FleetRun:
             self.finish_request(fleet_request, node, attempt)
         elif attempt.state is RequestState.FAILED:
             # Node crash killed the attempt: fail over immediately.
-            breaker = self.breakers.get(node.name)
-            if breaker is not None:
-                breaker.record_failure(self.now)
+            self._breaker_failure(node.name)
             if fleet_request.terminal:
                 return
             self.gateway.stats.failovers += 1
@@ -418,10 +435,25 @@ class _FleetRun:
             )
 
     # -- pipeline ------------------------------------------------------
+    def _breaker_failure(self, node_name: str) -> None:
+        """Count a timeout or failure against the node's breaker."""
+        breaker = self.breakers.get(node_name)
+        if breaker is not None:
+            breaker.record_failure(self.now)
+            if breaker.state is not BreakerState.CLOSED:
+                self._breakers_closed = False
+
     def _breaker_avoid(self, now: float) -> frozenset:
-        """Nodes whose breakers currently refuse new dispatches."""
-        if not self.breakers:
-            return frozenset()
+        """Nodes whose breakers currently refuse new dispatches.  Only a
+        failure moves a breaker off CLOSED, so until one does (and again
+        once all are back) no breaker is asked."""
+        if self._breakers_closed:
+            return _NO_AVOID
+        if all(
+            breaker.state is BreakerState.CLOSED for breaker in self.breakers.values()
+        ):
+            self._breakers_closed = True
+            return _NO_AVOID
         return frozenset(
             name for name, breaker in self.breakers.items()
             if breaker.blocked(now)
@@ -431,32 +463,56 @@ class _FleetRun:
     def _brownout_active(self) -> bool:
         return self.admission is not None and self.admission.brownout_active
 
+    def _next_headroom(self) -> float:
+        """When some routable node under the admission policy's in-flight
+        limit may take a dispatch: ``-inf`` when one can now, else the
+        earliest time an open breaker gating such a node reopens
+        (``inf`` if none does).  Breakers are consulted only for nodes
+        with headroom (``blocked`` is a pure query)."""
+        now = self.now
+        limit = self._inflight_limit
+        at = math.inf
+        breakers = self.breakers
+        for node in self.gateway.nodes.values():
+            if node.routable and len(node.inflight) < limit:
+                breaker = breakers.get(node.name)
+                if breaker is None or not breaker.blocked(now):
+                    return -math.inf
+                if breaker.state is BreakerState.OPEN:
+                    at = min(at, breaker.opened_at + breaker.policy.cooldown)
+        return at
+
     def pump(self) -> None:
         """Dispatch fair-queued arrivals while gateway headroom exists.
 
         The admission queue drains in WFQ order; the pump stops once no
         breaker-closed routable node has in-flight headroom, so queued
         work waits at the gateway (where it can be overload-shed)
-        instead of piling onto saturated engines.  Breakers are
-        consulted only for nodes with headroom (``blocked`` is a pure
-        query).
+        instead of piling onto saturated engines.  A scan that finds no
+        headroom holds until something can create it: a reap that
+        removed attempts, a node turning routable or provisioned (each
+        resets ``_headroom_at``), or the reopen time of an open breaker
+        that gated a node with headroom.  A half-open breaker's probe
+        resolves only with a reap, and every other breaker move blocks
+        more, not less.
         """
         controller = self.admission
         if controller is None or not controller.wfq.size:
             return
+        if self.now < self._headroom_at:
+            if self.auditor is not None:
+                self.auditor.check(
+                    self._next_headroom() > self.now,
+                    FleetRoutingError,
+                    f"the pump skipped its headroom scan at t={self.now!r} "
+                    "with headroom available",
+                )
+            return
         wfq = controller.wfq
-        limit = controller.policy.max_inflight_per_node
-        if limit is None:
-            limit = self.config.max_decode_batch
-        nodes = self.gateway.nodes.values()
-        breakers = self.breakers
         while wfq.size:
-            for node in nodes:
-                if node.routable and len(node.inflight) < limit:
-                    breaker = breakers.get(node.name)
-                    if breaker is None or not breaker.blocked(self.now):
-                        break
-            else:
+            at = self._next_headroom()
+            if at > self.now:
+                self._headroom_at = at
                 return  # no headroom anywhere
             entry = controller.pop_dispatchable()
             if entry is None:
@@ -592,9 +648,7 @@ class _FleetRun:
         ):
             return  # completion outran the cancel inside the last step
         self.gateway.stats.timeouts += 1
-        breaker = self.breakers.get(node_name)
-        if breaker is not None:
-            breaker.record_failure(self.now)
+        self._breaker_failure(node_name)
         if self.metrics is not None:
             self.metrics.counter("fleet.timeouts").inc()
         self.retry_or_shed(
@@ -676,9 +730,11 @@ class _FleetRun:
             node.set_blip(True)
         elif kind is NodeFaultKind.BLIP_CLEAR:
             node.set_blip(False)
+            self._headroom_at = -math.inf
 
     def handle_warm(self, node_name: str) -> None:
         self.gateway.nodes[node_name].warm()
+        self._headroom_at = -math.inf
 
     def handle_probe(self, _payload: None) -> None:
         states = self.gateway.probe()
@@ -795,6 +851,7 @@ class _FleetRun:
     def handle_upgrade_rejoin(self, index: int) -> None:
         node = self.gateway.nodes[self._upgrade_order[index]]
         node.finish_upgrade()
+        self._headroom_at = -math.inf
         self.upgrades_completed += 1
         self.upgrade_log.append(f"t={self.now:g} rejoin {node.name}")
         if self.tracer is not None:

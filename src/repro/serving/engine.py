@@ -299,11 +299,17 @@ class LlmServingEngine:
         self._aggregates: Optional[ReportAggregates] = None
         self._max_fed_arrival = 0.0
         self._synced_steps = 0
+        #: The piece of the decode burst a horizon cut short, or None
+        #: (see _resume_burst); anything that changes the run drops it.
+        #: The burst's other parked state is in the ``_park_*`` fields
+        #: (plain stores: a burst parks at every horizon it crosses).
+        self._park_piece: Optional[tuple] = None
         if ctx is not None:
             self.bind_context(ctx)
 
     def bind_context(self, ctx) -> None:
         """Bind a :class:`~repro.api.RunContext` (or None to unbind)."""
+        self._park_piece = None
         self.ctx = ctx
         self._tracer = ctx.tracer if ctx is not None else None
         self._metrics = ctx.metrics if ctx is not None else None
@@ -464,6 +470,7 @@ class LlmServingEngine:
         #: fabric fault state ``_stepper_fabric`` (see _refresh_steppers).
         self._steppers: Dict[int, Callable] = {}
         self._stepper_fabric = None
+        self._park_piece = None
         self._aggregates = None if self.retain_requests else ReportAggregates()
         self._max_fed_arrival = 0.0
         bump_counter("vectorized_runs")
@@ -490,6 +497,7 @@ class LlmServingEngine:
 
     def feed(self, request: Request) -> None:
         """Submit one request to an open run (streaming admission)."""
+        self._park_piece = None
         request.coerce_builtins()
         if self.policy and self.policy.deadline is not None and request.deadline is None:
             request.deadline = self.policy.deadline
@@ -552,7 +560,16 @@ class LlmServingEngine:
         (``generated``, ``first_token_time``, ``checkpoint``) onto the
         live Request objects; a caller that passes it reads runner
         progress only after :meth:`sync_live`.
+
+        A call that picks up a decode burst the last horizon cut short
+        (:meth:`_resume_burst`) skips the scheduler iteration it would
+        only repeat; when that burst reaches the new horizon too, the
+        call ends there.
         """
+        if self._park_piece is not None and self._resume_burst(horizon):
+            if sync_exit:
+                self.sync_live()
+            return self._now
         return self._advance_fast(horizon, sync_exit)
 
     def _advance_fast(self, horizon: float, sync_exit: bool = True) -> float:
@@ -578,12 +595,16 @@ class LlmServingEngine:
         fault drawn before the decode step (its time passes, its tokens
         are lost), and the spans and metrics of every event.
 
-        A fleet node re-enters here at every fleet event and runs about
-        two steps per call, so what does not change inside one call is
-        read once per call: the brownout slowdown (an injector's varies
-        per step) and the fabric fault state the pricer table answers
-        to (:meth:`_refresh_steppers`).  The retire and admit steps do
-        their slot and pool bookkeeping inline.
+        A fleet node enters here at a fleet event that changed its
+        engine or found a scheduler step due (a pure decode continuation
+        resumes its parked burst instead, see :meth:`_resume_burst`), so
+        what does not change inside one call is read once per call: the
+        brownout slowdown (an injector's varies per step) and the fabric
+        fault state the pricer table answers to
+        (:meth:`_refresh_steppers`).  The retire and admit steps do
+        their slot and pool bookkeeping inline.  A run without an
+        observer, injector, watchdog or audit handle parks the burst a
+        horizon cuts short.
         """
         core = self._core
         audit = self._audit
@@ -609,6 +630,7 @@ class LlmServingEngine:
         observing = tracer is not None or metrics is not None
         stepwise = observing or injector is not None or watchdog is not None
         burst_horizon = -math.inf if stepwise else horizon
+        park = not stepwise and audit is None
         slowdown = self.slowdown
         self._refresh_steppers()
         while runners or finished_pending or core.wait_head < len(wait_q):
@@ -776,7 +798,9 @@ class LlmServingEngine:
             batch = len(runners)
             lost = injector is not None and injector.kernel_fault()
             if not observing:
-                now = self._decode_burst(now, burst_horizon, slowdown, activity, lost)
+                now = self._decode_burst(
+                    now, burst_horizon, slowdown, activity, lost, park
+                )
                 continue
             decode_span = None
             if tracer is not None:
@@ -942,6 +966,48 @@ class LlmServingEngine:
             needed_min = 0
         return wake, needed_min
 
+    def _resume_burst(self, horizon: float) -> bool:
+        """Carry on with the decode burst the last horizon stopped.
+
+        A burst parks only when the horizon alone stopped it: no runner
+        finished and no retirement is pending.  If nothing touched the
+        run since (``feed``, ``cancel``, ``fail_all``, ``begin``,
+        ``bind_context`` and ``finish`` drop the park; a changed
+        ``slowdown`` or fabric fault state is checked here), the
+        scheduler iteration ``_advance_fast`` would run next retires
+        nothing, and it admits nothing and scans no deadline unless the
+        burst's wake is due; with capacity preemption not due either,
+        the burst takes its next step where it stopped.
+
+        Returns True when the resumed burst stopped at ``horizon`` too
+        (the ``advance`` call is complete), else False: the park is
+        gone and ``_advance_fast`` takes over from the current clock.
+        """
+        piece = self._park_piece
+        self._park_piece = None
+        now = self._now
+        slowdown = self._park_slowdown
+        if (
+            now > horizon
+            or slowdown != self.slowdown
+            or self.model._fabric_key() is not self._stepper_fabric
+        ):
+            return False
+        core = self._core
+        n = len(core.runners)
+        free = core.free_blocks
+        wake = self._park_wake
+        needed = self._park_needed
+        if wake is None:
+            wake, needed = self._burst_wake(now, n, free)
+        if (wake <= now and needed <= free) or (free < n and n > 1):
+            return False  # the scheduler acts before the next step
+        self._decode_burst(
+            now, horizon, slowdown, self._activity, False, True,
+            piece, self._park_left, wake, needed,
+        )
+        return self._park_piece is not None
+
     def _refresh_steppers(self) -> None:
         """Drop the pricer table once the model's fabric fault state is
         no longer the one it was filled under.  The fabric only changes
@@ -969,6 +1035,11 @@ class LlmServingEngine:
         slowdown: float,
         activity: ActivityAccumulator,
         lost: bool = False,
+        park: bool = False,
+        piece: Optional[tuple] = None,
+        left: int = 0,
+        wake: Optional[float] = None,
+        wake_needed: int = 0,
     ) -> float:
         """Price consecutive decode steps for the fixed runner set
         without any per-request work, adding their activity into
@@ -987,6 +1058,13 @@ class LlmServingEngine:
         state, so a burst costs O(steps + finishers).  ``lost`` is a
         transient kernel fault: one step's time passes and no runner
         gains a token.
+
+        With ``park``, a burst the horizon alone stops keeps its piece,
+        the ``left`` steps it still covers, its scheduler wake and its
+        slowdown in the ``_park_*`` fields; :meth:`_resume_burst` passes
+        all but the slowdown back to carry on with the next step.  A fresh
+        burst prices its first piece in the loop and computes its wake
+        when it first needs it.
         """
         core = self._core
         bs = core.block_size
@@ -1006,11 +1084,10 @@ class LlmServingEngine:
             max_context = core.max_context()
             min_rem = core.min_remaining()
         price = self._steppers.get(n) or self._stepper(n)
-        (
-            step_time, matrix, weighted, vector, memory, comm,
-            context_hi, blocks_hi, max_hi,
-        ) = price(total_context, total_blocks, max_context)
         if lost:
+            step_time, matrix, weighted, vector, memory, comm = price(
+                total_context, total_blocks, max_context
+            )[:6]
             now += step_time * slowdown
             activity.matrix_seconds += matrix
             activity.matrix_active_weighted += weighted
@@ -1022,6 +1099,12 @@ class LlmServingEngine:
             self._now = now
             self.fault_stats.kernel_retries += 1
             return now
+        if piece is not None:
+            (
+                step_time, matrix, weighted, vector, memory, comm,
+                context_hi, blocks_hi, max_hi,
+            ) = piece
+            step = step_time * slowdown
         # Pricing always buckets KV at the kernel's 128-token blocks;
         # the engine's pool may use a different block size, so shadow
         # growth reads its own residue histogram.  A runner with base b
@@ -1033,14 +1116,12 @@ class LlmServingEngine:
         hist128 = core.hist128
         hist_bs = core.hist_bs
         same_hist = hist_bs is hist128
-        # The scheduler wake is computed on the first step that outlives
-        # the horizon check (a fleet node's burst rarely does).
         start = now
-        wake = None
-        retire_pending = bool(core.finished_pending)
-        free_before = core.free_blocks
+        # A prefill finisher awaiting retirement ends the burst after
+        # one step, as a runner finishing does.
+        stop = 1 if core.finished_pending else min_rem
+        free = free_before = core.free_blocks
         j = 0  # completed steps this burst
-        recorded = 0  # steps whose tokens were recorded
         exhausted = False
         growth = hist_bs[(1 - offset) % bs]
         # Activity sums stay in locals for the burst: the same additions
@@ -1050,24 +1131,23 @@ class LlmServingEngine:
         acc_vector = activity.vector_seconds
         acc_memory = activity.memory_seconds
         acc_comm = activity.comm_seconds
-        step = step_time * slowdown
-        # Steps the piece still covers: the context sum grows by n and
-        # the longest context by 1 per step; a block crossing past
-        # blocks_hi ends the piece early.
-        left = (context_hi - total_context) // n
-        if max_hi - max_context < left:
-            left = max_hi - max_context
-        left += 1
         while True:
             if not left:
+                # After j steps the context sum has grown by n * j and
+                # the longest context by j.
+                context = total_context + n * j
+                longest = max_context + j
+                piece = price(context, total_blocks, longest)
                 (
                     step_time, matrix, weighted, vector, memory, comm,
                     context_hi, blocks_hi, max_hi,
-                ) = price(total_context, total_blocks, max_context)
+                ) = piece
                 step = step_time * slowdown
-                left = (context_hi - total_context) // n
-                if max_hi - max_context < left:
-                    left = max_hi - max_context
+                # Steps the piece covers; a block crossing past
+                # blocks_hi ends it early.
+                left = (context_hi - context) // n
+                if max_hi - longest < left:
+                    left = max_hi - longest
                 left += 1
             now += step
             acc_matrix += matrix
@@ -1077,41 +1157,47 @@ class LlmServingEngine:
             acc_comm += comm
             left -= 1
             j += 1
-            if growth > core.free_blocks:
+            if growth > free:
                 # Only reachable with a single runner (the headroom
                 # guard below breaks first for n > 1): the step's time
                 # is charged, then the append fails before any token is
                 # recorded.
                 exhausted = True
                 break
-            core.free_blocks -= growth
-            recorded = j
-            total_context += n
-            max_context += 1
+            free -= growth
             crossed = hist128[(1 - j - offset) % 128]
             total_blocks += crossed
             if total_blocks > blocks_hi:
                 left = 0
-            if j >= min_rem:
-                break  # at least one runner finished this step
-            if retire_pending:
-                break  # a prefill finisher awaits retirement next step
+            if j >= stop:
+                break  # a runner finished, or a retirement is pending
             if now > horizon:
+                if park:
+                    self._park_piece = piece
+                    self._park_left = left
+                    self._park_wake = wake
+                    self._park_needed = wake_needed
+                    self._park_slowdown = slowdown
                 break
+            # The scheduler wake is computed on the first step that
+            # outlives the horizon check (a fleet node's burst rarely
+            # does).
             if wake is None:
                 wake, wake_needed = self._burst_wake(start, n, free_before)
-            if wake <= now and wake_needed <= core.free_blocks:
+            if wake <= now and wake_needed <= free:
                 break  # the scheduler may admit or scan deadlines next step
-            if core.free_blocks < n and n > 1:
+            if free < n and n > 1:
                 break  # capacity preemption due next step
             growth = crossed if same_hist else hist_bs[(1 - j - offset) % bs]
+        core.free_blocks = free
+        recorded = j - 1 if exhausted else j  # steps whose tokens were recorded
         activity.matrix_seconds = acc_matrix
         activity.matrix_active_weighted = acc_weighted
         activity.vector_seconds = acc_vector
         activity.memory_seconds = acc_memory
         activity.comm_seconds = acc_comm
-        if self._metrics is not None and core.free_blocks < free_before:
-            self._observe_pool("grow", free_before - core.free_blocks)
+        if self._metrics is not None and free < free_before:
+            self._observe_pool("grow", free_before - free)
         if recorded >= min_rem:
             finished = core.end_burst(recorded, total_blocks)
         else:  # no runner's budget ran out
@@ -1138,6 +1224,7 @@ class LlmServingEngine:
     def finish(self, watchdog_reason: str = "") -> ServingReport:
         """Close the run: end the root span, unbind the audit handle,
         and return the aggregate report over every fed request."""
+        self._park_piece = None
         if self._tracer is not None:
             self._tracer.finish(self._now)
         self.sync_live()
@@ -1304,6 +1391,7 @@ class LlmServingEngine:
         """Terminally fail every in-flight request (the cluster node
         crash path, and a permanent total outage).  Requests that
         FINISHED awaiting retirement are retired, not failed."""
+        self._park_piece = None
         core = self._core
         if core is None:
             return []  # no run opened yet
@@ -1339,6 +1427,7 @@ class LlmServingEngine:
     def cancel(self, request: Request, reason: str) -> None:
         """Shed one scheduled request (the gateway cancellation path);
         a FINISHED request awaiting retirement is retired instead."""
+        self._park_piece = None
         core = self._core
         q = core.wait_q
         for i in range(core.wait_head, len(q)):

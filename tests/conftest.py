@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import types
+
 import pytest
 
 from repro.figures.report_md import TRACKED_CLAIMS, collect_measurements
@@ -34,3 +36,28 @@ def assert_in_band(claim_results):
             assert claim.check(value), f"{figure_id}.{key} = {value!r} outside {claim.band}"
 
     return check
+
+
+@pytest.fixture
+def parking(monkeypatch):
+    """Spy on decode-burst parking (``LlmServingEngine._decode_burst``):
+    ``parking.resumed`` collects the clock of every burst that resumes
+    a parked one, and with ``parking.off`` set every park a burst
+    leaves is dropped, so each ``advance()`` runs a scheduler iteration
+    first."""
+    from repro.serving import LlmServingEngine
+
+    spy = types.SimpleNamespace(resumed=[], off=False)
+    burst = LlmServingEngine._decode_burst
+
+    def wrapped(self, now, horizon, slowdown, activity, lost=False, park=False,
+                piece=None, *parked):
+        if piece is not None:
+            spy.resumed.append(now)
+        now = burst(self, now, horizon, slowdown, activity, lost, park, piece, *parked)
+        if spy.off:
+            self._park_piece = None
+        return now
+
+    monkeypatch.setattr(LlmServingEngine, "_decode_burst", wrapped)
+    return spy

@@ -42,7 +42,7 @@ from repro.serving.engine_core import (
     reset_counters,
 )
 from repro.serving.loadgen import poisson_arrivals
-from repro.serving.request import Request
+from repro.serving.request import Request, RequestState
 from tests import engine_goldens
 
 
@@ -177,6 +177,133 @@ class TestLifecycleOperations:
         runs every third horizon so the core also steps unsynced."""
         pool_id = "roomy" if pool is None else "small"
         _assert_pinned(f"split_exit_{pool_id}_{'strict' if strict else 'off'}")
+
+
+def _feed(engine, health, requests):
+    engine.feed(requests[20])
+
+
+def _cancel(engine, health, requests):
+    running = next(r for r in requests if r.state is RequestState.RUNNING)
+    engine.cancel(running, "timeout: test")
+
+
+def _bind_context(engine, health, requests):
+    engine.bind_context(RunContext.create())
+
+
+def _brownout(engine, health, requests):
+    engine.slowdown = 2.0
+
+
+def _fabric_fault(engine, health, requests):
+    health.set_link_factor(0, 1, 0.25)
+
+
+class TestParkedBursts:
+    """A decode burst the horizon alone stops parks, and the next
+    ``advance()`` takes its next step without a scheduler iteration
+    unless something changed the run in between.  Every run here
+    equals the same run with parking forced off."""
+
+    @staticmethod
+    def _drive(parking, mutate=None, at=None, sync_exit=False):
+        """A TP-8 gaudi2 engine with a TTFT deadline, advanced in 20 ms
+        horizons with every request's state read after each.
+        ``mutate(engine, health, requests)`` runs once: at horizon
+        ``at``, or else at the first horizon from 0.5 s that left a
+        burst parked.  ``parking`` is the fixture that counts resumes
+        (and may force parking off)."""
+        from repro.comm import FabricHealth
+        from repro.faults.chaos import build_degraded_collectives
+        from repro.hw.backend import GAUDI2, get_backend
+        from repro.models.llama import default_decode_attention
+
+        resumed = parking.resumed
+        resumed.clear()
+        health = FabricHealth()
+        device = get_backend(GAUDI2)
+        engine = LlmServingEngine(
+            LlamaCostModel(
+                LLAMA_3_1_8B, device,
+                tp=build_degraded_collectives(GAUDI2, 8, health)[0],
+            ),
+            default_decode_attention(device),
+            max_decode_batch=8,
+            policy=ResiliencePolicy(deadline=2.0),
+        )
+        requests = list(poisson_arrivals(
+            dynamic_sonnet_requests(24, seed=6), 40.0, seed=1
+        ))
+        engine.begin(requests[:20])
+        run = {"at": None, "kept": None, "resumed_after": None, "trace": []}
+        horizon = 0.0
+        while engine.has_unfinished:
+            horizon = round(horizon + 0.02, 2)
+            before = len(resumed)
+            engine.advance(horizon, sync_exit=sync_exit)
+            if run["at"] is not None and run["resumed_after"] is None:
+                run["resumed_after"] = len(resumed) > before
+            if not sync_exit:
+                engine.sync_live()
+            run["trace"].append(engine_goldens.states(requests))
+            due = horizon == at if at is not None else (
+                horizon >= 0.5 and engine._park_piece is not None
+            )
+            if mutate is not None and run["at"] is None and due:
+                run["at"] = horizon
+                mutate(engine, health, requests)
+                run["kept"] = engine._park_piece is not None
+        run["report"] = engine.finish().to_json()
+        run["resumes"] = len(resumed)
+        return run
+
+    def _assert_equal_unparked(self, parking, mutate=None, sync_exit=False):
+        with audit_scope("off"):
+            parked = self._drive(parking, mutate, sync_exit=sync_exit)
+            parking.off = True
+            reference = self._drive(
+                parking, mutate, at=parked["at"], sync_exit=sync_exit
+            )
+        assert parked["resumes"] > 0 and reference["resumes"] == 0
+        assert parked["trace"] == reference["trace"]
+        assert parked["report"] == reference["report"]
+        return parked
+
+    @pytest.mark.parametrize("mutate,kept", [
+        (_feed, False), (_cancel, False), (_bind_context, False),
+        # Left in place for the next advance() to refuse: it compares
+        # the slowdown and the fabric fault state with the park's.
+        (_brownout, True), (_fabric_fault, True),
+    ], ids=["feed", "cancel", "bind_context", "brownout-slowdown", "fabric-fault"])
+    def test_change_between_advances_drops_the_park(self, parking, mutate, kept):
+        run = self._assert_equal_unparked(parking, mutate)
+        assert run["at"] is not None
+        assert run["kept"] is kept
+        assert run["resumed_after"] is False
+
+    def test_resume_syncs_runner_progress_on_exit(self, parking):
+        """``advance(h)`` with the default ``sync_exit=True`` still
+        copies runner progress onto the live requests after a resumed
+        burst: the states read after every horizon match."""
+        self._assert_equal_unparked(parking, sync_exit=True)
+
+    @pytest.mark.parametrize("mode", ["strict", "observed"])
+    def test_audited_and_observed_runs_never_park(self, gaudi, parking, mode):
+        with audit_scope("strict" if mode == "strict" else "off"):
+            engine = _engine(gaudi, max_decode_batch=8)
+            if mode == "observed":
+                engine.bind_context(RunContext.create())
+            engine.begin(poisson_arrivals(
+                dynamic_sonnet_requests(16, seed=6), 40.0, seed=1
+            ))
+            horizon = 0.0
+            while engine.has_unfinished:
+                horizon += 0.02
+                engine.advance(horizon)
+                assert engine._park_piece is None
+            engine.finish()
+        assert parking.resumed == []
 
 
 class TestRunnerAggregates:

@@ -61,7 +61,19 @@ def audit_off():
         yield
 
 
-@pytest.mark.usefixtures("audit_off")
+@pytest.fixture
+def memo_on():
+    """Pin memoization on: these tests exercise the caches themselves,
+    which ``REPRO_NO_MEMO=1`` bypasses."""
+    previous = memo.memoization_enabled()
+    memo.set_enabled(True)
+    try:
+        yield
+    finally:
+        memo.set_enabled(previous)
+
+
+@pytest.mark.usefixtures("audit_off", "memo_on")
 class TestCostCache:
     def test_miss_then_hit(self):
         cache = CostCache("test.cache", maxsize=4)
@@ -124,7 +136,7 @@ class TestCostCache:
         assert registry.counter("memo.test.publish.misses").value == 1
 
 
-@pytest.mark.usefixtures("audit_off")
+@pytest.mark.usefixtures("audit_off", "memo_on")
 class TestDeviceCacheHits:
     def test_gemm_repeats_hit(self):
         gaudi, _ = _fresh_devices()
@@ -350,18 +362,10 @@ class TestPrefillPricer:
             assert model.prefill_pricer(1) is not pricer
 
 
+@pytest.mark.usefixtures("memo_on")
 class TestDecodePieceMemo:
     """Every paged pricer's piece memo is one registered cache, and the
     audit re-verifies its hits."""
-
-    @pytest.fixture(autouse=True)
-    def memo_on(self):
-        previous = memo.memoization_enabled()
-        memo.set_enabled(True)
-        try:
-            yield
-        finally:
-            memo.set_enabled(previous)
 
     @staticmethod
     def _pieces(price):
