@@ -76,7 +76,8 @@ def _comparison_set(args: argparse.Namespace, export: bool = False) -> List[str]
 
     With ``export``, explicitly passed flags are published as
     ``REPRO_BACKENDS`` so process-pool figure workers inherit them
-    (cleared again when the flags name the default pair).
+    (cleared again when the flags name the default pair); :func:`main`
+    restores the caller's value when the verb returns.
     """
     names = getattr(args, "backend", None)
     if not names:
@@ -1020,6 +1021,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.audit import configure
 
         configure(args.audit)
+    exported = os.environ.get(BACKENDS_ENV)
     try:
         if getattr(args, "workers", None) is not None:
             parse_workers(args.workers)  # also where this run would not fan out
@@ -1035,6 +1037,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
+    finally:
+        # A comparison verb exports its --backend flags for its workers;
+        # the next call in this process must not inherit them.
+        if exported is None:
+            os.environ.pop(BACKENDS_ENV, None)
+        else:
+            os.environ[BACKENDS_ENV] = exported
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ interface:
 * :mod:`repro.kernels.paged_attention` -- the vLLM PagedAttention
   implementations: BlockTable-based baseline vs BlockList-based
   optimized (Figures 16, 17).
-* :mod:`repro.kernels.elementwise` / :mod:`repro.kernels.softmax` --
-  supporting ops used by the model graphs.
+* :mod:`repro.kernels.elementwise` -- element-wise, normalization and
+  activation cost helpers used by the model cost models.
 """
 
 from repro.kernels.gemm import GemmPoint, run_gemm, sweep_square, sweep_irregular

@@ -16,7 +16,6 @@ from repro.models.llama import (
     LlamaCostModel,
 )
 from repro.models.tensor_parallel import TensorParallelConfig
-from repro.models.torchrec import TorchRecShardedDlrm
 from repro.models.training import LlamaTrainingCostModel, TrainingStepEstimate
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "RM1_CONFIG",
     "RM2_CONFIG",
     "TensorParallelConfig",
-    "TorchRecShardedDlrm",
     "LlamaTrainingCostModel",
     "TrainingStepEstimate",
 ]

@@ -5,10 +5,6 @@
 * :mod:`repro.serving.dataset` -- synthetic request generators: the
   fixed-length sweeps of Section 3.5 and a Dynamic-Sonnet-like
   variable-length dataset for Figure 17(d, e).
-* :mod:`repro.serving.kv_cache` -- the paged KV-cache block manager
-  (PagedAttention's memory side).
-* :mod:`repro.serving.block_table` -- 2-D zero-padded BlockTable vs
-  flat BlockList construction (Figure 16).
 * :mod:`repro.serving.engine` -- the step-driven continuous-batching
   serving engine over a :class:`~repro.models.llama.LlamaCostModel`,
   with a maximum decode batch size (the Figure 17(d, e) sweep knob).
@@ -18,7 +14,6 @@
   :class:`~repro.models.dlrm.DlrmCostModel`.
 """
 
-from repro.serving.capacity import CapacityReport, compare_capacity
 from repro.serving.dataset import (
     dynamic_sonnet_requests,
     fixed_length_requests,
@@ -26,6 +21,7 @@ from repro.serving.dataset import (
 )
 from repro.serving.engine import (
     FaultStats,
+    KvCacheError,
     LlmServingEngine,
     ResiliencePolicy,
     ServingReport,
@@ -38,18 +34,14 @@ from repro.serving.loadgen import (
     run_load_test,
     run_resilient_load_test,
 )
-from repro.serving.kv_cache import BlockManager, KvCacheError
 from repro.serving.recsys import RecSysServer, RecSysReport
 from repro.serving.request import Request, RequestState, RetryPolicy
 
 __all__ = [
-    "BlockManager",
-    "CapacityReport",
     "FaultStats",
     "LoadTestReport",
     "ResiliencePolicy",
     "ResilientLoadReport",
-    "compare_capacity",
     "max_sustainable_rate",
     "poisson_arrivals",
     "run_load_test",

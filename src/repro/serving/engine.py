@@ -50,11 +50,15 @@ from repro.serving.engine_core import (
     ReportAggregates,
     bump_counter,
 )
-from repro.serving.kv_cache import KvCacheError
 from repro.serving.request import Request, RequestState, RetryPolicy
 
 #: Default KV block size in tokens (matches the paged-attention kernel).
 DEFAULT_BLOCK_SIZE = 128
+
+
+class KvCacheError(RuntimeError):
+    """Raised, without a :class:`ResiliencePolicy`, when a request can
+    never fit the KV block pool or the pool runs out during decode."""
 
 
 @dataclass(frozen=True)

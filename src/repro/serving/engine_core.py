@@ -393,7 +393,7 @@ class EngineCore:
     def blocks_held(self, slot: int) -> int:
         """Blocks a post-prefill slot holds.
 
-        The block manager's token count for a running request trails its
+        A running request's KV token count trails its
         ``context_len`` by one (admission allocates the prompt; the
         prefill's first token bumps ``generated`` without an append), so
         a slot with ``generated`` tokens holds

@@ -9,39 +9,27 @@ access granularity and manual loop unrolling -- fall out of the
 simulation rather than being assumed:
 
 * :mod:`repro.tpc.isa` -- instruction set, issue slots, latencies.
-* :mod:`repro.tpc.index_space` -- the up-to-5-D index space that
-  partitions work across TPCs (Figure 3).
-* :mod:`repro.tpc.local_memory` -- per-TPC scalar (1 KB) and vector
-  (80 KB) local memories.
 * :mod:`repro.tpc.pipeline` -- in-order VLIW scoreboard simulator with
   register hazards; this is where unrolling earns its speedup.
 * :mod:`repro.tpc.builder` -- a small kernel-construction DSL with
   unroll-time register renaming, mirroring TPC-C's ``#pragma unroll``.
 * :mod:`repro.tpc.kernel` / :mod:`repro.tpc.launcher` -- kernel objects
-  and the multi-TPC launch model with per-TPC and chip-wide memory
-  bandwidth bounds.
+  and the multi-TPC launch model: round-robin partitioning of a
+  kernel's trips across TPCs (the index space of Figure 3) with
+  per-TPC and chip-wide memory bandwidth bounds.
 * :mod:`repro.tpc.intrinsics` -- numpy-backed functional semantics so
   kernel results can be checked for correctness.
 """
 
 from repro.tpc.builder import TpcKernelBuilder
-from repro.tpc.index_space import IndexSpace, IndexSpaceMember, partition_members
-from repro.tpc.interpreter import InterpreterError, TpcInterpreter
 from repro.tpc.isa import Instruction, Opcode, Slot
 from repro.tpc.kernel import TpcKernel
-from repro.tpc.launcher import KernelLaunchResult, TpcLauncher
-from repro.tpc.local_memory import LocalMemory, LocalMemoryError
+from repro.tpc.launcher import KernelLaunchResult, TpcLauncher, partition_members
 from repro.tpc.pipeline import PipelineResult, VliwPipeline
 
 __all__ = [
-    "IndexSpace",
-    "InterpreterError",
-    "TpcInterpreter",
-    "IndexSpaceMember",
     "Instruction",
     "KernelLaunchResult",
-    "LocalMemory",
-    "LocalMemoryError",
     "Opcode",
     "PipelineResult",
     "Slot",

@@ -128,7 +128,8 @@ class Instruction:
     access_bytes: int = 0
     latency: int = ARCH_LATENCY
     #: Name of the global tensor a memory instruction touches (set by
-    #: the builder; lets the interpreter execute the stream).
+    #: the builder; the test suite's functional interpreter reads it to
+    #: execute the stream).
     tensor: Optional[str] = None
 
     @property

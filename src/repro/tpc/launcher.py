@@ -1,7 +1,8 @@
 """Multi-TPC kernel launch model.
 
-A kernel launch partitions the index space across TPCs (Figure 3); the
-launch time is governed by the slowest TPC, subject to three bounds:
+A kernel launch partitions its trips, the index space of Figure 3,
+round-robin across TPCs (:func:`partition_members`); the launch time
+is governed by the slowest TPC, subject to three bounds:
 
 1. the TPC pipeline itself (the scoreboard simulation);
 2. the per-TPC sustained memory bandwidth (DMA/load-port limit) -- this
@@ -16,11 +17,10 @@ SingleTable embedding operator pays N times for N tables (Section 4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from repro.hw.memory import HbmModel
 from repro.hw.spec import DeviceSpec, GAUDI2_SPEC
-from repro.tpc.index_space import partition_members
 from repro.tpc.kernel import TpcKernel
 from repro.tpc.pipeline import PipelineResult, VliwPipeline
 
@@ -47,6 +47,21 @@ class KernelLaunchResult:
     def achieved_bandwidth(self) -> float:
         busy = self.time - self.launch_overhead
         return self.useful_bytes / busy if busy > 0 else 0.0
+
+
+def partition_members(num_members: int, num_tpcs: int) -> List[int]:
+    """Round-robin member counts per TPC.
+
+    Returns a list of length ``num_tpcs`` whose entries sum to
+    ``num_members``; the kernel's launch time is governed by the TPC
+    with the most members (``max`` of the list).
+    """
+    if num_members < 0:
+        raise ValueError("num_members must be non-negative")
+    if num_tpcs <= 0:
+        raise ValueError("num_tpcs must be positive")
+    base, extra = divmod(num_members, num_tpcs)
+    return [base + (1 if i < extra else 0) for i in range(num_tpcs)]
 
 
 class TpcLauncher:

@@ -302,8 +302,7 @@ def fuzz_engine_run(seed, ctx=None):
     request resumed with progress; slowdowns changed between horizons;
     and an optional cancel or fail_all.  ``ctx`` is a RunContext to
     bind (None runs unobserved)."""
-    from repro.serving import ResiliencePolicy
-    from repro.serving.kv_cache import KvCacheError
+    from repro.serving import KvCacheError, ResiliencePolicy
     from repro.serving.request import Request, RequestState, RetryPolicy
 
     rng = np.random.default_rng(seed)

@@ -24,8 +24,6 @@ from repro.audit import (
 )
 from repro.models.llama import DecodeAttention, LLAMA_3_1_8B, LlamaCostModel
 from repro.serving import (
-    BlockManager,
-    KvCacheError,
     LlmServingEngine,
     dynamic_sonnet_requests,
     fixed_length_requests,
@@ -133,26 +131,6 @@ class TestLifecycle:
 
 
 class TestKvHardening:
-    def test_free_unknown_id_raises(self):
-        manager = BlockManager(num_blocks=8, block_size=4)
-        with pytest.raises(KvCacheError):
-            manager.free(42)
-
-    def test_double_free_raises(self):
-        manager = BlockManager(num_blocks=8, block_size=4)
-        manager.allocate(1, 4)
-        manager.free(1)
-        with pytest.raises(KvCacheError):
-            manager.free(1)
-
-    def test_free_all_drains(self):
-        manager = BlockManager(num_blocks=8, block_size=4)
-        manager.allocate(1, 4)
-        manager.allocate(2, 8)
-        assert manager.free_all() == 2
-        assert manager.allocated_blocks == 0
-        assert manager.free_all() == 0
-
     def test_free_all_audited(self, gaudi):
         """A watchdog trip releases every block the run holds, and the
         audited end of run checks that the pool drained."""

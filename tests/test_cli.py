@@ -257,6 +257,27 @@ class TestCommands:
         assert (tmp_path / "table1.txt").exists()
         assert "matrix_tflops_ratio" in capsys.readouterr().out
 
+    def test_comparison_flags_do_not_leak_into_the_next_call(self, capsys, monkeypatch):
+        """A three-way ``figures`` exports its set for its workers only
+        while it runs; the next call in the process sees the default pair."""
+        monkeypatch.delenv("REPRO_BACKENDS", raising=False)
+        assert main(["figures", "--id", "table1"]) == 0
+        default = capsys.readouterr().out
+        assert main(["figures", "--id", "table1", "--backend", "gaudi2",
+                     "--backend", "a100", "--backend", "h100"]) == 0
+        assert "h100_" in capsys.readouterr().out
+        assert "REPRO_BACKENDS" not in os.environ
+        assert main(["figures", "--id", "table1"]) == 0
+        assert capsys.readouterr().out == default
+
+    def test_callers_comparison_env_is_restored(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKENDS", "gaudi2,h100")
+        assert main(["figures", "--id", "table1", "--backend", "gaudi2",
+                     "--backend", "a100"]) == 0
+        assert os.environ["REPRO_BACKENDS"] == "gaudi2,h100"
+        assert main(["figures", "--id", "table1", "--backend", "nope"]) == 2
+        assert os.environ["REPRO_BACKENDS"] == "gaudi2,h100"
+
     def test_serve(self, capsys):
         assert main(["serve", "--requests", "4", "--max-batch", "4"]) == 0
         out = capsys.readouterr().out

@@ -8,9 +8,6 @@ from repro.serving import (
     LlmServingEngine,
     fixed_length_requests,
 )
-from repro.serving.capacity import compare_capacity, paged_capacity, static_capacity
-from repro.serving.dataset import dynamic_sonnet_requests
-from repro.serving.kv_cache import BlockManager
 
 
 class TestOversizedPrompts:
@@ -59,46 +56,3 @@ class TestPoolPressure:
         assert all(r.done for r in requests)
         assert engine.allocated_kv_blocks == 0
 
-    def test_block_manager_rejects_negative_pool(self):
-        with pytest.raises(ValueError):
-            BlockManager(num_blocks=-1, block_size=128)
-
-
-class TestCapacityAnalysis:
-    def test_paged_beats_static_on_short_requests(self, gaudi):
-        """The Section 4.2 motivation: fragmentation caps static batch."""
-        model = LlamaCostModel(LLAMA_3_1_8B, gaudi)
-        requests = dynamic_sonnet_requests(4096, seed=1)
-        report = compare_capacity(LLAMA_3_1_8B, model, requests, max_model_len=4096)
-        assert report.paged_capacity > 2 * report.static_capacity
-        assert report.capacity_gain > 2.0
-
-    def test_gaudi_hbm_holds_more_paged_requests(self, gaudi, a100):
-        """On both devices' HBM budgets paged KV fits several times the
-        static slots, and Gaudi-2's 96 GB holds more than the A100's 80 GB."""
-        requests = dynamic_sonnet_requests(8192, seed=11)
-        gaudi_report, a100_report = (
-            compare_capacity(LLAMA_3_1_8B, LlamaCostModel(LLAMA_3_1_8B, device), requests,
-                             max_model_len=4096)
-            for device in (gaudi, a100)
-        )
-        assert gaudi_report.capacity_gain > 2.0
-        assert a100_report.capacity_gain > 2.0
-        assert gaudi_report.paged_capacity > a100_report.paged_capacity
-
-    def test_static_capacity_arithmetic(self):
-        assert static_capacity(10_000, 4096) == 2
-        with pytest.raises(ValueError):
-            static_capacity(10_000, 0)
-
-    def test_paged_capacity_admission_order(self):
-        # pool of 4 blocks of 128: requests of 1, 2, 2 blocks -> 2 admitted
-        assert paged_capacity(4 * 128, [100, 200, 200]) == 2
-
-    def test_paged_capacity_waste_bounded(self):
-        # 1-token requests still take a whole block each.
-        assert paged_capacity(4 * 128, [1, 1, 1, 1, 1]) == 4
-
-    def test_empty_requests_rejected(self):
-        with pytest.raises(ValueError):
-            paged_capacity(1024, [])

@@ -1,7 +1,9 @@
 """Every serving configuration prices on the fast path.
 
-One short ``serve`` per registered backend x TP degree x observer x
-fabric state, with memoization on from cleared caches.  Wrappers this
+One short ``serve`` per registered backend x TP degree (1, 4, 8) x
+fabric state (healthy, or one link degraded at TP 4 and 8) x observer
+(none, a traced ``RunContext``, a metrics-only ``RunContext``), with
+memoization on from cleared caches.  Wrappers this
 file installs count the slow paths a configuration could fall onto:
 
 * ``_prefill_uncached`` and ``_decode_step_uncached``, the from-scratch
@@ -13,7 +15,8 @@ file installs count the slow paths a configuration could fall onto:
   per prefill pricer: every other GEMM of a cold prompt length goes
   through the device's per-shape row.
 
-Observing a run (a bound ``RunContext``) must not change any of this.
+Observing a run, with or without a tracer, must not change any of
+this.
 """
 
 import collections
@@ -43,8 +46,21 @@ CASES = [
     (backend, degree, fabric)
     for backend in list_backends()
     if not backend.endswith("@surrogate")
-    for degree, fabric in ((1, "healthy"), (8, "healthy"), (8, "degraded-link"))
+    for degree, fabric in (
+        (1, "healthy"),
+        (4, "healthy"),
+        (4, "degraded-link"),
+        (8, "healthy"),
+        (8, "degraded-link"),
+    )
 ]
+
+#: How a run is observed: not at all, a tracer plus metrics, metrics only.
+OBSERVERS = {
+    "plain": lambda: None,
+    "traced": RunContext.create,
+    "metrics-only": lambda: RunContext.create(trace=False),
+}
 
 
 @pytest.fixture
@@ -114,14 +130,14 @@ def _tp(backend: str, degree: int, fabric: str) -> TensorParallelConfig:
     return tp
 
 
-@pytest.mark.parametrize("observed", (False, True), ids=("plain", "observed"))
+@pytest.mark.parametrize("observer", OBSERVERS)
 @pytest.mark.parametrize(
     "backend,degree,fabric", CASES, ids=[f"{b}-tp{d}-{f}" for b, d, f in CASES]
 )
-def test_serve_stays_on_the_fast_path(backend, degree, fabric, observed, counted, memo_on):
+def test_serve_stays_on_the_fast_path(backend, degree, fabric, observer, counted, memo_on):
     device = get_backend(backend)
     model = LlamaCostModel(LLAMA_3_1_8B, device, tp=_tp(backend, degree, fabric))
-    ctx = RunContext.create() if observed else None
+    ctx = OBSERVERS[observer]()
     engine = LlmServingEngine(
         model, default_decode_attention(device), max_decode_batch=16, ctx=ctx
     )
@@ -133,5 +149,5 @@ def test_serve_stays_on_the_fast_path(backend, degree, fabric, observed, counted
     lm_head = (LLAMA_3_1_8B.hidden_size, LLAMA_3_1_8B.vocab_size // degree)
     assert set(counted.gemm) <= {lm_head}
     assert len(counted.gemm) <= counted["_build_prefill_pricer"]
-    if observed and degree > 1:
+    if ctx is not None and degree > 1:
         assert ctx.metrics.counter("comm.allreduce.calls").value > 0

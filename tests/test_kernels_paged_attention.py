@@ -13,7 +13,12 @@ from repro.kernels.paged_attention import (
     vllm_base_paged_attention,
     vllm_opt_paged_attention,
 )
-from repro.kernels.softmax import softmax
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax: the dense oracle's weights."""
+    e = np.exp(x - x.max())
+    return e / e.sum()
 
 
 class TestConfig:
@@ -158,7 +163,7 @@ class TestFunctional:
             keys = kv_blocks[block_table[b], 0].reshape(-1, dim)[:seq]
             values = kv_blocks[block_table[b], 1].reshape(-1, dim)[:seq]
             for h in range(heads):
-                weights = softmax(keys @ query[b, h] / np.sqrt(dim))
+                weights = _softmax(keys @ query[b, h] / np.sqrt(dim))
                 np.testing.assert_allclose(out[b, h], weights @ values, rtol=1e-9)
 
     def test_respects_seq_lens(self):

@@ -13,10 +13,7 @@ from repro.hw.memory import HbmModel
 from repro.hw.power import ActivityProfile, PowerModel
 from repro.hw.spec import A100_SPEC, GAUDI2_SPEC
 from repro.hw.systolic import SystolicArray, SystolicGeometry, blocked_gemm_traffic
-from repro.kernels.softmax import softmax
-from repro.serving.block_table import build_block_list, build_block_table
-from repro.serving.kv_cache import BlockManager
-from repro.tpc.index_space import partition_members
+from repro.tpc.launcher import partition_members
 from repro.tpc.intrinsics import as_bf16, v_gather, v_scatter
 
 _GAUDI = Gaudi2Device()
@@ -157,43 +154,7 @@ class TestPartitionProperties:
         assert max(counts) == math.ceil(members / tpcs) if members else True
 
 
-class TestKvCacheProperties:
-    @given(
-        lengths=st.lists(st.integers(min_value=1, max_value=2000),
-                         min_size=1, max_size=20)
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_allocate_free_conserves_pool(self, lengths):
-        manager = BlockManager(num_blocks=1024, block_size=128)
-        for rid, tokens in enumerate(lengths):
-            manager.allocate(rid, tokens)
-        for rid in range(len(lengths)):
-            manager.free(rid)
-        assert manager.free_blocks == 1024
-
-    @given(
-        lengths=st.lists(st.integers(min_value=1, max_value=50),
-                         min_size=1, max_size=10)
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_block_table_and_list_agree_on_effectual(self, lengths):
-        per_request = [[i] * n for i, n in enumerate(lengths, start=1)]
-        table = build_block_table(per_request)
-        blist = build_block_list(per_request)
-        assert table.effectual_entries == blist.total_entries
-        assert 0.0 <= table.padding_fraction < 1.0
-
-
 class TestNumericProperties:
-    @given(
-        data=st.lists(st.floats(-50, 50), min_size=2, max_size=64)
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_softmax_is_distribution(self, data):
-        out = softmax(np.array(data))
-        assert np.all(out >= 0)
-        assert abs(out.sum() - 1.0) < 1e-9
-
     @given(data=st.lists(st.floats(-1e30, 1e30, allow_nan=False), min_size=1, max_size=64))
     @settings(max_examples=60, deadline=None)
     def test_bf16_truncation_bounded(self, data):

@@ -1,4 +1,4 @@
-"""Requests, datasets, block tables, and continuous-batching admission."""
+"""Requests, datasets, and continuous-batching admission."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.hw.backend import get_backend
 from repro.models.llama import LLAMA_3_1_8B, DecodeAttention, LlamaCostModel
 from repro.serving import LlmServingEngine
-from repro.serving.block_table import build_block_list, build_block_table
 from repro.serving.dataset import dynamic_sonnet_requests, fixed_length_requests
 from repro.serving.request import Request, RequestState
 
@@ -65,30 +64,6 @@ class TestDatasets:
     def test_invalid_count(self):
         with pytest.raises(ValueError):
             dynamic_sonnet_requests(0)
-
-
-class TestBlockTables:
-    def test_block_table_padding(self):
-        table = build_block_table([[1, 2, 3], [4]])
-        assert table.table.shape == (2, 3)
-        assert table.padding_fraction == pytest.approx(2 / 6)
-        assert table.effectual_entries == 4
-
-    def test_block_list_flat(self):
-        blist = build_block_list([[1, 2, 3], [4]])
-        np.testing.assert_array_equal(blist.blocks, [1, 2, 3, 4])
-        np.testing.assert_array_equal(blist.request_offsets, [0, 3, 4])
-
-    def test_block_list_has_no_padding(self):
-        table = build_block_table([[1] * 8, [2]])
-        blist = build_block_list([[1] * 8, [2]])
-        assert blist.total_entries == table.effectual_entries
-
-    def test_empty_request_rejected(self):
-        with pytest.raises(ValueError):
-            build_block_table([[1], []])
-        with pytest.raises(ValueError):
-            build_block_list([])
 
 
 class TestScheduler:

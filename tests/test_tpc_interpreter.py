@@ -6,9 +6,9 @@ import pytest
 
 from repro.hw.spec import DType
 from repro.kernels.stream import StreamOp, reference_result, run_stream
-from repro.tpc import TpcInterpreter, TpcKernelBuilder
-from repro.tpc.interpreter import InterpreterError
+from repro.tpc import TpcKernelBuilder
 from repro.tpc.isa import Opcode
+from tests.tpc_interpreter import InterpreterError, TpcInterpreter
 
 _N = 1024  # elements; multiple of the 128-lane bf16 vector
 

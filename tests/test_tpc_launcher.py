@@ -1,4 +1,5 @@
-"""Multi-TPC launch model (Figure 8(c) mechanics)."""
+"""Multi-TPC launch model (Figure 8(c) mechanics) and the round-robin
+trip partitioning across TPCs (Figure 3)."""
 
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 from repro.hw.spec import GAUDI2_SPEC
 from repro.tpc.builder import TpcKernelBuilder
 from repro.tpc.isa import Opcode
-from repro.tpc.launcher import TpcLauncher
+from repro.tpc.launcher import TpcLauncher, partition_members
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +98,27 @@ class TestGatherLaunch:
         small = launcher.launch(_gather_kernel(50_000, access_bytes=64))
         assert small.moved_bytes == 4 * small.useful_bytes
         assert small.bandwidth_utilization < 0.25
+
+
+class TestPartition:
+    def test_even_split(self):
+        assert partition_members(48, 24) == [2] * 24
+
+    def test_remainder_spread_round_robin(self):
+        counts = partition_members(50, 24)
+        assert sum(counts) == 50
+        assert max(counts) - min(counts) == 1
+
+    def test_fewer_members_than_tpcs(self):
+        counts = partition_members(5, 24)
+        assert counts.count(1) == 5
+        assert counts.count(0) == 19
+
+    def test_zero_members_ok(self):
+        assert partition_members(0, 4) == [0, 0, 0, 0]
+
+    def test_invalid_args(self):
+        with pytest.raises(ValueError):
+            partition_members(-1, 4)
+        with pytest.raises(ValueError):
+            partition_members(4, 0)

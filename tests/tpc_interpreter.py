@@ -1,9 +1,10 @@
-"""Functional interpreter for TPC kernel bodies.
+"""Functional interpreter for TPC kernel bodies (a test oracle).
 
 The pipeline simulator (:mod:`repro.tpc.pipeline`) times an instruction
 stream; this interpreter *executes* the same stream on numpy data, so a
 kernel built with the DSL is verified end to end: the exact instruction
-list that was scheduled and timed also computes the answer.
+list that was scheduled and timed also computes the answer.  Only the
+test suite runs it; no simulated number depends on it.
 
 Semantics:
 
