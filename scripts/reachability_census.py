@@ -141,12 +141,6 @@ FLOWS: Tuple[Flow, ...] = (
     _cli("figures", "--id", "fig04", "--backend", "gaudi2", "--backend", "a100",
          "--backend", "h100"),
     _cli("trace", "--fast", "--out", "trace.json"),
-    _cli("surrogate", "fit", "--backend", "gaudi2", "--out", "artifacts/ci-surrogate",
-         env=_STRICT),
-    _cli("surrogate", "validate", "--backend", "gaudi2", "--out", "artifacts/ci-surrogate",
-         env=_STRICT),
-    _cli("surrogate", "sweep", "--backend", "gaudi2", env=_STRICT),
-    _cli("serve", "--backend", "gaudi2@surrogate", "--requests", "16", "--audit", "strict"),
     # Verification recipe.
     _cli("specs"),
     _cli("backends"),
@@ -218,7 +212,7 @@ def _run_flow(flow: Flow, base_env: Dict[str, str]) -> Optional[str]:
     os.environ.clear()
     os.environ.update(base_env)
     os.environ.update(flow.env)
-    configure(os.environ.get("REPRO_AUDIT", "off"))  # an earlier --audit must not linger
+    configure(os.environ.get("REPRO_AUDIT", "off"))  # the auditor follows this flow's env
     argv = sys.argv
     try:
         with open(os.devnull, "w") as sink, \

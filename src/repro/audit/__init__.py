@@ -29,7 +29,6 @@ from repro.audit.errors import (
     LifecycleError,
     MemoEquivalenceError,
     ReportConsistencyError,
-    SurrogateEquivalenceError,
     TokenConservationError,
     WatchdogExceeded,
     WorkerRetryExhausted,
@@ -52,7 +51,6 @@ __all__ = [
     "MemoEquivalenceError",
     "ReportConsistencyError",
     "RunAudit",
-    "SurrogateEquivalenceError",
     "TokenConservationError",
     "Watchdog",
     "WatchdogExceeded",

@@ -32,9 +32,6 @@ Invariants covered:
   non-negative, and finished + shed + failed + unfinished == submitted.
 * **Sampled memo equivalence** -- a seeded fraction of cost-cache hits
   is recomputed and compared against the cached value.
-* **Sampled surrogate equivalence** -- a seeded fraction of fitted
-  fast-path (surrogate) predictions is recomputed through the exact
-  cost model and held to the surrogate's certified error bound.
 * **Collective sanity** -- collective costs are finite, non-negative,
   and never involve more participants than the TP degree.
 """
@@ -57,7 +54,6 @@ from repro.audit.errors import (
     LifecycleError,
     MemoEquivalenceError,
     ReportConsistencyError,
-    SurrogateEquivalenceError,
     TokenConservationError,
 )
 
@@ -143,11 +139,9 @@ class Auditor:
         self.violation_counts: Counter = Counter()
         self.violations: List[Tuple[str, str]] = []
         self.memo_verified = 0
-        self.surrogate_verified = 0
         self.runs_audited = 0
         self._memo_gate = _SampleGate(seed, sample_fraction)
         self._deep_gate = _SampleGate(seed + 1, sample_fraction)
-        self._surrogate_gate = _SampleGate(seed + 2, sample_fraction)
 
     # -- core ----------------------------------------------------------
     @property
@@ -408,43 +402,6 @@ class Auditor:
                 f"cached={cached!r} fresh={fresh!r}"
             ))
 
-    # -- surrogate equivalence ----------------------------------------
-    def should_verify_surrogate(self) -> bool:
-        """Seeded gate: recompute this surrogate prediction exactly?"""
-        return self._surrogate_gate.fire()
-
-    def on_surrogate_result(
-        self,
-        surface: str,
-        key,
-        predicted: float,
-        exact: float,
-        tolerance: float,
-        slack: float = 2.0,
-    ) -> bool:
-        """Compare one spot-sampled surrogate prediction to its exact
-        recompute.
-
-        ``tolerance`` is the surrogate's certified held-out max
-        relative error; runtime queries may sit slightly off the
-        held-out distribution, so the spot check allows ``slack`` times
-        that bound before flagging a violation.  Returns whether the
-        prediction passed.
-        """
-        self.checks[SurrogateEquivalenceError.check] += 1
-        self.surrogate_verified += 1
-        denom = abs(exact) if exact else 1.0
-        rel = abs(predicted - exact) / denom
-        ok = math.isfinite(rel) and rel <= slack * tolerance
-        if not ok:
-            self.record_violation(SurrogateEquivalenceError(
-                f"surrogate {surface!r} prediction for {key!r} strayed "
-                f"{rel:.2%} from the exact model (certified bound "
-                f"{tolerance:.2%}, slack {slack:g}x): "
-                f"predicted={predicted!r} exact={exact!r}"
-            ))
-        return ok
-
     # -- reporting -----------------------------------------------------
     def render(self) -> str:
         """Fixed-format audit summary (the ``repro top`` section)."""
@@ -453,8 +410,7 @@ class Auditor:
             f"(sample fraction {self.sample_fraction:g})",
             f"  checks     : {sum(self.checks.values())} performed over "
             f"{self.runs_audited} audited runs | {self.memo_verified} memo "
-            f"hits re-verified | {self.surrogate_verified} surrogate "
-            "predictions spot-checked",
+            "hits re-verified",
         ]
         if self.total_violations == 0:
             lines.append("  violations : 0")
@@ -473,7 +429,6 @@ class Auditor:
             "violations": int(self.total_violations),
             "violation_counts": dict(sorted(self.violation_counts.items())),
             "memo_verified": self.memo_verified,
-            "surrogate_verified": self.surrogate_verified,
             "runs_audited": self.runs_audited,
         }
 
@@ -481,8 +436,7 @@ class Auditor:
         """Export counters as ``audit.*`` metrics (delta-idempotent)."""
         pairs = [("audit.checks", sum(self.checks.values())),
                  ("audit.violations", self.total_violations),
-                 ("audit.memo_verified", self.memo_verified),
-                 ("audit.surrogate_verified", self.surrogate_verified)]
+                 ("audit.memo_verified", self.memo_verified)]
         pairs += [
             (f"audit.violations.{check}", count)
             for check, count in self.violation_counts.items()
@@ -613,7 +567,7 @@ def configure(
     sample_fraction: Optional[float] = None,
     seed: int = 0,
 ) -> Optional[Auditor]:
-    """(Re)build the process auditor -- the CLI ``--audit`` hook.
+    """(Re)build the process auditor.
 
     Also exports the mode to ``REPRO_AUDIT`` so process-pool workers
     spawned later audit at the same level.
@@ -635,7 +589,8 @@ def configure(
 
 
 class audit_scope:
-    """Context manager pinning the global auditor (tests)."""
+    """Context manager pinning the global auditor: tests, and the CLI's
+    ``--audit`` flag, which holds for one :func:`repro.cli.main` call."""
 
     def __init__(self, mode: str, **kwargs) -> None:
         self.mode = mode

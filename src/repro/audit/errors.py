@@ -34,7 +34,6 @@ __all__ = [
     "LifecycleError",
     "MemoEquivalenceError",
     "ReportConsistencyError",
-    "SurrogateEquivalenceError",
     "TokenConservationError",
     "WatchdogExceeded",
     "WorkerRetryExhausted",
@@ -82,13 +81,6 @@ class MemoEquivalenceError(AuditError):
     """A sampled cache hit did not match its recomputed value."""
 
     check = "memo_equivalence"
-
-
-class SurrogateEquivalenceError(AuditError):
-    """A spot-sampled surrogate prediction strayed past its certified
-    error bound from the exact cost model it was fitted to."""
-
-    check = "surrogate_equivalence"
 
 
 class CollectiveAuditError(AuditError):

@@ -11,8 +11,6 @@ Subcommands::
     python -m repro trace --fast --out trace.json
     python -m repro top --backend gaudi2 --samples 10
     python -m repro smi --workload llm --backend gaudi2
-    python -m repro surrogate fit --backend gaudi2   # certified fast-path fit
-    python -m repro surrogate sweep --backend gaudi2 # design-space grid
     python -m repro reproduce --out runs/r0    # journaled full reproduction
     python -m repro resume runs/r0             # finish an interrupted run
 
@@ -33,8 +31,10 @@ import argparse
 import os
 import pathlib
 import sys
+from contextlib import nullcontext
 from typing import List, Optional
 
+from repro.audit import audit_scope
 from repro.audit.errors import ConfigError, JournalError
 from repro.core.parallel import parse_workers
 from repro.core.report import render_table
@@ -359,11 +359,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
     else:
         auditor.publish_metrics(ctx.metrics)
         print(auditor.render())
-    from repro import surrogate
-
-    print()
-    print("Surrogate cost models:")
-    print(surrogate.render_counters())
     return 0
 
 
@@ -456,7 +451,8 @@ def _parse_nodes_spec(spec: str):
         part = part.strip()
         if not part:
             continue
-        match = re.fullmatch(r"(\d+)\s*x\s*([A-Za-z0-9_-]+)", part)
+        # Any name token: FleetConfig's backend check names the registered ones.
+        match = re.fullmatch(r"(\d+)\s*x\s*(\S+)", part)
         if match is None:
             raise ConfigError(
                 f"--nodes: bad pool {part!r} (expected e.g. '4x gaudi2,2x a100')"
@@ -571,77 +567,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     auditor = get_auditor()
     return 1 if auditor is not None and auditor.total_violations else 0
-
-
-def _surrogate_base_keys(args: argparse.Namespace) -> List[str]:
-    """The verb's backend list with any ``@surrogate`` suffix stripped
-    (the verb always operates on the *base* platform's surrogate)."""
-    return [key.split("@")[0] for key in _comparison_set(args)]
-
-
-def _cmd_surrogate(args: argparse.Namespace) -> int:
-    from repro import surrogate as sg
-
-    if args.action == "fit":
-        import time as _time
-
-        for base in _surrogate_base_keys(args):
-            started = _time.perf_counter()
-            model = sg.fit_backend(base, seed=args.seed, workers=args.workers)
-            elapsed = _time.perf_counter() - started
-            sg.set_surrogate_model(base, model)
-            path = sg.save_model(model, sg.artifact_path(base, args.out))
-            print(f"fitted {base}@surrogate in {elapsed:.2f}s -> {path}")
-        print()
-        print("Surrogate cost models:")
-        print(sg.render_counters())
-        return 0
-
-    if args.action == "validate":
-        exit_code = 0
-        for base in _surrogate_base_keys(args):
-            path = sg.artifact_path(base, args.out)
-            model = sg.load_model(path)
-            report = sg.validate_model(model, seed=args.seed, points=args.spot)
-            rows = [(
-                name, str(entry["points"]),
-                f"{entry['max_rel_err']:.3%}", f"{entry['mean_rel_err']:.3%}",
-                f"{entry['tolerance']:.0%}", "ok" if entry["ok"] else "FAIL",
-            ) for name, entry in report.items()]
-            print(render_table(
-                ["Surface", "Spot points", "Max err", "Mean err", "Tol", "Verdict"],
-                rows,
-                title=f"surrogate validate: {base}@surrogate ({path})",
-            ))
-            if not all(entry["ok"] for entry in report.values()):
-                exit_code = 1
-        print("OK: every surface within tolerance" if exit_code == 0
-              else "FAIL: at least one surface exceeded its tolerance")
-        return exit_code
-
-    # action == "sweep"
-    from repro.surrogate.sweep import design_space_sweep
-
-    base = _surrogate_base_keys(args)[0]
-    result = design_space_sweep(
-        base, fast=not args.full, exact=args.exact,
-    )
-    rows = [(
-        str(r["tp"]), str(r["batch"]), str(r["context"]),
-        f"{r['step_time'] * 1e3:.3f}", f"{r['throughput']:.0f}",
-        f"{r['ttft'] * 1e3:.1f}", r["geometry"],
-    ) for r in result["rows"]]
-    print(render_table(
-        ["TP", "Batch", "Context", "Step (ms)", "Tok/s", "TTFT (ms)", "Geometry"],
-        rows,
-        title=f"design-space sweep: {base} ({result['mode']}, "
-              f"{result['cells']} cells)",
-    ))
-    best = result["best"]
-    print(f"best cell: tp={best['tp']} batch={best['batch']} "
-          f"context={best['context']} -> {best['throughput']:.0f} tok/s, "
-          f"TTFT {best['ttft'] * 1e3:.1f} ms")
-    return _print_audit_summary()
 
 
 def _cmd_smi(args: argparse.Namespace) -> int:
@@ -945,67 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_audit_flag(fleet)
     fleet.set_defaults(fn=_cmd_fleet)
 
-    surrogate = sub.add_parser(
-        "surrogate",
-        help="fit / validate / sweep the certified surrogate cost models",
-        description=(
-            "Fitted fast-path predictors for the exact per-backend cost "
-            "models (ISSUE 10).  `fit` samples the exact models, fits "
-            "per-surface predictors, and writes a checksummed artifact "
-            "with held-out validation certificates; `validate` reloads "
-            "an artifact (checksum + certificate enforcement) and "
-            "spot-checks it on fresh samples; `sweep` runs the "
-            "design-space grid at surrogate speed (--exact for the "
-            "exact twin)."
-        ),
-    )
-    surrogate_sub = surrogate.add_subparsers(dest="action", required=True)
-
-    surrogate_fit = surrogate_sub.add_parser(
-        "fit", help="fit + certify + save one artifact per backend"
-    )
-    _add_backend_flag(surrogate_fit, multiple=True)
-    surrogate_fit.add_argument("--out", default=None,
-                               help="artifact directory "
-                                    "(default artifacts/surrogate)")
-    surrogate_fit.add_argument("--seed", type=int, default=0,
-                               help="holdout sampling seed")
-    surrogate_fit.add_argument("--workers", default=None,
-                               help="process-pool size for per-surface fits "
-                                    "(an int or 'auto'; bit-identical to "
-                                    "serial)")
-    _add_audit_flag(surrogate_fit)
-    surrogate_fit.set_defaults(fn=_cmd_surrogate, action="fit")
-
-    surrogate_validate = surrogate_sub.add_parser(
-        "validate", help="reload artifacts and spot-check against the "
-                         "exact models"
-    )
-    _add_backend_flag(surrogate_validate, multiple=True)
-    surrogate_validate.add_argument("--out", default=None,
-                                    help="artifact directory "
-                                         "(default artifacts/surrogate)")
-    surrogate_validate.add_argument("--seed", type=int, default=1,
-                                    help="spot-check sampling seed")
-    surrogate_validate.add_argument("--spot", type=int, default=32,
-                                    help="fresh spot samples per surface")
-    _add_audit_flag(surrogate_validate)
-    surrogate_validate.set_defaults(fn=_cmd_surrogate, action="validate")
-
-    surrogate_sweep = surrogate_sub.add_parser(
-        "sweep", help="TP x batch x context design-space grid at "
-                      "surrogate speed"
-    )
-    _add_backend_flag(surrogate_sweep, multiple=True)
-    surrogate_sweep.add_argument("--full", action="store_true",
-                                 help="full design-space grid "
-                                      "(default: fast subset)")
-    surrogate_sweep.add_argument("--exact", action="store_true",
-                                 help="price every cell through the exact "
-                                      "models instead of the surrogate")
-    _add_audit_flag(surrogate_sweep)
-    surrogate_sweep.set_defaults(fn=_cmd_surrogate, action="sweep")
-
     smi = sub.add_parser("smi", help="hl-smi / nvidia-smi style readout")
     _add_backend_flag(smi, multiple=False)
     smi.add_argument("--workload", default="llm", choices=["llm", "recsys"])
@@ -1017,18 +881,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "audit", None):
-        from repro.audit import configure
-
-        configure(args.audit)
     exported = os.environ.get(BACKENDS_ENV)
+    # --audit holds for this call only, like a comparison verb's export.
+    audit = audit_scope(args.audit) if getattr(args, "audit", None) else nullcontext()
     try:
-        if getattr(args, "workers", None) is not None:
-            parse_workers(args.workers)  # also where this run would not fan out
-        return args.fn(args)
+        with audit:
+            if getattr(args, "workers", None) is not None:
+                parse_workers(args.workers)  # also where this run would not fan out
+            return args.fn(args)
     except (ConfigError, JournalError) as exc:
-        # Bad user input (a flag value, a spec string, an artifact or
-        # journal) is a usage error like argparse's own: one line, exit 2.
+        # Bad user input (a flag value, a spec string, a journal) is a
+        # usage error like argparse's own: one line, exit 2.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

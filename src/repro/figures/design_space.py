@@ -1,12 +1,9 @@
-"""Design-space figure: surrogate-speed MME x fabric x batch grid.
+"""Design-space figure: a fitted-surrogate MME x fabric x batch grid.
 
-Not a paper figure -- the ISSUE 10 companion the surrogate layer earns:
-a tensor-parallel degree x batch-policy x context grid for a
-Llama-3-8B-shaped decoder, every cell scored through the fitted
-surrogate surfaces (layer GEMMs, paged attention, per-layer
-all-reduces, prefill attention).  At exact-model speed the full grid is
-a design-space *sweep*; at surrogate speed it is a lookup -- which is
-the point: the same scoring at 100x the cell count stays interactive.
+Not a paper figure: a tensor-parallel degree x batch-policy x context
+grid for a Llama-3-8B-shaped decoder, every cell scored through the
+fitted surrogate surfaces (layer GEMMs, paged attention, per-layer
+all-reduces, prefill attention) of :func:`design_space_sweep`.
 
 The tracked behavior: the throughput-optimal cell and the dominant MME
 geometry per cell match the exact twin (``design_space_sweep(...,

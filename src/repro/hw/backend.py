@@ -222,13 +222,6 @@ class BackendRegistry:
         key = self._aliases.get(name.lower())
         if key is not None:
             return key
-        # "<base>@surrogate" lazily registers the fitted fast-path
-        # facade of an already-registered base backend (declaration
-        # only -- fitting happens at first instantiation).
-        if name.lower().endswith("@surrogate") and name.lower() != "@surrogate":
-            from repro.surrogate.backend import ensure_registered
-
-            return ensure_registered(name.lower()[: -len("@surrogate")])
         known = sorted(self._infos)
         close = difflib.get_close_matches(name.lower(), list(self._aliases), n=1)
         hint = f" (did you mean {close[0]!r}?)" if close else ""

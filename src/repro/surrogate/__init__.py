@@ -1,106 +1,38 @@
-"""Surrogate cost models: certified fitted fast paths (ISSUE 10).
+"""Surrogate cost models: the certified fit behind the ``design_space`` figure.
 
 The exact per-backend cost models (MME/tensor-core GEMM geometry,
 attention, paged attention, collectives, TPC STREAM) are deterministic
-functions of shape and config -- ideal fitting targets.  This package
-samples them over structured lattices, fits per-surface predictors
-(:mod:`~repro.surrogate.predictors`), certifies each fit on held-out
-points, and exposes the result three ways:
+functions of shape and config.  This package samples them over
+structured lattices, fits per-surface predictors
+(:mod:`~repro.surrogate.predictors`), and certifies each fit on
+held-out points (:func:`fit_backend`; :meth:`SurrogateModel.from_payload`
+refuses a surface whose held-out error exceeds its tolerance).
+:func:`design_space_sweep` prices the ``design_space`` figure's grid
+through the fitted surfaces, and its ``exact=True`` twin prices the
+same grid through the exact models.
 
-* as a registry backend -- ``--backend gaudi2@surrogate`` -- serving
-  GEMM and collective queries through the fitted model with exact-model
-  fallback outside the fitted domain (:mod:`~repro.surrogate.backend`);
-* as checksummed, byte-identical artifacts with load-time certificate
-  enforcement (:mod:`~repro.surrogate.artifact`);
-* as vectorized design-space sweeps that are infeasible at exact-model
-  speed (:mod:`~repro.surrogate.sweep`, the ``repro surrogate`` verb,
-  and the ``design_space`` figure).
-
-Runtime honesty: the audit layer's ``SurrogateEquivalence`` check
-spot-samples predictions against the exact models (strict mode raises
-past 2x the certified bound), and ``repro top`` renders the per-surface
-certificates and counters via :func:`render_counters`.
+Every serving path prices through the exact models; the surrogate is
+no backend.  DESIGN.md §12 says why the fit itself stays for now.
 """
 
 from __future__ import annotations
 
-from repro.surrogate.artifact import artifact_path, load_model, save_model
-from repro.surrogate.backend import (
-    SURROGATE_COUNTERS,
-    SurrogateBackend,
-    SurrogateCollectiveLibrary,
-    ensure_registered,
-    fitted_models,
-    get_surrogate_model,
-    set_surrogate_model,
-)
-from repro.surrogate.fitting import (
-    SCHEMA,
-    SurrogateModel,
-    fit_backend,
-    fit_surface,
-    validate_model,
-)
+from repro.surrogate.backend import get_surrogate_model
+from repro.surrogate.fitting import SCHEMA, SurrogateModel, fit_backend, fit_surface
 from repro.surrogate.predictors import LogGridPredictor, StructuredGemmPredictor
 from repro.surrogate.surfaces import SURFACES, Surface, surface_names
-from repro.surrogate.sweep import design_space_sweep, gemm_grid_sweep
+from repro.surrogate.sweep import design_space_sweep
 
 __all__ = [
     "SCHEMA",
     "SURFACES",
-    "SURROGATE_COUNTERS",
     "LogGridPredictor",
     "StructuredGemmPredictor",
     "Surface",
-    "SurrogateBackend",
-    "SurrogateCollectiveLibrary",
     "SurrogateModel",
-    "artifact_path",
     "design_space_sweep",
-    "ensure_registered",
     "fit_backend",
     "fit_surface",
-    "fitted_models",
-    "gemm_grid_sweep",
     "get_surrogate_model",
-    "load_model",
-    "render_counters",
-    "save_model",
-    "set_surrogate_model",
     "surface_names",
-    "validate_model",
 ]
-
-
-def render_counters() -> str:
-    """Human-readable surrogate section for ``repro top``.
-
-    Lists the per-surface fit certificates of every model fitted in
-    this process plus the fast-path/fallback/spot-check counters.
-    Never triggers a fit.
-    """
-    lines = []
-    models = fitted_models()
-    if not models:
-        lines.append("  (none fitted -- resolve a *@surrogate backend or "
-                     "run `repro surrogate fit`)")
-    for base_key in sorted(models):
-        model = models[base_key]
-        lines.append(f"  {base_key}@surrogate:")
-        for name in model.surfaces:
-            certificate = model.certificate(name)
-            lines.append(
-                f"    {name:<24s} {certificate['samples']:>6d} samples | "
-                f"holdout {certificate['holdout']:>4d} | "
-                f"max err {certificate['max_rel_err']:.3%} | "
-                f"mean {certificate['mean_rel_err']:.3%} | "
-                f"tol {model.tolerance(name):.0%}"
-            )
-    predicted = sum(v for key, v in SURROGATE_COUNTERS.items() if key.endswith(".predicted"))
-    fallback = sum(v for key, v in SURROGATE_COUNTERS.items() if key.endswith(".fallback"))
-    lines.append(
-        f"  fast path  : {predicted} predicted | {fallback} exact fallbacks | "
-        f"spot checks {SURROGATE_COUNTERS['spot.pass']} pass / "
-        f"{SURROGATE_COUNTERS['spot.fail']} fail"
-    )
-    return "\n".join(lines)

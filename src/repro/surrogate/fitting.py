@@ -6,14 +6,13 @@ validates it on *held-out* points (drawn off-lattice from a
 ``SeedSequence``-derived generator, never from the training grid).  The
 result is a :class:`SurrogateModel` whose payload is pure JSON: fitting
 assembles the model *through* the payload, so a freshly fitted model and
-one loaded from an artifact are bit-identical by construction.
+one rebuilt from its payload are bit-identical by construction.
 
-Determinism contract (ISSUE 10 satellite): every per-surface fit is a
-self-contained task of ``(backend, surface, seed)`` -- sampling grids
-are fixed lattices, the holdout generator derives from
-``SeedSequence([seed, surface_index])``, and summary statistics use
-``math.fsum`` -- so ``repro surrogate fit`` is bit-identical across
-runs and across the serial/process-pool paths
+Determinism contract: every per-surface fit is a self-contained task of
+``(backend, surface, seed)`` -- sampling grids are fixed lattices, the
+holdout generator derives from ``SeedSequence([seed, surface_index])``,
+and summary statistics use ``math.fsum`` -- so a fit is bit-identical
+across runs and across the serial/process-pool paths
 (:func:`repro.core.parallel.map_with_retries` preserves task order).
 """
 
@@ -36,9 +35,9 @@ from repro.surrogate.predictors import (
 )
 from repro.surrogate.surfaces import SURFACES, Surface, surface_names
 
-__all__ = ["SCHEMA", "SurrogateModel", "fit_backend", "fit_surface", "validate_model"]
+__all__ = ["SCHEMA", "SurrogateModel", "fit_backend", "fit_surface"]
 
-#: Artifact schema identifier (bump on any payload layout change).
+#: Payload schema identifier (bump on any payload layout change).
 SCHEMA = "repro-surrogate/v1"
 
 #: Boundary of the "narrow" memory class -- must match the skinny-shape
@@ -48,8 +47,8 @@ _NARROW_BELOW = 128
 #: Deterministic mode preference when residuals tie.
 _MODE_ORDER = ("fill", "wave", "streamk")
 
-#: GEMM fast-path domain (outside it the backend falls back to exact).
-GEMM_DOMAIN = {"min_dim": 1, "max_dim": 16384, "max_batch": 1024}
+#: Held-out GEMM dims are drawn log-uniformly from this range.
+_HOLDOUT_DIMS = (16, 16384)
 
 
 class SurrogateModel:
@@ -69,24 +68,25 @@ class SurrogateModel:
         }
 
     @classmethod
-    def from_payload(cls, payload: Dict, enforce: bool = True) -> "SurrogateModel":
+    def from_payload(cls, payload: Dict) -> "SurrogateModel":
+        """Build a model, refusing any surface whose held-out error
+        exceeds its tolerance."""
         schema = payload.get("schema")
         if schema != SCHEMA:
             raise ConfigError(
-                f"surrogate artifact schema {schema!r} != expected {SCHEMA!r}"
+                f"surrogate payload schema {schema!r} != expected {SCHEMA!r}"
             )
         model = cls(backend=payload["backend"], surfaces=payload["surfaces"])
-        if enforce:
-            for name in model.surfaces:
-                certificate = model.certificate(name)
-                tolerance = model.tolerance(name)
-                if not (certificate["max_rel_err"] <= tolerance):
-                    raise ConfigError(
-                        f"surrogate surface {name!r} for {model.backend!r} "
-                        f"certifies max relative error "
-                        f"{certificate['max_rel_err']:.4%} > tolerance "
-                        f"{tolerance:.2%}; refusing to load"
-                    )
+        for name in model.surfaces:
+            certificate = model.certificate(name)
+            tolerance = model.tolerance(name)
+            if not (certificate["max_rel_err"] <= tolerance):
+                raise ConfigError(
+                    f"surrogate surface {name!r} for {model.backend!r} "
+                    f"certifies max relative error "
+                    f"{certificate['max_rel_err']:.4%} > tolerance "
+                    f"{tolerance:.2%}; refusing to load"
+                )
         return model
 
     # -- accessors -----------------------------------------------------
@@ -110,13 +110,6 @@ class SurrogateModel:
         return predictor
 
     # -- typed query helpers (scalar or array alike) -------------------
-    def gemm_in_domain(self, m, k, n, batch, dtype_name: str = "bf16") -> bool:
-        domain = GEMM_DOMAIN
-        dims_ok = all(
-            domain["min_dim"] <= v <= domain["max_dim"] for v in (m, k, n)
-        )
-        return dtype_name == "bf16" and dims_ok and 1 <= batch <= domain["max_batch"]
-
     def gemm_predict(self, m, k, n, batch) -> Dict[str, np.ndarray]:
         return self.predictor("gemm").predict(m, k, n, batch)
 
@@ -225,10 +218,10 @@ def _fit_gemm(device, surface: Surface) -> Dict:
 
 def _holdout_gemm(device, predictor: StructuredGemmPredictor,
                   rng: np.random.Generator, points: int) -> List[float]:
-    lo = math.log2(GEMM_DOMAIN["min_dim"] * 16)
-    hi = math.log2(GEMM_DOMAIN["max_dim"])
-    dims = np.round(np.exp2(rng.uniform(lo, hi, size=(points, 3)))).astype(int)
-    dims = np.clip(dims, 16, GEMM_DOMAIN["max_dim"])
+    lo, hi = _HOLDOUT_DIMS
+    dims = np.round(np.exp2(rng.uniform(math.log2(lo), math.log2(hi),
+                                        size=(points, 3)))).astype(int)
+    dims = np.clip(dims, lo, hi)
     batches = rng.choice([1, 2, 4, 8, 16], size=points)
     predicted = predictor.predict(dims[:, 0], dims[:, 1], dims[:, 2], batches)["time"]
     errors: List[float] = []
@@ -388,36 +381,6 @@ def fit_surface(base_key: str, name: str, seed: int = 0) -> Dict:
         "certificate": certificate,
         "tolerance": surface.tolerance,
     }
-
-
-def validate_model(model: SurrogateModel, seed: int = 1, points: int = 32) -> Dict[str, Dict]:
-    """Fresh spot-check of a fitted or loaded model against the exact
-    models: new off-lattice samples (disjoint seed path from the fit's
-    holdout), per-surface max/mean relative error, and an ``ok`` flag
-    against the surface tolerance.  The ``repro surrogate validate``
-    oracle."""
-    from repro.hw.backend import get_backend
-
-    device = get_backend(model.backend, fresh=True)
-    report: Dict[str, Dict] = {}
-    for name in model.surfaces:
-        surface = SURFACES[name]
-        sequence = np.random.SeedSequence([seed, surface_names().index(name), 1])
-        rng = np.random.Generator(np.random.PCG64(sequence))
-        predictor = model.predictor(name)
-        if surface.family == "structured-gemm":
-            errors = _holdout_gemm(device, predictor, rng, points)
-        else:
-            errors = _holdout_log_grid(device, surface, predictor, rng, points)
-        worst = float(max(errors))
-        report[name] = {
-            "points": len(errors),
-            "max_rel_err": worst,
-            "mean_rel_err": float(math.fsum(errors) / len(errors)),
-            "tolerance": model.tolerance(name),
-            "ok": worst <= model.tolerance(name),
-        }
-    return report
 
 
 def _fit_surface_task(task: Tuple[str, str, int]) -> Tuple[str, Dict]:

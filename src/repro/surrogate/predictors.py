@@ -21,8 +21,7 @@ exposes (see DESIGN.md §12 for the why):
   declared ``exact`` and gate :meth:`LogGridPredictor.in_domain`.
 
 Both predictors serialize to plain-JSON payloads (``to_payload`` /
-``from_payload``) so fitted models round-trip byte-identically through
-the checksummed artifact format of :mod:`repro.surrogate.artifact`.
+``from_payload``), and a fitted model is assembled through them.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Each :class:`Surface` names one exact cost model, the structured lattice
 it is sampled over, the predictor family that fits it, and the
 certificate tolerance it must meet on held-out points.  The catalogue is
 deliberately *data*: the fitting pipeline (:mod:`repro.surrogate.fitting`)
-iterates it, and the per-surface exact evaluators double as the
-spot-check oracles for the runtime ``SurrogateEquivalence`` audit.
+iterates it, and the per-surface exact evaluators are the held-out
+oracles its certificates are measured against.
 
 Lattice conventions
 -------------------

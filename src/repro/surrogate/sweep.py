@@ -1,18 +1,11 @@
-"""Design-space sweeps that only pencil out at surrogate speed.
+"""The design-space sweep behind the ``design_space`` figure.
 
-Two sweeps live here:
-
-* :func:`gemm_grid_sweep` -- a fig07-style dense m x n utilization grid
-  at fixed K.  The exact path walks ``device.gemm`` point by point
-  (every shape distinct, so memoization cannot help); the surrogate
-  path answers the whole grid in one vectorized predictor call.  This
-  is the ``sweep_surrogate`` bench case's workload.
-* :func:`design_space_sweep` -- the ISSUE 10 figure: MME geometry x
-  fabric (tensor-parallel degree) x batch-policy grid scoring decode
-  throughput and a TTFT proxy for a Llama-3-8B-shaped decoder, with
-  every cost term (layer GEMMs, paged attention, per-layer all-reduces,
-  prefill attention) served by the fitted surfaces.  An exact twin
-  exists for spot comparison and the bench before-path.
+:func:`design_space_sweep` scores an MME geometry x fabric
+(tensor-parallel degree) x batch-policy grid on decode throughput and a
+TTFT proxy for a Llama-3-8B-shaped decoder, with every cost term (layer
+GEMMs, paged attention, per-layer all-reduces, prefill attention)
+served by the fitted surfaces.  Its ``exact=True`` twin prices the same
+terms through the exact models, for comparison.
 
 Model shapes follow Llama-3-8B (the paper's serving workload): 32
 layers, hidden 4096, 32 query / 8 KV heads of dim 128, FFN 14336,
@@ -28,7 +21,7 @@ import numpy as np
 
 from repro.surrogate.surfaces import ATTENTION_HEAD_DIM, exact_paged_time
 
-__all__ = ["design_space_sweep", "gemm_grid_sweep", "LLAMA_8B"]
+__all__ = ["design_space_sweep", "LLAMA_8B"]
 
 #: Llama-3-8B decoder dimensions (per layer, unsharded).
 LLAMA_8B = {
@@ -62,58 +55,6 @@ def _layer_gemm_shapes(tp: int, model: Dict = LLAMA_8B) -> List[tuple]:
         (hidden, 2 * ffn // tp),        # fused gate + up
         (ffn // tp, hidden),            # down projection
     ]
-
-
-def gemm_grid_sweep(
-    backend_key: str,
-    k: int = 16384,
-    lo: int = 16,
-    hi: int = 16384,
-    per_octave: int = 16,
-    exact: bool = False,
-) -> Dict:
-    """Dense m x n GEMM utilization grid at fixed ``k`` (fig07-style).
-
-    With ``exact`` the grid walks the exact cost model shape by shape;
-    otherwise the fitted surrogate answers it in one vectorized call.
-    Returns summary statistics (so both paths produce comparable,
-    deterministic output) plus the grid extent.
-    """
-    from repro.hw.backend import get_backend
-    from repro.surrogate.backend import get_surrogate_model
-
-    octaves = math.log2(hi / lo)
-    count = int(round(octaves * per_octave)) + 1
-    axis = np.unique(np.round(
-        np.exp2(np.linspace(math.log2(lo), math.log2(hi), count))
-    ).astype(int))
-    m_grid, n_grid = np.meshgrid(axis, axis, indexing="ij")
-
-    if exact:
-        base_key = backend_key.split("@")[0]
-        device = get_backend(base_key, fresh=True)
-        times = np.empty(m_grid.size, dtype=float)
-        flat_m, flat_n = m_grid.ravel(), n_grid.ravel()
-        for index in range(times.size):
-            times[index] = device.gemm(int(flat_m[index]), k, int(flat_n[index])).time
-        times = times.reshape(m_grid.shape)
-    else:
-        model = get_surrogate_model(backend_key.split("@")[0])
-        times = model.gemm_predict(m_grid, k, n_grid, 1)["time"]
-
-    flops = 2.0 * m_grid.astype(float) * k * n_grid.astype(float)
-    utilization = flops / times
-    return {
-        "backend": backend_key,
-        "k": k,
-        "points": int(m_grid.size),
-        "axis": [int(v) for v in axis],
-        "total_time": float(np.sum(times)),
-        "mean_achieved_tflops": float(np.mean(utilization) / 1e12),
-        "peak_point": [int(m_grid.ravel()[int(np.argmax(utilization))]),
-                       int(n_grid.ravel()[int(np.argmax(utilization))])],
-        "exact": bool(exact),
-    }
 
 
 def _surrogate_cell(model, tp: int, batch: int, context: int,

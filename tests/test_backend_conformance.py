@@ -24,13 +24,7 @@ from repro.hw.backend import (
     resolve_backend,
 )
 from repro.hw.spec import DType, get_spec
-from repro.surrogate.backend import ensure_registered
 
-# The surrogate facades register lazily on first resolution; pull every
-# built-in's surrogate in so the whole matrix below covers them too.
-SURROGATE_BACKENDS = [
-    ensure_registered(base) for base in ("gaudi2", "a100", "h100", "gaudi3")
-]
 ALL_BACKENDS = list_backends()
 
 

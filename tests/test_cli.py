@@ -102,6 +102,13 @@ class TestInputErrors:
         # An empty table is no sample of the run.
         (["top", "--samples", "0"], "--samples must be >= 1, got 0"),
         (["top", "--samples", "-2"], "--samples must be >= 1, got -2"),
+        # The fitted surrogate is no backend.
+        (["serve", "--backend", "gaudi2@surrogate"],
+         "unknown backend 'gaudi2@surrogate'; registered backends: a100, gaudi2, gaudi3, h100"),
+        (["fleet", "--nodes", "2x gaudi2@surrogate"],
+         "unknown backend 'gaudi2@surrogate'; registered backends: a100, gaudi2, gaudi3, h100"),
+        (["figures", "--id", "fig04", "--backend", "a100@surrogate"],
+         "unknown backend 'a100@surrogate'; registered backends: a100, gaudi2, gaudi3, h100"),
     ])
     def test_bad_spec_exits_2(self, capsys, argv, message):
         assert main(argv) == 2
@@ -195,7 +202,8 @@ class TestInputErrors:
     @pytest.mark.parametrize("argv, message", [
         (["serve", "--device", "gaudi2"], "unrecognized arguments: --device"),
         (["bench", "--check"], "invalid choice: 'bench'"),
-    ], ids=["device-flag", "bench-verb"])
+        (["surrogate", "fit", "--backend", "gaudi2"], "invalid choice: 'surrogate'"),
+    ], ids=["device-flag", "bench-verb", "surrogate-verb"])
     def test_removed_input_exits_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
@@ -277,6 +285,21 @@ class TestCommands:
         assert os.environ["REPRO_BACKENDS"] == "gaudi2,h100"
         assert main(["figures", "--id", "table1", "--backend", "nope"]) == 2
         assert os.environ["REPRO_BACKENDS"] == "gaudi2,h100"
+
+    def test_audit_flag_does_not_leak_into_the_next_call(self, capsys, monkeypatch):
+        """``--audit`` holds for its own call; afterwards the process
+        audits as ``REPRO_AUDIT`` said before it."""
+        from repro.audit import get_auditor
+
+        monkeypatch.delenv("REPRO_AUDIT", raising=False)
+        before = get_auditor()
+        assert main(["serve", "--requests", "4", "--audit", "strict"]) == 0
+        assert "REPRO_AUDIT" not in os.environ
+        assert get_auditor() is before
+        monkeypatch.setenv("REPRO_AUDIT", "sample")
+        assert main(["serve", "--requests", "4", "--audit", "strict"]) == 0
+        assert os.environ["REPRO_AUDIT"] == "sample"
+        assert get_auditor() is before
 
     def test_serve(self, capsys):
         assert main(["serve", "--requests", "4", "--max-batch", "4"]) == 0

@@ -2,8 +2,10 @@
 
 One short ``serve`` per registered backend x TP degree (1, 4, 8) x
 fabric state (healthy, or one link degraded at TP 4 and 8) x observer
-(none, a traced ``RunContext``, a metrics-only ``RunContext``), with
-memoization on from cleared caches.  Wrappers this
+(none, a traced ``RunContext``, a metrics-only ``RunContext``) with the
+backend's default decode attention, plus one unobserved TP 1 ``serve``
+per other decode-attention kind, each with memoization on from cleared
+caches.  Wrappers this
 file installs count the slow paths a configuration could fall onto:
 
 * ``_prefill_uncached`` and ``_decode_step_uncached``, the from-scratch
@@ -32,20 +34,17 @@ from repro.hw.backend import get_backend, list_backends
 from repro.hw.device import Device
 from repro.models.llama import (
     LLAMA_3_1_8B,
+    DecodeAttention,
     LlamaCostModel,
     default_decode_attention,
 )
 from repro.models.tensor_parallel import TensorParallelConfig
 from repro.serving import LlmServingEngine, dynamic_sonnet_requests
 
-#: The registered platforms.  ``<base>@surrogate`` variants register
-#: lazily when a run first names one, and still price every GEMM of a
-#: cold prompt length through ``Device.gemm`` (they have no per-shape
-#: row; ROADMAP's surrogate item deletes them), so they are left out.
+#: Every registered platform.
 CASES = [
     (backend, degree, fabric)
     for backend in list_backends()
-    if not backend.endswith("@surrogate")
     for degree, fabric in (
         (1, "healthy"),
         (4, "healthy"),
@@ -53,6 +52,14 @@ CASES = [
         (8, "healthy"),
         (8, "degraded-link"),
     )
+]
+
+#: Each decode-attention kind the engine serves on a backend besides its default.
+ATTENTION_CASES = [
+    (backend, attention)
+    for backend in list_backends()
+    for attention in DecodeAttention
+    if attention is not default_decode_attention(get_backend(backend))
 ]
 
 #: How a run is observed: not at all, a tracer plus metrics, metrics only.
@@ -130,17 +137,8 @@ def _tp(backend: str, degree: int, fabric: str) -> TensorParallelConfig:
     return tp
 
 
-@pytest.mark.parametrize("observer", OBSERVERS)
-@pytest.mark.parametrize(
-    "backend,degree,fabric", CASES, ids=[f"{b}-tp{d}-{f}" for b, d, f in CASES]
-)
-def test_serve_stays_on_the_fast_path(backend, degree, fabric, observer, counted, memo_on):
-    device = get_backend(backend)
-    model = LlamaCostModel(LLAMA_3_1_8B, device, tp=_tp(backend, degree, fabric))
-    ctx = OBSERVERS[observer]()
-    engine = LlmServingEngine(
-        model, default_decode_attention(device), max_decode_batch=16, ctx=ctx
-    )
+def _serve_on_the_fast_path(counted, model, attention, degree, ctx=None):
+    engine = LlmServingEngine(model, attention, max_decode_batch=16, ctx=ctx)
     report = engine.run(dynamic_sonnet_requests(24, seed=1))
     assert report.finished_requests == 24
     assert counted["_prefill_uncached"] == 0
@@ -149,5 +147,25 @@ def test_serve_stays_on_the_fast_path(backend, degree, fabric, observer, counted
     lm_head = (LLAMA_3_1_8B.hidden_size, LLAMA_3_1_8B.vocab_size // degree)
     assert set(counted.gemm) <= {lm_head}
     assert len(counted.gemm) <= counted["_build_prefill_pricer"]
+
+
+@pytest.mark.parametrize("observer", OBSERVERS)
+@pytest.mark.parametrize(
+    "backend,degree,fabric", CASES, ids=[f"{b}-tp{d}-{f}" for b, d, f in CASES]
+)
+def test_serve_stays_on_the_fast_path(backend, degree, fabric, observer, counted, memo_on):
+    device = get_backend(backend)
+    model = LlamaCostModel(LLAMA_3_1_8B, device, tp=_tp(backend, degree, fabric))
+    ctx = OBSERVERS[observer]()
+    _serve_on_the_fast_path(counted, model, default_decode_attention(device), degree, ctx)
     if ctx is not None and degree > 1:
         assert ctx.metrics.counter("comm.allreduce.calls").value > 0
+
+
+@pytest.mark.parametrize(
+    "backend,attention", ATTENTION_CASES,
+    ids=[f"{b}-{a.value}" for b, a in ATTENTION_CASES],
+)
+def test_every_decode_attention_stays_on_the_fast_path(backend, attention, counted, memo_on):
+    model = LlamaCostModel(LLAMA_3_1_8B, get_backend(backend))
+    _serve_on_the_fast_path(counted, model, attention, degree=1)
