@@ -212,6 +212,7 @@ def _build_serving_engine(args: argparse.Namespace, ctx=None):
         LLAMA_3_1_70B,
         LLAMA_3_1_8B,
         LlamaCostModel,
+        check_tp_degree,
         default_decode_attention,
     )
     from repro.models.tensor_parallel import TensorParallelConfig
@@ -226,12 +227,7 @@ def _build_serving_engine(args: argparse.Namespace, ctx=None):
             raise ConfigError(f"{flag} must be >= 1, got {value}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    for heads, kind in ((config.q_heads, "query"), (config.kv_heads, "KV")):
-        if heads % args.tp:
-            raise ConfigError(
-                f"--tp {args.tp} does not divide the {heads} {kind} heads of "
-                f"{config.name}"
-            )
+    check_tp_degree(config, args.tp, "--tp")
     device = get_backend(args.device)
     attention = default_decode_attention(device)
     tp = TensorParallelConfig.for_device(device, args.tp)

@@ -19,6 +19,12 @@ Clock/ownership model (see DESIGN.md for the full discussion):
 * The gateway owns logical :class:`~repro.cluster.gateway.FleetRequest`
   state; nodes own per-attempt engine requests.  An attempt never
   outlives its node; a fleet request never belongs to a node.
+* The fleet ledger holds only live requests: each ``FleetRequest`` is
+  built when its arrival event fires (the next arrival is heaped
+  then) and leaves the ledger once it is terminal and every attempt
+  has been reaped.  Its outcome is folded into running aggregates as
+  it turns terminal, so the ledger's size follows the requests in
+  flight, not the trace length.
 
 Determinism: the heap ordering, routing policies, backoff jitter
 (seeded, stateless), and synthetic workload are all derived from the
@@ -30,7 +36,6 @@ chaos included.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -182,6 +187,51 @@ class FleetConfig:
         return ",".join(f"{count}x {name}" for name, count in self.nodes)
 
 
+@dataclass
+class _Outcomes:
+    """One tenant's terminal fleet requests (or the untenanted fleet's),
+    folded as each turns terminal: what the report reads of them."""
+
+    #: Requests drawn for this tenant, arrived or not.
+    admitted: int = 0
+    output_tokens: int = 0
+    #: Client TTFT and TPOT of each finished request, in finish order.
+    ttfts: List[float] = field(default_factory=list)
+    tpots: List[float] = field(default_factory=list)
+    #: Shed-reason category (the reason up to its first ``:``) -> count.
+    shed_reasons: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def finished(self) -> int:
+        return len(self.ttfts)
+
+    @property
+    def shed(self) -> int:
+        return sum(self.shed_reasons.values())
+
+    def shed_as(self, *prefixes: str) -> int:
+        """Sheds whose reason starts with one of ``prefixes`` (none of
+        which holds a ``:``, so the category decides)."""
+        return sum(
+            count for category, count in self.shed_reasons.items()
+            if category.startswith(prefixes)
+        )
+
+    @classmethod
+    def merged(cls, scopes) -> "_Outcomes":
+        """The whole fleet's outcomes from its tenants' (samples are
+        sorted where they are read, so their order does not matter)."""
+        total = cls()
+        for scope in scopes:
+            total.admitted += scope.admitted
+            total.output_tokens += scope.output_tokens
+            total.ttfts += scope.ttfts
+            total.tpots += scope.tpots
+            for category, count in scope.shed_reasons.items():
+                total.shed_reasons[category] = total.shed_reasons.get(category, 0) + count
+        return total
+
+
 class _FleetRun:
     """Mutable state of one fleet simulation (one-shot)."""
 
@@ -201,12 +251,31 @@ class _FleetRun:
         self.now = 0.0
         self.heap: List[Tuple[float, int, str, object]] = []
         self._seq = 0
-        self.requests: List[FleetRequest] = []
-        #: Count of ``requests`` that have arrived by ``now``.
+        #: The drawn workload, one entry per fleet id (see seed_workload).
+        self._input_tokens: List[int] = []
+        self._output_tokens: List[int] = []
+        self._arrival_times: List[float] = []
+        #: Index into ``config.tenants`` per fleet id (empty untenanted).
+        self._tenant_of: List[int] = []
+        #: Heap sequence number of arrival 0; arrival ``i`` uses ``+ i``.
+        self._arrival_seq = 0
+        #: Arrival events handled so far.
+        self.arrivals = 0
+        #: Count of drawn arrival times ``<= now``.
         self._arrived = 0
-        #: attempt id -> (fleet id, node name at dispatch)
+        #: fleet id -> request, for arrived requests that are not yet
+        #: terminal or still have an attempt awaiting its reap.
+        self.live: Dict[int, FleetRequest] = {}
+        #: attempt id -> (fleet id, node name at dispatch), until reaped.
         self.attempt_map: Dict[int, Tuple[int, str]] = {}
         self.terminal_count = 0
+        #: Tenant name ("" untenanted) -> its folded terminal requests.
+        self.outcomes: Dict[str, _Outcomes] = {
+            spec.name: _Outcomes() for spec in config.tenants
+        } or {"": _Outcomes()}
+        #: Attempts that finished after their request was already
+        #: terminal (hedges that lost the race).
+        self.late_finishes = 0
         self.fault_log: List[str] = []
         self.node_crashes = 0
         self.admission = (
@@ -297,48 +366,39 @@ class _FleetRun:
 
     # -- workload ------------------------------------------------------
     def seed_workload(self) -> None:
-        """Build the fleet requests from the Dynamic-Sonnet length and
-        arrival draws (``dynamic_sonnet_requests`` plus
-        ``poisson_arrivals`` or ``diurnal_arrivals`` with this seed) and
-        heap their arrivals in one pass."""
+        """Draw the workload (``dynamic_sonnet_requests`` lengths plus
+        ``poisson_arrivals`` or ``diurnal_arrivals`` times with this
+        seed) and heap arrival 0; each arrival heaps the next, with the
+        sequence number it would have had heaped up front, so the
+        ``(time, seq)`` pop order is the same."""
         config = self.config
         count = config.num_requests
-        inputs, outputs = dynamic_sonnet_lengths(count, seed=config.seed)
-        times = arrival_times(
+        self._input_tokens, self._output_tokens = dynamic_sonnet_lengths(
+            count, seed=config.seed
+        )
+        times = self._arrival_times = arrival_times(
             count, config.rate, seed=config.seed,
             period=config.diurnal_period if config.diurnal else None,
         )
-        shapes = zip(itertools.count(), inputs, outputs, times)
         if config.tenants:
             # Attribute the SAME arrival stream to tenants by weighted
             # share: the arrival process is identical to an untenanted
             # run with this seed, only the labels differ.  String seeds
             # hash through SHA-512 inside random.Random, so the
             # assignment is platform-stable.
-            by_name = {spec.name: spec for spec in config.tenants}
             rng = random.Random(f"fleet-tenants/{config.seed}")
-            names = rng.choices(
-                [spec.name for spec in config.tenants],
+            self._tenant_of = rng.choices(
+                range(len(config.tenants)),
                 weights=[spec.share for spec in config.tenants],
                 k=count,
             )
-            self.requests = [
-                FleetRequest(
-                    fleet_id, input_tokens, output_tokens, arrival_time,
-                    spec.name, spec.tier, spec.ttft_slo,
-                )
-                for (fleet_id, input_tokens, output_tokens, arrival_time), spec
-                in zip(shapes, map(by_name.__getitem__, names))
-            ]
+            for index, spec in enumerate(config.tenants):
+                self.outcomes[spec.name].admitted = self._tenant_of.count(index)
         else:
-            self.requests = list(itertools.starmap(FleetRequest, shapes))
-        seq = self._seq
-        self.heap.extend(
-            (arrival_time, seq + fleet_id, "arrival", fleet_id)
-            for fleet_id, arrival_time in enumerate(times)
-        )
-        heapq.heapify(self.heap)
-        self._seq = seq + count
+            self.outcomes[""].admitted = count
+        self._arrival_seq = self._seq
+        heapq.heappush(self.heap, (times[0], self._seq, "arrival", 0))
+        self._seq += count
         for event in config.plan.scheduled():
             self.push(event.time, "fault", event)
         self.push(config.probe_interval, "probe")
@@ -379,19 +439,34 @@ class _FleetRun:
 
     @property
     def admitted_so_far(self) -> int:
-        """Requests with ``arrival_time <= now``.  ``requests`` is in
-        arrival order and ``now`` never decreases, so the count is a
+        """Requests with ``arrival_time <= now``.  The drawn times are
+        in arrival order and ``now`` never decreases, so the count is a
         cursor advanced in place (amortized O(1) per call)."""
-        requests = self.requests
+        times = self._arrival_times
         arrived = self._arrived
-        while arrived < len(requests) and requests[arrived].arrival_time <= self.now:
+        while arrived < len(times) and times[arrived] <= self.now:
             arrived += 1
         self._arrived = arrived
         return arrived
 
+    def _release(self, fleet_request: FleetRequest) -> None:
+        """Drop a terminal request from the ledger once no attempt of
+        it awaits a reap (its outcome is already folded)."""
+        if not fleet_request.attempts and fleet_request.terminal:
+            self.live.pop(fleet_request.fleet_id, None)
+
     def _observe_attempt(self, node: Node, attempt: Request) -> None:
-        fleet_id, _ = self.attempt_map[attempt.request_id]
-        fleet_request = self.requests[fleet_id]
+        fleet_id, _ = self.attempt_map.pop(attempt.request_id)
+        fleet_request = self.live.get(fleet_id)
+        if fleet_request is None:
+            # A request leaves the ledger only once every attempt of
+            # it is reaped, so a reaped attempt always finds its own.
+            self.check(
+                False, FleetConservationError,
+                f"attempt {attempt.request_id} outlived fleet request {fleet_id}",
+            )
+            return
+        fleet_request.attempts.remove(attempt)
         if self.tracer is not None:
             end = attempt.finish_time if attempt.finish_time is not None else self.now
             self.tracer.record(
@@ -400,39 +475,39 @@ class _FleetRun:
                 outcome=attempt.state.value,
             )
         if attempt.state is RequestState.FINISHED:
-            if fleet_request.terminal:
-                # A hedge sibling finished after the winner: wasted
-                # speculation, not a double-serve -- the client saw one
-                # completion.  Anything else finishing twice is a bug.
+            if not fleet_request.terminal:
+                self.finish_request(fleet_request, node, attempt)
+            else:
+                # A hedge sibling finished after the winner (or after
+                # its request was shed): wasted speculation, not a
+                # double-serve -- the client saw at most one completion.
+                # Anything else finishing twice is a bug.
                 self.check(
                     fleet_request.hedged,
                     FleetConservationError,
                     f"fleet request {fleet_id} completed twice without hedging",
                 )
                 self.gateway.stats.hedge_wasted += 1
-                return
-            self.finish_request(fleet_request, node, attempt)
+                self.late_finishes += 1
         elif attempt.state is RequestState.FAILED:
             # Node crash killed the attempt: fail over immediately.
             self._breaker_failure(node.name)
-            if fleet_request.terminal:
-                return
-            self.gateway.stats.failovers += 1
-            self.dispatch(fleet_request, self.now)
+            if not fleet_request.terminal:
+                self.gateway.stats.failovers += 1
+                self.dispatch(fleet_request, self.now)
         else:  # SHED
             reason = attempt.shed_reason or ""
-            if reason.startswith(GATEWAY_SHED_PREFIX):
-                return  # gateway cancellation; pipeline already moved on
-            # Engine-decided shed (KV exhaustion, engine deadline):
-            # retry elsewhere with backoff, or give up.
-            if fleet_request.terminal:
-                return
-            self.retry_or_shed(
-                fleet_request,
-                self.now,
-                f"{GATEWAY_SHED_PREFIX}retry-exhausted: engine shed "
-                f"({reason.split(':', 1)[0]})",
-            )
+            # A gateway cancellation needs nothing: the pipeline already
+            # moved on.  An engine-decided shed (KV exhaustion, engine
+            # deadline) retries elsewhere with backoff, or gives up.
+            if not reason.startswith(GATEWAY_SHED_PREFIX) and not fleet_request.terminal:
+                self.retry_or_shed(
+                    fleet_request,
+                    self.now,
+                    f"{GATEWAY_SHED_PREFIX}retry-exhausted: engine shed "
+                    f"({reason.split(':', 1)[0]})",
+                )
+        self._release(fleet_request)
 
     # -- pipeline ------------------------------------------------------
     def _breaker_failure(self, node_name: str) -> None:
@@ -517,8 +592,8 @@ class _FleetRun:
             entry = controller.pop_dispatchable()
             if entry is None:
                 break
-            fleet_request = self.requests[entry.fleet_id]
-            if fleet_request.terminal:
+            fleet_request = self.live.get(entry.fleet_id)
+            if fleet_request is None or fleet_request.terminal:
                 continue
             self.dispatch(fleet_request, self.now)
 
@@ -597,6 +672,10 @@ class _FleetRun:
     def _shed(self, fleet_request: FleetRequest, reason: str) -> None:
         fleet_request.shed(reason)
         self.terminal_count += 1
+        counts = self.outcomes[fleet_request.tenant].shed_reasons
+        category = reason.partition(":")[0]
+        counts[category] = counts.get(category, 0) + 1
+        self._release(fleet_request)
         if self.tracer is not None:
             self.tracer.async_end(
                 f"fleet-request-{fleet_request.fleet_id}", "fleet", self.now,
@@ -607,7 +686,28 @@ class _FleetRun:
 
     # -- event handlers (each takes its event's payload) ---------------
     def handle_arrival(self, fleet_id: int) -> None:
-        fleet_request = self.requests[fleet_id]
+        times = self._arrival_times
+        input_tokens = self._input_tokens[fleet_id]
+        output_tokens = self._output_tokens[fleet_id]
+        tenants = self.config.tenants
+        if tenants:
+            spec = tenants[self._tenant_of[fleet_id]]
+            fleet_request = FleetRequest(
+                fleet_id, input_tokens, output_tokens, times[fleet_id],
+                spec.name, spec.tier, spec.ttft_slo,
+            )
+        else:
+            fleet_request = FleetRequest(
+                fleet_id, input_tokens, output_tokens, times[fleet_id]
+            )
+        self.live[fleet_id] = fleet_request
+        self.arrivals += 1
+        next_id = fleet_id + 1
+        if next_id < len(times):
+            heapq.heappush(
+                self.heap,
+                (times[next_id], self._arrival_seq + next_id, "arrival", next_id),
+            )
         if self.tracer is not None:
             self.tracer.async_begin(
                 f"fleet-request-{fleet_id}", "fleet", self.now, fleet_id,
@@ -623,12 +723,14 @@ class _FleetRun:
         self.pump()
 
     def handle_dispatch(self, fleet_id: int) -> None:
-        self.dispatch(self.requests[fleet_id], self.now)
+        fleet_request = self.live.get(fleet_id)
+        if fleet_request is not None:
+            self.dispatch(fleet_request, self.now)
 
     def handle_timeout(self, ids: Tuple[int, int]) -> None:
         fleet_id, attempt_id = ids
-        fleet_request = self.requests[fleet_id]
-        if fleet_request.terminal:
+        fleet_request = self.live.get(fleet_id)
+        if fleet_request is None or fleet_request.terminal:
             return
         attempt = next(
             (a for a in fleet_request.attempts if a.request_id == attempt_id), None
@@ -658,8 +760,8 @@ class _FleetRun:
 
     def handle_hedge(self, ids: Tuple[int, int]) -> None:
         fleet_id, attempt_id = ids
-        fleet_request = self.requests[fleet_id]
-        if fleet_request.terminal or fleet_request.hedged:
+        fleet_request = self.live.get(fleet_id)
+        if fleet_request is None or fleet_request.terminal or fleet_request.hedged:
             return
         attempt = next(
             (a for a in fleet_request.attempts if a.request_id == attempt_id), None
@@ -743,7 +845,7 @@ class _FleetRun:
             self.tracer.counter("fleet.healthy_nodes", self.now, healthy)
         if self.metrics is not None:
             self.metrics.gauge("fleet.healthy_nodes").set(healthy)
-        if self.terminal_count < len(self.requests):
+        if self.terminal_count < self.config.num_requests:
             self.push(self.now + self.config.probe_interval, "probe")
 
     def handle_autoscale(self, _payload: None) -> None:
@@ -773,7 +875,7 @@ class _FleetRun:
                         self.tracer.instant(
                             "node.drain", "fleet", self.now, node=victim.name
                         )
-        if self.terminal_count < len(self.requests):
+        if self.terminal_count < self.config.num_requests:
             self.push(
                 self.now + scaler.policy.evaluate_interval, "autoscale"
             )
@@ -788,11 +890,11 @@ class _FleetRun:
         and shed what it condemns."""
         controller = self.admission
         for entry, reason in controller.evaluate(self.now):
-            fleet_request = self.requests[entry.fleet_id]
-            if not fleet_request.terminal:
+            fleet_request = self.live.get(entry.fleet_id)
+            if fleet_request is not None and not fleet_request.terminal:
                 self._shed(fleet_request, GATEWAY_SHED_PREFIX + reason)
         self.pump()
-        if self.terminal_count < len(self.requests):
+        if self.terminal_count < self.config.num_requests:
             self.push(
                 self.now + controller.policy.evaluate_interval, "admission"
             )
@@ -865,13 +967,17 @@ class _FleetRun:
     ) -> None:
         fleet_request.finish(attempt)
         self.terminal_count += 1
+        ttft, tpot = fleet_request.ttft, fleet_request.tpot
+        outcomes = self.outcomes[fleet_request.tenant]
+        outcomes.ttfts.append(ttft)
+        outcomes.tpots.append(tpot)
+        outcomes.output_tokens += attempt.output_tokens
         breaker = self.breakers.get(node.name)
         if breaker is not None:
             breaker.record_success()
         node.observe_latency(attempt.first_token_time - attempt.arrival_time)
-        self._slo_window.setdefault(node.node_class.name, []).append(
-            (fleet_request.ttft, fleet_request.tpot)
-        )
+        if self.autoscaler is not None:
+            self._slo_window[node.node_class.name].append((ttft, tpot))
         # A finished winner makes every other live attempt moot.
         for sibling in fleet_request.attempts:
             if sibling is attempt or sibling.state not in (
@@ -890,8 +996,8 @@ class _FleetRun:
             )
         if self.metrics is not None:
             self.metrics.counter("fleet.finished").inc()
-            self.metrics.histogram("fleet.ttft").observe(fleet_request.ttft)
-            self.metrics.histogram("fleet.tpot").observe(fleet_request.tpot)
+            self.metrics.histogram("fleet.ttft").observe(ttft)
+            self.metrics.histogram("fleet.tpot").observe(tpot)
 
     # -- main loop -----------------------------------------------------
     def run(self) -> str:
@@ -945,24 +1051,11 @@ class _FleetRun:
     # -- report --------------------------------------------------------
     def build_report(self, watchdog_reason: str) -> FleetResilienceReport:
         config = self.config
-        # One pass over the requests: the fleet's finished and shed
-        # lists plus each tenant's requests, all in arrival order.
-        finished: List[FleetRequest] = []
-        shed: List[FleetRequest] = []
-        by_tenant: Dict[str, List[FleetRequest]] = {
-            spec.name: [] for spec in config.tenants
-        }
-        for request in self.requests:
-            if request.state is RequestState.FINISHED:
-                finished.append(request)
-            elif request.state is RequestState.SHED:
-                shed.append(request)
-            mine = by_tenant.get(request.tenant)
-            if mine is not None:
-                mine.append(request)
-        unfinished = len(self.requests) - len(finished) - len(shed)
-        ttfts = sorted(r.ttft for r in finished)
-        tpots = sorted(r.tpot for r in finished)
+        outcomes = _Outcomes.merged(self.outcomes.values())
+        admitted, finished, shed = outcomes.admitted, outcomes.finished, outcomes.shed
+        unfinished = admitted - finished - shed
+        ttfts = sorted(outcomes.ttfts)
+        tpots = sorted(outcomes.tpots)
         node_reports: List[NodeReport] = []
         attempt_finished = attempt_shed_engine = attempt_shed_gateway = 0
         attempt_failed = 0
@@ -1002,36 +1095,22 @@ class _FleetRun:
                 mean_ttft=serving.mean_ttft,
                 clock=node.engine.now,
             ))
-        gateway_shed_reasons: Dict[str, int] = {}
-        for request in shed:
-            category = (request.shed_reason or "").split(":", 1)[0]
-            gateway_shed_reasons[category] = gateway_shed_reasons.get(category, 0) + 1
         tenant_reports: List[TenantReport] = []
         for spec in config.tenants:
-            mine = by_tenant[spec.name]
-            tenant_finished = [r for r in mine if r.state is RequestState.FINISHED]
-            tenant_shed = [r for r in mine if r.state is RequestState.SHED]
-            quota_shed = sum(
-                1 for r in tenant_shed
-                if (r.shed_reason or "").startswith(f"{GATEWAY_SHED_PREFIX}quota")
-            )
-            overload_shed = sum(
-                1 for r in tenant_shed
-                if (r.shed_reason or "").startswith((
-                    f"{GATEWAY_SHED_PREFIX}overload",
-                    f"{GATEWAY_SHED_PREFIX}admission-timeout",
-                ))
-            )
-            tenant_ttfts = sorted(r.ttft for r in tenant_finished)
+            mine = self.outcomes[spec.name]
+            tenant_ttfts = sorted(mine.ttfts)
             tenant_reports.append(TenantReport(
                 name=spec.name,
                 tier=spec.tier,
-                admitted=len(mine),
-                finished=len(tenant_finished),
-                shed=len(tenant_shed),
-                quota_shed=quota_shed,
-                overload_shed=overload_shed,
-                unfinished=len(mine) - len(tenant_finished) - len(tenant_shed),
+                admitted=mine.admitted,
+                finished=mine.finished,
+                shed=mine.shed,
+                quota_shed=mine.shed_as(f"{GATEWAY_SHED_PREFIX}quota"),
+                overload_shed=mine.shed_as(
+                    f"{GATEWAY_SHED_PREFIX}overload",
+                    f"{GATEWAY_SHED_PREFIX}admission-timeout",
+                ),
+                unfinished=mine.admitted - mine.finished - mine.shed,
                 mean_ttft=(
                     sum(tenant_ttfts) / len(tenant_ttfts) if tenant_ttfts else 0.0
                 ),
@@ -1042,16 +1121,16 @@ class _FleetRun:
                     if spec.ttft_slo is not None else 0
                 ),
             ))
-        total_tokens = sum(r.winner.output_tokens for r in finished)
+        total_tokens = outcomes.output_tokens
         total_time = self.now
         stats = self.gateway.stats
         report = FleetResilienceReport(
             nodes_spec=config.nodes_spec,
             policy=config.policy,
             seed=config.seed,
-            admitted=len(self.requests),
-            finished=len(finished),
-            shed=len(shed),
+            admitted=admitted,
+            finished=finished,
+            shed=shed,
             unfinished=unfinished,
             attempts=stats.dispatches,
             attempt_finished=attempt_finished,
@@ -1076,7 +1155,7 @@ class _FleetRun:
             p99_ttft=percentile(ttfts, 99) if ttfts else 0.0,
             mean_tpot=sum(tpots) / len(tpots) if tpots else 0.0,
             p99_tpot=percentile(tpots, 99) if tpots else 0.0,
-            shed_reasons_gateway=tuple(sorted(gateway_shed_reasons.items())),
+            shed_reasons_gateway=tuple(sorted(outcomes.shed_reasons.items())),
             shed_reasons_engine=tuple(sorted(engine_shed_reasons.items())),
             node_reports=tuple(node_reports),
             fault_log=tuple(self.fault_log),
@@ -1099,14 +1178,15 @@ class _FleetRun:
             upgrades_completed=self.upgrades_completed,
             upgrade_log=tuple(self.upgrade_log),
         )
-        # Fleet invariants: every admitted request accounted for, no
-        # request both finished and shed, attempts partitioned.
+        # Fleet invariants: every arrived request is finished, shed or
+        # still in the ledger, which lists every unreaped attempt;
+        # attempts partitioned.
+        pending = sum(1 for r in self.live.values() if not r.terminal)
         self.check(
-            len(finished) + len(shed) + unfinished == len(self.requests),
+            finished + shed + pending == self.arrivals,
             FleetConservationError,
-            f"fleet ledger does not partition: {len(finished)} finished + "
-            f"{len(shed)} shed + {unfinished} unfinished != "
-            f"{len(self.requests)} admitted",
+            f"fleet ledger does not partition: {finished} finished + "
+            f"{shed} shed + {pending} in flight != {self.arrivals} arrived",
         )
         if not watchdog_reason:
             self.check(
@@ -1115,26 +1195,24 @@ class _FleetRun:
                 f"{unfinished} fleet requests still in flight after a "
                 "complete (non-watchdog) run",
             )
+        unreaped = sum(len(r.attempts) for r in self.live.values())
         self.check(
-            all(r.winner is not None for r in finished),
+            len(self.attempt_map) == unreaped,
             FleetConservationError,
-            "a finished fleet request has no winning attempt",
+            f"{len(self.attempt_map)} attempts await a reap but the ledger's "
+            f"requests list {unreaped}",
         )
         live_attempts = stats.dispatches - attempt_finished - attempt_shed_engine \
             - attempt_shed_gateway - attempt_failed
         # A hedge may finish after its request already finished -- or
         # was shed while the hedge still ran (a shed request has no
         # winner); either way the client saw at most one completion.
-        hedge_late = sum(
-            1 for r in finished + shed for a in r.attempts
-            if a is not r.winner and a.state is RequestState.FINISHED
-        )
         self.check(
-            attempt_finished == len(finished) + hedge_late,
+            attempt_finished == finished + self.late_finishes,
             FleetConservationError,
             f"attempt ledger double-serves: {attempt_finished} attempts "
-            f"finished but only {len(finished)} fleet requests finished "
-            f"(+{hedge_late} late hedge finishes)",
+            f"finished but only {finished} fleet requests finished "
+            f"(+{self.late_finishes} late hedge finishes)",
         )
         if not watchdog_reason:
             self.check(
@@ -1144,16 +1222,16 @@ class _FleetRun:
             )
         if config.tenants:
             self.check(
-                sum(t.admitted for t in tenant_reports) == len(self.requests),
+                sum(t.admitted for t in tenant_reports) == admitted,
                 FleetConservationError,
                 "tenant ledgers do not partition the fleet workload",
             )
             self.check(
                 not any(
-                    r.tier == 0 and (r.shed_reason or "").startswith(
+                    spec.tier == 0 and self.outcomes[spec.name].shed_as(
                         f"{GATEWAY_SHED_PREFIX}overload"
                     )
-                    for r in shed
+                    for spec in config.tenants
                 ),
                 FleetConservationError,
                 "overload shedding dropped tier-0 (premium) work",
@@ -1174,7 +1252,7 @@ class _FleetRun:
         if self.tracer is not None:
             self.tracer.instant(
                 "fleet.done", "fleet", self.now,
-                finished=len(finished), shed=len(shed),
+                finished=finished, shed=shed,
             )
         if self.audit is not None:
             self.audit.observe_clock(self.now)

@@ -54,7 +54,7 @@ class FleetRequest:
     tier: int = DEFAULT_TIER
     #: Tenant TTFT SLO in seconds; becomes each attempt's deadline.
     ttft_slo: Optional[float] = None
-    #: Live (non-terminal) attempts, newest last.
+    #: Dispatched attempts the fleet has not reaped yet, newest last.
     attempts: List[Request] = field(default_factory=list)
     #: Names of nodes this request has been dispatched to.
     tried_nodes: Set[str] = field(default_factory=set)

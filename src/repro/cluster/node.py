@@ -46,6 +46,7 @@ from repro.models.llama import (
     LLAMA_3_1_70B,
     LLAMA_3_1_8B,
     LlamaCostModel,
+    check_tp_degree,
     default_decode_attention,
 )
 from repro.serving.engine import LlmServingEngine, ResiliencePolicy, ServingReport
@@ -79,6 +80,7 @@ class NodeClass:
             raise ConfigError(f"model must be '8b' or '70b', got {self.model!r}")
         if self.tp < 1:
             raise ConfigError(f"tp must be >= 1, got {self.tp}")
+        check_tp_degree(LLAMA_3_1_8B if self.model == "8b" else LLAMA_3_1_70B, self.tp)
         if self.max_decode_batch < 1:
             raise ConfigError(
                 f"max_decode_batch must be >= 1, got {self.max_decode_batch}"

@@ -34,6 +34,7 @@ from repro.models.llama import (
     LLAMA_3_1_70B,
     LLAMA_3_1_8B,
     LlamaCostModel,
+    check_tp_degree,
     default_decode_attention,
 )
 from repro.models.tensor_parallel import TensorParallelConfig
@@ -77,6 +78,7 @@ class ChaosConfig:
         self.device = resolve_backend(self.device)
         if self.tp < 1:
             raise ConfigError(f"tp must be >= 1, got {self.tp}")
+        check_tp_degree(LLAMA_3_1_8B if self.model == "8b" else LLAMA_3_1_70B, self.tp)
         if self.max_decode_batch < 1:
             raise ConfigError(
                 f"max_decode_batch must be >= 1, got {self.max_decode_batch}"

@@ -15,7 +15,7 @@ import numbers
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence, Tuple
 
-from repro.audit import get_auditor
+from repro.audit import ConfigError, get_auditor
 from repro.core import memo
 from repro.core.memo import ClosureCache, CostCache, DictFamily
 from repro.hw.device import Device
@@ -180,6 +180,17 @@ LLAMA_3_1_70B = LlamaConfig(
     kv_heads=8,
     vocab_size=128256,
 )
+
+
+def check_tp_degree(config: LlamaConfig, tp: int, name: str = "tp") -> None:
+    """Reject a TP degree that does not split the model's query and KV
+    heads evenly, naming the setting (``name``) that chose it."""
+    for heads, kind in ((config.q_heads, "query"), (config.kv_heads, "KV")):
+        if heads % tp:
+            raise ConfigError(
+                f"{name} {tp} does not divide the {heads} {kind} heads of "
+                f"{config.name}"
+            )
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,15 @@ class TestInputErrors:
          "unknown backend 'gaudi2@surrogate'; registered backends: a100, gaudi2, gaudi3, h100"),
         (["figures", "--id", "fig04", "--backend", "a100@surrogate"],
          "unknown backend 'a100@surrogate'; registered backends: a100, gaudi2, gaudi3, h100"),
+        # A TP degree must split the query and KV heads on every verb.
+        (["fleet", "--nodes", "1x gaudi2", "--requests", "4", "--tp", "3"],
+         "tp 3 does not divide the 32 query heads of Llama-3.1-8B-Instruct"),
+        (["fleet", "--nodes", "1x gaudi2", "--requests", "4", "--tp", "16"],
+         "tp 16 does not divide the 8 KV heads of Llama-3.1-8B-Instruct"),
+        (["chaos", "--requests", "4", "--tp", "3"],
+         "tp 3 does not divide the 32 query heads of Llama-3.1-8B-Instruct"),
+        (["chaos", "--model", "70b", "--requests", "4", "--tp", "16"],
+         "tp 16 does not divide the 8 KV heads of Llama-3.1-70B-Instruct"),
     ])
     def test_bad_spec_exits_2(self, capsys, argv, message):
         assert main(argv) == 2
@@ -173,9 +182,11 @@ class TestInputErrors:
          "admission_watermark must be in (0, 1], got 0.0"),
         (lambda config: config.update(num_kv_blocks=0),
          "num_kv_blocks must be >= 1, got 0"),
+        (lambda config: config.update(tp=3),
+         "tp 3 does not divide the 32 query heads of Llama-3.1-8B-Instruct"),
     ], ids=["missing-journal", "tp-0", "empty-nodes", "no-nodes", "tp-str",
             "tiny-link-factor", "negative-seed", "checkpoint-0", "watermark-0",
-            "kv-blocks-0"])
+            "kv-blocks-0", "tp-3"])
     def test_bad_journal_exits_2(self, capsys, tmp_path, edit, message):
         """``repro resume`` treats a missing or malformed journal as bad
         input: one ``error:`` line and exit 2."""

@@ -565,11 +565,11 @@ class TestFleetObservability:
 
         run = _FleetRun(_small_config())
         run.seed_workload()
-        arrivals = [r.arrival_time for r in run.requests]
+        arrivals = list(run._arrival_times)
         assert arrivals == sorted(arrivals)
         for i in (5, 6):  # three requests arriving at one instant
-            run.requests[i].arrival_time = arrivals[4]
-        arrivals = [r.arrival_time for r in run.requests]
+            run._arrival_times[i] = arrivals[4]
+        arrivals = list(run._arrival_times)
         tied = arrivals[4]
         times = [0.0, arrivals[0] / 2, arrivals[0], tied, tied,
                  (tied + arrivals[7]) / 2, arrivals[-1], arrivals[-1] + 1.0]

@@ -13,6 +13,7 @@ changes no pinned payload.
 """
 
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +141,51 @@ def test_parking_changes_no_pinned_fleet(name, parking):
     assert run("observed") == (plain, 0)
     parking.off = True
     assert run("plain") == (plain, 0)
+
+
+@pytest.mark.parametrize("name", ["fleet_chaos_0", "fleet_hedging"])
+def test_ledger_holds_only_requests_in_flight(monkeypatch, name):
+    """A fleet builds each FleetRequest at its arrival and drops it once
+    it is terminal with every attempt reaped.  The live count, sampled
+    after every ``Node.reap`` as perfbench's ``cluster.retained_requests``
+    samples it, never exceeds the most requests that had arrived and
+    were not yet terminal, and none outlives the run.  The hedging fleet
+    has hedges that finish after their request did."""
+    from repro.cluster.fleet import _FleetRun
+    from repro.cluster.gateway import FleetRequest
+    from repro.cluster.node import Node
+
+    init, reap, arrive = FleetRequest.__init__, Node.reap, _FleetRun.handle_arrival
+    live = {}
+    high = {"live": 0, "in_flight": 0}
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        key = id(self)
+        live[key] = weakref.ref(self, lambda _ref, key=key: live.pop(key, None))
+
+    def sampled_reap(self):
+        done = reap(self)
+        high["live"] = max(high["live"], len(live))
+        return done
+
+    def counted_arrival(self, fleet_id):
+        arrive(self, fleet_id)
+        high["in_flight"] = max(high["in_flight"], self.arrivals - self.terminal_count)
+
+    monkeypatch.setattr(FleetRequest, "__init__", tracked_init)
+    monkeypatch.setattr(Node, "reap", sampled_reap)
+    monkeypatch.setattr(_FleetRun, "handle_arrival", counted_arrival)
+    config_fn, *args = PINNED_FLEETS[name]
+    config = config_fn(*args)
+    with audit_scope("off"):
+        payload = fleet_payload(config)
+    assert engine_goldens.digest(payload) == engine_goldens.load_goldens()[name]
+    assert 0 < high["live"] <= high["in_flight"] < config.num_requests
+    assert not live
+    if name == "fleet_hedging":
+        report = json.loads(payload)
+        assert report["attempt_finished"] > report["finished"]  # late hedges
 
 
 def test_pump_scans_only_when_headroom_can_have_appeared(monkeypatch):
