@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.audit import (
     ConfigError,
@@ -221,6 +223,23 @@ class ServingReport:
         if self.watchdog_reason:
             lines.append(f"  watchdog   : PARTIAL RESULT ({self.watchdog_reason})")
         return "\n".join(lines)
+
+
+def _check_arrival(request: Request, last: float = -math.inf) -> None:
+    """Reject an ``arrival_time`` the clock could never reach, or one
+    earlier than ``last``, the arrival a stream drew before it (the
+    single-pass clock cannot travel back)."""
+    at = request.arrival_time
+    if not math.isfinite(at):
+        raise ConfigError(
+            f"request {request.request_id}: arrival_time must be finite, got {at!r}"
+        )
+    if at < last:
+        raise ConfigError(
+            "streaming arrivals must be sorted by nondecreasing "
+            f"arrival_time (request {request.request_id} has {at!r} "
+            f"after {last!r})"
+        )
 
 
 class LlmServingEngine:
@@ -460,7 +479,11 @@ class LlmServingEngine:
 
     def begin(self, requests: Sequence[Request] = ()) -> None:
         """Open a run: arm the audit ledger and watchdog, start the
-        root span, and submit any up-front ``requests``."""
+        root span, and submit any up-front ``requests`` (a non-finite
+        ``arrival_time`` raises :class:`ConfigError` before anything is
+        armed)."""
+        for request in requests:
+            _check_arrival(request)
         policy = self.policy
         self._core = EngineCore(
             self.num_kv_blocks,
@@ -576,10 +599,15 @@ class LlmServingEngine:
             return self._now
         return self._advance_fast(horizon, sync_exit)
 
-    def _advance_fast(self, horizon: float, sync_exit: bool = True) -> float:
+    def _advance_fast(
+        self,
+        horizon: float,
+        sync_exit: bool = True,
+        arrivals: Optional[Iterator[Request]] = None,
+    ) -> float:
         """The step loop over the struct-of-arrays core.
 
-        One outer iteration is one virtual scheduler iteration, or many
+        One step-loop iteration is one virtual scheduler iteration, or many
         when its decode burst runs several steps: fault events and the
         deadline scan, a virtual scheduler step (retire, then admit in
         ``(tier, arrival)`` order under the admission watermark) against
@@ -609,6 +637,15 @@ class LlmServingEngine:
         their slot and pool bookkeeping inline.  A run without an
         observer, injector, watchdog or audit handle parks the burst a
         horizon cuts short.
+
+        With ``arrivals`` (a streamed run, see :meth:`run_streaming`)
+        the loop draws one arrival ahead and holds the horizon just
+        before it; wherever the loop stops for that horizon -- a step
+        due at or past it, an idle jump or a total outage's wait past
+        it, or no work left -- it feeds the arrival (:meth:`_feed_due`)
+        and runs on, so one call serves the whole stream.  Nothing
+        parks while a stream is open: the next feed would drop the
+        park.
         """
         core = self._core
         audit = self._audit
@@ -634,200 +671,247 @@ class LlmServingEngine:
         observing = tracer is not None or metrics is not None
         stepwise = observing or injector is not None or watchdog is not None
         burst_horizon = -math.inf if stepwise else horizon
-        park = not stepwise and audit is None
+        park = not stepwise and audit is None and arrivals is None
         slowdown = self.slowdown
         self._refresh_steppers()
-        while runners or finished_pending or core.wait_head < len(wait_q):
-            now = self._now
-            if now > horizon:
-                break
-            if watchdog is not None:
-                watchdog.check(self._steps)
-            if injector is not None:
-                now = self._advance_faults(now)
-                self._refresh_steppers()
-            if audit is not None:
-                audit.observe_clock(now)
-                if self.auditor is not None:
-                    core.sync_generated()
-                    self.auditor.check_core_invariants(core)
-            if now >= core.next_expiry:
-                self._enforce_deadlines_fast(now)
-            # Virtual scheduler step: retire, then admit.
-            retired = len(finished_pending)
-            if retired:
-                if tracer is not None:
-                    # Pool bookkeeping is instantaneous on the virtual
-                    # clock; zero-width spans mark each release on the
-                    # ``kv`` track, in admission order.
-                    for slot in sorted(finished_pending, key=core.join_seq.__getitem__):
-                        tracer.record(
-                            "kv.free", "kv", now, now,
-                            request_id=objs[slot].request_id,
-                            blocks=core.blocks_held(slot),
-                        )
-                for slot in finished_pending:
-                    # Return the slot's blocks (core.blocks_held), fold
-                    # its materialized Request, recycle the slot.
-                    held = -(-(inp[slot] + gen[slot] - 1) // bs)
-                    core.free_blocks += held
-                    if metrics is not None:
-                        self._observe_pool("free", held)
-                    if aggregates is not None:
-                        aggregates.fold_terminal(objs[slot])
-                    state[slot] = SLOT_FREE
-                    objs[slot] = None
-                    free_slots.append(slot)
-                finished_pending.clear()
-            admitted: List[int] = []
-            single_tier = core.single_tier
-            index = core.wait_head
-            while index < len(wait_q) and len(runners) + len(admitted) < max_batch:
-                slot = wait_q[index]
-                request = objs[slot]  # current while waiting
-                if request.arrival_time > now:
-                    if single_tier:
-                        break  # arrival-sorted: nothing behind has arrived
-                    index += 1
-                    continue
-                # core.fits(needed, free), inline.
-                needed = -(-(inp[slot] + gen[slot]) // bs)
-                free = core.free_blocks
-                if needed > free or (
-                    core.num_blocks - free + needed > core.admit_limit
-                    and free != core.num_blocks
-                ):
+        pending = None
+        if arrivals is not None:
+            pending = next(arrivals, None)
+            if pending is not None:
+                _check_arrival(pending)
+        while True:
+            # Every break of the step loop lands at the feed below.
+            while runners or finished_pending or core.wait_head < len(wait_q):
+                now = self._now
+                if now > horizon:
                     break
-                if index == core.wait_head:
-                    core.pop_waiting_head()
-                    index = core.wait_head  # the pop may compact the queue
-                else:
-                    del wait_q[index]
-                core.free_blocks = free - needed
-                request.start_running()
-                state[slot] = SLOT_RUNNING
-                admitted.append(slot)
-                if observing:
+                if watchdog is not None:
+                    watchdog.check(self._steps)
+                if injector is not None:
+                    now = self._advance_faults(now)
+                    self._refresh_steppers()
+                    if now > horizon:
+                        # A total outage was waited out past the horizon:
+                        # what arrives before the recovery must be fed
+                        # before the scheduler step it runs.
+                        self._now = now
+                        break
+                if audit is not None:
+                    audit.observe_clock(now)
+                    if self.auditor is not None:
+                        core.sync_generated()
+                        self.auditor.check_core_invariants(core)
+                if now >= core.next_expiry:
+                    self._enforce_deadlines_fast(now)
+                # Virtual scheduler step: retire, then admit.
+                retired = len(finished_pending)
+                if retired:
                     if tracer is not None:
-                        tracer.record(
-                            "kv.allocate", "kv", now, now,
-                            request_id=request.request_id, blocks=needed,
-                        )
-                    if metrics is not None:
-                        self._observe_pool("allocate", needed)
-            if observing:
-                self._sched_now = now
-                self._observe_schedule(now, len(admitted), retired)
-            if not runners and not admitted:
-                self._now = now
-                if not core.waiting_count:
-                    break  # everything retired in this step
-                index = core.first_arrived(now)
-                if index >= 0:
-                    # Nothing runs, nothing admits, and the highest-
-                    # priority arrived request is blocked: the pool can
-                    # never serve it.
-                    obj = objs[wait_q[index]]
-                    reason = (
-                        f"kv-exhausted: {obj.context_len} prompt tokens exceed "
-                        "the free KV pool with no running request to retire"
-                    )
-                    if self._graceful:
-                        self._shed_slot(core.take_waiting(index), reason)
+                        # Pool bookkeeping is instantaneous on the virtual
+                        # clock; zero-width spans mark each release on the
+                        # ``kv`` track, in admission order.
+                        for slot in sorted(finished_pending, key=core.join_seq.__getitem__):
+                            tracer.record(
+                                "kv.free", "kv", now, now,
+                                request_id=objs[slot].request_id,
+                                blocks=core.blocks_held(slot),
+                            )
+                    for slot in finished_pending:
+                        # Return the slot's blocks (core.blocks_held), fold
+                        # its materialized Request, recycle the slot.
+                        held = -(-(inp[slot] + gen[slot] - 1) // bs)
+                        core.free_blocks += held
+                        if metrics is not None:
+                            self._observe_pool("free", held)
+                        if aggregates is not None:
+                            aggregates.fold_terminal(objs[slot])
+                        state[slot] = SLOT_FREE
+                        objs[slot] = None
+                        free_slots.append(slot)
+                    finished_pending.clear()
+                admitted: List[int] = []
+                single_tier = core.single_tier
+                index = core.wait_head
+                while index < len(wait_q) and len(runners) + len(admitted) < max_batch:
+                    slot = wait_q[index]
+                    request = objs[slot]  # current while waiting
+                    if request.arrival_time > now:
+                        if single_tier:
+                            break  # arrival-sorted: nothing behind has arrived
+                        index += 1
                         continue
-                    self.sync_live()
-                    raise KvCacheError(
-                        f"request {obj.request_id} cannot be admitted: {reason}"
-                    )
-                next_arrival = core.next_arrival()
-                if next_arrival > horizon:
-                    break  # idle until past the horizon; do not jump it
-                # All remaining requests arrive later; jump the clock.
-                self._now = max(now, next_arrival)
-                continue
-            if injector is not None:
-                slowdown = self.slowdown * injector.compute_slowdown()
-            step_start = now
-            step_span = None
-            if observing:
-                step_activity = ActivityAccumulator()
-                if tracer is not None:
-                    step_span = tracer.begin(
-                        "engine.step", "engine", now,
-                        step=self._steps, admitted=len(admitted),
-                    )
-            # Prefills run sequentially, one prompt at a time (vLLM
-            # style); a fault-restarted request recomputes its
-            # checkpointed tokens too.
-            for slot in admitted:
-                if tracer is not None:
-                    request = objs[slot]
-                    self._trace_request_begin(request, now)
-                    prefill_span = tracer.begin(
-                        "prefill", "engine", now,
-                        request_id=request.request_id,
-                        prompt_tokens=inp[slot] + gen[slot],
-                    )
-                phase = model.prefill(1, inp[slot] + gen[slot])
-                now += phase.time * slowdown
-                activity.merge(phase.activity)
+                    # core.fits(needed, free), inline.
+                    needed = -(-(inp[slot] + gen[slot]) // bs)
+                    free = core.free_blocks
+                    if needed > free or (
+                        core.num_blocks - free + needed > core.admit_limit
+                        and free != core.num_blocks
+                    ):
+                        break
+                    if index == core.wait_head:
+                        core.pop_waiting_head()
+                        index = core.wait_head  # the pop may compact the queue
+                    else:
+                        del wait_q[index]
+                    core.free_blocks = free - needed
+                    request.start_running()
+                    state[slot] = SLOT_RUNNING
+                    admitted.append(slot)
+                    if observing:
+                        if tracer is not None:
+                            tracer.record(
+                                "kv.allocate", "kv", now, now,
+                                request_id=request.request_id, blocks=needed,
+                            )
+                        if metrics is not None:
+                            self._observe_pool("allocate", needed)
                 if observing:
-                    step_activity.merge(phase.activity)
-                    self._emit_comm_spans(inp[slot] + gen[slot], now)
+                    self._sched_now = now
+                    self._observe_schedule(now, len(admitted), retired)
+                if not runners and not admitted:
+                    self._now = now
+                    if not core.waiting_count:
+                        break  # everything retired in this step
+                    index = core.first_arrived(now)
+                    if index >= 0:
+                        # Nothing runs, nothing admits, and the highest-
+                        # priority arrived request is blocked: the pool can
+                        # never serve it.
+                        obj = objs[wait_q[index]]
+                        reason = (
+                            f"kv-exhausted: {obj.context_len} prompt tokens exceed "
+                            "the free KV pool with no running request to retire"
+                        )
+                        if self._graceful:
+                            self._shed_slot(core.take_waiting(index), reason)
+                            continue
+                        self.sync_live()
+                        raise KvCacheError(
+                            f"request {obj.request_id} cannot be admitted: {reason}"
+                        )
+                    next_arrival = core.next_arrival()
+                    if next_arrival > horizon:
+                        break  # idle until past the horizon: feed, do not jump
+                    # All remaining requests arrive later; jump the clock.
+                    self._now = max(now, next_arrival)
+                    continue
+                if injector is not None:
+                    slowdown = self.slowdown * injector.compute_slowdown()
+                step_start = now
+                step_span = None
+                if observing:
+                    step_activity = ActivityAccumulator()
                     if tracer is not None:
-                        tracer.end(prefill_span, now)
-                gen[slot] += 1
-                if math.isnan(first[slot]):
-                    first[slot] = now
-                if gen[slot] >= out[slot]:
-                    # Never a runner, but retired in admission order.
-                    core.join_seq[slot] = core.join_count
-                    core.join_count += 1
-                    core.finish_slot(slot, now)
-                else:
-                    core.join(slot)
-            if admitted and audit is not None:
-                audit.on_tokens_emitted(len(admitted))
-            if not runners:
-                self._steps += 1
-                self._now = now
-                if observing:
-                    self._finish_step(step_span, step_start, now, step_activity, 0)
-                continue
-            # Capacity preemption: evict the newest runners until every
-            # remaining one can grow a block.
-            while core.free_blocks < len(runners) and len(runners) > 1:
-                self._preempt(next(reversed(runners.values())), from_checkpoint=False)
-                self._preemptions += 1
-            batch = len(runners)
-            lost = injector is not None and injector.kernel_fault()
-            if not observing:
-                now = self._decode_burst(
-                    now, burst_horizon, slowdown, activity, lost, park
-                )
-                continue
-            decode_span = None
-            if tracer is not None:
-                decode_span = tracer.begin("decode.step", "engine", now, batch=batch)
-            phase_activity = ActivityAccumulator()
-            try:
-                now = self._decode_burst(now, burst_horizon, slowdown, phase_activity, lost)
-            finally:
-                # A fail-fast exhaustion raises after the step's time
-                # passed: the step is still accounted and its span closed.
-                activity.merge(phase_activity)
-                step_activity.merge(phase_activity)
-                self._emit_comm_spans(batch, self._now)
+                        step_span = tracer.begin(
+                            "engine.step", "engine", now,
+                            step=self._steps, admitted=len(admitted),
+                        )
+                # Prefills run sequentially, one prompt at a time (vLLM
+                # style); a fault-restarted request recomputes its
+                # checkpointed tokens too.
+                for slot in admitted:
+                    if tracer is not None:
+                        request = objs[slot]
+                        self._trace_request_begin(request, now)
+                        prefill_span = tracer.begin(
+                            "prefill", "engine", now,
+                            request_id=request.request_id,
+                            prompt_tokens=inp[slot] + gen[slot],
+                        )
+                    phase = model.prefill(1, inp[slot] + gen[slot])
+                    now += phase.time * slowdown
+                    activity.merge(phase.activity)
+                    if observing:
+                        step_activity.merge(phase.activity)
+                        self._emit_comm_spans(inp[slot] + gen[slot], now)
+                        if tracer is not None:
+                            tracer.end(prefill_span, now)
+                    gen[slot] += 1
+                    if math.isnan(first[slot]):
+                        first[slot] = now
+                    if gen[slot] >= out[slot]:
+                        # Never a runner, but retired in admission order.
+                        core.join_seq[slot] = core.join_count
+                        core.join_count += 1
+                        core.finish_slot(slot, now)
+                    else:
+                        core.join(slot)
+                if admitted and audit is not None:
+                    audit.on_tokens_emitted(len(admitted))
+                if not runners:
+                    self._steps += 1
+                    self._now = now
+                    if observing:
+                        self._finish_step(step_span, step_start, now, step_activity, 0)
+                    continue
+                # Capacity preemption: evict the newest runners until every
+                # remaining one can grow a block.
+                while core.free_blocks < len(runners) and len(runners) > 1:
+                    self._preempt(next(reversed(runners.values())), from_checkpoint=False)
+                    self._preemptions += 1
+                batch = len(runners)
+                lost = injector is not None and injector.kernel_fault()
+                if not observing:
+                    now = self._decode_burst(
+                        now, burst_horizon, slowdown, activity, lost, park
+                    )
+                    continue
+                decode_span = None
                 if tracer is not None:
-                    tracer.end(decode_span, self._now)
-            if lost and tracer is not None:
-                tracer.instant("kernel_fault", "engine", now)
-            if lost and self._metrics is not None:
-                self._metrics.counter("engine.kernel_retries").inc()
-            self._finish_step(step_span, step_start, now, step_activity, batch)
+                    decode_span = tracer.begin("decode.step", "engine", now, batch=batch)
+                phase_activity = ActivityAccumulator()
+                try:
+                    now = self._decode_burst(now, burst_horizon, slowdown, phase_activity, lost)
+                finally:
+                    # A fail-fast exhaustion raises after the step's time
+                    # passed: the step is still accounted and its span closed.
+                    activity.merge(phase_activity)
+                    step_activity.merge(phase_activity)
+                    self._emit_comm_spans(batch, self._now)
+                    if tracer is not None:
+                        tracer.end(decode_span, self._now)
+                if lost and tracer is not None:
+                    tracer.instant("kernel_fault", "engine", now)
+                if lost and self._metrics is not None:
+                    self._metrics.counter("engine.kernel_retries").inc()
+                self._finish_step(step_span, step_start, now, step_activity, batch)
+            if pending is None:
+                break
+            # The loop stopped where a step would start at or past the
+            # next arrival, or ran out of work before it: feed it, and
+            # run on to just before the arrival after.  A step that
+            # starts earlier may overrun that arrival, exactly as in the
+            # all-at-once run, so the report bytes match.
+            pending = self._feed_due(pending, arrivals)
+            horizon = (
+                math.inf if pending is None
+                else math.nextafter(pending.arrival_time, -math.inf)
+            )
+            if not stepwise:
+                burst_horizon = horizon
         if sync_exit:
             self.sync_live()
         return self._now
+
+    def _feed_due(self, pending: Request, arrivals: Iterator[Request]) -> Optional[Request]:
+        """Feed ``pending``, then every arrival drawn after it that the
+        clock has reached or an idle engine waits for; returns the
+        first arrival left unfed (None once the stream is spent), each
+        checked as it is drawn.  At most one drawn request is ever
+        unfed, so the buffer tracks the waiting queue, not the trace."""
+        core = self._core
+        while True:
+            self.feed(pending)
+            bump_counter("arrival_buffer_peak", core.waiting_count)
+            last = pending.arrival_time
+            pending = next(arrivals, None)
+            if pending is None:
+                return None
+            at = pending.arrival_time
+            if not last <= at < math.inf:  # NaN, +inf or out of order
+                _check_arrival(pending, last)
+            if at > self._now and core.has_unfinished:
+                return pending
 
     def sync_live(self) -> None:
         """Copy the core's runner progress onto the live Request
@@ -1312,57 +1396,21 @@ class LlmServingEngine:
     def run_streaming(self, arrivals: Iterable[Request]) -> ServingReport:
         """Serve a lazily generated arrival stream in bounded memory.
 
-        ``arrivals`` must yield requests in nondecreasing
-        ``arrival_time`` order (:class:`~repro.audit.ConfigError`
-        otherwise -- the single-pass clock cannot travel back to an
-        earlier arrival).  At most one generated-but-unfed request is
-        buffered: the engine advances to just before the next arrival,
-        feeds it, and repeats, so the in-memory working set tracks the
+        ``arrivals`` must yield requests with finite, nondecreasing
+        ``arrival_time`` (:class:`~repro.audit.ConfigError` otherwise,
+        raised as the offending request is drawn -- the single-pass
+        clock cannot travel back to an earlier arrival).  One
+        ``_advance_fast`` call serves the whole stream: it holds one
+        drawn-but-unfed request and feeds it where a step would start
+        at or past its arrival, so the in-memory working set tracks the
         concurrent batch, not the trace length.  Combined with
         ``retain_requests=False`` the whole run is constant-memory.
         The report is byte-identical to feeding the same requests as a
         list up front (under the same ``retain_requests`` setting).
         """
-        iterator = iter(arrivals)
+        arrivals = iter(arrivals)
         self.begin(())
-
-        def serve() -> None:
-            core = self._core
-            last_arrival = -math.inf
-            pending = next(iterator, None)
-            while pending is not None:
-                if pending.arrival_time < last_arrival:
-                    raise ConfigError(
-                        "streaming arrivals must be sorted by nondecreasing "
-                        f"arrival_time (got {pending.arrival_time!r} after "
-                        f"{last_arrival!r})"
-                    )
-                if pending.arrival_time <= self._now or not core.has_unfinished:
-                    last_arrival = pending.arrival_time
-                    self.feed(pending)
-                    bump_counter("arrival_buffer_peak", core.waiting_count)
-                    pending = next(iterator, None)
-                    continue
-                before = self._now
-                # Advance to just before the next arrival: a step that
-                # starts earlier may overrun it, exactly as in the
-                # all-at-once run, so the report bytes match.  Inside
-                # this engine-owned loop nothing reads runner progress
-                # between advances, so it is synced only by finish().
-                self.advance(
-                    math.nextafter(pending.arrival_time, -math.inf),
-                    sync_exit=False,
-                )
-                if self._now == before and pending.arrival_time > self._now:
-                    # Idle until an internal requeue at or past the next
-                    # external arrival: feed it so the clock can jump.
-                    last_arrival = pending.arrival_time
-                    self.feed(pending)
-                    bump_counter("arrival_buffer_peak", core.waiting_count)
-                    pending = next(iterator, None)
-            self.advance()
-
-        return self._drive(serve)
+        return self._drive(lambda: self._advance_fast(math.inf, arrivals=arrivals))
 
     def _drive(self, serve: Callable[[], object]) -> ServingReport:
         """Run ``serve`` on the open run and finish it.  A tripped

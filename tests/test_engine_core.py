@@ -12,8 +12,10 @@ guarantee of release-mode streaming runs.
 
 import heapq
 import json
+import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,10 +27,14 @@ from repro.audit import (
     ConfigError,
     LifecycleError,
     TokenConservationError,
+    Watchdog,
     audit_scope,
 )
+from repro.faults import FaultInjector, FaultPlan
+from repro.hw.backend import GAUDI2, get_backend
 from repro.models.llama import DecodeAttention, LLAMA_3_1_8B, LlamaCostModel
 from repro.serving import (
+    KvCacheError,
     LlmServingEngine,
     ResiliencePolicy,
     dynamic_sonnet_requests,
@@ -42,8 +48,80 @@ from repro.serving.engine_core import (
     reset_counters,
 )
 from repro.serving.loadgen import poisson_arrivals
-from repro.serving.request import Request, RequestState
+from repro.serving.request import Request, RequestState, RetryPolicy
 from tests import engine_goldens
+
+
+#: Engine configurations the stream-vs-list differential draws under.
+STREAM_CONFIGS = [
+    "plain", "policy", "faults", "context", "mixed-tiers", "strict", "watchdog",
+]
+
+
+def _drawn_serve(config, seed, stream, fed=None):
+    """Serve one seeded draw (request count, arrival rate with tied
+    arrivals, batch size, KV pool from roomy to preempting) under
+    ``config``; ``stream`` feeds it through an iterator instead of a
+    list, and a list run serves only the first ``fed`` requests when
+    given.  Returns the report's JSON and every request's lifecycle
+    fields, or the typed error a fail-fast run raised."""
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(1, 40))
+    rate = float(rng.uniform(4.0, 60.0))
+    ties = float(rng.uniform(0.0, 0.3))
+    tiers = config == "mixed-tiers"
+    requests = list(poisson_arrivals(
+        dynamic_sonnet_requests(count, seed=seed), rate, seed=seed + 1
+    ))
+    for index in range(1, count):
+        if rng.uniform() < ties:
+            requests[index].arrival_time = requests[index - 1].arrival_time
+        if tiers:
+            requests[index].tier = int(rng.integers(0, 3))
+    largest = max(-(-(r.input_tokens + r.output_tokens) // 128) for r in requests)
+    kwargs = {
+        "max_decode_batch": int(rng.choice([2, 4, 8, 16])),
+        "num_kv_blocks": (
+            largest + int(rng.integers(0, 24)) if rng.uniform() < 0.5 else None
+        ),
+        "retain_requests": config != "plain" or bool(rng.uniform() < 0.5),
+    }
+    if config in ("policy", "faults", "watchdog"):
+        kwargs["policy"] = ResiliencePolicy(
+            deadline=float(rng.uniform(0.05, 1.0)),
+            retry=RetryPolicy(
+                max_retries=int(rng.integers(0, 4)),
+                backoff_base=float(rng.uniform(0.01, 0.3)),
+                jitter=float(rng.choice([0.0, 0.5])),
+                seed=seed,
+            ),
+            checkpoint_interval=int(rng.integers(1, 40)),
+            admission_watermark=float(rng.uniform(0.3, 1.0)),
+        )
+    if config == "faults":
+        span = requests[-1].arrival_time + 1.0
+        fail = float(rng.uniform(0.0, span))
+        plan = FaultPlan(seed=seed, kernel_fault_rate=float(rng.uniform(0.0, 0.1)))
+        plan.fail_device(0, at=fail, recover_at=fail + float(rng.uniform(0.01, 1.0)))
+        plan.kernel_fault_at(float(rng.uniform(0.0, span)))
+        kwargs["injector"] = FaultInjector(plan, num_devices=int(rng.integers(1, 3)))
+    if config == "context":
+        kwargs["ctx"] = RunContext.create()
+    if config == "watchdog":
+        kwargs["watchdog"] = Watchdog(max_steps=int(rng.integers(1, 60)))
+    engine = LlmServingEngine(
+        LlamaCostModel(LLAMA_3_1_8B, get_backend(GAUDI2)),
+        DecodeAttention.PAGED_OPT,
+        **kwargs,
+    )
+    with audit_scope("strict" if config == "strict" else "off"):
+        try:
+            outcome = engine.run(
+                iter(requests) if stream else requests[:fed]
+            ).to_json()
+        except KvCacheError as error:  # fail-fast exhaustion
+            outcome = f"KvCacheError: {error}"
+    return [outcome, engine_goldens.states(requests)]
 
 
 def _engine(device, attention=DecodeAttention.PAGED_OPT, **kwargs):
@@ -110,6 +188,64 @@ class TestStreamingRuns:
         requests[1].arrival_time = 1.0
         with pytest.raises(ConfigError, match="nondecreasing"):
             _engine(gaudi).run(iter(requests))
+
+    @pytest.mark.parametrize("config", STREAM_CONFIGS)
+    @given(seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=12, deadline=None)
+    def test_stream_matches_list_drawn(self, config, seed):
+        """A drawn workload streams to the report bytes and request
+        states of the same workload fed as a list up front."""
+        streamed = _drawn_serve(config, seed, stream=True)
+        fed = None
+        if config == "watchdog":
+            # A tripped stream stops drawing: its partial report covers
+            # the arrivals fed so far, which is what a list run of just
+            # those reports too.
+            report = json.loads(streamed[0])
+            assert report["watchdog_reason"]
+            fed = report["num_requests"]
+        assert streamed == _drawn_serve(config, seed, stream=False, fed=fed)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("where", [0, 20], ids=["first", "mid-run"])
+    @pytest.mark.parametrize("stream", [False, True], ids=["list", "stream"])
+    def test_non_finite_arrival_rejected(self, gaudi, bad, where, stream):
+        """A non-finite ``arrival_time`` raises a ConfigError naming the
+        request and the field, in a list run before the run opens and
+        in a streamed run as the request is drawn; either way no root
+        span stays open and no audit handle stays bound."""
+        requests = list(poisson_arrivals(
+            dynamic_sonnet_requests(24, seed=4), 20.0, seed=1
+        ))
+        requests[where].arrival_time = bad
+        ctx = RunContext.create()
+        with audit_scope("strict"):
+            engine = _engine(gaudi, max_decode_batch=8, ctx=ctx)
+            with pytest.raises(
+                ConfigError, match=f"request {requests[where].request_id}: arrival_time"
+            ):
+                engine.run(iter(requests) if stream else requests)
+        assert ctx.tracer.open_spans == 0
+        assert engine._audit is None
+        if stream and where:
+            assert engine._steps > 0  # the stream failed after steps ran
+        assert all(r.state is RequestState.WAITING for r in requests[where:])
+
+    def test_out_of_order_mid_run_closes_the_run(self, gaudi):
+        """An arrival earlier than its predecessor, drawn after steps
+        ran, raises ConfigError with the root span closed."""
+        requests = list(poisson_arrivals(
+            dynamic_sonnet_requests(24, seed=4), 20.0, seed=1
+        ))
+        requests[20].arrival_time = requests[19].arrival_time - 0.5
+        ctx = RunContext.create()
+        with audit_scope("strict"):
+            engine = _engine(gaudi, max_decode_batch=8, ctx=ctx)
+            with pytest.raises(ConfigError, match="request 20 has"):
+                engine.run(iter(requests))
+        assert engine._steps > 0
+        assert ctx.tracer.open_spans == 0
+        assert engine._audit is None
 
     def test_lazy_dataset_prefix_stable(self):
         from itertools import islice

@@ -18,7 +18,9 @@ file installs count the slow paths a configuration could fall onto:
   through the device's per-shape row.
 
 Observing a run, with or without a tracer, must not change any of
-this.
+this.  A streamed ``serve`` also enters the step loop
+(``LlmServingEngine._advance_fast``) once per run, however many
+arrivals it feeds.
 """
 
 import collections
@@ -40,6 +42,7 @@ from repro.models.llama import (
 )
 from repro.models.tensor_parallel import TensorParallelConfig
 from repro.serving import LlmServingEngine, dynamic_sonnet_requests
+from repro.serving.loadgen import poisson_arrivals
 
 #: Every registered platform.
 CASES = [
@@ -137,9 +140,9 @@ def _tp(backend: str, degree: int, fabric: str) -> TensorParallelConfig:
     return tp
 
 
-def _serve_on_the_fast_path(counted, model, attention, degree, ctx=None):
+def _serve_on_the_fast_path(counted, model, attention, degree, ctx=None, workload=None):
     engine = LlmServingEngine(model, attention, max_decode_batch=16, ctx=ctx)
-    report = engine.run(dynamic_sonnet_requests(24, seed=1))
+    report = engine.run(dynamic_sonnet_requests(24, seed=1) if workload is None else workload)
     assert report.finished_requests == 24
     assert counted["_prefill_uncached"] == 0
     assert counted["_decode_step_uncached"] == 0
@@ -169,3 +172,24 @@ def test_serve_stays_on_the_fast_path(backend, degree, fabric, observer, counted
 def test_every_decode_attention_stays_on_the_fast_path(backend, attention, counted, memo_on):
     model = LlamaCostModel(LLAMA_3_1_8B, get_backend(backend))
     _serve_on_the_fast_path(counted, model, attention, degree=1)
+
+
+@pytest.mark.parametrize("observer", OBSERVERS)
+def test_streamed_serve_enters_the_step_loop_once(observer, counted, memo_on, monkeypatch):
+    """24 arrivals spread over idle gaps and busy stretches feed from
+    inside one ``_advance_fast`` call, on the fast path."""
+    entries = []
+    advance_fast = LlmServingEngine._advance_fast
+
+    def counted_advance_fast(self, *args, **kwargs):
+        entries.append(self)
+        return advance_fast(self, *args, **kwargs)
+
+    monkeypatch.setattr(LlmServingEngine, "_advance_fast", counted_advance_fast)
+    device = get_backend("gaudi2")
+    arrivals = iter(poisson_arrivals(dynamic_sonnet_requests(24, seed=1), 6.0, seed=2))
+    _serve_on_the_fast_path(
+        counted, LlamaCostModel(LLAMA_3_1_8B, device), default_decode_attention(device),
+        1, OBSERVERS[observer](), arrivals,
+    )
+    assert len(entries) == 1
