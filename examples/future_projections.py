@@ -74,7 +74,7 @@ def graphs_knob() -> None:
 
 
 def geometry_reverse_engineering() -> None:
-    grouped = GaudiProfiler().geometry_map(
+    grouped = GaudiProfiler(get_backend("gaudi2")).geometry_map(
         m_sizes=(64, 256, 2048, 16384), n_sizes=(64, 256, 2048, 16384)
     )
     print("MME geometry map recovered via the profiler (Figure 7(a) method):")

@@ -9,7 +9,7 @@ Run with::
 from repro import get_backend
 from repro.core.report import render_table
 from repro.core.roofline import Roofline
-from repro.hw.spec import spec_comparison_rows
+from repro.hw.spec import spec_comparison_rows_for
 from repro.kernels.gemm import run_gemm
 
 
@@ -22,7 +22,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     print(render_table(
         ["Metric", "A100", "Gaudi-2", "Ratio"],
-        spec_comparison_rows(),
+        spec_comparison_rows_for([a100.spec, gaudi.spec]),
         title="Table 1: NVIDIA A100 vs Intel Gaudi-2",
     ))
     print()

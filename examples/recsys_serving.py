@@ -49,11 +49,12 @@ def end_to_end() -> None:
 
 
 def embedding_operators() -> None:
+    gaudi, a100 = get_backend("gaudi2").spec, get_backend("a100").spec
     operators = [
-        GaudiSdkSingleTable(),
-        GaudiSingleTable(),
-        GaudiBatchedTable(),
-        A100Fbgemm(),
+        GaudiSdkSingleTable(gaudi),
+        GaudiSingleTable(gaudi),
+        GaudiBatchedTable(gaudi),
+        A100Fbgemm(a100),
     ]
     rows = []
     for batch in (512, 8192):

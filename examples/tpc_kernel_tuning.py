@@ -65,7 +65,7 @@ def custom_kernel() -> None:
     kernel = TpcKernelBuilder("mac_clip").build_loop(
         body, iterations=N // 128, unroll=4, functional=functional
     )
-    launch = TpcLauncher().launch(kernel)
+    launch = TpcLauncher(Gaudi2Device().spec).launch(kernel)
     print(f"custom kernel '{kernel.name}': {launch.time * 1e3:.2f} ms "
           f"({launch.achieved_flops / 1e9:.0f} GFLOPS, "
           f"bottleneck: {launch.bottleneck})")

@@ -120,6 +120,8 @@ FLOWS: Tuple[Flow, ...] = (
     _cli("serve", "--requests", "400", "--format", "json"),
     _cli("serve", "--backend", "a100", "--model", "70b", "--tp", "8", "--requests", "200",
          "--format", "json"),
+    _cli("serve", "--backend", "gaudi3", "--tp", "8", "--requests", "200", "--format", "json"),
+    _cli("serve", "--backend", "h100", "--tp", "8", "--requests", "200", "--format", "json"),
     _cli("figures", "--full"),
     _cli("trace", "--requests", "200", "--tp", "8", "--out", "runs/trace-memo.json"),
     _cli("trace", "--backend", "a100", "--requests", "200", "--tp", "8",

@@ -39,13 +39,15 @@ from repro.audit.errors import ConfigError, JournalError
 from repro.core.parallel import parse_workers
 from repro.core.report import render_table
 from repro.hw.backend import (
+    A100,
     BACKENDS_ENV,
     DEFAULT_COMPARISON,
+    GAUDI2,
     comparison_backends,
     get_backend,
     resolve_backend,
 )
-from repro.hw.spec import DType, spec_comparison_rows, spec_comparison_rows_for
+from repro.hw.spec import DType, get_spec, spec_comparison_rows_for
 
 
 def _add_backend_flag(parser: argparse.ArgumentParser, *, multiple: bool,
@@ -100,12 +102,10 @@ def _cmd_specs(args: argparse.Namespace) -> int:
     if tuple(keys) == DEFAULT_COMPARISON:
         print(render_table(
             ["Metric", "A100", "Gaudi-2", "Ratio"],
-            spec_comparison_rows(),
+            spec_comparison_rows_for([get_spec(A100), get_spec(GAUDI2)]),
             title="Table 1: NVIDIA A100 vs Intel Gaudi-2",
         ))
         return 0
-    from repro.hw.spec import get_spec
-
     specs = [get_spec(key) for key in keys]
     print(render_table(
         ["Metric", *[s.name for s in specs], "Ratio (vs first)"],

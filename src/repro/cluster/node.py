@@ -40,7 +40,6 @@ from typing import Dict, List, Optional
 
 from repro.audit import ConfigError
 from repro.comm.topology import FabricHealth
-from repro.faults.chaos import build_degraded_collectives
 from repro.hw.backend import get_backend, resolve_backend
 from repro.models.llama import (
     LLAMA_3_1_70B,
@@ -49,6 +48,7 @@ from repro.models.llama import (
     check_tp_degree,
     default_decode_attention,
 )
+from repro.models.tensor_parallel import TensorParallelConfig
 from repro.serving.engine import LlmServingEngine, ResiliencePolicy, ServingReport
 from repro.serving.request import Request, RequestState
 
@@ -117,10 +117,11 @@ class Node:
         self.name = name
         self.node_class = node_class
         self.fabric_health = FabricHealth()
-        tp_config, _, _ = build_degraded_collectives(
-            node_class.device, node_class.tp, self.fabric_health
-        )
         device = get_backend(node_class.device)
+        library = None
+        if node_class.tp > 1:
+            library = device.collective_library().degraded(self.fabric_health)
+        tp_config = TensorParallelConfig(degree=node_class.tp, library=library)
         llama = LLAMA_3_1_8B if node_class.model == "8b" else LLAMA_3_1_70B
         attention = default_decode_attention(device)
         self.engine = LlmServingEngine(

@@ -1,9 +1,10 @@
 """HCCL / NCCL-style collective library facades.
 
-:class:`HcclLibrary` and :class:`NcclLibrary` bind a topology, a
-protocol efficiency, and per-operation tuning factors, and report
-results in the NCCL tests format the paper uses (algorithm bandwidth
-and bus bandwidth).
+:class:`HcclLibrary` and :class:`NcclLibrary` bind a topology, the
+fabric's protocol efficiency and advertised per-device bandwidth (both
+from the device's :class:`~repro.hw.spec.InterconnectSpec`), and
+per-operation tuning factors, and report results in the NCCL tests
+format the paper uses (algorithm bandwidth and bus bandwidth).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Dict, Hashable
 
 from repro.comm.busbw import bus_bandwidth_factor
 from repro.core.memo import CostCache
+from repro.hw.spec import InterconnectSpec
 from repro.comm.collectives import (
     CollectiveOp,
     CollectiveResult,
@@ -68,15 +70,13 @@ class CollectiveReport:
     time: float
     algorithm_bandwidth: float
     bus_bandwidth: float
-    #: Bus bandwidth as a fraction of the node's 300 GB/s per-device cap.
+    #: Bus bandwidth as a fraction of the fabric's advertised per-device
+    #: bandwidth (``InterconnectSpec.per_device_bandwidth``).
     bus_utilization: float
 
 
 class CollectiveLibrary:
     """A collective library bound to one topology."""
-
-    #: Nominal per-device bandwidth both servers advertise (Table 1).
-    NOMINAL_BANDWIDTH = 300e9
 
     def __init__(
         self,
@@ -84,11 +84,15 @@ class CollectiveLibrary:
         protocol_efficiency: float,
         op_efficiency: Dict[CollectiveOp, float],
         name: str,
+        per_device_bandwidth: float,
     ) -> None:
         self.topology = topology
         self.protocol_efficiency = protocol_efficiency
         self.op_efficiency = dict(op_efficiency)
         self.name = name
+        #: Advertised per-device fabric bandwidth (Table 1), the
+        #: denominator of ``bus_utilization``.
+        self.per_device_bandwidth = per_device_bandwidth
         self._run_cache = _shared_run_cache(self)
 
     def pricing_key(self) -> Hashable:
@@ -98,7 +102,7 @@ class CollectiveLibrary:
         equal keys price identically, so they share one memo."""
         topology = self.topology
         return (
-            type(self), self.name, self.protocol_efficiency,
+            type(self), self.name, self.protocol_efficiency, self.per_device_bandwidth,
             tuple(sorted((op.value, eff) for op, eff in self.op_efficiency.items())),
             type(topology),
             tuple(getattr(topology, f.name) for f in fields(topology)),
@@ -124,7 +128,7 @@ class CollectiveLibrary:
             time=result.time,
             algorithm_bandwidth=algbw,
             bus_bandwidth=busbw,
-            bus_utilization=busbw / self.NOMINAL_BANDWIDTH,
+            bus_utilization=busbw / self.per_device_bandwidth,
         )
         self._run_cache.put(key, report)
         return report
@@ -174,22 +178,24 @@ class CollectiveLibrary:
 class HcclLibrary(CollectiveLibrary):
     """Intel's Habana Collective Communications Library on the P2P mesh."""
 
-    def __init__(self, topology: P2PMeshTopology | None = None) -> None:
+    def __init__(self, topology: P2PMeshTopology, interconnect: InterconnectSpec) -> None:
         super().__init__(
-            topology=topology or P2PMeshTopology(),
-            protocol_efficiency=0.87,
+            topology=topology,
+            protocol_efficiency=interconnect.protocol_efficiency,
             op_efficiency=_DEFAULT_OP_EFFICIENCY_HCCL,
             name="HCCL",
+            per_device_bandwidth=interconnect.per_device_bandwidth,
         )
 
 
 class NcclLibrary(CollectiveLibrary):
     """NVIDIA's NCCL over NVSwitch."""
 
-    def __init__(self, topology: SwitchTopology | None = None) -> None:
+    def __init__(self, topology: SwitchTopology, interconnect: InterconnectSpec) -> None:
         super().__init__(
-            topology=topology or SwitchTopology(),
-            protocol_efficiency=0.76,
+            topology=topology,
+            protocol_efficiency=interconnect.protocol_efficiency,
             op_efficiency=_DEFAULT_OP_EFFICIENCY_NCCL,
             name="NCCL",
+            per_device_bandwidth=interconnect.per_device_bandwidth,
         )

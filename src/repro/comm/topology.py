@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Optional, Set, Tuple
 
-from repro.hw.spec import A100_SPEC, GAUDI2_SPEC, DeviceSpec
+from repro.hw.spec import DeviceSpec
 
 
 @dataclass
@@ -135,13 +135,13 @@ class P2PMeshTopology(Topology):
     the root cause of the linear bus-bandwidth decline in Figure 10.
     """
 
-    num_devices: int = 8
-    links_per_pair: int = 3
-    link_bandwidth: float = 12.5e9  # 100 GbE in bytes/s
-    base_latency: float = GAUDI2_SPEC.interconnect.base_latency
+    num_devices: int
+    links_per_pair: int
+    link_bandwidth: float
+    base_latency: float
 
     @classmethod
-    def from_spec(cls, spec: DeviceSpec = GAUDI2_SPEC, num_devices: int = 8) -> "P2PMeshTopology":
+    def from_spec(cls, spec: DeviceSpec, num_devices: int) -> "P2PMeshTopology":
         ic = spec.interconnect
         return cls(
             num_devices=num_devices,
@@ -167,12 +167,12 @@ class SwitchTopology(Topology):
     usable bandwidth is independent of how many GPUs participate.
     """
 
-    num_devices: int = 8
-    per_device_bandwidth: float = 300e9
-    base_latency: float = A100_SPEC.interconnect.base_latency
+    num_devices: int
+    per_device_bandwidth: float
+    base_latency: float
 
     @classmethod
-    def from_spec(cls, spec: DeviceSpec = A100_SPEC, num_devices: int = 8) -> "SwitchTopology":
+    def from_spec(cls, spec: DeviceSpec, num_devices: int) -> "SwitchTopology":
         ic = spec.interconnect
         return cls(
             num_devices=num_devices,
@@ -208,10 +208,9 @@ class DegradedMeshTopology(P2PMeshTopology):
 
     def __init__(
         self,
-        base: Optional[P2PMeshTopology] = None,
+        base: P2PMeshTopology,
         health: Optional[FabricHealth] = None,
     ) -> None:
-        base = base or P2PMeshTopology()
         super().__init__(
             num_devices=base.num_devices,
             links_per_pair=base.links_per_pair,
@@ -250,10 +249,9 @@ class DegradedSwitchTopology(SwitchTopology):
 
     def __init__(
         self,
-        base: Optional[SwitchTopology] = None,
+        base: SwitchTopology,
         health: Optional[FabricHealth] = None,
     ) -> None:
-        base = base or SwitchTopology()
         super().__init__(
             num_devices=base.num_devices,
             per_device_bandwidth=base.per_device_bandwidth,

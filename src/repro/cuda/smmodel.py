@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hw.memory import HbmModel
-from repro.hw.spec import A100_SPEC, DeviceSpec, DType
+from repro.hw.spec import DeviceSpec, DType
 from repro.hw.vector_unit import VectorUnitModel
 
 
@@ -37,7 +37,7 @@ class CudaKernelResult:
 class CudaLauncher:
     """Launch model for non-GEMM CUDA kernels on the A100."""
 
-    def __init__(self, spec: DeviceSpec = A100_SPEC) -> None:
+    def __init__(self, spec: DeviceSpec) -> None:
         self.spec = spec
         self.hbm = HbmModel(spec.memory)
         self.vector = VectorUnitModel(spec.vector)

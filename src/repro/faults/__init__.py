@@ -19,7 +19,7 @@ from repro.faults.events import FaultEvent, FaultKind
 from repro.faults.injector import AdvanceSummary, FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.report import GATEWAY_SHED_PREFIX, ResilienceReport, shed_reason_counts
-from repro.faults.chaos import ChaosConfig, build_degraded_collectives, run_chaos
+from repro.faults.chaos import ChaosConfig, run_chaos
 
 __all__ = [
     "AdvanceSummary",
@@ -30,7 +30,6 @@ __all__ = [
     "FaultPlan",
     "GATEWAY_SHED_PREFIX",
     "ResilienceReport",
-    "build_degraded_collectives",
     "run_chaos",
     "shed_reason_counts",
 ]

@@ -16,20 +16,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.audit import ConfigError, get_auditor
-from repro.comm.api import HcclLibrary, NcclLibrary
-from repro.comm.topology import (
-    DegradedMeshTopology,
-    DegradedSwitchTopology,
-    FabricHealth,
-    P2PMeshTopology,
-    SwitchTopology,
-)
+from repro.comm.topology import FabricHealth
 from repro.core.metrics import percentile
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.report import ResilienceReport, shed_reason_counts
 from repro.hw.backend import GAUDI2, get_backend, resolve_backend
-from repro.hw.spec import get_spec
 from repro.models.llama import (
     LLAMA_3_1_70B,
     LLAMA_3_1_8B,
@@ -113,30 +105,6 @@ class ChaosConfig:
                                   f"outside the box (devices 0..{devices - 1})")
 
 
-def build_degraded_collectives(device: str, tp: int, health: FabricHealth):
-    """(tp_config, healthy_library, degraded_library) for one box.
-
-    The degraded library prices every collective through a topology
-    view of ``health``, so mutating the shared ``health`` mid-run
-    (device deaths, link slowdowns) re-prices AllReduce on the Figure
-    10 port-count cliff.  Shared by the single-box chaos harness and
-    each cluster :class:`~repro.cluster.Node`.
-    """
-    if tp == 1:
-        return TensorParallelConfig(degree=1), None, None
-    num_devices = max(8, tp)
-    spec = get_spec(device)
-    if spec.interconnect.kind == "p2p-mesh":
-        healthy = HcclLibrary(P2PMeshTopology(num_devices=num_devices))
-        degraded_topology = DegradedMeshTopology(healthy.topology, health)
-    else:
-        healthy = NcclLibrary(SwitchTopology(num_devices=num_devices))
-        degraded_topology = DegradedSwitchTopology(healthy.topology, health)
-    degraded = healthy.with_topology(degraded_topology)
-    tp_config = TensorParallelConfig(degree=tp, library=degraded)
-    return tp_config, healthy, degraded
-
-
 def run_chaos(*, config: ChaosConfig, ctx=None) -> ResilienceReport:
     """Run one fault-injected serving experiment end to end.
 
@@ -145,9 +113,14 @@ def run_chaos(*, config: ChaosConfig, ctx=None) -> ResilienceReport:
     """
     device = get_backend(config.device)
     health = FabricHealth()
-    tp_config, healthy_lib, degraded_lib = build_degraded_collectives(
-        config.device, config.tp, health
-    )
+    # The degraded library prices every collective through a view of
+    # ``health``, so the injector's mutations (device deaths, link
+    # slowdowns) re-price AllReduce on the Figure 10 port-count cliff.
+    healthy_lib = degraded_lib = None
+    if config.tp > 1:
+        healthy_lib = device.collective_library()
+        degraded_lib = healthy_lib.degraded(health)
+    tp_config = TensorParallelConfig(degree=config.tp, library=degraded_lib)
     llama = LLAMA_3_1_8B if config.model == "8b" else LLAMA_3_1_70B
     model = LlamaCostModel(llama, device, tp=tp_config)
     attention = default_decode_attention(device)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.core.report import render_table
 from repro.figures.common import FigureResult, register_figure
+from repro.hw.backend import GAUDI2, get_backend
 from repro.hw.spec import DType
 from repro.tools.profiler import GaudiProfiler
 
@@ -22,7 +23,7 @@ _FIG7C_N = (32, 64, 128, 256, 512, 1024, 2048)
 @register_figure("fig07")
 def run(fast: bool = True) -> FigureResult:
     """Regenerate this figure's rows, summary, and text report."""
-    profiler = GaudiProfiler()
+    profiler = GaudiProfiler(get_backend(GAUDI2))
     device = profiler.device
     sizes = _SIZES[::2] if fast else _SIZES
     rows = profiler.reverse_engineer_mme(sizes, sizes, _K)

@@ -10,9 +10,10 @@ A100's stays flat.
 
 from __future__ import annotations
 
-from repro.comm import CollectiveOp, HcclLibrary, NcclLibrary
+from repro.comm import CollectiveOp
 from repro.core.report import render_table
 from repro.figures.common import FigureResult, register_figure
+from repro.hw.backend import A100, GAUDI2, get_backend
 
 _SIZES = tuple(2 ** p for p in range(11, 26, 2))  # 2 KB .. 32 MB
 _DEVICES = (2, 4, 8)
@@ -22,7 +23,8 @@ _LARGE = 32 * 1024 * 1024
 @register_figure("fig10")
 def run(fast: bool = True) -> FigureResult:
     """Regenerate this figure's rows, summary, and text report."""
-    hccl, nccl = HcclLibrary(), NcclLibrary()
+    hccl = get_backend(GAUDI2).collective_library()
+    nccl = get_backend(A100).collective_library()
     sizes = (_SIZES[0], _SIZES[-1]) if fast else _SIZES
 
     rows = []
@@ -54,10 +56,14 @@ def run(fast: bool = True) -> FigureResult:
     summary = {
         "gaudi_wins_of_6_at_8_devices": float(wins),
         "gaudi_busbw_scales_with_devices": float(linear_decline),
-        "gaudi_allreduce_util_8dev": _find(rows, "HCCL", "all_reduce", 8, sizes[-1]) / 300e9,
-        "a100_allreduce_util_8dev": _find(rows, "NCCL", "all_reduce", 8, sizes[-1]) / 300e9,
-        "a100_allreduce_util_2dev": _find(rows, "NCCL", "all_reduce", 2, sizes[-1]) / 300e9,
-        "gaudi_allreduce_util_2dev": _find(rows, "HCCL", "all_reduce", 2, sizes[-1]) / 300e9,
+        "gaudi_allreduce_util_8dev": _find(rows, "HCCL", "all_reduce", 8, sizes[-1])
+        / hccl.per_device_bandwidth,
+        "a100_allreduce_util_8dev": _find(rows, "NCCL", "all_reduce", 8, sizes[-1])
+        / nccl.per_device_bandwidth,
+        "a100_allreduce_util_2dev": _find(rows, "NCCL", "all_reduce", 2, sizes[-1])
+        / nccl.per_device_bandwidth,
+        "gaudi_allreduce_util_2dev": _find(rows, "HCCL", "all_reduce", 2, sizes[-1])
+        / hccl.per_device_bandwidth,
     }
     text = render_table(
         ["Library", "Collective", "Devices", "Size", "busBW (GB/s)", "Util"],

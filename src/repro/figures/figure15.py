@@ -14,6 +14,7 @@ from __future__ import annotations
 from repro.core.metrics import arithmetic_mean, geometric_mean
 from repro.core.report import render_heatmap
 from repro.figures.common import FigureResult, register_figure
+from repro.hw.backend import A100, GAUDI2, get_backend
 from repro.kernels.embedding import (
     A100Fbgemm,
     EmbeddingConfig,
@@ -40,7 +41,8 @@ def _config(tables: int, dim: int, batch: int) -> EmbeddingConfig:
 @register_figure("fig15")
 def run(fast: bool = True) -> FigureResult:
     """Regenerate this figure's rows, summary, and text report."""
-    single, batched, fbgemm = GaudiSingleTable(), GaudiBatchedTable(), A100Fbgemm()
+    gaudi, a100 = get_backend(GAUDI2).spec, get_backend(A100).spec
+    single, batched, fbgemm = GaudiSingleTable(gaudi), GaudiBatchedTable(gaudi), A100Fbgemm(a100)
     table_counts = _TABLE_COUNTS[::2] if fast else _TABLE_COUNTS
     dims = _DIMS[::2] if fast else _DIMS
     batches = _BATCHES[::2] if fast else _BATCHES

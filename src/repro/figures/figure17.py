@@ -75,14 +75,15 @@ def run(fast: bool = True) -> FigureResult:
     decode_batches = _MAX_DECODE_BATCHES[::2] if fast else _MAX_DECODE_BATCHES
     num_requests = _NUM_REQUESTS // 2 if fast else _NUM_REQUESTS
 
+    gaudi, a100 = get_backend(GAUDI2), get_backend(A100)
     rows = []
     # (a) + (c): kernel-level grid at 0 % padding.
     for seq in seqs:
         for batch in batches:
             config = PagedAttentionConfig.uniform(batch, seq)
-            base = vllm_base_paged_attention(config)
-            opt = vllm_opt_paged_attention(config)
-            cuda = a100_paged_attention(config)
+            base = vllm_base_paged_attention(config, gaudi.spec)
+            opt = vllm_opt_paged_attention(config, gaudi.spec)
+            cuda = a100_paged_attention(config, a100.spec)
             rows.append({
                 "panel": "a", "seq": seq, "batch": batch, "padding": 0.0,
                 "opt_over_base": base.time / opt.time,
@@ -91,15 +92,14 @@ def run(fast: bool = True) -> FigureResult:
     # (b) padding sweep at seq=4K, batch=32.
     for padding in paddings:
         config = _padded_config(32, 4096, padding)
-        base = vllm_base_paged_attention(config)
-        opt = vllm_opt_paged_attention(config)
+        base = vllm_base_paged_attention(config, gaudi.spec)
+        opt = vllm_opt_paged_attention(config, gaudi.spec)
         rows.append({
             "panel": "b", "seq": 4096, "batch": 32,
             "padding": config.padding_fraction,
             "opt_over_base": base.time / opt.time,
         })
     # (d, e): end-to-end serving on both devices.
-    gaudi, a100 = get_backend(GAUDI2), get_backend(A100)
     for max_batch in decode_batches:
         rg = serve_point(LlamaCostModel(LLAMA_3_1_8B, gaudi), DecodeAttention.PAGED_OPT,
                          max_batch, num_requests)

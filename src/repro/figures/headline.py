@@ -17,6 +17,7 @@ from __future__ import annotations
 from repro.core.metrics import arithmetic_mean
 from repro.core.report import render_table
 from repro.figures.common import FigureResult, register_figure, run_figure
+from repro.hw.backend import A100, GAUDI2, get_backend
 from repro.kernels.embedding import (
     EmbeddingConfig,
     GaudiSdkSingleTable,
@@ -32,7 +33,8 @@ _DIMS = (64, 128)
 @register_figure("headline")
 def run(fast: bool = True) -> FigureResult:
     """Regenerate this table's rows, summary, and text report."""
-    sdk, single, fbgemm = GaudiSdkSingleTable(), GaudiSingleTable(), A100Fbgemm()
+    gaudi, a100 = get_backend(GAUDI2).spec, get_backend(A100).spec
+    sdk, single, fbgemm = GaudiSdkSingleTable(gaudi), GaudiSingleTable(gaudi), A100Fbgemm(a100)
     sdk_vs_a100, single_vs_sdk = [], []
     for dim in _DIMS:
         for batch in _BATCHES:

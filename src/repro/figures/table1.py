@@ -10,15 +10,8 @@ from __future__ import annotations
 
 from repro.core.report import render_table
 from repro.figures.common import FigureResult, register_figure
-from repro.hw.backend import DEFAULT_COMPARISON, comparison_backends
-from repro.hw.spec import (
-    A100_SPEC,
-    GAUDI2_SPEC,
-    DType,
-    get_spec,
-    spec_comparison_rows,
-    spec_comparison_rows_for,
-)
+from repro.hw.backend import A100, DEFAULT_COMPARISON, GAUDI2, comparison_backends, get_backend
+from repro.hw.spec import DType, get_spec, spec_comparison_rows_for
 
 
 @register_figure("table1")
@@ -27,9 +20,10 @@ def run(fast: bool = True) -> FigureResult:
     keys = comparison_backends()
     if keys != DEFAULT_COMPARISON:
         return _run_nway(keys)
+    a100, gaudi = get_backend(A100).spec, get_backend(GAUDI2).spec
     rows = [
         {"metric": metric, "a100": a, "gaudi2": g, "ratio": r}
-        for metric, a, g, r in spec_comparison_rows()
+        for metric, a, g, r in spec_comparison_rows_for([a100, gaudi])
     ]
     text = render_table(
         ["Metric", "NVIDIA A100", "Intel Gaudi-2", "Ratio"],
@@ -37,12 +31,10 @@ def run(fast: bool = True) -> FigureResult:
         title="Table 1: Comparison of NVIDIA A100 and Intel Gaudi-2",
     )
     summary = {
-        "matrix_tflops_ratio": GAUDI2_SPEC.matrix.peak(DType.BF16)
-        / A100_SPEC.matrix.peak(DType.BF16),
-        "vector_tflops_ratio": GAUDI2_SPEC.vector.peak(DType.BF16)
-        / A100_SPEC.vector.peak(DType.BF16),
-        "bandwidth_ratio": GAUDI2_SPEC.memory.bandwidth / A100_SPEC.memory.bandwidth,
-        "power_ratio": GAUDI2_SPEC.power.tdp_watts / A100_SPEC.power.tdp_watts,
+        "matrix_tflops_ratio": gaudi.matrix.peak(DType.BF16) / a100.matrix.peak(DType.BF16),
+        "vector_tflops_ratio": gaudi.vector.peak(DType.BF16) / a100.vector.peak(DType.BF16),
+        "bandwidth_ratio": gaudi.memory.bandwidth / a100.memory.bandwidth,
+        "power_ratio": gaudi.power.tdp_watts / a100.power.tdp_watts,
     }
     return FigureResult(figure_id="table1", title="Device spec comparison",
                         rows=rows, summary=summary, text=text)

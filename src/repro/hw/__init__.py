@@ -47,7 +47,6 @@ from repro.hw.spec import (
     GAUDI2_SPEC,
     DeviceSpec,
     DType,
-    spec_comparison_rows,
 )
 from repro.hw.systolic import SystolicArray, SystolicGeometry
 from repro.hw.tensorcore import TensorCoreModel
@@ -83,5 +82,4 @@ __all__ = [
     "list_backends",
     "register_backend",
     "resolve_backend",
-    "spec_comparison_rows",
 ]

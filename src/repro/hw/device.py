@@ -157,13 +157,16 @@ class Device:
 
     def collective_library(self, num_devices: int = 8):
         """The healthy collective library for this platform's fabric
-        (HCCL on a P2P mesh, NCCL behind a switch)."""
+        (HCCL on a P2P mesh, NCCL behind a switch), built from the
+        spec's :class:`~repro.hw.spec.InterconnectSpec`.  Fault-aware
+        callers rebind it with :meth:`~repro.comm.CollectiveLibrary.degraded`."""
         from repro.comm.api import HcclLibrary, NcclLibrary
         from repro.comm.topology import P2PMeshTopology, SwitchTopology
 
-        if self.spec.interconnect.kind == "p2p-mesh":
-            return HcclLibrary(P2PMeshTopology(num_devices=num_devices))
-        return NcclLibrary(SwitchTopology(num_devices=num_devices))
+        interconnect = self.spec.interconnect
+        if interconnect.kind == "p2p-mesh":
+            return HcclLibrary(P2PMeshTopology.from_spec(self.spec, num_devices), interconnect)
+        return NcclLibrary(SwitchTopology.from_spec(self.spec, num_devices), interconnect)
 
 
 class Gaudi2Device(Device):

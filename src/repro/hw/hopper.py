@@ -41,7 +41,6 @@ from repro.hw.spec import (
     MemorySpec,
     PowerSpec,
     VectorEngineSpec,
-    register_spec,
 )
 from repro.hw.systolic import blocked_gemm_traffic, blocked_gemm_traffic_row
 
@@ -163,7 +162,6 @@ def _h100_spec() -> DeviceSpec:
 
 
 H100_SPEC: DeviceSpec = _h100_spec()
-register_spec("h100", H100_SPEC)
 
 
 @dataclass(frozen=True)
@@ -188,7 +186,7 @@ class TileGemmModel:
 
     def __init__(
         self,
-        spec: DeviceSpec = H100_SPEC,
+        spec: DeviceSpec,
         tile_shapes: Sequence[Tuple[int, int]] = DEFAULT_TILE_SHAPES,
     ) -> None:
         self.spec = spec

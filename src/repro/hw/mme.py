@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.memo import CostCache
-from repro.hw.spec import DeviceSpec, DType, GAUDI2_SPEC
+from repro.hw.spec import DeviceSpec, DType
 from repro.hw.systolic import (
     SystolicArray,
     SystolicGeometry,
@@ -70,6 +70,8 @@ class MmeConfig:
     geometry: SystolicGeometry
     compute_time: float
     memory_time: float
+    #: MAC units of the owning device's whole array.
+    total_macs: int
 
     @property
     def time(self) -> float:
@@ -81,7 +83,7 @@ class MmeConfig:
 
     @property
     def power_gated(self) -> bool:
-        return self.geometry.active_macs < GAUDI2_SPEC.matrix.total_macs
+        return self.geometry.active_macs < self.total_macs
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ class MmeModel:
 
     def __init__(
         self,
-        spec: DeviceSpec = GAUDI2_SPEC,
+        spec: DeviceSpec,
         geometries: Sequence[SystolicGeometry] = DEFAULT_GEOMETRIES,
         configurable: Optional[bool] = None,
     ) -> None:
@@ -142,7 +144,12 @@ class MmeModel:
             m, k, n, dtype.itemsize, self.spec.memory.sram_bytes
         )
         mem_bw = self.spec.memory.bandwidth * self.spec.memory.stream_efficiency
-        return MmeConfig(geometry=geo, compute_time=compute_time, memory_time=traffic / mem_bw)
+        return MmeConfig(
+            geometry=geo,
+            compute_time=compute_time,
+            memory_time=traffic / mem_bw,
+            total_macs=self.spec.matrix.total_macs,
+        )
 
     def _class_search(
         self, m: int, k: int, n: int, dtype: DType

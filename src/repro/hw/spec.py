@@ -335,87 +335,18 @@ def _a100_spec() -> DeviceSpec:
 GAUDI2_SPEC: DeviceSpec = _gaudi2_spec()
 A100_SPEC: DeviceSpec = _a100_spec()
 
-_SPECS: Dict[str, DeviceSpec] = {
-    "gaudi2": GAUDI2_SPEC,
-    "gaudi-2": GAUDI2_SPEC,
-    "hpu": GAUDI2_SPEC,
-    "a100": A100_SPEC,
-    "cuda": A100_SPEC,
-    "gpu": A100_SPEC,
-}
-
-
-def register_spec(name: str, spec: DeviceSpec) -> None:
-    """Register an additional device spec (e.g. the Gaudi-3 projection)."""
-    _SPECS[name.lower()] = spec
-
 
 def get_spec(name: str) -> DeviceSpec:
-    """Look up a spec sheet by device name (case-insensitive).
+    """The spec sheet of the backend registered as ``name`` (key,
+    alias or display name; case-insensitive).
 
-    Names registered via :func:`register_spec` resolve directly;
-    anything else falls through to the backend registry
-    (:mod:`repro.hw.backend`), which resolves registered backends
-    lazily and raises a typed :class:`~repro.audit.errors.ConfigError`
-    with a did-you-mean hint on unknown names.
+    The backend registry (:mod:`repro.hw.backend`) is the one name to
+    spec table: unknown names raise a typed
+    :class:`~repro.audit.errors.ConfigError` with a did-you-mean hint.
     """
-    spec = _SPECS.get(name.lower()) if isinstance(name, str) else None
-    if spec is not None:
-        return spec
     from repro.hw.backend import REGISTRY
 
     return REGISTRY.spec(name)
-
-
-def spec_comparison_rows() -> List[Tuple[str, str, str, str]]:
-    """Rows of Table 1: (metric, A100, Gaudi-2, ratio)."""
-    a, g = A100_SPEC, GAUDI2_SPEC
-    rows = [
-        (
-            "TFLOPS (BF16, matrix)",
-            f"{a.matrix.peak(DType.BF16) / TERA:.0f}",
-            f"{g.matrix.peak(DType.BF16) / TERA:.0f}",
-            f"{g.matrix.peak(DType.BF16) / a.matrix.peak(DType.BF16):.1f}x",
-        ),
-        (
-            "TFLOPS (BF16, vector)",
-            f"{a.vector.peak(DType.BF16) / TERA:.0f}",
-            f"{g.vector.peak(DType.BF16) / TERA:.0f}",
-            f"{g.vector.peak(DType.BF16) / a.vector.peak(DType.BF16):.1f}x",
-        ),
-        ("HBM type", a.memory.hbm_type, g.memory.hbm_type, "-"),
-        (
-            "HBM capacity (GB)",
-            f"{a.memory.capacity_bytes / GIB:.0f}",
-            f"{g.memory.capacity_bytes / GIB:.0f}",
-            f"{g.memory.capacity_bytes / a.memory.capacity_bytes:.1f}x",
-        ),
-        (
-            "HBM bandwidth (TB/s)",
-            f"{a.memory.bandwidth / TERA:.2f}",
-            f"{g.memory.bandwidth / TERA:.2f}",
-            f"{g.memory.bandwidth / a.memory.bandwidth:.1f}x",
-        ),
-        (
-            "SRAM capacity (MB)",
-            f"{a.memory.sram_bytes / MIB:.0f}",
-            f"{g.memory.sram_bytes / MIB:.0f}",
-            f"{g.memory.sram_bytes / a.memory.sram_bytes:.1f}x",
-        ),
-        (
-            "Communication (GB/s, bidirectional)",
-            f"{2 * a.interconnect.per_device_bandwidth / GIGA:.0f}",
-            f"{2 * g.interconnect.per_device_bandwidth / GIGA:.0f}",
-            "1.0x",
-        ),
-        (
-            "Power (Watts)",
-            f"{a.power.tdp_watts:.0f}",
-            f"{g.power.tdp_watts:.0f}",
-            f"{g.power.tdp_watts / a.power.tdp_watts:.1f}x",
-        ),
-    ]
-    return rows
 
 
 def spec_comparison_rows_for(specs: List[DeviceSpec]) -> List[Tuple[str, ...]]:
@@ -424,8 +355,6 @@ def spec_comparison_rows_for(specs: List[DeviceSpec]) -> List[Tuple[str, ...]]:
     Each row is ``(metric, value_per_spec..., ratio)``; the ratio
     column compares every non-first spec to the first (baseline)
     column, slash-separated when the set has more than two members.
-    For ``[A100_SPEC, GAUDI2_SPEC]`` this reproduces the classic
-    two-column :func:`spec_comparison_rows` table.
     """
     if not specs:
         return []

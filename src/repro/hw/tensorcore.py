@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
 
-from repro.hw.spec import A100_SPEC, DeviceSpec, DType
+from repro.hw.spec import DeviceSpec, DType
 from repro.hw.systolic import blocked_gemm_traffic, blocked_gemm_traffic_row
 
 #: CTA tile shapes cuBLAS chooses from, (tile_m, tile_n).
@@ -71,7 +71,7 @@ class TensorCoreModel:
 
     def __init__(
         self,
-        spec: DeviceSpec = A100_SPEC,
+        spec: DeviceSpec,
         cta_tiles: Sequence[Tuple[int, int]] = DEFAULT_CTA_TILES,
     ) -> None:
         self.spec = spec

@@ -29,9 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.hw.device import A100Device, Gaudi2Device
 from repro.hw.memory import HbmModel
-from repro.hw.spec import A100_SPEC, GAUDI2_SPEC, DeviceSpec, DType
+from repro.hw.spec import DeviceSpec, DType
 
 #: Hardware cap on outstanding 256 B gather transactions per TPC.
 _TPC_MLP_WINDOW = 64
@@ -195,7 +194,7 @@ class GaudiEmbeddingOperator:
     mlp_window = _TPC_MLP_WINDOW
     tables_per_launch: Optional[int] = 1  # None = all tables in one launch
 
-    def __init__(self, spec: DeviceSpec = GAUDI2_SPEC) -> None:
+    def __init__(self, spec: DeviceSpec) -> None:
         self.spec = spec
 
     def run(self, config: EmbeddingConfig) -> EmbeddingResult:
@@ -232,9 +231,6 @@ class GaudiSdkSingleTable(GaudiEmbeddingOperator):
     name = "gaudi-sdk-single-table"
     mlp_window = _SDK_MLP_WINDOW
     tables_per_launch = 1
-
-    def __init__(self, spec: DeviceSpec = GAUDI2_SPEC) -> None:
-        super().__init__(spec)
 
     def run(self, config: EmbeddingConfig) -> EmbeddingResult:
         result = super().run(config)
@@ -278,7 +274,7 @@ class A100Fbgemm:
 
     name = "a100-fbgemm-batched-table"
 
-    def __init__(self, spec: DeviceSpec = A100_SPEC) -> None:
+    def __init__(self, spec: DeviceSpec) -> None:
         self.spec = spec
         self.hbm = HbmModel(spec.memory)
 
@@ -301,8 +297,8 @@ class A100Fbgemm:
         )
 
 
-def make_operator(name: str):
-    """Factory used by the figure harness and the RecSys server."""
+def make_operator(name: str, spec: DeviceSpec):
+    """The embedding operator ``name`` on the device ``spec`` describes."""
     operators = {
         "sdk": GaudiSdkSingleTable,
         "single": GaudiSingleTable,
@@ -310,21 +306,6 @@ def make_operator(name: str):
         "fbgemm": A100Fbgemm,
     }
     try:
-        return operators[name]()
+        return operators[name](spec)
     except KeyError:
         raise KeyError(f"unknown operator {name!r}; expected one of {sorted(operators)}") from None
-
-
-def gaudi_embedding_operator(device: Gaudi2Device, batched: bool = True):
-    """The Gaudi operator an end-to-end model should use."""
-    return GaudiBatchedTable(device.spec) if batched else GaudiSingleTable(device.spec)
-
-
-def a100_embedding_operator(device: A100Device):
-    """The A100 (FBGEMM) embedding operator."""
-    return A100Fbgemm(device.spec)
-
-
-def cuda_embedding_operator(device):
-    """The FBGEMM embedding operator for any CUDA-family backend."""
-    return A100Fbgemm(device.spec)

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.hw.spec import A100_SPEC, GAUDI2_SPEC, DeviceSpec, DType
+from repro.hw.spec import DeviceSpec, DType
 
 #: Tokens per KV cache block (the vLLM default for Gaudi).
 DEFAULT_BLOCK_SIZE = 128
@@ -261,7 +261,7 @@ class PagedAttentionResult:
 
 # ----------------------------------------------------------------------
 def vllm_base_paged_attention(
-    config: PagedAttentionConfig, spec: DeviceSpec = GAUDI2_SPEC
+    config: PagedAttentionConfig, spec: DeviceSpec
 ) -> PagedAttentionResult:
     """The baseline Gaudi vLLM fork's PagedAttention (Figure 16(a))."""
     bw = spec.memory.bandwidth
@@ -297,7 +297,7 @@ def vllm_base_paged_attention(
 
 
 def vllm_opt_paged_attention(
-    config: PagedAttentionConfig, spec: DeviceSpec = GAUDI2_SPEC
+    config: PagedAttentionConfig, spec: DeviceSpec
 ) -> PagedAttentionResult:
     """The optimized BlockList PagedAttention (Figure 16(b))."""
     bw = spec.memory.bandwidth
@@ -327,7 +327,7 @@ def vllm_opt_paged_attention(
 
 
 def a100_paged_attention(
-    config: PagedAttentionConfig, spec: DeviceSpec = A100_SPEC
+    config: PagedAttentionConfig, spec: DeviceSpec
 ) -> PagedAttentionResult:
     """vLLM's native fused CUDA PagedAttention kernel."""
     read = config.kv_bytes / (spec.memory.bandwidth * _A100_PAGED_EFFICIENCY)

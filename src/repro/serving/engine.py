@@ -481,7 +481,8 @@ class LlmServingEngine:
         """Open a run: arm the audit ledger and watchdog, start the
         root span, and submit any up-front ``requests`` (a non-finite
         ``arrival_time`` raises :class:`ConfigError` before anything is
-        armed)."""
+        armed; a request that fails to submit, e.g. a fail-fast
+        :class:`KvCacheError`, closes the run before propagating)."""
         for request in requests:
             _check_arrival(request)
         policy = self.policy
@@ -519,8 +520,12 @@ class LlmServingEngine:
                 attention=self.attention.value,
                 requests=len(requests),
             )
-        for request in requests:
-            self.feed(request)
+        try:
+            for request in requests:
+                self.feed(request)
+        except BaseException:
+            self._abandon()
+            raise
 
     def feed(self, request: Request) -> None:
         """Submit one request to an open run (streaming admission)."""
@@ -1432,11 +1437,16 @@ class LlmServingEngine:
             if self._metrics is not None:
                 self._metrics.counter("engine.watchdog_trips").inc()
         except BaseException:
-            if self._tracer is not None:
-                self._tracer.finish(self._now)
-            self._audit = None
+            self._abandon()
             raise
         return self.finish(watchdog_reason)
+
+    def _abandon(self) -> None:
+        """Close a run an error cut short: the root span ends and the
+        audit handle drops, so no later run inherits either."""
+        if self._tracer is not None:
+            self._tracer.finish(self._now)
+        self._audit = None
 
     # -- cluster-facing lifecycle wrappers ------------------------------
     def fail_all(self, reason: str) -> List[Request]:

@@ -61,6 +61,7 @@ class SurrogateCollectiveLibrary(CollectiveLibrary):
             protocol_efficiency=exact.protocol_efficiency,
             op_efficiency=exact.op_efficiency,
             name=f"{exact.name}@surrogate",
+            per_device_bandwidth=exact.per_device_bandwidth,
         )
         self._exact = exact
         self._model = model
@@ -85,7 +86,7 @@ class SurrogateCollectiveLibrary(CollectiveLibrary):
             time=time,
             algorithm_bandwidth=algbw,
             bus_bandwidth=busbw,
-            bus_utilization=busbw / self.NOMINAL_BANDWIDTH,
+            bus_utilization=busbw / self.per_device_bandwidth,
         )
 
     def _in_size_range(self, surface: str, size_bytes: float) -> bool:

@@ -20,8 +20,8 @@ from repro.hw.spec import DType
 class GaudiProfiler:
     """The model-level equivalent of the Intel Gaudi Profiler."""
 
-    def __init__(self, device: Gaudi2Device | None = None) -> None:
-        self.device = device or Gaudi2Device()
+    def __init__(self, device: Gaudi2Device) -> None:
+        self.device = device
 
     # ------------------------------------------------------------------
     def reverse_engineer_mme(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hw.power import ActivityProfile, PowerModel
-from repro.hw.spec import A100_SPEC, DeviceSpec, GAUDI2_SPEC
+from repro.hw.spec import DeviceSpec
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,14 @@ def _sample(spec: DeviceSpec, activity: ActivityProfile) -> SmiSample:
     )
 
 
-def hl_smi(activity: ActivityProfile, spec: DeviceSpec = GAUDI2_SPEC) -> SmiSample:
+def hl_smi(activity: ActivityProfile, spec: DeviceSpec) -> SmiSample:
     """Gaudi's System Management Interface readout."""
     if spec.vendor != "Intel":
         raise ValueError("hl-smi reads Gaudi devices; use nvidia_smi for GPUs")
     return _sample(spec, activity)
 
 
-def nvidia_smi(activity: ActivityProfile, spec: DeviceSpec = A100_SPEC) -> SmiSample:
+def nvidia_smi(activity: ActivityProfile, spec: DeviceSpec) -> SmiSample:
     """NVIDIA's System Management Interface readout."""
     if spec.vendor != "NVIDIA":
         raise ValueError("nvidia-smi reads NVIDIA devices; use hl_smi for Gaudi")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.hw.memory import HbmModel
-from repro.hw.spec import DeviceSpec, GAUDI2_SPEC
+from repro.hw.spec import DeviceSpec
 from repro.tpc.kernel import TpcKernel
 from repro.tpc.pipeline import PipelineResult, VliwPipeline
 
@@ -67,7 +67,7 @@ def partition_members(num_members: int, num_tpcs: int) -> List[int]:
 class TpcLauncher:
     """Launches TPC kernels onto a (model of a) Gaudi device."""
 
-    def __init__(self, spec: DeviceSpec = GAUDI2_SPEC) -> None:
+    def __init__(self, spec: DeviceSpec) -> None:
         self.spec = spec
         self.hbm = HbmModel(spec.memory)
         self.pipeline = VliwPipeline(spec.vector)

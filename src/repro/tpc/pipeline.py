@@ -32,12 +32,11 @@ evaluate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.core.memo import CostCache
-from repro.hw.spec import GAUDI2_SPEC, VectorEngineSpec
+from repro.hw.spec import VectorEngineSpec
 from repro.tpc.isa import Instruction, MemoryKind, Opcode, Slot
 
 #: Shared scoreboard-simulation memo: kernel bodies are frozen
@@ -65,9 +64,6 @@ class PipelineResult:
     cycles_per_iteration: float
     #: Useful bytes touched per iteration (loads + stores).
     bytes_per_iteration: float
-    #: Bytes actually moved per iteration after round-up to Gaudi-2's
-    #: access granule; ``TpcLauncher`` prices traffic at its own device's.
-    moved_bytes_per_iteration: float
     flops_per_iteration: float
     instructions_per_iteration: int
 
@@ -86,7 +82,7 @@ class PipelineResult:
 class VliwPipeline:
     """Cycle simulator for one TPC executing a loop body."""
 
-    def __init__(self, spec: VectorEngineSpec = GAUDI2_SPEC.vector) -> None:
+    def __init__(self, spec: VectorEngineSpec) -> None:
         self.spec = spec
 
     # ------------------------------------------------------------------
@@ -224,20 +220,16 @@ class VliwPipeline:
             total = warm_plus + steady * (iterations - sample)
 
         useful = 0.0
-        moved = 0.0
         flops = 0.0
-        granule = GAUDI2_SPEC.memory.min_access_bytes
         for instr in body:
             flops += instr.flops
             if instr.access_bytes > 0 and instr.memory_kind is not MemoryKind.NONE:
                 useful += instr.access_bytes
-                moved += granule * math.ceil(instr.access_bytes / granule)
         result = PipelineResult(
             iterations=iterations,
             total_cycles=total,
             cycles_per_iteration=total / iterations,
             bytes_per_iteration=useful,
-            moved_bytes_per_iteration=moved,
             flops_per_iteration=flops,
             instructions_per_iteration=len(body),
         )

@@ -255,18 +255,19 @@ def tp8_fabric_fault_run(mutate, horizon=1.0):
     returns the engine, the model's fabric keys before and after, and
     the report."""
     from repro.comm import FabricHealth
-    from repro.faults.chaos import build_degraded_collectives
     from repro.hw.backend import GAUDI2
     from repro.models.llama import (
         LLAMA_3_1_8B,
         LlamaCostModel,
         default_decode_attention,
     )
+    from repro.models.tensor_parallel import TensorParallelConfig
 
     health = FabricHealth()
     device = _device(GAUDI2)
     model = LlamaCostModel(
-        LLAMA_3_1_8B, device, tp=build_degraded_collectives(GAUDI2, 8, health)[0]
+        LLAMA_3_1_8B, device,
+        tp=TensorParallelConfig(degree=8, library=device.collective_library().degraded(health)),
     )
     engine = make_engine(model, default_decode_attention(device), max_decode_batch=32)
     engine.begin(_sonnet(64, 2, 30.0, 4))

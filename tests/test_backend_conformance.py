@@ -176,6 +176,18 @@ class TestPlatformSurfaces:
         result = library.all_reduce(2**20, 8)
         assert result.time > 0
         assert result.bus_bandwidth > 0
+        # The fabric is the backend's own InterconnectSpec, field by field.
+        interconnect = device.spec.interconnect
+        topology = library.topology
+        assert topology.num_devices == 8
+        assert topology.base_latency == interconnect.base_latency
+        if interconnect.kind == "p2p-mesh":
+            assert topology.links_per_pair == interconnect.links_per_pair
+            assert topology.link_bandwidth == interconnect.link_bandwidth
+        else:
+            assert topology.per_device_bandwidth == interconnect.per_device_bandwidth
+        assert library.protocol_efficiency == interconnect.protocol_efficiency
+        assert library.per_device_bandwidth == interconnect.per_device_bandwidth
 
     @pytest.mark.parametrize("key", ALL_BACKENDS)
     def test_smi_readout(self, key):

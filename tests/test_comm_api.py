@@ -2,19 +2,20 @@
 
 import pytest
 
-from repro.comm import CollectiveOp, HcclLibrary, NcclLibrary
+from repro.comm import CollectiveOp
+from repro.hw.backend import A100, GAUDI2, get_backend
 
 _SIZE = 32 << 20
 
 
 @pytest.fixture(scope="module")
 def hccl():
-    return HcclLibrary()
+    return get_backend(GAUDI2).collective_library()
 
 
 @pytest.fixture(scope="module")
 def nccl():
-    return NcclLibrary()
+    return get_backend(A100).collective_library()
 
 
 class TestHeadlines:

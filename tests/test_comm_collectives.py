@@ -10,9 +10,10 @@ from repro.comm.collectives import (
     ring_collective_time,
 )
 from repro.comm.topology import P2PMeshTopology, SwitchTopology
+from repro.hw.spec import A100_SPEC, GAUDI2_SPEC
 
-_MESH = P2PMeshTopology()
-_SWITCH = SwitchTopology()
+_MESH = P2PMeshTopology.from_spec(GAUDI2_SPEC, 8)
+_SWITCH = SwitchTopology.from_spec(A100_SPEC, 8)
 _SIZE = 32 << 20
 
 

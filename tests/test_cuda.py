@@ -8,7 +8,7 @@ from repro.hw.spec import A100_SPEC
 
 @pytest.fixture(scope="module")
 def launcher():
-    return CudaLauncher()
+    return CudaLauncher(A100_SPEC)
 
 
 class TestStream:

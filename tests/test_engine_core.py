@@ -231,6 +231,20 @@ class TestStreamingRuns:
             assert engine._steps > 0  # the stream failed after steps ran
         assert all(r.state is RequestState.WAITING for r in requests[where:])
 
+    @pytest.mark.parametrize("stream", [False, True], ids=["list", "stream"])
+    def test_unservable_prompt_closes_the_run(self, gaudi, stream):
+        """A fail-fast KvCacheError raised while an up-front request is
+        fed leaves no root span open and no audit handle bound, in a
+        list run as in a streamed one."""
+        requests = [Request(0, input_tokens=5_000, output_tokens=8)]
+        ctx = RunContext.create()
+        with audit_scope("strict"):
+            engine = _engine(gaudi, max_decode_batch=8, num_kv_blocks=4, ctx=ctx)
+            with pytest.raises(KvCacheError):
+                engine.run(iter(requests) if stream else requests)
+        assert ctx.tracer.open_spans == 0
+        assert engine._audit is None
+
     def test_out_of_order_mid_run_closes_the_run(self, gaudi):
         """An arrival earlier than its predecessor, drawn after steps
         ran, raises ConfigError with the root span closed."""
@@ -351,9 +365,9 @@ class TestParkedBursts:
         burst parked.  ``parking`` is the fixture that counts resumes
         (and may force parking off)."""
         from repro.comm import FabricHealth
-        from repro.faults.chaos import build_degraded_collectives
         from repro.hw.backend import GAUDI2, get_backend
         from repro.models.llama import default_decode_attention
+        from repro.models.tensor_parallel import TensorParallelConfig
 
         resumed = parking.resumed
         resumed.clear()
@@ -362,7 +376,9 @@ class TestParkedBursts:
         engine = LlmServingEngine(
             LlamaCostModel(
                 LLAMA_3_1_8B, device,
-                tp=build_degraded_collectives(GAUDI2, 8, health)[0],
+                tp=TensorParallelConfig(
+                    degree=8, library=device.collective_library().degraded(health)
+                ),
             ),
             default_decode_attention(device),
             max_decode_batch=8,

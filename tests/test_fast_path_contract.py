@@ -31,7 +31,6 @@ from repro.api import RunContext
 from repro.audit import audit_scope
 from repro.comm import FabricHealth
 from repro.core import memo
-from repro.faults.chaos import build_degraded_collectives
 from repro.hw.backend import get_backend, list_backends
 from repro.hw.device import Device
 from repro.models.llama import (
@@ -135,7 +134,8 @@ def _tp(backend: str, degree: int, fabric: str) -> TensorParallelConfig:
     if fabric == "healthy":
         return TensorParallelConfig.for_device(get_backend(backend), degree)
     health = FabricHealth()
-    tp = build_degraded_collectives(backend, degree, health)[0]
+    library = get_backend(backend).collective_library().degraded(health) if degree > 1 else None
+    tp = TensorParallelConfig(degree=degree, library=library)
     health.set_link_factor(0, 1, 0.25)
     return tp
 

@@ -10,15 +10,24 @@ from repro.comm import (
     DegradedMeshTopology,
     DegradedSwitchTopology,
     FabricHealth,
-    HcclLibrary,
-    NcclLibrary,
     P2PMeshTopology,
     SwitchTopology,
     degraded_collective_time,
     effective_participants,
 )
-from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
+from repro.cluster.node import Node, NodeClass
+from repro.core import memo
+from repro.faults import ChaosConfig, FaultEvent, FaultInjector, FaultKind, FaultPlan, run_chaos
+from repro.hw.backend import A100, GAUDI2, get_backend, list_backends
+from repro.hw.spec import A100_SPEC, GAUDI2_SPEC
 from repro.models.tensor_parallel import TensorParallelConfig
+
+_MESH = P2PMeshTopology.from_spec(GAUDI2_SPEC, 8)
+_SWITCH = SwitchTopology.from_spec(A100_SPEC, 8)
+
+
+def _hccl():
+    return get_backend(GAUDI2).collective_library()
 
 
 class TestFaultPlan:
@@ -213,15 +222,15 @@ class TestFabricStateKey:
 
     def test_topology_cache_keys(self):
         health = FabricHealth()
-        assert P2PMeshTopology().cache_key() == ()
-        assert SwitchTopology().cache_key() == ()
-        mesh = DegradedMeshTopology(P2PMeshTopology(), health)
-        switch = DegradedSwitchTopology(SwitchTopology(), health)
+        assert _MESH.cache_key() == ()
+        assert _SWITCH.cache_key() == ()
+        mesh = DegradedMeshTopology(_MESH, health)
+        switch = DegradedSwitchTopology(_SWITCH, health)
         health.fail_device(2)
         assert mesh.cache_key() == switch.cache_key() == health.state_key()
 
-    @pytest.mark.parametrize("library_cls", [HcclLibrary, NcclLibrary])
-    def test_degraded_library_prices_follow_fault_state(self, library_cls):
+    @pytest.mark.parametrize("backend", [GAUDI2, A100], ids=["HcclLibrary", "NcclLibrary"])
+    def test_degraded_library_prices_follow_fault_state(self, backend):
         probes = [
             (op, size, participants)
             for op in CollectiveOp
@@ -233,13 +242,13 @@ class TestFabricStateKey:
             return [library.run(*probe) for probe in probes]
 
         health = FabricHealth()
-        library = library_cls().degraded(health)
+        library = get_backend(backend).collective_library().degraded(health)
         healthy = prices(library)
         health.fail_device(3)
         health.set_link_factor(0, 1, 0.5)
         degraded = prices(library)
         assert degraded != healthy
-        assert prices(library_cls().degraded(health)) == degraded
+        assert prices(get_backend(backend).collective_library().degraded(health)) == degraded
         health.recover_device(3)
         health.restore_link(0, 1)
         assert prices(library) == healthy
@@ -249,7 +258,7 @@ class TestDegradedTopologies:
     def test_mesh_port_cliff_from_device_loss(self):
         """The acceptance shape: (alive-1)*3 of 21 ports stay usable."""
         health = FabricHealth()
-        mesh = DegradedMeshTopology(P2PMeshTopology(), health)
+        mesh = DegradedMeshTopology(_MESH, health)
         healthy = mesh.injection_bandwidth(8)
         health.fail_device(3)
         assert mesh.alive_devices() == 7
@@ -258,31 +267,31 @@ class TestDegradedTopologies:
 
     def test_mesh_degraded_link_gates_pairs(self):
         health = FabricHealth()
-        mesh = DegradedMeshTopology(P2PMeshTopology(), health)
+        mesh = DegradedMeshTopology(_MESH, health)
         healthy = mesh.pair_bandwidth(8)
         health.set_link_factor(0, 1, 0.5)
         assert mesh.pair_bandwidth(8) == pytest.approx(0.5 * healthy)
 
     def test_mesh_severed_link_relays_at_half_rate(self):
         health = FabricHealth()
-        mesh = DegradedMeshTopology(P2PMeshTopology(), health)
+        mesh = DegradedMeshTopology(_MESH, health)
         health.set_link_factor(0, 1, 0.0)
         assert mesh.pair_bandwidth(8) == pytest.approx(
-            0.5 * P2PMeshTopology().pair_bandwidth(8)
+            0.5 * _MESH.pair_bandwidth(8)
         )
 
     def test_switch_flat_under_device_loss(self):
         health = FabricHealth()
-        switch = DegradedSwitchTopology(SwitchTopology(), health)
+        switch = DegradedSwitchTopology(_SWITCH, health)
         health.fail_device(3)
         assert switch.alive_devices() == 7
-        assert switch.injection_bandwidth(7) == SwitchTopology().injection_bandwidth(7)
+        assert switch.injection_bandwidth(7) == _SWITCH.injection_bandwidth(7)
 
     def test_effective_participants(self):
         health = FabricHealth()
-        mesh = DegradedMeshTopology(P2PMeshTopology(), health)
+        mesh = DegradedMeshTopology(_MESH, health)
         assert effective_participants(mesh, 8) == 8
-        assert effective_participants(P2PMeshTopology(), 8) == 8
+        assert effective_participants(_MESH, 8) == 8
         health.fail_device(0)
         health.fail_device(1)
         assert effective_participants(mesh, 8) == 6
@@ -291,7 +300,7 @@ class TestDegradedTopologies:
 class TestDegradedCollectives:
     def test_collective_slows_as_mesh_shrinks(self):
         health = FabricHealth()
-        mesh = DegradedMeshTopology(P2PMeshTopology(), health)
+        mesh = DegradedMeshTopology(_MESH, health)
         size = 64 * 2**20
         healthy = degraded_collective_time(CollectiveOp.ALL_REDUCE, size, 8, mesh)
         health.fail_device(3)
@@ -303,13 +312,13 @@ class TestDegradedCollectives:
         health = FabricHealth()
         for device in range(7):
             health.fail_device(device)
-        mesh = DegradedMeshTopology(P2PMeshTopology(), health)
+        mesh = DegradedMeshTopology(_MESH, health)
         result = degraded_collective_time(CollectiveOp.ALL_REDUCE, 1024, 8, mesh)
         assert result.time == 0.0 and result.steps == 0
 
     def test_library_rebinding_keeps_tuning(self):
         health = FabricHealth()
-        library = HcclLibrary()
+        library = _hccl()
         degraded = library.degraded(health)
         assert degraded.protocol_efficiency == library.protocol_efficiency
         assert degraded.name == library.name
@@ -318,14 +327,14 @@ class TestDegradedCollectives:
         assert library.alive_participants(8) == 8  # original untouched
 
     def test_nccl_library_degrades_too(self):
-        degraded = NcclLibrary().degraded(FabricHealth())
+        degraded = get_backend(A100).collective_library().degraded(FabricHealth())
         assert isinstance(degraded.topology, DegradedSwitchTopology)
 
 
 class TestFaultAwareTensorParallel:
     def test_allreduce_follows_port_cliff(self):
         health = FabricHealth()
-        library = HcclLibrary().degraded(health)
+        library = _hccl().degraded(health)
         tp = TensorParallelConfig(degree=8, library=library)
         size = 8 * 4096 * 2
         healthy_time = tp.allreduce_time(size)
@@ -339,5 +348,30 @@ class TestFaultAwareTensorParallel:
         health = FabricHealth()
         for device in range(7):
             health.fail_device(device)
-        tp = TensorParallelConfig(degree=8, library=HcclLibrary().degraded(health))
+        tp = TensorParallelConfig(degree=8, library=_hccl().degraded(health))
         assert tp.allreduce_time(1 << 20) == 0.0
+
+
+class TestHealthyViewDifferential:
+    """Chaos and fleet nodes price TP through ``.degraded(health)`` on
+    the device's own library; ``serve`` prices through the plain one.
+    With no fault in the health record the two must agree to the bit."""
+
+    @pytest.mark.parametrize("tp", [2, 4, 8])
+    @pytest.mark.parametrize("backend", list_backends())
+    def test_node_view_prices_like_serve(self, backend, tp):
+        serve_tp = TensorParallelConfig.for_device(get_backend(backend), tp)
+        node_tp = Node("n", NodeClass(name=backend, device=backend, tp=tp)).engine.model.tp
+        assert isinstance(node_tp.library.topology, (DegradedMeshTopology, DegradedSwitchTopology))
+        with memo.disabled():
+            for size in (2 << 10, 1 << 20, 8 << 20, 64 << 20):
+                assert node_tp.allreduce_time(size) == serve_tp.allreduce_time(size)
+
+    @pytest.mark.parametrize("tp", [2, 4, 8])
+    @pytest.mark.parametrize("backend", list_backends())
+    def test_chaos_view_prices_like_serve(self, backend, tp):
+        with memo.disabled():
+            report = run_chaos(config=ChaosConfig(device=backend, tp=tp, num_requests=2))
+            serve_lib = TensorParallelConfig.for_device(get_backend(backend), tp).library
+            probe = serve_lib.all_reduce(64 * 2**20, tp).bus_bandwidth
+        assert report.degraded_allreduce_bw == report.healthy_allreduce_bw == probe

@@ -42,6 +42,14 @@ class TestDevice:
         result = device.gemm(16384, 16384, 16384)
         assert result.achieved_flops / 1e12 == pytest.approx(1825, rel=0.02)
 
+    def test_quarter_array_is_power_gated(self):
+        """``256x256x2`` drives a quarter of Gaudi-3's 524 288 MACs (the
+        whole of Gaudi-2's array), so it gates the other three quarters."""
+        config = Gaudi3Device().mme.select_config(256, 4096, 512)
+        assert config.geometry.label == "256x256x2"
+        assert config.geometry.active_macs * 4 == GAUDI3_SPEC.matrix.total_macs
+        assert config.power_gated
+
     def test_faster_than_gaudi2_everywhere(self):
         g2, g3 = get_backend("gaudi2"), get_backend("gaudi3")
         for shape in [(512, 512, 512), (8192, 8192, 8192), (8192, 8192, 16)]:

@@ -33,7 +33,7 @@ class TestSpec:
 
 class TestTileModel:
     def setup_method(self):
-        self.model = TileGemmModel()
+        self.model = TileGemmModel(H100_SPEC)
 
     def test_large_square_near_peak(self):
         est = self.model.gemm(8192, 8192, 8192)

@@ -9,6 +9,7 @@ configurations, not just the sweep points the figures use.
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.hw.spec import A100_SPEC, GAUDI2_SPEC
 from repro.kernels.embedding import (
     A100Fbgemm,
     EmbeddingConfig,
@@ -23,10 +24,10 @@ from repro.kernels.paged_attention import (
     vllm_opt_paged_attention,
 )
 
-_SDK = GaudiSdkSingleTable()
-_SINGLE = GaudiSingleTable()
-_BATCHED = GaudiBatchedTable()
-_FBGEMM = A100Fbgemm()
+_SDK = GaudiSdkSingleTable(GAUDI2_SPEC)
+_SINGLE = GaudiSingleTable(GAUDI2_SPEC)
+_BATCHED = GaudiBatchedTable(GAUDI2_SPEC)
+_FBGEMM = A100Fbgemm(A100_SPEC)
 
 embedding_configs = st.builds(
     EmbeddingConfig,
@@ -89,16 +90,17 @@ class TestPagedAttentionInvariants:
     @settings(max_examples=60, deadline=None)
     def test_opt_never_slower_than_base(self, config):
         assert (
-            vllm_opt_paged_attention(config).time
-            <= vllm_base_paged_attention(config).time * 1.0001
+            vllm_opt_paged_attention(config, GAUDI2_SPEC).time
+            <= vllm_base_paged_attention(config, GAUDI2_SPEC).time * 1.0001
         )
 
     @given(config=paged_configs)
     @settings(max_examples=60, deadline=None)
     def test_times_positive_and_finite(self, config):
-        for impl in (vllm_base_paged_attention, vllm_opt_paged_attention,
-                     a100_paged_attention):
-            result = impl(config)
+        for impl, spec in ((vllm_base_paged_attention, GAUDI2_SPEC),
+                           (vllm_opt_paged_attention, GAUDI2_SPEC),
+                           (a100_paged_attention, A100_SPEC)):
+            result = impl(config, spec)
             assert 0 < result.time < 10.0
             assert result.tokens_per_second > 0
 
@@ -112,7 +114,7 @@ class TestPagedAttentionInvariants:
         small = PagedAttentionConfig.uniform(batch, short)
         large = PagedAttentionConfig.uniform(batch, short * factor)
         for impl in (vllm_base_paged_attention, vllm_opt_paged_attention):
-            assert impl(large).time >= impl(small).time * 0.999
+            assert impl(large, GAUDI2_SPEC).time >= impl(small, GAUDI2_SPEC).time * 0.999
 
     @given(
         batch=st.integers(2, 32),
@@ -129,11 +131,11 @@ class TestPagedAttentionInvariants:
             q_heads=32, kv_heads=8, head_dim=128,
         )
         ratio_uniform = (
-            vllm_base_paged_attention(uniform).time
-            / vllm_opt_paged_attention(uniform).time
+            vllm_base_paged_attention(uniform, GAUDI2_SPEC).time
+            / vllm_opt_paged_attention(uniform, GAUDI2_SPEC).time
         )
         ratio_padded = (
-            vllm_base_paged_attention(padded).time
-            / vllm_opt_paged_attention(padded).time
+            vllm_base_paged_attention(padded, GAUDI2_SPEC).time
+            / vllm_opt_paged_attention(padded, GAUDI2_SPEC).time
         )
         assert ratio_padded >= ratio_uniform * 0.999

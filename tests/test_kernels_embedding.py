@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.hw.spec import A100_SPEC, GAUDI2_SPEC
 from repro.kernels.embedding import (
     A100Fbgemm,
     EmbeddingConfig,
@@ -40,28 +41,28 @@ class TestConfig:
 
 class TestOperatorRelationships:
     def test_single_table_launches_per_table(self):
-        result = GaudiSingleTable().run(_config(tables=7))
+        result = GaudiSingleTable(GAUDI2_SPEC).run(_config(tables=7))
         assert result.launches == 7
 
     def test_batched_table_single_launch(self):
-        result = GaudiBatchedTable().run(_config(tables=7))
+        result = GaudiBatchedTable(GAUDI2_SPEC).run(_config(tables=7))
         assert result.launches == 1
 
     def test_batched_beats_single_at_low_batch(self):
         config = _config(batch=128)
-        single = GaudiSingleTable().run(config)
-        batched = GaudiBatchedTable().run(config)
+        single = GaudiSingleTable(GAUDI2_SPEC).run(config)
+        batched = GaudiBatchedTable(GAUDI2_SPEC).run(config)
         assert batched.time < single.time / 2
 
     def test_gap_diminishes_at_large_batch(self):
         """Paper: SingleTable catches up as batch size grows."""
         small_ratio = (
-            GaudiSingleTable().run(_config(batch=128)).time
-            / GaudiBatchedTable().run(_config(batch=128)).time
+            GaudiSingleTable(GAUDI2_SPEC).run(_config(batch=128)).time
+            / GaudiBatchedTable(GAUDI2_SPEC).run(_config(batch=128)).time
         )
         large_ratio = (
-            GaudiSingleTable().run(_config(batch=32768)).time
-            / GaudiBatchedTable().run(_config(batch=32768)).time
+            GaudiSingleTable(GAUDI2_SPEC).run(_config(batch=32768)).time
+            / GaudiBatchedTable(GAUDI2_SPEC).run(_config(batch=32768)).time
         )
         assert large_ratio < small_ratio / 2
         assert large_ratio < 1.3
@@ -69,14 +70,14 @@ class TestOperatorRelationships:
     def test_custom_single_beats_sdk(self):
         """Paper: the custom SingleTable is ~1.6x the SDK operator."""
         config = _config(batch=4096)
-        sdk = GaudiSdkSingleTable().run(config)
-        custom = GaudiSingleTable().run(config)
+        sdk = GaudiSdkSingleTable(GAUDI2_SPEC).run(config)
+        custom = GaudiSingleTable(GAUDI2_SPEC).run(config)
         assert 1.2 < sdk.time / custom.time < 4.0
 
     def test_batched_utilization_rises_with_tables(self):
         """Figure 15(a): BatchedTable utilization grows with tables."""
         utils = [
-            GaudiBatchedTable().run(_config(tables=t, batch=512)).bandwidth_utilization
+            GaudiBatchedTable(GAUDI2_SPEC).run(_config(tables=t, batch=512)).bandwidth_utilization
             for t in (1, 5, 20)
         ]
         assert utils[0] < utils[1] < utils[2]
@@ -84,7 +85,7 @@ class TestOperatorRelationships:
     def test_single_table_flat_vs_tables(self):
         """Figure 15(a): SingleTable utilization does not grow."""
         utils = [
-            GaudiSingleTable().run(_config(tables=t, batch=512)).bandwidth_utilization
+            GaudiSingleTable(GAUDI2_SPEC).run(_config(tables=t, batch=512)).bandwidth_utilization
             for t in (1, 5, 20)
         ]
         assert max(utils) / min(utils) < 1.2
@@ -94,19 +95,19 @@ class TestVsA100:
     def test_near_parity_for_large_vectors(self):
         """Paper: ~95 % of FBGEMM for >=256 B vectors."""
         config = _config(dim=128, batch=16384)  # 512 B rows
-        gaudi = GaudiBatchedTable().run(config)
-        a100 = A100Fbgemm().run(config)
+        gaudi = GaudiBatchedTable(GAUDI2_SPEC).run(config)
+        a100 = A100Fbgemm(A100_SPEC).run(config)
         assert a100.time / gaudi.time == pytest.approx(0.9, abs=0.15)
 
     def test_half_speed_for_small_vectors(self):
         """Paper: ~47 % of FBGEMM below 256 B."""
         config = _config(dim=16, batch=16384)  # 64 B rows
-        gaudi = GaudiBatchedTable().run(config)
-        a100 = A100Fbgemm().run(config)
+        gaudi = GaudiBatchedTable(GAUDI2_SPEC).run(config)
+        a100 = A100Fbgemm(A100_SPEC).run(config)
         assert a100.time / gaudi.time == pytest.approx(0.47, abs=0.15)
 
     def test_a100_peak_utilization(self):
-        result = A100Fbgemm().run(_config(dim=256, batch=32768))
+        result = A100Fbgemm(A100_SPEC).run(_config(dim=256, batch=32768))
         assert result.bandwidth_utilization == pytest.approx(0.80, abs=0.06)
 
 
@@ -121,11 +122,12 @@ class TestFactory:
         ],
     )
     def test_make_operator(self, name, cls):
-        assert isinstance(make_operator(name), cls)
+        spec = A100_SPEC if name == "fbgemm" else GAUDI2_SPEC
+        assert isinstance(make_operator(name, spec), cls)
 
     def test_unknown_operator(self):
         with pytest.raises(KeyError):
-            make_operator("magic")
+            make_operator("magic", GAUDI2_SPEC)
 
 
 class TestFunctional:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.hw.spec import A100_SPEC, GAUDI2_SPEC
 from repro.kernels.paged_attention import (
     PagedAttentionConfig,
     a100_paged_attention,
@@ -53,8 +54,8 @@ class TestBaselineVsOptimized:
             for batch in (8, 32):
                 config = PagedAttentionConfig.uniform(batch, seq)
                 assert (
-                    vllm_opt_paged_attention(config).time
-                    < vllm_base_paged_attention(config).time
+                    vllm_opt_paged_attention(config, GAUDI2_SPEC).time
+                    < vllm_base_paged_attention(config, GAUDI2_SPEC).time
                 )
 
     def test_mean_speedup_matches_paper_band(self):
@@ -64,8 +65,8 @@ class TestBaselineVsOptimized:
             for batch in (8, 16, 32, 64):
                 config = PagedAttentionConfig.uniform(batch, seq)
                 ratios.append(
-                    vllm_base_paged_attention(config).time
-                    / vllm_opt_paged_attention(config).time
+                    vllm_base_paged_attention(config, GAUDI2_SPEC).time
+                    / vllm_opt_paged_attention(config, GAUDI2_SPEC).time
                 )
         mean = sum(ratios) / len(ratios)
         assert 4.0 < mean < 9.0
@@ -78,10 +79,10 @@ class TestBaselineVsOptimized:
                                        q_heads=32, kv_heads=8, head_dim=128)
         padded = PagedAttentionConfig(batch=32, seq_lens=padded_lens,
                                       q_heads=32, kv_heads=8, head_dim=128)
-        r_uniform = (vllm_base_paged_attention(uniform).time
-                     / vllm_opt_paged_attention(uniform).time)
-        r_padded = (vllm_base_paged_attention(padded).time
-                    / vllm_opt_paged_attention(padded).time)
+        r_uniform = (vllm_base_paged_attention(uniform, GAUDI2_SPEC).time
+                     / vllm_opt_paged_attention(uniform, GAUDI2_SPEC).time)
+        r_padded = (vllm_base_paged_attention(padded, GAUDI2_SPEC).time
+                    / vllm_opt_paged_attention(padded, GAUDI2_SPEC).time)
         assert r_padded > 4 * r_uniform
         assert 20 < r_padded < 70
 
@@ -92,8 +93,8 @@ class TestBaselineVsOptimized:
         for seq_lens in ([2048] * 16, [2048] + [1024] * 15, [2048] + [256] * 15):
             config = PagedAttentionConfig(batch=16, seq_lens=seq_lens,
                                           q_heads=32, kv_heads=8, head_dim=128)
-            speedups.append(vllm_base_paged_attention(config).time
-                            / vllm_opt_paged_attention(config).time)
+            speedups.append(vllm_base_paged_attention(config, GAUDI2_SPEC).time
+                            / vllm_opt_paged_attention(config, GAUDI2_SPEC).time)
         assert speedups == sorted(speedups)
         assert speedups[0] > 3.0
 
@@ -102,14 +103,14 @@ class TestBaselineVsOptimized:
         uniform = PagedAttentionConfig.uniform(8, 2048)
         padded = PagedAttentionConfig(batch=8, seq_lens=[2048] + [128] * 7,
                                       q_heads=32, kv_heads=8, head_dim=128)
-        tu = vllm_base_paged_attention(uniform).time
-        tp = vllm_base_paged_attention(padded).time
+        tu = vllm_base_paged_attention(uniform, GAUDI2_SPEC).time
+        tp = vllm_base_paged_attention(padded, GAUDI2_SPEC).time
         assert tp == pytest.approx(tu, rel=0.05)
 
     def test_opt_is_pipelined_base_is_not(self):
         config = PagedAttentionConfig.uniform(8, 2048)
-        assert vllm_opt_paged_attention(config).pipelined
-        assert not vllm_base_paged_attention(config).pipelined
+        assert vllm_opt_paged_attention(config, GAUDI2_SPEC).pipelined
+        assert not vllm_base_paged_attention(config, GAUDI2_SPEC).pipelined
 
 
 class TestPipelinedDuration:
@@ -134,15 +135,15 @@ class TestVsA100:
             for batch in (16, 64):
                 config = PagedAttentionConfig.uniform(batch, seq)
                 ratios.append(
-                    a100_paged_attention(config).time
-                    / vllm_opt_paged_attention(config).time
+                    a100_paged_attention(config, A100_SPEC).time
+                    / vllm_opt_paged_attention(config, GAUDI2_SPEC).time
                 )
         mean = sum(ratios) / len(ratios)
         assert 0.35 < mean < 0.65
 
     def test_a100_single_pass_over_kv(self):
         config = PagedAttentionConfig.uniform(16, 4096)
-        result = a100_paged_attention(config)
+        result = a100_paged_attention(config, A100_SPEC)
         # time is close to one KV read at the paged efficiency
         expected = config.kv_bytes / (2.0e12 * 0.80)
         assert result.time == pytest.approx(expected, rel=0.1)

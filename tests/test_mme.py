@@ -17,7 +17,7 @@ from repro.hw.systolic import best_geometry
 
 @pytest.fixture(scope="module")
 def mme():
-    return MmeModel()
+    return MmeModel(GAUDI2_SPEC)
 
 
 class TestConfigSelection:
@@ -110,12 +110,12 @@ class TestConfigurability:
         assert max(gains) > 1.1
 
     def test_non_configurable_model_has_one_geometry(self):
-        fixed = MmeModel(configurable=False)
+        fixed = MmeModel(GAUDI2_SPEC, configurable=False)
         assert len(fixed.geometries) == 1
         assert fixed.geometries[0].label == "256x256x2"
 
     def test_fixed_never_beats_configurable(self, mme):
-        fixed = MmeModel(configurable=False)
+        fixed = MmeModel(GAUDI2_SPEC, configurable=False)
         for shape in [(512, 4096, 64), (4096, 512, 4096), (128, 128, 128)]:
             assert mme.gemm_time(*shape) <= fixed.gemm_time(*shape) + 1e-12
 
@@ -139,9 +139,9 @@ class TestBatchedGemm:
 #: One model per geometry set; module-level so the class-keyed cache
 #: stays warm across hypothesis examples.
 _GEOMETRY_SETS = {
-    "gaudi2": MmeModel(),
+    "gaudi2": MmeModel(GAUDI2_SPEC),
     "gaudi3": MmeModel(GAUDI3_SPEC, geometries=GAUDI3_GEOMETRIES),
-    "fixed-array": MmeModel(configurable=False),
+    "fixed-array": MmeModel(GAUDI2_SPEC, configurable=False),
 }
 
 

@@ -299,10 +299,15 @@ class TestPrefillPricer:
         ``allreduce_time``, or ``()`` when no exchange happens (TP 1,
         or one TP-8 device left alive)."""
         from repro.comm import FabricHealth
-        from repro.faults.chaos import build_degraded_collectives
+        from repro.hw.backend import GAUDI2, get_backend
+        from repro.models.tensor_parallel import TensorParallelConfig
 
         health = FabricHealth()
-        tp = build_degraded_collectives("gaudi2", 1 if fabric == "tp1" else 8, health)[0]
+        if fabric == "tp1":
+            tp = TensorParallelConfig(degree=1)
+        else:
+            library = get_backend(GAUDI2).collective_library().degraded(health)
+            tp = TensorParallelConfig(degree=8, library=library)
         if fabric == "slow-link":
             health.set_link_factor(0, 1, 0.25)
         elif fabric == "one-alive":

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import memo
-from repro.hw.spec import DType
+from repro.hw.spec import GAUDI2_SPEC, DType
 from repro.tpc.isa import Instruction, Opcode, Slot
+from repro.tpc.kernel import TpcKernel
 from repro.tpc.pipeline import VliwPipeline
 
-_PIPE = VliwPipeline()
+_PIPE = VliwPipeline(GAUDI2_SPEC.vector)
 
 _OPCODES = [
     Opcode.LD_TNSR, Opcode.LD_G, Opcode.ST_TNSR,
@@ -89,5 +90,6 @@ class TestPipelineInvariants:
     def test_accounting_non_negative(self, body, iterations):
         result = _PIPE.simulate(body, iterations)
         assert result.bytes_per_iteration >= 0
-        assert result.moved_bytes_per_iteration >= result.bytes_per_iteration
+        moved = TpcKernel("fuzz", list(body), trips=1).moved_bytes_per_trip(256)
+        assert moved >= result.bytes_per_iteration
         assert result.flops_per_iteration >= 0

@@ -33,10 +33,10 @@ from repro.comm import (
     SwitchTopology,
 )
 from repro.core import memo
-from repro.faults.chaos import build_degraded_collectives
 from repro.figures import figure17, run_figure
 from repro.figures.figure17 import serve_point
 from repro.hw.backend import A100, GAUDI2, get_backend
+from repro.hw.spec import A100_SPEC, GAUDI2_SPEC
 from repro.kernels.gather_scatter import run_gather_scatter
 from repro.kernels.stream import StreamOp, run_stream
 from repro.models import dlrm
@@ -126,23 +126,38 @@ def test_fault_state_order_does_not_leak(order):
 
 
 _HCCL_EFFICIENCY = {op: 1.0 for op in CollectiveOp}
+_IC = GAUDI2_SPEC.interconnect
+
+
+def _mesh(**changes) -> P2PMeshTopology:
+    return dataclasses.replace(P2PMeshTopology.from_spec(GAUDI2_SPEC, 8), **changes)
+
 
 #: One library per static field, each differing from ``base`` in it alone.
 _VARIANTS = {
-    "base": lambda: HcclLibrary(P2PMeshTopology()),
-    "library-type": lambda: CollectiveLibrary(P2PMeshTopology(), 0.87, _HCCL_EFFICIENCY, "HCCL"),
-    "name": lambda: CollectiveLibrary(P2PMeshTopology(), 0.87, _HCCL_EFFICIENCY, "HCCL2"),
-    "topology-type": lambda: HcclLibrary(DegradedMeshTopology(P2PMeshTopology())),
-    "num_devices": lambda: HcclLibrary(P2PMeshTopology(num_devices=16)),
-    "link_bandwidth": lambda: HcclLibrary(P2PMeshTopology(link_bandwidth=25e9)),
+    "base": lambda: HcclLibrary(_mesh(), _IC),
+    "library-type": lambda: CollectiveLibrary(_mesh(), 0.87, _HCCL_EFFICIENCY, "HCCL", 300e9),
+    "name": lambda: CollectiveLibrary(_mesh(), 0.87, _HCCL_EFFICIENCY, "HCCL2", 300e9),
+    "topology-type": lambda: HcclLibrary(DegradedMeshTopology(_mesh()), _IC),
+    "num_devices": lambda: HcclLibrary(_mesh(num_devices=16), _IC),
+    "link_bandwidth": lambda: HcclLibrary(_mesh(link_bandwidth=25e9), _IC),
     "protocol_efficiency": lambda: CollectiveLibrary(
-        P2PMeshTopology(), 0.9, _HCCL_EFFICIENCY, "HCCL"
+        _mesh(), 0.9, _HCCL_EFFICIENCY, "HCCL", 300e9
     ),
     "op_efficiency": lambda: CollectiveLibrary(
-        P2PMeshTopology(), 0.87, {**_HCCL_EFFICIENCY, CollectiveOp.ALL_REDUCE: 0.9}, "HCCL"
+        _mesh(), 0.87, {**_HCCL_EFFICIENCY, CollectiveOp.ALL_REDUCE: 0.9}, "HCCL", 300e9
     ),
-    "switch": lambda: NcclLibrary(SwitchTopology()),
+    "per_device_bandwidth": lambda: HcclLibrary(
+        _mesh(), dataclasses.replace(_IC, per_device_bandwidth=600e9)
+    ),
+    "switch": lambda: NcclLibrary(SwitchTopology.from_spec(A100_SPEC, 8), A100_SPEC.interconnect),
 }
+
+
+def _degraded_tp8(health: FabricHealth) -> TensorParallelConfig:
+    """A TP-8 gaudi2 config priced through a view of ``health``."""
+    library = get_backend(GAUDI2).collective_library().degraded(health)
+    return TensorParallelConfig(degree=8, library=library)
 
 
 def test_static_fields_separate_pricing_keys(memo_on):
@@ -154,8 +169,8 @@ def test_static_fields_separate_pricing_keys(memo_on):
     assert len(tp_keys) == 2 * len(libraries)
     # Equal identities share one memo, whatever object built them.
     base = libraries["base"]
-    assert HcclLibrary(P2PMeshTopology())._run_cache is base._run_cache
-    assert base.with_topology(P2PMeshTopology())._run_cache is base._run_cache
+    assert get_backend(GAUDI2).collective_library()._run_cache is base._run_cache
+    assert base.with_topology(_mesh())._run_cache is base._run_cache
     # Distinct identities never do, even after the base priced the call.
     base_time = base.all_reduce(1 << 20, 8).time
     for name, library in libraries.items():
@@ -173,7 +188,7 @@ def test_tp8_steppers_never_cross_fault_states(memo_on):
     stats = DecodeBatchStats.from_context_lens([300, 900, 1700, 2500])
     health = FabricHealth()
     model = LlamaCostModel(
-        LLAMA_3_1_8B, device, tp=build_degraded_collectives(GAUDI2, 8, health)[0]
+        LLAMA_3_1_8B, device, tp=_degraded_tp8(health)
     )
 
     def priced():
@@ -192,7 +207,7 @@ def test_tp8_steppers_never_cross_fault_states(memo_on):
     # A second node on its own, healthy fabric gets the healthy stepper,
     # never the degraded one compiled last.
     other = LlamaCostModel(
-        LLAMA_3_1_8B, device, tp=build_degraded_collectives(GAUDI2, 8, FabricHealth())[0]
+        LLAMA_3_1_8B, device, tp=_degraded_tp8(FabricHealth())
     )
     assert other.decode_stepper(stats.batch, attention) is healthy
 
@@ -207,7 +222,7 @@ def test_tp8_steppers_never_cross_fault_states(memo_on):
 
 def test_models_with_distinct_tp_identities_never_share(memo_on):
     device = get_backend(GAUDI2)
-    tuned = CollectiveLibrary(P2PMeshTopology(), 0.5, _HCCL_EFFICIENCY, "HCCL")
+    tuned = CollectiveLibrary(_mesh(), 0.5, _HCCL_EFFICIENCY, "HCCL", 300e9)
     configs = [
         TensorParallelConfig(degree=1),
         TensorParallelConfig.for_device(device, 2),
@@ -268,7 +283,7 @@ def test_tp8_generate_never_crosses_fault_states(memo_on, order):
     degraded_health.set_link_factor(0, 1, 0.25)
     models = {
         name: LlamaCostModel(
-            LLAMA_3_1_8B, device, tp=build_degraded_collectives(GAUDI2, 8, health)[0]
+            LLAMA_3_1_8B, device, tp=_degraded_tp8(health)
         )
         for name, health in (("healthy", FabricHealth()), ("degraded", degraded_health))
     }

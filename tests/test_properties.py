@@ -6,8 +6,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm import CollectiveOp, HcclLibrary, NcclLibrary
+from repro.comm import CollectiveOp
 from repro.comm.busbw import bus_bandwidth_factor
+from repro.hw.backend import GAUDI2, get_backend, list_backends
 from repro.hw.device import A100Device, Gaudi2Device
 from repro.hw.memory import HbmModel
 from repro.hw.power import ActivityProfile, PowerModel
@@ -116,9 +117,9 @@ class TestCommProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_bus_utilization_in_unit_interval(self, op, participants, size):
-        for library in (HcclLibrary(), NcclLibrary()):
-            report = library.run(op, size, participants)
-            assert 0.0 < report.bus_utilization <= 1.0
+        for key in list_backends():
+            report = get_backend(key).collective_library().run(op, size, participants)
+            assert 0.0 < report.bus_utilization <= 1.0, key
 
     @given(
         op=st.sampled_from(list(CollectiveOp)),
@@ -135,7 +136,7 @@ class TestCommProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_time_monotone_in_size(self, participants, small, factor):
-        library = HcclLibrary()
+        library = get_backend(GAUDI2).collective_library()
         a = library.all_reduce(small, participants).time
         b = library.all_reduce(small * factor, participants).time
         assert b >= a

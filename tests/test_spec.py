@@ -7,7 +7,7 @@ from repro.hw.spec import (
     GAUDI2_SPEC,
     DType,
     get_spec,
-    spec_comparison_rows,
+    spec_comparison_rows_for,
 )
 
 
@@ -117,8 +117,8 @@ class TestLookup:
 
 class TestComparisonRows:
     def test_has_eight_rows(self):
-        assert len(spec_comparison_rows()) == 8
+        assert len(spec_comparison_rows_for([A100_SPEC, GAUDI2_SPEC])) == 8
 
     def test_power_ratio_row(self):
-        rows = dict((r[0], r[3]) for r in spec_comparison_rows())
+        rows = dict((r[0], r[3]) for r in spec_comparison_rows_for([A100_SPEC, GAUDI2_SPEC]))
         assert rows["Power (Watts)"] == "1.5x"

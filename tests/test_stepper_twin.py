@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro.comm import FabricHealth
 from repro.core import memo
-from repro.faults.chaos import build_degraded_collectives
 from repro.hw.backend import get_backend, list_backends
 from repro.hw.power import ActivityAccumulator
 from repro.hw.spec import DType
@@ -59,7 +58,9 @@ def _tp_config(backend: str, degree: int, fabric: str) -> TensorParallelConfig:
     if fabric == "healthy":
         return TensorParallelConfig.for_device(get_backend(backend), degree)
     health = FabricHealth()
-    tp = build_degraded_collectives(backend, degree, health)[0]
+    tp = TensorParallelConfig(
+        degree=degree, library=get_backend(backend).collective_library().degraded(health)
+    )
     if fabric == "slow-link":
         health.set_link_factor(0, 1, 0.25)
     else:

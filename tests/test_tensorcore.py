@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.hw.spec import DType
+from repro.hw.spec import A100_SPEC, DType
 from repro.hw.tensorcore import TensorCoreModel
 
 
 @pytest.fixture(scope="module")
 def tc():
-    return TensorCoreModel()
+    return TensorCoreModel(A100_SPEC)
 
 
 class TestTileSelection:

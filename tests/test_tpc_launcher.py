@@ -13,7 +13,7 @@ from repro.tpc.launcher import TpcLauncher, partition_members
 
 @pytest.fixture(scope="module")
 def launcher():
-    return TpcLauncher()
+    return TpcLauncher(GAUDI2_SPEC)
 
 
 def _triad_kernel(iterations, unroll=4):

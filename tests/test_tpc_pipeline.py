@@ -4,12 +4,13 @@ import pytest
 
 from repro.hw.spec import GAUDI2_SPEC
 from repro.tpc.isa import Instruction, Opcode
+from repro.tpc.kernel import TpcKernel
 from repro.tpc.pipeline import VliwPipeline
 
 
 @pytest.fixture(scope="module")
 def pipe():
-    return VliwPipeline()
+    return VliwPipeline(GAUDI2_SPEC.vector)
 
 
 def _ld(dest):
@@ -118,9 +119,10 @@ class TestAccounting:
 
     def test_sub_granule_moved_bytes_round_up(self, pipe):
         body = [Instruction(Opcode.LD_TNSR, dest="x", access_bytes=64)]
-        result = pipe.simulate(body, 1)
-        assert result.bytes_per_iteration == 64
-        assert result.moved_bytes_per_iteration == 256
+        assert pipe.simulate(body, 1).bytes_per_iteration == 64
+        # The launcher prices traffic at its device's access granule.
+        kernel = TpcKernel("ld64", body, trips=1)
+        assert kernel.moved_bytes_per_trip(GAUDI2_SPEC.memory.min_access_bytes) == 256
 
     def test_flops_per_iteration(self, pipe):
         body = [_add("r", "a", "b"), Instruction(Opcode.MAC, dest="r", sources=("a", "b"))]
